@@ -11,7 +11,6 @@ implemented, cross-checked criteria.
 from .errors import (
     BackendMismatchError,
     ConfigError,
-    EmptyRootDataError,
     EmptySequenceError,
     HypothesisViolatedError,
     InconclusiveError,
@@ -34,26 +33,20 @@ from .fields import (
     valuation,
 )
 from .groups import (
+    CanonicalSegment,
     ClosedForm,
     Diverging,
-    EmptySegment,
     ExtValue,
     FiniteList,
-    GeneratedBy,
     GroupElem,
     IsolatedSubgroup,
-    MinClosed,
-    Sampled,
-    Segment,
     SegmentRelation,
     Stabilized,
-    WholeGroup,
-    coset_representatives,
+    Tail,
+    canonicalize,
     largest_delta,
     rat1,
     segment_compare,
-    segment_contains,
-    segment_from,
     wlim,
 )
 from .kahler import (
@@ -65,7 +58,6 @@ from .kahler import (
     b1_criterion,
     b_set,
     classify,
-    epsilon_check,
     first_minimizing_plateau,
     ideal_inclusion_check,
     invariant_stream,
@@ -80,10 +72,8 @@ from .keyseq import (
     PlateauStage,
     ScheduleStage,
     artin_schreier_family,
-    completeness_probe,
+    find_witness,
     hensel_family,
-    normalize,
-    plateaus,
 )
 from .poly import Poly, QExpansion, derivative, is_q_monic, q_expand, resultant
 from .truncation import NuOracle

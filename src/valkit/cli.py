@@ -26,15 +26,7 @@ from .errors import (
     ValkitError,
 )
 from .fields import Backend
-from .groups import (
-    ClosedForm,
-    FiniteList,
-    GroupElem,
-    canonicalize,
-    format_rational,
-    largest_delta,
-    rat1,
-)
+from .groups import ClosedForm, FiniteList, GroupElem, format_rational, largest_delta, rat1
 from .kahler import (
     BSetReport,
     InvariantStream,
@@ -184,6 +176,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         for st in stages:
             if not isinstance(st, dict) or set(st) - {"poly", "family", "va", "start"}:
                 raise ConfigError("bad stage entry", "stages")
+            if not isinstance(st.get("start", 0), int):
+                raise ConfigError("start must be an integer", "stages")
         cfg = replace(
             cfg,
             backend=data["backend"],
@@ -297,7 +291,7 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
             family = artin_schreier_family(backend, a, budget=cfg.budget)
             stages.append(PlateauStage(family))
         elif st.get("family") == "hensel_lift":
-            family = hensel_family(backend, g, int(st.get("start", 0)), budget=cfg.budget)
+            family = hensel_family(backend, g, st.get("start", 0), budget=cfg.budget)
             stages.append(PlateauStage(family))
         else:
             raise ConfigError("stage needs 'poly' or a known 'family'", "stages")
@@ -385,7 +379,9 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
         for r in stream.records
     ]
     report["laws"] = {
-        f"stage{info.stage_pos}.{name}": tail.describe()
+        f"stage{info.stage_pos}.{name}": (
+            tail.describe() if tail is not None else {"kind": "unknown"}
+        )
         for info in stream.plateaus
         for name, tail in sorted(info.tails.items())
     }
@@ -439,12 +435,7 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
 
 
 def _segment_payload(seg) -> dict:
-    if seg is None:
-        return {"kind": "undecided"}
-    canon = canonicalize(seg)
-    if canon is None:
-        return {"kind": "undecided"}
-    return canon.describe()
+    return {"kind": "undecided"} if seg is None else seg.describe()
 
 
 def render_structured(report: dict) -> str:

@@ -57,10 +57,6 @@ class HypothesisViolatedError(ValkitError):
     """A structural hypothesis of the requested criterion does not hold."""
 
 
-class EmptyRootDataError(ValkitError):
-    """Root data required for an epsilon spot check is missing."""
-
-
 class ScenarioDataError(ValkitError):
     """Scenario data violates an invariant that valid inputs always satisfy."""
 

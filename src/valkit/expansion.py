@@ -23,7 +23,7 @@ from .errors import (
 )
 from .fields import FieldElem
 from .groups import ExtValue, GroupElem, min_value
-from .keyseq import KeyIndex, KeySequence, NormalizedSequence
+from .keyseq import KeyIndex, KeySequence, NormalizedSequence, find_witness
 from .poly import Poly, derivative, q_expand
 from .truncation import NuOracle
 
@@ -89,18 +89,6 @@ def full_expansion(
         j for j in ks.indices(terms_per_plateau) if j < i
     ]
 
-    def witness_for(c: Poly) -> KeyIndex:
-        target = nu.nu(c)
-        for j in candidates:
-            q = ks.key_poly(j)
-            if q.degree > c.degree:
-                continue
-            if nu.nu_q(c, q) == target:
-                return j
-        raise NoWitnessError(
-            f"no earlier key of degree <= {c.degree} attains nu within budget"
-        )
-
     def expand(c: Poly, base_index: KeyIndex, base_poly: Poly) -> list[MonomialTerm]:
         out: list[MonomialTerm] = []
         for j, cj in enumerate(q_expand(c, base_poly).coeffs):
@@ -109,7 +97,11 @@ def full_expansion(
             if cj.degree == 0:
                 subterms = [MonomialTerm(cj.coeff(0), ())]
             else:
-                w = witness_for(cj)
+                w = find_witness(ks, nu, cj, candidates)
+                if w is None:
+                    raise NoWitnessError(
+                        f"no earlier key of degree <= {cj.degree} attains nu within budget"
+                    )
                 subterms = expand(cj, w, ks.key_poly(w))
             for t in subterms:
                 out.append(
@@ -255,24 +247,14 @@ def rewrite_in_generators(
 
     candidates = ks.indices(terms_per_plateau)
 
-    def witness_for(c: Poly) -> KeyIndex:
-        target = nu.nu(c)
-        for j in candidates:
-            q = ks.key_poly(j)
-            if q.degree > c.degree:
-                continue
-            if nu.nu_q(c, q) == target:
-                return j
-        raise NoWitnessError(
-            f"no key of degree <= {c.degree} attains nu within budget"
-        )
-
     def rec(c: Poly) -> list[RewriteTerm]:
         if c.is_zero():
             return []
         if c.degree == 0:
             return [RewriteTerm(c.coeff(0), ())]
-        w = witness_for(c)
+        w = find_witness(ks, nu, c, candidates)
+        if w is None:
+            raise NoWitnessError(f"no key of degree <= {c.degree} attains nu within budget")
         nk = normalized.at(w)
         out: list[RewriteTerm] = []
         for j, cj in enumerate(q_expand(c, nk.original).coeffs):

@@ -4,32 +4,27 @@ Elements are tuples of `fractions.Fraction` of a fixed rank, compared
 lexicographically.  On top of the element arithmetic this module decides,
 always exactly and never by floating point or truncation guesswork:
 
-* which final segment (upward-closed set) a family of values generates,
+* which final segment (upward-closed set) a column of values generates,
 * containment and equality of such segments,
 * the largest isolated (convex) subgroup a segment is invariant under,
-* weak limits of value sequences relative to an isolated subgroup,
-* coset representatives below a finite-index subgroup of (1/m)Z.
+* weak limits of value sequences relative to an isolated subgroup.
 
-Infinite families are carried as `ValueSequence` objects.  The exactly
-decidable kinds are `FiniteList`, `ClosedForm` (geometric approach
-``c * p**-n + d``), `Stabilized` (eventually constant) and `Diverging`
-(certified strictly monotone and unbounded).  A `Sampled` sequence only
-exposes terms; questions about it are answered by fitting and verifying a
-closed form within a probe budget, and otherwise raise or report
-"inconclusive" rather than guessing.
+A column is a list of exactly computed values plus, for an infinite
+family, a `Tail` telling how it continues: a `ClosedForm` law
+``c * p**-n + d`` recognized by `fit_closed_form` with the scenario's own
+``p``, or a `Diverging` certificate issued by the family's construction.
+`canonicalize` turns a column into its `CanonicalSegment`, the one normal
+form every comparison works on.  A column without a tail description has
+no segment; callers report such questions inconclusive rather than guess.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
-from .errors import (
-    EmptySequenceError,
-    InconclusiveError,
-    InvalidSubgroupError,
-)
+from .errors import EmptySequenceError, InvalidSubgroupError, ScenarioDataError
 
 PROBE_BUDGET = 64
 _FIT_TERMS = 4
@@ -132,10 +127,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 @dataclass(frozen=True)
 class ExtValue:
     """A group element or +infinity (the value of 0 and of the support)."""
@@ -156,7 +147,11 @@ class ExtValue:
 
     def expect_finite(self) -> GroupElem:
         if self.finite is None:
-            raise ValueError("unexpected infinite value")
+            # Below an irreducible, separable g every nonzero polynomial has
+            # a finite value; an infinite one means g is neither.
+            raise ScenarioDataError(
+                "unexpected infinite value: g is reducible or has a repeated root"
+            )
         return self.finite
 
     def __add__(self, other):
@@ -217,7 +212,7 @@ def min_value(values: Iterable[ExtValue]) -> ExtValue:
 
 
 # ---------------------------------------------------------------------------
-# Value sequences
+# Value sequences and tails
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -228,9 +223,6 @@ class FiniteList:
 
     def term(self, n: int) -> GroupElem:
         return self.values[n]
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -254,10 +246,6 @@ class ClosedForm:
     def term(self, n: int) -> GroupElem:
         return self.c.scale(Fraction(1, self.p**n)) + self.d
 
-    def shifted(self, offset: int) -> "ClosedForm":
-        """The same family re-indexed to start `offset` terms later."""
-        return ClosedForm(self.c.scale(Fraction(1, self.p**offset)), self.d, self.p)
-
 
 @dataclass(frozen=True)
 class Stabilized:
@@ -266,77 +254,55 @@ class Stabilized:
     prefix: tuple[GroupElem, ...]
     tail: GroupElem
 
-    def term(self, n: int) -> GroupElem:
-        return self.prefix[n] if n < len(self.prefix) else self.tail
 
-
-@dataclass(frozen=True, eq=False)
-class Sampled:
-    """A family known only through a term sampler (0-based).
-
-    Questions about a sampled family are answered by recognizing an exact
-    closed form on probed terms; unrecognized families yield inconclusive
-    outcomes, never guesses.
-    """
-
-    sample: Callable[[int], GroupElem]
-    budget: int = PROBE_BUDGET
-
-    def term(self, n: int) -> GroupElem:
-        return self.sample(n)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Diverging:
-    """A certified strictly monotone and unbounded family.
+    """Certificate that a family is strictly monotone and unbounded.
 
-    The supplier guarantees monotonicity and unboundedness (for example by a
-    construction invariant such as term(n) exceeding n); the first probed
-    terms are validated against the claimed direction.
+    Only the family's construction can issue it (for example an invariant
+    such as term(n) exceeding n); it is never inferred from sampled terms.
     """
 
-    sample: Callable[[int], GroupElem]
     increasing: bool
 
-    def term(self, n: int) -> GroupElem:
-        return self.sample(n)
 
+@dataclass(frozen=True)
+class Tail:
+    """How a column continues beyond its materialized terms.
 
-ValueSequence = Union[FiniteList, ClosedForm, Stabilized, Sampled, Diverging]
+    With a `ClosedForm` law the value at position offset + k is
+    law.term(k), fitted and verified on exact terms; a `Diverging` law is
+    the family's certificate and covers the whole column.
+    """
 
+    law: ClosedForm | Diverging
+    offset: int = 0
 
-def sequence_terms(seq: ValueSequence, count: int) -> list[GroupElem]:
-    if isinstance(seq, FiniteList):
-        return list(seq.values[:count])
-    return [seq.term(n) for n in range(count)]
-
-
-def sequence_rank(seq: ValueSequence) -> int:
-    if isinstance(seq, FiniteList):
-        if not seq.values:
-            raise EmptySequenceError("empty value sequence")
-        return seq.values[0].rank
-    if isinstance(seq, ClosedForm):
-        return seq.d.rank
-    if isinstance(seq, Stabilized):
-        return seq.tail.rank
-    return seq.term(0).rank
+    def describe(self) -> dict:
+        if isinstance(self.law, Diverging):
+            return {"kind": "diverging", "increasing": self.law.increasing}
+        return {
+            "kind": "law",
+            "scale": str(self.law.c),
+            "limit": str(self.law.d),
+            "ratio": self.law.p,
+            "offset": self.offset,
+            "verified": True,
+        }
 
 
 def fit_closed_form(
     terms: Sequence[GroupElem],
     p: int,
     extend: Callable[[int], GroupElem | None] | None = None,
-    fit_terms: int = _FIT_TERMS,
-    verify_terms: int = _VERIFY_TERMS,
-) -> tuple[int, ClosedForm] | None:
+) -> Tail | None:
     """Recognize a law ``c * p**-n + d`` on a tail of `terms`.
 
-    Returns ``(offset, law)`` where the law reproduces ``terms[offset + k]``
-    at index ``k``, fitted on `fit_terms` consecutive terms and verified on
-    `verify_terms` further ones (drawn from `extend` when the list is too
-    short; `extend` may return None once its budget is exhausted).  Returns
-    None when no offset admits a law.  With an extension the offset search
+    Returns the tail whose law reproduces ``terms[offset + k]`` at index
+    ``k``, fitted on four consecutive terms and verified on four further
+    ones (drawn from `extend` when the list is too short; `extend` may
+    return None once its budget is exhausted).  Returns None when no offset
+    admits a law with ratio `p`.  With an extension the offset search
     reaches beyond the supplied prefix, up to the probe budget, so laws
     that only set in after a late slope change are still recognized.
     """
@@ -350,10 +316,9 @@ def fit_closed_form(
             terms.append(more)
         return terms[n]
 
-    q = Fraction(1, p)
-    max_offset = max(0, len(terms) - fit_terms)
+    max_offset = max(0, len(terms) - _FIT_TERMS)
     if extend is not None:
-        max_offset = max(max_offset, PROBE_BUDGET - fit_terms - verify_terms)
+        max_offset = max(max_offset, PROBE_BUDGET - _FIT_TERMS - _VERIFY_TERMS)
     for offset in range(max_offset + 1):
         t0 = term_at(offset)
         t1 = term_at(offset + 1)
@@ -361,16 +326,15 @@ def fit_closed_form(
             return None
         # t0 - t1 = c (1 - 1/p) / p**0  =>  c = (t0 - t1) * p/(p-1)
         c = (t0 - t1).scale(Fraction(p, p - 1))
-        d = t0 - c
-        law = ClosedForm(c, d, p)
+        law = ClosedForm(c, t0 - c, p)
         ok = True
-        for k in range(fit_terms + verify_terms):
+        for k in range(_FIT_TERMS + _VERIFY_TERMS):
             t = term_at(offset + k)
             if t is None or t != law.term(k):
                 ok = False
                 break
         if ok:
-            return offset, law
+            return Tail(law, offset)
     return None
 
 
@@ -378,44 +342,15 @@ def fit_closed_form(
 # Final segments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmptySegment:
-    rank: int = 1
-
-
-@dataclass(frozen=True)
-class WholeGroup:
-    rank: int = 1
-
-
-@dataclass(frozen=True)
-class MinClosed:
-    """The segment {x : x >= min}."""
-
-    min: GroupElem
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratedBy:
-    """Smallest final segment containing every term of `seq`."""
-
-    seq: ValueSequence
-
-
-Segment = Union[EmptySegment, WholeGroup, MinClosed, GeneratedBy]
-
-
 class SegmentRelation(Enum):
     EQUAL = "equal"
     A_CONTAINS_B = "a_contains_b"
     B_CONTAINS_A = "b_contains_a"
-    INCOMPARABLE = "incomparable"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class CanonicalSegment:
-    """Normal form of a decidable final segment.
+    """Normal form of a final segment.
 
     kind "closed":  {x : x >= point}.
     kind "open":    {x : prefix_depth(x) >lex prefix_depth(point)} --- the
@@ -449,122 +384,56 @@ class CanonicalSegment:
         return out
 
 
-def _zero_beyond(x: GroupElem, depth: int) -> GroupElem:
-    return GroupElem(x.coords[:depth] + (Fraction(0),) * (x.rank - depth))
+def _closed(m: GroupElem) -> CanonicalSegment:
+    return CanonicalSegment("closed", m.rank, m)
 
 
-def _canon_closed(m: GroupElem) -> CanonicalSegment:
-    return CanonicalSegment("closed", m.rank, m, None)
+def _open(limit: GroupElem, depth: int) -> CanonicalSegment:
+    point = GroupElem(limit.coords[:depth] + (Fraction(0),) * (limit.rank - depth))
+    return CanonicalSegment("open", limit.rank, point, depth)
 
 
-def _canon_open(limit: GroupElem, depth: int) -> CanonicalSegment:
-    return CanonicalSegment("open", limit.rank, _zero_beyond(limit, depth), depth)
+def canonicalize(
+    values: Sequence[GroupElem], tail: Tail | None = None, drop_prefix: bool = False
+) -> CanonicalSegment:
+    """Normal form of the final segment generated by a column.
 
-
-def canonicalize(seg: Segment, probe: int = PROBE_BUDGET) -> CanonicalSegment | None:
-    """Exact normal form of a segment, or None when undecidable."""
-    if isinstance(seg, EmptySegment):
-        return CanonicalSegment("empty", seg.rank)
-    if isinstance(seg, WholeGroup):
-        return CanonicalSegment("whole", seg.rank)
-    if isinstance(seg, MinClosed):
-        return _canon_closed(seg.min)
-    return _canon_sequence(seg.seq, probe)
-
-
-def _canon_sequence(seq: ValueSequence, probe: int) -> CanonicalSegment | None:
-    if isinstance(seq, FiniteList):
-        if not seq.values:
+    Without a tail, `values` is the whole (finite) family.  With one,
+    `values` are the materialized terms and the tail continues them; the
+    terms before the law offset count unless `drop_prefix` asks for the
+    segment of the tail alone, which for a law or a decreasing divergence
+    is invariant under further tail truncation.
+    """
+    if tail is None:
+        if not values:
             raise EmptySequenceError("empty value sequence")
-        return _canon_closed(min(seq.values))
-    if isinstance(seq, Stabilized):
-        return _canon_closed(min((*seq.prefix, seq.tail)))
-    if isinstance(seq, ClosedForm):
-        if seq.c.is_zero():
-            return _canon_closed(seq.d)
-        if seq.c < GroupElem.zero(seq.c.rank):
-            return _canon_closed(seq.term(0))
-        return _canon_open(seq.d, seq.c.leading_position())
-    if isinstance(seq, Diverging):
-        first = seq.term(0)
-        if seq.increasing:
-            return _canon_closed(first)
-        return CanonicalSegment("whole", first.rank)
-    # Sampled: recognize a closed form or give up.
-    budget = min(probe, seq.budget)
-    terms = sequence_terms(seq, min(budget, _FIT_TERMS + _VERIFY_TERMS + 4))
-    fitted = fit_closed_form(terms, p=2, extend=None) or _try_fit_any_ratio(terms)
-    if fitted is None:
-        return None
-    offset, law = fitted
-    tail_canon = _canon_sequence(law, probe)
-    head = terms[:offset]
-    if not head:
-        return tail_canon
-    m = min(head)
-    if tail_canon.kind == "closed":
-        return _canon_closed(min(m, tail_canon.point))
-    if tail_canon.contains(m):
-        return tail_canon
-    return _canon_closed(m)
+        return _closed(min(values))
+    law = tail.law
+    if isinstance(law, Diverging):
+        if not law.increasing:
+            return CanonicalSegment("whole", values[0].rank)
+        return _closed(min(values[-1:] if drop_prefix else values))
+    if law.c.is_zero():
+        seg = _closed(law.d)
+    elif law.c < GroupElem.zero(law.c.rank):
+        seg = _closed(law.term(0))
+    else:
+        seg = _open(law.d, law.c.leading_position())
+    prefix = [] if drop_prefix else values[: tail.offset]
+    if not prefix:
+        return seg
+    m = min(prefix)
+    if seg.kind == "closed":
+        return _closed(min(m, seg.point))
+    return seg if seg.contains(m) else _closed(m)
 
 
-def _try_fit_any_ratio(terms: Sequence[GroupElem]) -> tuple[int, ClosedForm] | None:
-    for p in (3, 5, 7):
-        fitted = fit_closed_form(terms, p=p)
-        if fitted is not None:
-            return fitted
-    return None
-
-
-def segment_from(values: ValueSequence) -> Segment:
-    """Smallest final segment containing every term of `values`."""
-    if isinstance(values, FiniteList):
-        if not values.values:
-            raise EmptySequenceError("cannot build a segment from no values")
-        return MinClosed(min(values.values))
-    if isinstance(values, Stabilized):
-        return MinClosed(min((*values.prefix, values.tail)))
-    if isinstance(values, ClosedForm):
-        if values.c.is_zero():
-            return MinClosed(values.d)
-        if values.c < GroupElem.zero(values.c.rank):
-            return MinClosed(values.term(0))
-        return GeneratedBy(values)
-    if isinstance(values, Diverging):
-        if values.increasing:
-            return MinClosed(values.term(0))
-        return WholeGroup(values.term(0).rank)
-    return GeneratedBy(values)
-
-
-def segment_contains(seg: Segment, x: GroupElem, probe: int = PROBE_BUDGET) -> bool:
-    """Exact membership; probes for a positive witness before giving up."""
-    canon = canonicalize(seg, probe)
-    if canon is not None:
-        return canon.contains(x)
-    seq = seg.seq
-    for n in range(probe):
-        if seq.term(n) <= x:
-            return True
-    raise InconclusiveError("membership undecided within probe budget")
-
-
-def segment_compare(a: Segment, b: Segment, probe: int = PROBE_BUDGET) -> SegmentRelation:
+def segment_compare(ca: CanonicalSegment, cb: CanonicalSegment) -> SegmentRelation:
     """Exact containment verdict between two final segments.
 
-    Two distinct final segments of a totally ordered group are always
-    nested, so INCOMPARABLE is never produced here; it is kept in the enum
-    for callers comparing segments of unrelated groups.
+    Final segments of a totally ordered group are always nested, so one of
+    the three relations holds.
     """
-    ca = canonicalize(a, probe)
-    cb = canonicalize(b, probe)
-    if ca is None or cb is None:
-        return SegmentRelation.INCONCLUSIVE
-    return compare_canonical(ca, cb)
-
-
-def compare_canonical(ca: CanonicalSegment, cb: CanonicalSegment) -> SegmentRelation:
     if ca.rank != cb.rank:
         raise ValueError("cannot compare segments of different groups")
     if ca == cb:
@@ -589,8 +458,7 @@ def compare_canonical(ca: CanonicalSegment, cb: CanonicalSegment) -> SegmentRela
             return SegmentRelation.A_CONTAINS_B
         return SegmentRelation.B_CONTAINS_A
     if ca.kind == "open" and cb.kind == "closed":
-        inv = compare_canonical(cb, ca)
-        return _flip(inv)
+        return _flip(segment_compare(cb, ca))
     # open vs open
     j = min(ca.depth, cb.depth)
     pa, pb = ca.point.prefix(j), cb.point.prefix(j)
@@ -612,6 +480,15 @@ def _flip(rel: SegmentRelation) -> SegmentRelation:
     if rel is SegmentRelation.B_CONTAINS_A:
         return SegmentRelation.A_CONTAINS_B
     return rel
+
+
+def segment_union(parts: Sequence[CanonicalSegment]) -> CanonicalSegment:
+    """Union of nested final segments: the containment-largest part."""
+    biggest = parts[0]
+    for c in parts[1:]:
+        if segment_compare(biggest, c) is SegmentRelation.B_CONTAINS_A:
+            biggest = c
+    return biggest
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +530,13 @@ class IsolatedSubgroup:
         return gens
 
 
-def largest_delta(alpha: Segment, rank: int, probe: int = PROBE_BUDGET) -> IsolatedSubgroup:
+def largest_delta(canon: CanonicalSegment, rank: int) -> IsolatedSubgroup:
     """Largest isolated subgroup D with alpha - D = alpha.
 
     A closed segment moves under any positive translation, so it only
     tolerates the trivial subgroup.  An open segment constraining the first
     j coordinates tolerates exactly the subgroup free on the rest.
     """
-    canon = canonicalize(alpha, probe)
-    if canon is None:
-        raise InconclusiveError("segment undecidable within probe budget")
     if canon.kind == "empty":
         raise EmptySequenceError("delta of an empty segment")
     if canon.rank != rank:
@@ -674,28 +548,24 @@ def largest_delta(alpha: Segment, rank: int, probe: int = PROBE_BUDGET) -> Isola
     return IsolatedSubgroup(rank - canon.depth, rank)
 
 
-def translation_invariant(
-    seg: Segment, delta: IsolatedSubgroup, probe: int = PROBE_BUDGET
-) -> bool:
+def translation_invariant(canon: CanonicalSegment, delta: IsolatedSubgroup) -> bool:
     """Direct check of `seg - delta == seg` on generators.
 
     For every generator (or minimum) g of the segment and every positive
     generator d of `delta`, some segment element must lie at or below g - d,
     i.e. g - d must itself belong to the segment.  Upward closure makes the
-    generator check sufficient.
+    generator check sufficient.  An open segment is generated by its point
+    plus ever smaller steps in the coordinate at its depth.
     """
-    canon = canonicalize(seg, probe)
-    if canon is None:
-        raise InconclusiveError("segment undecidable within probe budget")
-    if canon.kind == "whole":
-        return True
-    if canon.kind == "empty":
+    if canon.kind in ("whole", "empty"):
         return True
     if canon.kind == "closed":
         gens = [canon.point]
     else:
-        assert isinstance(seg, GeneratedBy)
-        gens = sequence_terms(seg.seq, min(probe, 8))
+        step = GroupElem(
+            tuple(Fraction(int(k == canon.depth - 1)) for k in range(canon.rank))
+        )
+        gens = [canon.point + step.scale(Fraction(1, 2**n)) for n in range(8)]
     for g in gens:
         for d in delta.positive_generators():
             if not canon.contains(g - d):
@@ -703,12 +573,7 @@ def translation_invariant(
     return True
 
 
-def wlim(
-    gamma: GroupElem,
-    seq: ValueSequence,
-    delta: IsolatedSubgroup,
-    probe: int = PROBE_BUDGET,
-) -> bool:
+def wlim(gamma: GroupElem, seq: ClosedForm | Stabilized, delta: IsolatedSubgroup) -> bool:
     """Decide whether `gamma` is the weak limit of `seq` relative to `delta`.
 
     Either the cosets of the terms modulo `delta` never reach a minimal one
@@ -716,13 +581,9 @@ def wlim(
     the cosets stabilize at a minimal coset containing gamma.
     """
     rank = delta.rank
-    if sequence_rank(seq) != rank or gamma.rank != rank:
+    limit = seq.tail if isinstance(seq, Stabilized) else seq.d
+    if limit.rank != rank or gamma.rank != rank:
         raise ValueError("rank mismatch")
-
-    if isinstance(seq, FiniteList):
-        if not seq.values:
-            raise EmptySequenceError("weak limit of an empty family")
-        seq = Stabilized(seq.values[:-1], seq.values[-1])
 
     if isinstance(seq, Stabilized):
         cosets = [delta.coset_key(t) for t in (*seq.prefix, seq.tail)]
@@ -731,47 +592,15 @@ def wlim(
         # stabilized coset to be the minimal one visited and to contain gamma.
         return tail_key == min(cosets) and delta.coset_key(gamma) == tail_key
 
-    if isinstance(seq, ClosedForm):
-        if delta.member(seq.c):
-            # All terms share the coset of the limit: branch (2).
-            return delta.coset_key(gamma) == delta.coset_key(seq.d)
-        if seq.c < GroupElem.zero(rank):
-            # Cosets strictly increase: a minimal coset exists (the first)
-            # but the family never returns to it, so neither branch holds.
-            return False
-        # Cosets strictly decrease: no minimal coset; branch (1) asks that
-        # |gamma - term| eventually drops below every epsilon > delta.
-        if not delta.member(gamma - seq.d):
-            return False
-        return seq.c.leading_position() == delta.fixed_positions
-
-    if isinstance(seq, Diverging):
+    if delta.member(seq.c):
+        # All terms share the coset of the limit: branch (2).
+        return delta.coset_key(gamma) == delta.coset_key(seq.d)
+    if seq.c < GroupElem.zero(rank):
+        # Cosets strictly increase: a minimal coset exists (the first)
+        # but the family never returns to it, so neither branch holds.
         return False
-
-    # Sampled: recognize a law, else refuse.
-    terms = sequence_terms(seq, min(probe, seq.budget))
-    fitted = fit_closed_form(terms, p=2) or _try_fit_any_ratio(terms)
-    if fitted is None:
-        raise InconclusiveError("weak limit of an unrecognized sequence")
-    offset, law = fitted
-    head = terms[:offset]
-    if delta.member(law.c):
-        cosets = [delta.coset_key(t) for t in head] + [delta.coset_key(law.d)]
-        return delta.coset_key(law.d) == min(cosets) and delta.coset_key(
-            gamma
-        ) == delta.coset_key(law.d)
-    return wlim(gamma, law, delta, probe)
-
-
-def coset_representatives(m: int, d: int) -> list[GroupElem]:
-    """Representatives of (1/d)Z-cosets inside (1/m)Z below the subgroup.
-
-    Returns the m/d elements 0, 1/m, ..., (m/d - 1)/m, each smaller than the
-    least positive element 1/d of the subgroup.
-    """
-    if m < 1 or d < 1:
-        raise InvalidSubgroupError("moduli must be positive")
-    if m % d != 0:
-        raise InvalidSubgroupError(f"(1/{d})Z is not a subgroup of (1/{m})Z")
-    eps = m // d
-    return [rat1(Fraction(k, m)) for k in range(eps)]
+    # Cosets strictly decrease: no minimal coset; branch (1) asks that
+    # |gamma - term| eventually drops below every epsilon > delta.
+    if not delta.member(gamma - seq.d):
+        return False
+    return seq.c.leading_position() == delta.fixed_positions

@@ -6,11 +6,12 @@ For every key index i below the support polynomial g the stream records
     nu_i(g), nu_i(g'), beta_i = nu(g') - nu_i(g),
     beta_tilde_i = nu_i(g') - nu_i(g).
 
-Plateau columns additionally carry a tail description: an exact geometric
-law ``c * p**-n + d`` fitted on at least four consecutive computed terms and
-verified on four more, or a divergence certificate inherited from the
-family's construction.  Segments, verdicts and the expansion-slot criterion
-are decided from those descriptions; a column with neither yields an
+Plateau columns additionally carry a `groups.Tail`: an exact geometric law
+``c * p**-n + d`` with the scenario's own ``p``, fitted on four consecutive
+computed terms and verified on four more, or a divergence certificate
+inherited from the family's construction.  Segments (`CanonicalSegment`),
+verdicts and the expansion-slot criterion are decided from those tails; a
+column without one (data following another ratio, for instance) yields an
 inconclusive outcome, never a guess.
 
 The three independent routes to the vanishing decision:
@@ -35,7 +36,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    EmptyRootDataError,
     HypothesisViolatedError,
     InconclusiveError,
     LawMismatchError,
@@ -44,23 +44,20 @@ from .errors import (
 from .groups import (
     CanonicalSegment,
     ClosedForm,
-    EmptySegment,
+    Diverging,
     ExtValue,
     FiniteList,
-    GeneratedBy,
     GroupElem,
-    MinClosed,
-    Segment,
     SegmentRelation,
     Stabilized,
-    WholeGroup,
+    Tail,
     canonicalize,
-    compare_canonical,
     fit_closed_form,
     largest_delta,
     min_value,
     rat1,
     segment_compare,
+    segment_union,
     wlim,
 )
 from .keyseq import (
@@ -83,9 +80,6 @@ COLUMNS = (
     "nu_i_gprime",
 )
 
-_FIT_NEED = 4
-_FIT_VERIFY = 4
-
 
 @dataclass(frozen=True)
 class InvariantRecord:
@@ -106,40 +100,12 @@ class InvariantRecord:
 
 
 @dataclass(frozen=True)
-class ColumnTail:
-    """Tail description of one plateau column.
-
-    kind "law":       value at materialized position offset+k is law.term(k),
-                      fitted and verified on exact computations;
-    kind "diverging": certified strictly monotone and unbounded;
-    kind "unknown":   no recognized description.
-    """
-
-    kind: str
-    law: ClosedForm | None = None
-    offset: int = 0
-    increasing: bool | None = None
-
-    def describe(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.law is not None:
-            out["scale"] = str(self.law.c)
-            out["limit"] = str(self.law.d)
-            out["ratio"] = self.law.p
-            out["offset"] = self.offset
-            out["verified"] = True
-        if self.increasing is not None:
-            out["increasing"] = self.increasing
-        return out
-
-
-@dataclass(frozen=True)
 class PlateauInfo:
     stage_pos: int
     degree: int
     start_record: int
     count: int
-    tails: dict[str, ColumnTail]
+    tails: dict[str, Tail | None]  # None: no recognized description
 
     def column_values(self, stream: "InvariantStream", name: str) -> list[GroupElem]:
         recs = stream.records[self.start_record : self.start_record + self.count]
@@ -259,20 +225,10 @@ def invariant_stream(ks: KeySequence, nu: NuOracle, terms: int = 8) -> Invariant
 
             return extend
 
-        tails: dict[str, ColumnTail] = {}
-        for name in COLUMNS:
-            values = [r.column(name) for r in block]
-            fitted = fit_closed_form(
-                values,
-                ks.p,
-                extend=extender(name),
-                fit_terms=_FIT_NEED,
-                verify_terms=_FIT_VERIFY,
-            )
-            if fitted is not None:
-                tails[name] = ColumnTail("law", fitted[1], fitted[0])
-            else:
-                tails[name] = ColumnTail("unknown")
+        tails = {
+            name: fit_closed_form([r.column(name) for r in block], ks.p, extend=extender(name))
+            for name in COLUMNS
+        }
         if stage.family.divergence_bound is not None:
             tails = _apply_divergence_cert(block, tails, stage.family.divergence_bound)
         infos.append(PlateauInfo(pos, stage.degree, start, count, tails))
@@ -289,7 +245,7 @@ def invariant_stream(ks: KeySequence, nu: NuOracle, terms: int = 8) -> Invariant
     )
 
 
-def _apply_divergence_cert(block, tails, bound) -> dict[str, ColumnTail]:
+def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
     """Upgrade unknown columns using the family's construction certificate.
 
     The certificate guarantees nu(Q_n) >= bound(n) -> infinity; the
@@ -307,25 +263,24 @@ def _apply_divergence_cert(block, tails, bound) -> dict[str, ColumnTail]:
                 "truncated values of g do not dominate the certificate bound"
             )
     out = dict(tails)
-    up = ColumnTail("diverging", increasing=True)
-    down = ColumnTail("diverging", increasing=False)
-    if out["nu_key"].kind == "unknown":
+    up = Tail(Diverging(increasing=True))
+    down = Tail(Diverging(increasing=False))
+    if out["nu_key"] is None:
         out["nu_key"] = up
-    if out["nu_i_g"].kind == "unknown":
+    if out["nu_i_g"] is None:
         out["nu_i_g"] = up
-    deriv_constant = (
-        out["nu_key_deriv"].kind == "law" and out["nu_key_deriv"].law.c.is_zero()
-    )
-    if deriv_constant and out["alpha"].kind == "unknown":
+    g_diverges = isinstance(out["nu_i_g"].law, Diverging)
+    if _is_constant(out["nu_key_deriv"]) and out["alpha"] is None:
         out["alpha"] = down
-    if out["nu_i_g"].kind == "diverging" and out["beta"].kind == "unknown":
+    if g_diverges and out["beta"] is None:
         out["beta"] = down
-    gp_constant = (
-        out["nu_i_gprime"].kind == "law" and out["nu_i_gprime"].law.c.is_zero()
-    )
-    if gp_constant and out["nu_i_g"].kind == "diverging" and out["beta_tilde"].kind == "unknown":
+    if _is_constant(out["nu_i_gprime"]) and g_diverges and out["beta_tilde"] is None:
         out["beta_tilde"] = down
     return out
+
+
+def _is_constant(tail: Tail | None) -> bool:
+    return tail is not None and isinstance(tail.law, ClosedForm) and tail.law.c.is_zero()
 
 
 def invariant_stream_from_schedule(
@@ -378,23 +333,10 @@ def invariant_stream_from_schedule(
 
         return extend
 
-    tails: dict[str, ColumnTail] = {}
-    for name in COLUMNS:
-        values = [r.column(name) for r in records]
-        fitted = None
-        for ratio in dict.fromkeys((p, 2, 3, 5)):
-            fitted = fit_closed_form(
-                values,
-                ratio,
-                extend=extender(name),
-                fit_terms=_FIT_NEED,
-                verify_terms=_FIT_VERIFY,
-            )
-            if fitted is not None:
-                break
-        tails[name] = (
-            ColumnTail("law", fitted[1], fitted[0]) if fitted else ColumnTail("unknown")
-        )
+    tails = {
+        name: fit_closed_form([r.column(name) for r in records], p, extend=extender(name))
+        for name in COLUMNS
+    }
 
     info = PlateauInfo(0, stage.degree, 0, count, tails)
     return InvariantStream(
@@ -412,83 +354,35 @@ def invariant_stream_from_schedule(
 # Segments
 # ---------------------------------------------------------------------------
 
-def _canon_union(parts: Sequence[CanonicalSegment]) -> CanonicalSegment:
-    """Union of nested final segments: the containment-largest part."""
-    biggest = parts[0]
-    for c in parts[1:]:
-        if compare_canonical(biggest, c) is SegmentRelation.B_CONTAINS_A:
-            biggest = c
-    return biggest
-
-
-def segment_from_canonical(canon: CanonicalSegment) -> Segment:
-    if canon.kind == "empty":
-        return EmptySegment(canon.rank)
-    if canon.kind == "whole":
-        return WholeGroup(canon.rank)
-    if canon.kind == "closed":
-        return MinClosed(canon.point)
-    coords = [Fraction(0)] * canon.rank
-    coords[canon.depth - 1] = Fraction(1)
-    return GeneratedBy(ClosedForm(GroupElem(tuple(coords)), canon.point, 2))
-
-
-def _law_canon(law: ClosedForm) -> CanonicalSegment:
-    return canonicalize(GeneratedBy(law))
-
-
-def _tail_canon(
-    tail: ColumnTail, values: Sequence[GroupElem], rank: int, drop_prefix: bool = False
+def _plateau_segment(
+    stream: InvariantStream, info: PlateauInfo, name: str, drop_prefix: bool = False
 ) -> CanonicalSegment | None:
-    """Canonical segment generated by one plateau column.
-
-    With drop_prefix the materialized terms before the law offset are
-    ignored (the tail-truncated index set); for law and decreasing
-    divergence the result is then invariant under further truncation.
-    """
-    if tail.kind == "unknown":
+    """Segment generated by one plateau column; None without a tail."""
+    tail = info.tails[name]
+    if tail is None:
         return None
-    if tail.kind == "diverging":
-        if tail.increasing:
-            pts = list(values)
-            if drop_prefix and len(pts) > 1:
-                pts = pts[-1:]
-            return CanonicalSegment("closed", rank, min(pts))
-        return CanonicalSegment("whole", rank)
-    law_canon = _law_canon(tail.law)
-    prefix = [] if drop_prefix else list(values[: tail.offset])
-    if not prefix:
-        return law_canon
-    m = min(prefix)
-    if law_canon.kind == "closed":
-        return CanonicalSegment("closed", rank, min(m, law_canon.point))
-    if law_canon.contains(m):
-        return law_canon
-    return CanonicalSegment("closed", rank, m)
+    return canonicalize(info.column_values(stream, name), tail, drop_prefix)
 
 
-def column_segment(stream: InvariantStream, name: str) -> Segment | None:
+def column_segment(stream: InvariantStream, name: str) -> CanonicalSegment | None:
     """Final segment generated by one column over all indices below g."""
     parts: list[CanonicalSegment] = []
     explicit = stream.explicit_records()
     if explicit:
-        parts.append(
-            CanonicalSegment(
-                "closed", stream.rank, min(r.column(name) for r in explicit)
-            )
-        )
+        parts.append(canonicalize([r.column(name) for r in explicit]))
     for info in stream.plateaus:
-        values = info.column_values(stream, name)
-        canon = _tail_canon(info.tails[name], values, stream.rank)
+        canon = _plateau_segment(stream, info, name)
         if canon is None:
             return None
         parts.append(canon)
     if not parts:
         raise ScenarioDataError("stream has no records")
-    return segment_from_canonical(_canon_union(parts))
+    return segment_union(parts)
 
 
-def alpha_beta_segments(stream: InvariantStream) -> tuple[Segment | None, Segment | None]:
+def alpha_beta_segments(
+    stream: InvariantStream,
+) -> tuple[CanonicalSegment | None, CanonicalSegment | None]:
     """The segments generated by the alpha and beta columns."""
     return column_segment(stream, "alpha"), column_segment(stream, "beta")
 
@@ -526,17 +420,14 @@ def omega_verdict(stream: InvariantStream) -> Verdict:
             reason="a value column has no recognized tail description",
         )
     rel = segment_compare(alpha_seg, beta_seg)
-    ca, cb = canonicalize(alpha_seg), canonicalize(beta_seg)
     if rel is SegmentRelation.EQUAL:
         return Verdict(
-            VerdictKind.OMEGA_ZERO, witness={"shared_segment": _canon_str(ca)}
+            VerdictKind.OMEGA_ZERO, witness={"shared_segment": _canon_str(alpha_seg)}
         )
-    if rel is SegmentRelation.INCONCLUSIVE:
-        return Verdict(VerdictKind.INCONCLUSIVE, reason="segment comparison inconclusive")
     if rel is SegmentRelation.B_CONTAINS_A:
         raise ScenarioDataError("beta segment strictly contains alpha segment")
-    witness = {"alpha_segment": _canon_str(ca), "beta_segment": _canon_str(cb)}
-    sep = _separating_value(ca, cb)
+    witness = {"alpha_segment": _canon_str(alpha_seg), "beta_segment": _canon_str(beta_seg)}
+    sep = _separating_value(alpha_seg, beta_seg)
     if sep is not None:
         witness["separating_value"] = str(sep)
     return Verdict(VerdictKind.OMEGA_NONZERO, witness=witness)
@@ -562,8 +453,6 @@ def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem |
         return None
     if ca.kind == "closed":
         return ca.point
-    if cb.kind == "open":
-        return (ca.point + cb.point).scale(Fraction(1, 2))
     return (ca.point + cb.point).scale(Fraction(1, 2))
 
 
@@ -579,10 +468,9 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
     1-based materialized term from which the alpha column decreases
     strictly, the tail description guaranteeing continuation.
     """
-    alpha_seg = column_segment(stream, "alpha")
-    if alpha_seg is None:
+    canon = column_segment(stream, "alpha")
+    if canon is None:
         raise InconclusiveError("alpha segment undecidable")
-    canon = canonicalize(alpha_seg)
     if canon.kind == "closed":
         raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
     if not stream.plateaus:
@@ -593,27 +481,28 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
         parts: list[CanonicalSegment] = []
         deg_explicit = [r.alpha for r in explicit if r.degree == deg]
         if deg_explicit:
-            parts.append(CanonicalSegment("closed", stream.rank, min(deg_explicit)))
+            parts.append(canonicalize(deg_explicit))
         deg_infos = [p for p in stream.plateaus if p.degree == deg]
         for info in deg_infos:
-            part = _tail_canon(info.tails["alpha"], info.column_values(stream, "alpha"), stream.rank)
+            part = _plateau_segment(stream, info, "alpha")
             if part is None:
                 raise InconclusiveError("plateau alpha column undecidable")
             parts.append(part)
         if not parts:
             continue
-        if compare_canonical(_canon_union(parts), canon) is SegmentRelation.EQUAL:
+        if segment_compare(segment_union(parts), canon) is SegmentRelation.EQUAL:
             if not deg_infos:
                 raise ScenarioDataError(
                     "alpha without minimum generated by explicit keys alone"
                 )
             info = deg_infos[0]
             values = info.column_values(stream, "alpha")
-            tail = info.tails["alpha"]
-            if tail.kind == "law" and not tail.law.c > GroupElem.zero(stream.rank):
+            law = info.tails["alpha"].law
+            if isinstance(law, Diverging):
+                if law.increasing:
+                    raise ScenarioDataError("minimizing plateau alpha tail increases")
+            elif not law.c > GroupElem.zero(stream.rank):
                 raise ScenarioDataError("minimizing plateau alpha tail is not decreasing")
-            if tail.kind == "diverging" and tail.increasing:
-                raise ScenarioDataError("minimizing plateau alpha tail increases")
             return info.stage_pos, _strictly_decreasing_from(values)
     raise ScenarioDataError("no degree generates the alpha segment")
 
@@ -630,7 +519,7 @@ def _strictly_decreasing_from(values: Sequence[GroupElem]) -> int:
     return cert
 
 
-def classify(stream: InvariantStream, probe: int = 64) -> Verdict:
+def classify(stream: InvariantStream) -> Verdict:
     """Case analysis for the vanishing decision.
 
     With a minimal alpha value: the index set below g must have a maximal
@@ -640,15 +529,14 @@ def classify(stream: InvariantStream, probe: int = 64) -> Verdict:
     through its beta-tilde values and carry nu(g') as a weak limit of the
     truncated values relative to the largest invariant subgroup.
     """
-    alpha_seg = column_segment(stream, "alpha")
-    if alpha_seg is None:
+    canon = column_segment(stream, "alpha")
+    if canon is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="alpha column undecidable")
-    canon = canonicalize(alpha_seg)
-    delta = largest_delta(alpha_seg, stream.rank)
+    delta = largest_delta(canon, stream.rank)
     base = {"delta_suffix_len": delta.suffix_len}
     if canon.kind == "closed":
         return _classify_min_case(stream, canon, base)
-    return _classify_no_min_case(stream, canon, delta, base, probe)
+    return _classify_no_min_case(stream, canon, delta, base)
 
 
 def _classify_min_case(stream, canon, base) -> Verdict:
@@ -661,10 +549,9 @@ def _classify_min_case(stream, canon, base) -> Verdict:
         )
     rec = stream.records[-1]
 
-    beta_seg = column_segment(stream, "beta")
-    if beta_seg is None:
+    beta_canon = column_segment(stream, "beta")
+    if beta_canon is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta column undecidable")
-    beta_canon = canonicalize(beta_seg)
     if beta_canon.kind == "whole":
         dominated = False
     else:
@@ -712,7 +599,7 @@ def _classify_min_case(stream, canon, base) -> Verdict:
     )
 
 
-def _classify_no_min_case(stream, canon, delta, base, probe) -> Verdict:
+def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
     try:
         stage_pos, cert = first_minimizing_plateau(stream)
     except InconclusiveError as exc:
@@ -722,15 +609,13 @@ def _classify_no_min_case(stream, canon, delta, base, probe) -> Verdict:
     # (a): the beta-tilde values along the plateau tail regenerate alpha.
     # Dropping the prefix makes the generated segment invariant under all
     # further tail truncations, so one comparison decides them all.
-    bt_values = info.column_values(stream, "beta_tilde")
-    bt_tail = info.tails["beta_tilde"]
-    tail_only = _tail_canon(bt_tail, bt_values, stream.rank, drop_prefix=True)
+    tail_only = _plateau_segment(stream, info, "beta_tilde", drop_prefix=True)
     if tail_only is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta_tilde tail unrecognized")
-    if compare_canonical(tail_only, canon) is not SegmentRelation.EQUAL:
+    if segment_compare(tail_only, canon) is not SegmentRelation.EQUAL:
         full_bt = column_segment(stream, "beta_tilde")
         if full_bt is not None:
-            rel_full = compare_canonical(canonicalize(full_bt), canon)
+            rel_full = segment_compare(full_bt, canon)
             if rel_full is SegmentRelation.A_CONTAINS_B:
                 raise ScenarioDataError("beta_tilde values escape the alpha segment")
             if rel_full is not SegmentRelation.EQUAL:
@@ -743,7 +628,7 @@ def _classify_no_min_case(stream, canon, delta, base, probe) -> Verdict:
                         **base,
                         "failed": "beta_tilde_cannot_regenerate_alpha",
                         "alpha_segment": _canon_str(canon),
-                        "beta_tilde_segment": _canon_str(canonicalize(full_bt)),
+                        "beta_tilde_segment": _canon_str(full_bt),
                     },
                 )
         return Verdict(
@@ -757,18 +642,16 @@ def _classify_no_min_case(stream, canon, delta, base, probe) -> Verdict:
     gp_values = info.column_values(stream, "nu_i_gprime")
     gp_tail = info.tails["nu_i_gprime"]
     branch = None
-    if gp_tail.kind == "law":
-        if gp_tail.law.c.is_zero():
-            for offset in range(gp_tail.offset + 1):
-                seq = Stabilized(tuple(gp_values[offset : gp_tail.offset]), gp_tail.law.d)
-                if wlim(stream.nu_gprime, seq, delta, probe):
-                    branch = 2
-                    break
-        else:
-            if wlim(stream.nu_gprime, gp_tail.law, delta, probe):
-                branch = 1
-    elif gp_tail.kind == "unknown":
+    if gp_tail is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="nu_i(g') tail unrecognized")
+    if _is_constant(gp_tail):
+        for offset in range(gp_tail.offset + 1):
+            seq = Stabilized(tuple(gp_values[offset : gp_tail.offset]), gp_tail.law.d)
+            if wlim(stream.nu_gprime, seq, delta):
+                branch = 2
+                break
+    elif isinstance(gp_tail.law, ClosedForm) and wlim(stream.nu_gprime, gp_tail.law, delta):
+        branch = 1
     if branch is None:
         return Verdict(
             VerdictKind.INCONCLUSIVE,
@@ -811,15 +694,15 @@ class Cut:
         return out
 
 
-def _cut_from_column(tail: ColumnTail, values: Sequence[GroupElem], rank: int) -> Cut | None:
+def _cut_from_column(tail: Tail | None, values: Sequence[GroupElem], rank: int) -> Cut | None:
     """Smallest initial segment containing one plateau column."""
-    if tail.kind == "unknown":
+    if tail is None:
         return None
-    if tail.kind == "diverging":
-        if tail.increasing:
+    law = tail.law
+    if isinstance(law, Diverging):
+        if law.increasing:
             return Cut("whole", rank)
         return Cut("closed_below", rank, max(values))
-    law = tail.law
     if law.c.is_zero():
         top, attained = law.d, True
     elif law.c < GroupElem.zero(rank):
@@ -832,15 +715,15 @@ def _cut_from_column(tail: ColumnTail, values: Sequence[GroupElem], rank: int) -
     return Cut("closed_below" if attained else "open_below", rank, top)
 
 
-def cut_contains_eventually(cut: Cut, tail: ColumnTail) -> bool | None:
+def cut_contains_eventually(cut: Cut, tail: Tail | None) -> bool | None:
     """Whether a slot-value stream lies in the cut for all large terms."""
-    if tail.kind == "unknown":
+    if tail is None:
         return None
     if cut.kind == "whole":
         return True
-    if tail.kind == "diverging":
-        return not tail.increasing
     law = tail.law
+    if isinstance(law, Diverging):
+        return not law.increasing
     limit = law.d
     from_above = law.c > GroupElem.zero(law.d.rank)
     if cut.kind == "closed_below":
@@ -931,22 +814,16 @@ def b_set(stream: InvariantStream) -> BSetReport:
 def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
     """Tail description of the b-th expansion-slot values of g."""
     if stream.schedule_stage is not None:
-        stage = stream.schedule_stage
-        law = stage.g_coef_laws[b]
+        law = stream.schedule_stage.g_coef_laws[b]
         if law.const is None:
             return "zero", None
-        kv = stage.key_values
-        if isinstance(kv, ClosedForm):
-            slot_law = ClosedForm(
-                kv.c.scale(law.mult), law.const + kv.d.scale(law.mult), kv.p
-            )
-            return "values", ColumnTail("law", slot_law, 0)
-        vals = [
-            law.const + stage.key_value(n).scale(law.mult)
-            for n in range(1, stage.available_terms(stream.terms) + 1)
-        ]
-        fitted = fit_closed_form(vals, 2) or fit_closed_form(vals, 3) or fit_closed_form(vals, 5)
-        return "values", (ColumnTail("law", fitted[1], fitted[0]) if fitted else None)
+        # The slot value is const + mult * key value: map the key-value tail.
+        key_tail = info.tails["nu_key"]
+        if key_tail is None:
+            return "values", None
+        kv = key_tail.law
+        slot_law = ClosedForm(kv.c.scale(law.mult), law.const + kv.d.scale(law.mult), kv.p)
+        return "values", Tail(slot_law, key_tail.offset)
 
     ks, nu = stream.ks, stream.nu
     stage = ks.stages[info.stage_pos]
@@ -976,12 +853,12 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
     extend = (lambda k: slot_value(k + 1)) if not gap else None
     fitted = fit_closed_form(vals, ks.p, extend=extend)
     if fitted is not None:
-        return "values", ColumnTail("law", fitted[1], fitted[0])
+        return "values", fitted
     cert = stage.family.divergence_bound
     if cert is not None and all(y > x for x, y in zip(vals, vals[1:])):
         # Slot value >= b * nu(Q_n) plus a nonnegative coefficient value,
         # already validated against the certificate for the g column.
-        return "values", ColumnTail("diverging", increasing=True)
+        return "values", Tail(Diverging(increasing=True))
     return "values", None
 
 
@@ -992,13 +869,3 @@ def b1_criterion(stream: InvariantStream) -> bool:
         raise InconclusiveError("slot 1 membership undecided")
     return b1
 
-
-# ---------------------------------------------------------------------------
-# Epsilon spot check
-# ---------------------------------------------------------------------------
-
-def epsilon_check(root_data: Sequence[tuple[str, GroupElem]]) -> GroupElem:
-    """Largest root-closeness value from scenario-supplied root data."""
-    if not root_data:
-        raise EmptyRootDataError("no root data supplied")
-    return max(v for _, v in root_data)

@@ -1,4 +1,4 @@
-"""Key-polynomial sequences: stages, plateau families, normalization.
+"""Key-polynomial sequences: stages, plateau families, witness search.
 
 A sequence consists of finitely many stages of non-decreasing degree
 followed by the final (support) polynomial.  A stage is either explicit --
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import (
@@ -31,8 +30,8 @@ from .errors import (
     ValkitError,
     ValueNotRepresentableError,
 )
-from .fields import Backend, FieldElem, HahnElem, artin_schreier_partial_sum
-from .groups import ExtValue, FiniteList, GroupElem, ValueSequence, rat1
+from .fields import Backend, FieldElem, HahnElem, _padic_order, artin_schreier_partial_sum
+from .groups import ClosedForm, ExtValue, FiniteList, GroupElem, rat1
 from .poly import Poly, is_q_monic
 from .truncation import NuOracle
 
@@ -137,7 +136,7 @@ class ScheduleStage:
     describe the base-q expansion term values of g and g' at the n-th key.
     """
 
-    key_values: ValueSequence
+    key_values: FiniteList | ClosedForm
     g_coef_laws: tuple[CoefValueLaw, ...]
     gprime_coef_laws: tuple[CoefValueLaw, ...]
     nu_gprime: GroupElem
@@ -229,18 +228,6 @@ class KeySequence:
         return isinstance(self.stages[-1], ExplicitStage)
 
 
-def plateaus(ks: KeySequence) -> dict[int, dict]:
-    """Per-degree report: does the degree group have a last element?"""
-    out: dict[int, dict] = {}
-    for stage in ks.stages:
-        entry = out.setdefault(stage.degree, {"has_last_element": True})
-        if not isinstance(stage, ExplicitStage):
-            entry["has_last_element"] = False
-    final_entry = out.setdefault(ks.final.degree, {"has_last_element": True})
-    final_entry["has_last_element"] = True
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -283,51 +270,24 @@ class NormalizedSequence:
         return result
 
 
-def normalize(ks: KeySequence, nu: NuOracle, terms_per_plateau: int = 8) -> list[NormalizedKey]:
-    """Normalized view of the materialized part of the sequence.
-
-    Every normalized key has value 0, and the normalized set is obtained
-    from the original by scalar multiples only, so it computes the same
-    truncations up to the expected shift.
-    """
-    view = NormalizedSequence(ks, nu)
-    return [view.at(i) for i in ks.indices(terms_per_plateau)]
-
-
 # ---------------------------------------------------------------------------
-# Probes
+# Witness search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeResult:
-    f: Poly
-    witness: KeyIndex | None
-    value: ExtValue
-
-
-def completeness_probe(
-    ks: KeySequence,
-    nu: NuOracle,
-    fs: Sequence[Poly],
-    terms_per_plateau: int = 8,
-) -> list[ProbeResult]:
-    """For each f, search a key q with deg(q) <= deg(f) and nu_q(f) = nu(f)."""
-    results = []
-    candidates = ks.indices(terms_per_plateau) + [ks.final_index]
-    for f in fs:
-        target = nu.nu(f)
-        witness = None
-        for index in candidates:
-            q = ks.key_poly(index)
-            # The degree bound applies to nonconstant f; any base computes
-            # the value of a constant.
-            if f.degree >= 1 and q.degree > f.degree:
-                continue
-            if nu.nu_q(f, q) == target:
-                witness = index
-                break
-        results.append(ProbeResult(f, witness, target))
-    return results
+def find_witness(
+    ks: KeySequence, nu: NuOracle, f: Poly, candidates: Sequence[KeyIndex]
+) -> KeyIndex | None:
+    """First candidate key q with deg(q) <= deg(f) and nu_q(f) = nu(f)."""
+    target = nu.nu(f)
+    for index in candidates:
+        q = ks.key_poly(index)
+        # The degree bound applies to nonconstant f; any base computes the
+        # value of a constant.
+        if f.degree >= 1 and q.degree > f.degree:
+            continue
+        if nu.nu_q(f, q) == target:
+            return index
+    return None
 
 
 def validate_sequence(
@@ -409,7 +369,7 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     """
     p = backend.p
     for c in g.coeffs:
-        if not c.is_zero() and _padic_unit_order(c.value, p) < 0:
+        if not c.is_zero() and _padic_order(c.value, p) < 0:
             raise ScenarioDataError(
                 "the lift family needs integral polynomial coefficients"
             )
@@ -418,14 +378,14 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
         value = g.eval(backend.from_int(a)).value
         if value == 0:
             raise ScenarioDataError("the family hit an exact rational root of g")
-        return _padic_unit_order(value, p)
+        return _padic_order(value, p)
 
     if g_val(start) < 1:
         raise ScenarioDataError("start is not a residue root")
     from .poly import derivative
 
     gp = derivative(g).eval(backend.from_int(start))
-    if gp.is_zero() or _padic_unit_order(gp.value, p) != 0:
+    if gp.is_zero() or _padic_order(gp.value, p) != 0:
         raise ScenarioDataError("residue root is not simple")
 
     centers = [start]
@@ -454,14 +414,3 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
 
     return PlateauFamily(backend, center, degree=1, divergence_bound=bound, budget=budget)
 
-
-def _padic_unit_order(x: Fraction, p: int) -> int:
-    num, den = x.numerator, x.denominator
-    k = 0
-    while num % p == 0:
-        num //= p
-        k += 1
-    while den % p == 0:
-        den //= p
-        k -= 1
-    return k

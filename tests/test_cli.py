@@ -1,6 +1,7 @@
 """Configuration parsing, report determinism, command-line surface."""
 import concurrent.futures
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +117,27 @@ class TestReports:
         report = run(cfg)
         assert report["status"] == "inconclusive" and report["exit_code"] == 2
 
+    def test_finite_schedule_with_another_ratio_inconclusive(self):
+        # values 1/2 - 2^-n follow ratio 2 while p = 3: no law is fitted
+        schedule = [str(Fraction(1, 2) - Fraction(1, 2**n)) for n in range(1, 11)]
+        cfg = parse_config_dict(
+            {"scenario": "kummer-schedule", "p": 3, "vp": "1", "schedule": schedule}
+        )
+        report = run(cfg)
+        assert report["status"] == "inconclusive" and report["exit_code"] == 2
+        assert report["laws"]["stage0.nu_key"] == {"kind": "unknown"}
+
+    def test_finite_schedule_with_ratio_p_decides(self):
+        # values 1/6 - 7^-n at the threshold vp/(p-1) with p = 7
+        schedule = [str(Fraction(1, 6) - Fraction(1, 7**n)) for n in range(1, 11)]
+        cfg = parse_config_dict(
+            {"scenario": "kummer-schedule", "p": 7, "vp": "1", "schedule": schedule}
+        )
+        report = run(cfg)
+        assert report["status"] == "decisive" and report["exit_code"] == 0
+        assert report["verdicts"]["b1"]["b1"] is True
+        assert report["laws"]["stage0.nu_key"]["ratio"] == 7
+
     def test_error_embedded_with_failure_status(self):
         cfg = ScenarioConfig(scenario="hensel-immediate", p=2, g=("1", "1", "1"), start=0)
         report = run(cfg)  # x^2+x+1 has no residue root at 0
@@ -143,6 +165,24 @@ class TestMain:
         code = main(["run", str(path)])
         err = capsys.readouterr().err
         assert code == 4 and "tolerance" in err
+
+    def test_non_integer_stage_start_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"scenario":"custom","backend":"padic","p":2,"g":["2","1","1"],'
+            '"stages":[{"family":"hensel_lift","start":"x"}],"oracle":"stabilization"}'
+        )
+        code = main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4 and "start must be an integer" in err
+
+    def test_infinite_value_below_g_exit_three(self, tmp_path, capsys):
+        # g = x^2: the key x divides g, so values below g become infinite
+        path = tmp_path / "square.json"
+        path.write_text('{"scenario":"unramified","p":2,"g":["0","0","1"]}')
+        code = main(["run", str(path)])
+        out = capsys.readouterr().out
+        assert code == 3 and "status: error" in out
 
     def test_selftest_subcommand(self, capsys):
         code = main(["selftest", "--instances", "5", "--seed", "1"])

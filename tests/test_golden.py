@@ -31,5 +31,10 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_bytes()
-    got = render_structured(run(parse_config_dict(CASES[name]))).encode("utf-8")
+    report = run(parse_config_dict(CASES[name]))
+    got = render_structured(report).encode("utf-8")
     assert got == expected
+    # every fitted law carries the scenario's own ratio, never a guessed one
+    for law in report["laws"].values():
+        if "ratio" in law:
+            assert law["ratio"] == report["scenario"]["p"]

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from valkit.cli import parse_config_dict, build_stream
-from valkit.errors import EmptyRootDataError, HypothesisViolatedError
+from valkit.errors import HypothesisViolatedError
 from valkit.groups import (
+    CanonicalSegment,
     ClosedForm,
-    MinClosed,
+    Diverging,
+    FiniteList,
     SegmentRelation,
-    WholeGroup,
-    canonicalize,
     rat1,
     segment_compare,
 )
@@ -20,14 +20,12 @@ from valkit.kahler import (
     b1_criterion,
     b_set,
     classify,
-    epsilon_check,
     first_minimizing_plateau,
     ideal_inclusion_check,
     invariant_stream_from_schedule,
     omega_verdict,
 )
 from valkit.keyseq import CoefValueLaw, ScheduleStage
-from valkit.groups import FiniteList
 
 
 def stream_for(data):
@@ -62,9 +60,9 @@ class TestInvariantStream:
 
     def test_hensel_divergence(self):
         tails = HENSEL.plateaus[0].tails
-        assert tails["alpha"].kind == "diverging" and not tails["alpha"].increasing
-        assert tails["beta"].kind == "diverging" and not tails["beta"].increasing
-        assert tails["nu_i_g"].kind == "diverging" and tails["nu_i_g"].increasing
+        assert tails["alpha"].law == Diverging(increasing=False)
+        assert tails["beta"].law == Diverging(increasing=False)
+        assert tails["nu_i_g"].law == Diverging(increasing=True)
         for rec, nxt in zip(HENSEL.records, HENSEL.records[1:]):
             assert nxt.alpha < rec.alpha
 
@@ -80,18 +78,17 @@ class TestInvariantStream:
 class TestSegments:
     def test_artin_schreier_open_at_zero(self):
         alpha_seg, beta_seg = alpha_beta_segments(AS2)
-        ca, cb = canonicalize(alpha_seg), canonicalize(beta_seg)
-        assert ca.kind == "open" and ca.point == rat1(0)
+        assert alpha_seg.kind == "open" and alpha_seg.point == rat1(0)
         assert segment_compare(alpha_seg, beta_seg) is SegmentRelation.EQUAL
 
     def test_unramified_min_closed_zero(self):
         alpha_seg, beta_seg = alpha_beta_segments(UNRAMIFIED)
-        assert alpha_seg == MinClosed(rat1(0)) == beta_seg
+        assert alpha_seg == CanonicalSegment("closed", 1, rat1(0)) == beta_seg
 
     def test_hensel_whole_group(self):
         alpha_seg, beta_seg = alpha_beta_segments(HENSEL)
-        assert isinstance(alpha_seg, WholeGroup)
-        assert isinstance(beta_seg, WholeGroup)
+        assert alpha_seg.kind == "whole"
+        assert beta_seg.kind == "whole"
 
     def test_inclusion_check_all_builtins(self):
         for stream in (AS2, AS3, UNRAMIFIED, HENSEL, KUMMER_AT, KUMMER_BELOW):
@@ -240,36 +237,11 @@ class TestMinimizingPlateauMonotonicity:
         assert len(values) >= 8
         tail_values = values[cert - 1 :]
         assert all(b < a for a, b in zip(tail_values, tail_values[1:]))
-        tail = info.tails["alpha"]
-        if tail.kind == "law":
-            assert tail.law.c > rat1(0)  # keeps decreasing forever
+        law = info.tails["alpha"].law
+        if isinstance(law, ClosedForm):
+            assert law.c > rat1(0)  # keeps decreasing forever
         else:
-            assert tail.kind == "diverging" and not tail.increasing
-
-
-class TestEpsilonCheck:
-    def test_single_root(self):
-        assert epsilon_check([("x - a", rat1(3))]) == rat1(3)
-
-    def test_artin_schreier_symmetric_roots(self):
-        # all p roots differ by constants of value 0, so the closeness
-        # values coincide and the maximum is that common value
-        common = rat1(Fraction(-1, 4))
-        data = [(f"eta + {c}", common) for c in range(2)]
-        assert epsilon_check(data) == common
-
-    def test_product_of_linears(self):
-        assert epsilon_check([("x-a", rat1(1)), ("x-b", rat1(5))]) == rat1(5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyRootDataError):
-            epsilon_check([])
-
-    def test_key_sequence_epsilons_not_decreasing(self):
-        # spot check: epsilon over growing root sets is monotone
-        values = [rat1(Fraction(-1, 2**n)) for n in range(1, 6)]
-        eps = [epsilon_check([("r", v) for v in values[: k + 1]]) for k in range(5)]
-        assert all(b >= a for a, b in zip(eps, eps[1:]))
+            assert law == Diverging(increasing=False)
 
 
 class TestScheduleValidation:

@@ -1,4 +1,4 @@
-"""Key sequences: stages, plateau families, normalization, probes."""
+"""Key sequences: stages, plateau families, normalization, witness search."""
 import concurrent.futures
 from fractions import Fraction
 
@@ -12,12 +12,11 @@ from valkit.keyseq import (
     FinalStage,
     KeyIndex,
     KeySequence,
+    NormalizedSequence,
     PlateauStage,
     artin_schreier_family,
-    completeness_probe,
+    find_witness,
     hensel_family,
-    normalize,
-    plateaus,
     validate_sequence,
 )
 from valkit.poly import Poly, is_q_monic
@@ -68,24 +67,28 @@ class TestStructure:
             KeySequence((quad, lin), FinalStage.of(g * g), 2, backend)
 
     def test_plateau_report(self):
+        # the degree-1 keys have no last element; g is the last element
         ks, _ = as_sequence(2)
-        report = plateaus(ks)
-        assert report[1] == {"has_last_element": False}
-        assert report[2] == {"has_last_element": True}
+        assert ks.has_plateau() and not ks.istar_has_max()
 
     def test_plateau_report_no_plateau(self):
         ks, _ = unramified_sequence()
-        assert plateaus(ks) == {1: {"has_last_element": True}, 2: {"has_last_element": True}}
+        assert not ks.has_plateau() and ks.istar_has_max()
 
     def test_plateau_report_hensel(self):
         ks, _ = hensel_sequence()
-        assert plateaus(ks)[1] == {"has_last_element": False}
+        assert ks.has_plateau() and not ks.istar_has_max()
 
     def test_g_monic_over_every_key(self):
         ks, nu = as_sequence(3)
         for index in ks.indices(5):
             assert is_q_monic(ks.g, ks.key_poly(index))
         validate_sequence(ks, nu, 5)
+
+
+def normalize(ks, nu, terms_per_plateau=8):
+    view = NormalizedSequence(ks, nu)
+    return [view.at(i) for i in ks.indices(terms_per_plateau)]
 
 
 class TestNormalize:
@@ -115,38 +118,41 @@ class TestNormalize:
         )
         nu = NuOracle.from_resultant(g)
         index = KeyIndex(0, 0)
-        from valkit.keyseq import NormalizedSequence
-
         view = NormalizedSequence(ks, nu)
         with pytest.raises(ValueNotRepresentableError):
             # nu(x) = v(res(g, x))/2 = v(2)/2 = 1/2
             view.at(index)
 
 
+def witness(ks, nu, f):
+    return find_witness(ks, nu, f, ks.indices(8) + [ks.final_index])
+
+
 class TestCompletenessProbe:
     def test_constant_witnessed_trivially(self):
         ks, nu = as_sequence(2)
-        f = Poly.from_ints(ks.backend, [3])
-        (res,) = completeness_probe(ks, nu, [f])
-        assert res.witness is not None
+        assert witness(ks, nu, Poly.from_ints(ks.backend, [3])) is not None
 
     def test_x_witnessed_at_first_key(self):
         ks, nu = as_sequence(2)
-        (res,) = completeness_probe(ks, nu, [Poly.x(ks.backend)])
-        assert res.witness == KeyIndex(0, 1)
-        assert res.value == ExtValue.of(rat1(Fraction(-1, 2)))
+        x = Poly.x(ks.backend)
+        assert witness(ks, nu, x) == KeyIndex(0, 1)
+        assert nu.nu(x) == ExtValue.of(rat1(Fraction(-1, 2)))
 
     def test_g_witnessed_by_itself(self):
         ks, nu = as_sequence(2)
-        (res,) = completeness_probe(ks, nu, [ks.g])
-        assert res.witness == ks.final_index
-        assert res.value.is_infinite
+        assert witness(ks, nu, ks.g) == ks.final_index
+        assert nu.nu(ks.g).is_infinite
 
     def test_deep_linear_witnesses(self):
         ks, nu = as_sequence(2)
         fs = [ks.key_poly(KeyIndex(0, n)) for n in range(1, 5)]
-        results = completeness_probe(ks, nu, fs)
-        assert all(r.witness is not None for r in results)
+        assert all(witness(ks, nu, f) is not None for f in fs)
+
+    def test_no_witness_above_the_degree(self):
+        # only g itself attains nu(g); it is not a candidate here
+        ks, nu = as_sequence(2)
+        assert find_witness(ks, nu, ks.g, ks.indices(8)) is None
 
     def test_normalization_preserves_witnesses(self):
         # the truncation at the rescaled key a*Q~ = Q has expansion
@@ -156,20 +162,19 @@ class TestCompletenessProbe:
 
         ks, nu = as_sequence(2)
         fs = [Poly.x(ks.backend), ks.key_poly(KeyIndex(0, 2)), ks.g]
-        before = completeness_probe(ks, nu, fs)
-        view = normalize(ks, nu, terms_per_plateau=8)
-        by_index = {nk.index: nk for nk in view}
-        for res in before:
-            if res.witness not in by_index:
+        by_index = {nk.index: nk for nk in normalize(ks, nu, terms_per_plateau=8)}
+        for f in fs:
+            w = witness(ks, nu, f)
+            if w not in by_index:
                 continue  # the witness was g itself, excluded from rescaling
-            nk = by_index[res.witness]
+            nk = by_index[w]
             terms = []
-            for i, c in enumerate(q_expand(res.f, nk.original).coeffs):
+            for i, c in enumerate(q_expand(f, nk.original).coeffs):
                 if not c.is_zero():
                     # coefficient against the rescaled base, which itself
                     # has value zero
                     terms.append(nu.nu(c.scale(nk.scalar**i)))
-            assert min(terms) == res.value
+            assert min(terms) == nu.nu(f)
 
 
 class TestFamilies:
