@@ -61,7 +61,6 @@ from .kahler import (
     first_minimizing_plateau,
     ideal_inclusion_check,
     invariant_stream,
-    invariant_stream_from_schedule,
     omega_verdict,
 )
 from .keyseq import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .errors import (
     ScenarioDataError,
     ValkitError,
 )
-from .fields import Backend
+from .fields import Backend, parse_hahn
 from .groups import ClosedForm, FiniteList, GroupElem, format_rational, largest_delta, rat1
 from .kahler import (
     BSetReport,
@@ -36,7 +37,6 @@ from .kahler import (
     classify,
     ideal_inclusion_check,
     invariant_stream,
-    invariant_stream_from_schedule,
     omega_verdict,
 )
 from .keyseq import (
@@ -96,10 +96,44 @@ def _rational(raw, field: str) -> Fraction:
         raise ConfigError(f"not an exact rational: {raw!r} ({exc})", field) from None
 
 
-def _positive_int(raw, field: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise ConfigError("must be a positive integer", field)
+def _int_at_least(raw, field: str, least: int) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < least:
+        raise ConfigError(f"must be an integer >= {least}", field)
     return raw
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the first twelve prime bases, exact for n < 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n <= bases[-1] or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n passes base b when b^d = 1 or b^(d * 2^r) = -1 for some r < s.
+    return all(
+        pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s)) for b in bases
+    )
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _coefficients(raw, field: str, backend: str, p: int) -> tuple[str, ...]:
+    """A coefficient list, constant first, every entry checked for its backend."""
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError("must be a nonempty JSON list of coefficients", field)
+    for c in raw:
+        if backend == "padic":
+            # Plain integer strings, the common case, need no Fraction parse.
+            if not (isinstance(c, str) and _INTEGER.fullmatch(c)):
+                _rational(c, field)
+            continue
+        try:
+            parse_hahn(str(c), p)
+        except ValkitError as exc:
+            raise ConfigError(str(exc), field) from None
+    return tuple(str(c) for c in raw)
 
 
 def parse_config_dict(data: dict) -> ScenarioConfig:
@@ -113,15 +147,17 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} for scenario {scenario}", key)
 
-    p = _positive_int(data.get("p", _default_p(scenario)), "p")
-    if p < 2:
-        raise ConfigError("p must be at least 2", "p")
+    p = _int_at_least(data.get("p", _default_p(scenario)), "p", 2)
+    if not _is_prime(p):
+        raise ConfigError("p must be prime", "p")
+    # One term or a window of one cannot tell a law or a stable value apart
+    # from a coincidence.
     cfg = ScenarioConfig(
         scenario=scenario,
         p=p,
-        terms=_positive_int(data.get("terms", 8), "terms"),
-        window=_positive_int(data.get("window", 3), "window"),
-        budget=_positive_int(data.get("budget", 64), "budget"),
+        terms=_int_at_least(data.get("terms", 8), "terms", 2),
+        window=_int_at_least(data.get("window", 3), "window", 2),
+        budget=_int_at_least(data.get("budget", 64), "budget", 1),
         fmt=data.get("format", "text"),
     )
     if cfg.fmt not in ("text", "structured"):
@@ -156,12 +192,12 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             schedule = values
         cfg = replace(cfg, vp=vp, gamma=gamma, scale=scale, schedule=schedule)
     elif scenario == "hensel-immediate":
-        g = tuple(str(c) for c in data.get("g", ["2", "1", "1"]))
+        g = _coefficients(data.get("g", ["2", "1", "1"]), "g", "padic", p)
         cfg = replace(cfg, g=g, start=data.get("start", 0))
         if not isinstance(cfg.start, int):
             raise ConfigError("start must be an integer", "start")
     elif scenario == "unramified":
-        cfg = replace(cfg, g=tuple(str(c) for c in data.get("g", ["1", "1", "1"])))
+        cfg = replace(cfg, g=_coefficients(data.get("g", ["1", "1", "1"]), "g", "padic", p))
     else:  # custom
         for required in ("backend", "g", "stages", "oracle"):
             if required not in data:
@@ -178,10 +214,12 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError("bad stage entry", "stages")
             if not isinstance(st.get("start", 0), int):
                 raise ConfigError("start must be an integer", "stages")
+            if "poly" in st:
+                _coefficients(st["poly"], "stages", data["backend"], p)
         cfg = replace(
             cfg,
             backend=data["backend"],
-            g=tuple(str(c) for c in data["g"]),
+            g=_coefficients(data["g"], "g", data["backend"], p),
             stages=tuple(stages),
             oracle=data["oracle"],
         )
@@ -254,10 +292,8 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
         return invariant_stream(ks, nu, cfg.terms)
 
     if cfg.scenario == "kummer-schedule":
-        stage = _kummer_stage(cfg)
-        return invariant_stream_from_schedule(
-            stage, g_degree=cfg.p, nu_gprime=rat1(cfg.vp), p=cfg.p, terms=cfg.terms
-        )
+        ks = KeySequence((_kummer_stage(cfg),), FinalStage(None, cfg.p), cfg.p)
+        return invariant_stream(ks, None, cfg.terms)
 
     if cfg.scenario == "hensel-immediate":
         backend = Backend("padic", cfg.p)
@@ -284,7 +320,7 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
     for st in cfg.stages:
         if "poly" in st:
             stages.append(
-                ExplicitStage(Poly.make(backend, [backend.parse(c) for c in st["poly"]]))
+                ExplicitStage(Poly.make(backend, [backend.parse(str(c)) for c in st["poly"]]))
             )
         elif st.get("family") == "artin_schreier":
             a = backend.element_from_value(_rational(st.get("va", "-1"), "va"))

@@ -440,21 +440,18 @@ class Backend:
 
 
 _HAHN_TERM = re.compile(
-    r"""^\s*(?P<c>-?\d+)\s*\*\s*t\s*\^\s*\(\s*(?P<e>-?\d+(?:/\d+)?)\s*\)\s*$"""
+    r"""^\s*(?P<c>-?\d+)\s*(?:\*\s*t\s*\^\s*\(\s*(?P<e>-?\d+(?:/\d+)?)\s*\)\s*)?$"""
 )
 
 
 def parse_hahn(text: str, p: int) -> HahnElem:
-    """Parse "c1*t^(e1)+c2*t^(e2)+..." with exact rational exponents."""
-    text = text.strip()
-    if text == "0":
-        return HahnElem.make({}, p)
+    """Parse "c1*t^(e1)+c2*t^(e2)+..." with exact rational exponents; "c" is c*t^(0)."""
     terms = []
     for part in text.split("+"):
         m = _HAHN_TERM.match(part)
         if not m:
             raise ValkitError(f"malformed Hahn term {part!r}")
-        terms.append((Fraction(m.group("e")), int(m.group("c"))))
+        terms.append((Fraction(m.group("e") or 0), int(m.group("c"))))
     return HahnElem.make(terms, p)
 
 

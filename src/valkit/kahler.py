@@ -6,13 +6,15 @@ For every key index i below the support polynomial g the stream records
     nu_i(g), nu_i(g'), beta_i = nu(g') - nu_i(g),
     beta_tilde_i = nu_i(g') - nu_i(g).
 
-Plateau columns additionally carry a `groups.Tail`: an exact geometric law
-``c * p**-n + d`` with the scenario's own ``p``, fitted on four consecutive
-computed terms and verified on four more, or a divergence certificate
-inherited from the family's construction.  Segments (`CanonicalSegment`),
-verdicts and the expansion-slot criterion are decided from those tails; a
-column without one (data following another ratio, for instance) yields an
-inconclusive outcome, never a guess.
+`invariant_stream` is the one builder, for field-backed keys and value
+schedules alike: a memoized row per key index serves the records and every
+tail fit.  Plateau columns additionally carry a `groups.Tail`: an exact
+geometric law ``c * p**-n + d`` with the scenario's own ``p``, fitted on
+four consecutive computed terms and verified on four more, or a divergence
+certificate inherited from the family's construction.  Segments
+(`CanonicalSegment`), verdicts and the expansion-slot criterion are decided
+from those tails; a column without one (data following another ratio, for
+instance) yields an inconclusive outcome, never a guess.
 
 The three independent routes to the vanishing decision:
 
@@ -30,6 +32,7 @@ Valid scenario data makes all three agree; structural violations raise
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -65,6 +68,7 @@ from .keyseq import (
     ExplicitStage,
     KeyIndex,
     KeySequence,
+    PlateauStage,
     ScheduleStage,
 )
 from .poly import derivative, q_expand
@@ -119,13 +123,18 @@ class InvariantStream:
     records: tuple[InvariantRecord, ...]
     plateaus: tuple[PlateauInfo, ...]
     nu_gprime: GroupElem
-    g_degree: int
-    istar_has_max: bool
+    ks: KeySequence
+    nu: NuOracle | None = None  # None for a sequence of value schedules
     rank: int = 1
-    ks: KeySequence | None = None
-    nu: NuOracle | None = None
-    schedule_stage: ScheduleStage | None = None
     terms: int = 8
+
+    @property
+    def g_degree(self) -> int:
+        return self.ks.final.degree
+
+    @property
+    def istar_has_max(self) -> bool:
+        return self.ks.istar_has_max()
 
     def plateau_at(self, stage_pos: int) -> PlateauInfo | None:
         for info in self.plateaus:
@@ -170,31 +179,49 @@ class Verdict:
 # Stream construction
 # ---------------------------------------------------------------------------
 
-def invariant_stream(ks: KeySequence, nu: NuOracle, terms: int = 8) -> InvariantStream:
-    """Exact records for a field-backed key sequence.
+def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> InvariantStream:
+    """Exact records and plateau tails, from one memoized row per key index.
 
-    Every value is computed through the oracle; plateau tails are then
-    described by fitted laws, re-verified against further exact terms, or
-    by the family's divergence certificate.
+    Field-backed stages read their values off the oracle; a `ScheduleStage`
+    synthesizes them from its value laws (linear keys, so nu(Q') = 0), and a
+    sequence of schedules alone comes with ``nu=None`` and its own nu(g').
+    Tails are laws fitted and re-verified on further exact rows, or the
+    family's divergence certificate.
     """
-    g = ks.g
-    gp = derivative(g)
-    if gp.is_zero():
-        raise ScenarioDataError("the support polynomial must be separable")
-    nu_gprime = nu.nu(gp).expect_finite()
+    if nu is None:
+        schedules = [s for s in ks.stages if isinstance(s, ScheduleStage)]
+        if len(schedules) != len(ks.stages) or len({s.nu_gprime for s in schedules}) != 1:
+            raise ScenarioDataError(
+                "without an oracle every stage must be a value schedule with one nu(g')"
+            )
+        nu_gprime = schedules[0].nu_gprime
+    else:
+        g = ks.g
+        gp = derivative(g)
+        if gp.is_zero():
+            raise ScenarioDataError("the support polynomial must be separable")
+        nu_gprime = nu.nu(gp).expect_finite()
 
-    def record_for(index: KeyIndex) -> InvariantRecord:
-        q = ks.key_poly(index)
-        nu_q = nu.nu(q).expect_finite()
-        nu_qp = nu.nu(derivative(q)).expect_finite()
-        nu_i_g = nu.nu_q(g, q).expect_finite()
-        nu_i_gp = nu.nu_q(gp, q).expect_finite()
+    @functools.cache
+    def row(index: KeyIndex) -> InvariantRecord:
+        stage = ks.stages[index.stage]
+        if isinstance(stage, ScheduleStage):
+            nu_key = stage.key_value(index.term)
+            nu_key_deriv = GroupElem.zero()
+            nu_i_g = _least_slot_value(stage.g_coef_laws, nu_key)
+            nu_i_gp = _least_slot_value(stage.gprime_coef_laws, nu_key)
+        else:
+            q = ks.key_poly(index)
+            nu_key = nu.nu(q).expect_finite()
+            nu_key_deriv = nu.nu(derivative(q)).expect_finite()
+            nu_i_g = nu.nu_q(g, q).expect_finite()
+            nu_i_gp = nu.nu_q(gp, q).expect_finite()
         return InvariantRecord(
             index=index,
-            degree=q.degree,
-            nu_key=nu_q,
-            nu_key_deriv=nu_qp,
-            alpha=nu_qp - nu_q,
+            degree=stage.degree,
+            nu_key=nu_key,
+            nu_key_deriv=nu_key_deriv,
+            alpha=nu_key_deriv - nu_key,
             beta=nu_gprime - nu_i_g,
             beta_tilde=nu_i_gp - nu_i_g,
             nu_i_g=nu_i_g,
@@ -205,44 +232,50 @@ def invariant_stream(ks: KeySequence, nu: NuOracle, terms: int = 8) -> Invariant
     infos: list[PlateauInfo] = []
     for pos, stage in enumerate(ks.stages):
         if isinstance(stage, ExplicitStage):
-            records.append(record_for(KeyIndex(pos, 0)))
+            records.append(row(KeyIndex(pos, 0)))
             continue
         if isinstance(stage, ScheduleStage):
-            raise ScenarioDataError(
-                "schedule stages are handled by invariant_stream_from_schedule"
-            )
+            # A finite schedule ends with its list; a closed form extends up
+            # to the fit's probe budget.
+            count = stage.available_terms(terms)
+            limit = count if isinstance(stage.key_values, FiniteList) else None
+        else:
+            count, limit = min(terms, stage.family.budget), stage.family.budget
         start = len(records)
-        count = min(terms, stage.family.budget)
-        for n in range(1, count + 1):
-            records.append(record_for(KeyIndex(pos, n)))
+        records.extend(row(KeyIndex(pos, n)) for n in range(1, count + 1))
         block = records[start:]
 
-        def extender(name: str, pos=pos, budget=stage.family.budget):
+        def extender(name: str, pos=pos, limit=limit):
             def extend(k: int) -> GroupElem | None:
-                if k + 1 > budget:
+                if limit is not None and k + 1 > limit:
                     return None
-                return record_for(KeyIndex(pos, k + 1)).column(name)
+                return row(KeyIndex(pos, k + 1)).column(name)
 
             return extend
 
         tails = {
-            name: fit_closed_form([r.column(name) for r in block], ks.p, extend=extender(name))
+            name: fit_closed_form(
+                [r.column(name) for r in block],
+                ks.p,
+                extend=None if limit == count else extender(name),
+            )
             for name in COLUMNS
         }
-        if stage.family.divergence_bound is not None:
+        if isinstance(stage, PlateauStage) and stage.family.divergence_bound is not None:
             tails = _apply_divergence_cert(block, tails, stage.family.divergence_bound)
         infos.append(PlateauInfo(pos, stage.degree, start, count, tails))
 
-    return InvariantStream(
-        records=tuple(records),
-        plateaus=tuple(infos),
-        nu_gprime=nu_gprime,
-        g_degree=ks.final.degree,
-        istar_has_max=ks.istar_has_max(),
-        ks=ks,
-        nu=nu,
-        terms=terms,
-    )
+    return InvariantStream(tuple(records), tuple(infos), nu_gprime, ks, nu, terms=terms)
+
+
+def _least_slot_value(laws: Sequence[CoefValueLaw], key_value: GroupElem) -> GroupElem:
+    """Least term value ``const + mult * key_value`` over the nonzero slots."""
+    return min_value(
+        ExtValue.infinity()
+        if law.const is None
+        else ExtValue.of(law.const + key_value.scale(law.mult))
+        for law in laws
+    ).expect_finite()
 
 
 def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
@@ -281,73 +314,6 @@ def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
 
 def _is_constant(tail: Tail | None) -> bool:
     return tail is not None and isinstance(tail.law, ClosedForm) and tail.law.c.is_zero()
-
-
-def invariant_stream_from_schedule(
-    stage: ScheduleStage,
-    g_degree: int,
-    nu_gprime: GroupElem,
-    p: int,
-    terms: int = 8,
-) -> InvariantStream:
-    """Records synthesized from value laws alone (no field arithmetic).
-
-    The keys are monic linear, so nu(Q') = 0; truncations of g and g' are
-    the least slot values of the supplied coefficient laws.
-    """
-    zero = GroupElem.zero()
-    count = stage.available_terms(terms)
-
-    def slot_value(law: CoefValueLaw, kv: GroupElem) -> ExtValue:
-        if law.const is None:
-            return ExtValue.infinity()
-        return ExtValue.of(law.const + kv.scale(law.mult))
-
-    def record_for(n: int) -> InvariantRecord:
-        kv = stage.key_value(n)
-        nu_i_g = min_value(slot_value(law, kv) for law in stage.g_coef_laws).expect_finite()
-        nu_i_gp = min_value(
-            slot_value(law, kv) for law in stage.gprime_coef_laws
-        ).expect_finite()
-        return InvariantRecord(
-            index=KeyIndex(0, n),
-            degree=stage.degree,
-            nu_key=kv,
-            nu_key_deriv=zero,
-            alpha=zero - kv,
-            beta=nu_gprime - nu_i_g,
-            beta_tilde=nu_i_gp - nu_i_g,
-            nu_i_g=nu_i_g,
-            nu_i_gprime=nu_i_gp,
-        )
-
-    records = [record_for(n) for n in range(1, count + 1)]
-    can_extend = not isinstance(stage.key_values, FiniteList)
-
-    def extender(name: str):
-        if not can_extend:
-            return None
-
-        def extend(k: int) -> GroupElem:
-            return record_for(k + 1).column(name)
-
-        return extend
-
-    tails = {
-        name: fit_closed_form([r.column(name) for r in records], p, extend=extender(name))
-        for name in COLUMNS
-    }
-
-    info = PlateauInfo(0, stage.degree, 0, count, tails)
-    return InvariantStream(
-        records=tuple(records),
-        plateaus=(info,),
-        nu_gprime=nu_gprime,
-        g_degree=g_degree,
-        istar_has_max=False,
-        schedule_stage=stage,
-        terms=terms,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +535,6 @@ def _classify_min_case(stream, canon, base) -> Verdict:
             case="i",
             witness={**base, "failed": "beta_tilde_differs_from_min_alpha"},
         )
-    if stream.ks is None or stream.nu is None:
-        return Verdict(
-            VerdictKind.INCONCLUSIVE,
-            reason="minimum case needs polynomial data for the support witness",
-        )
     from .expansion import i0_set
 
     support = i0_set(stream.ks.g, rec.index, stream.ks, stream.nu, stream.terms)
@@ -789,11 +750,15 @@ def b_set(stream: InvariantStream) -> BSetReport:
     if cut is None:
         raise InconclusiveError("instability cut undecidable")
 
+    # One expansion of g per plateau term, shared by every slot.
+    expansion = functools.cache(
+        lambda n: q_expand(stream.ks.g, stream.ks.key_poly(KeyIndex(info.stage_pos, n)))
+    )
     reports: list[SlotReport] = []
     members: set[int] = set()
     undecided: set[int] = set()
     for b in range(1, stream.g_degree):
-        kind, tail = _slot_tail(stream, info, b)
+        kind, tail = _slot_tail(stream, info, b, expansion)
         if kind == "zero":
             reports.append(SlotReport(b, False, "slot vanishes on the materialized prefix"))
             continue
@@ -811,10 +776,14 @@ def b_set(stream: InvariantStream) -> BSetReport:
     return BSetReport(cut, tuple(reports), frozenset(members), b1)
 
 
-def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
-    """Tail description of the b-th expansion-slot values of g."""
-    if stream.schedule_stage is not None:
-        law = stream.schedule_stage.g_coef_laws[b]
+def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int, expansion):
+    """Tail description of the b-th expansion-slot values of g.
+
+    `expansion(n)` is the expansion of g over the n-th plateau key.
+    """
+    stage = stream.ks.stages[info.stage_pos]
+    if isinstance(stage, ScheduleStage):
+        law = stage.g_coef_laws[b]
         if law.const is None:
             return "zero", None
         # The slot value is const + mult * key value: map the key-value tail.
@@ -825,18 +794,15 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
         slot_law = ClosedForm(kv.c.scale(law.mult), law.const + kv.d.scale(law.mult), kv.p)
         return "values", Tail(slot_law, key_tail.offset)
 
-    ks, nu = stream.ks, stream.nu
-    stage = ks.stages[info.stage_pos]
-    g = ks.g
-
     def slot_value(n: int) -> GroupElem | None:
         if n > stage.family.budget:
             return None
-        q = stage.family.poly(n)
-        coeff = q_expand(g, q).coeff(b)
+        exp = expansion(n)
+        coeff = exp.coeff(b)
         if coeff.is_zero():
             return None
-        return (nu.nu(coeff) + nu.nu(q).expect_finite().scale(b)).expect_finite()
+        nu = stream.nu
+        return (nu.nu(coeff) + nu.nu(exp.base).expect_finite().scale(b)).expect_finite()
 
     vals: list[GroupElem] = []
     gap = False
@@ -851,7 +817,7 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
     # Extension keeps term positions aligned with n, so it only applies to
     # gap-free prefixes.
     extend = (lambda k: slot_value(k + 1)) if not gap else None
-    fitted = fit_closed_form(vals, ks.p, extend=extend)
+    fitted = fit_closed_form(vals, stream.ks.p, extend=extend)
     if fitted is not None:
         return "values", fitted
     cert = stage.family.divergence_bound

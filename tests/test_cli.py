@@ -46,6 +46,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_dict({"scenario": "artin-schreier", "va": -1.0})
 
+    @pytest.mark.parametrize("p", [4, 9, 2047, 3215031751])  # the last two fool base 2
+    def test_composite_p_rejected(self, p):
+        with pytest.raises(ConfigError, match="p must be prime"):
+            parse_config_dict({"scenario": "artin-schreier", "p": p})
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
+    def test_prime_p_accepted(self, p):
+        assert parse_config_dict({"scenario": "hensel-immediate", "p": p}).p == p
+
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             parse_config('{"scenario": "mystery"}')
@@ -184,6 +193,78 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 3 and "status: error" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "artin-schreier", "--p", "4"],
+            ["scenario", "unramified", "--p", "6"],
+        ],
+    )
+    def test_non_prime_p_exit_four(self, argv, capsys):
+        # Z/4 and Z/6 are not fields
+        assert main(argv) == 4
+        assert "p must be prime" in capsys.readouterr().err
+
+    def test_non_prime_p_custom_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "z4.json"
+        path.write_text(
+            '{"scenario":"custom","backend":"padic","p":4,"g":["1","1","1"],'
+            '"stages":[{"poly":["0","1"]}],"oracle":"resultant"}'
+        )
+        assert main(["run", str(path)]) == 4
+        assert "p must be prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"scenario": "hensel-immediate", "g": ["x", "1", "1"]},
+            {"scenario": "hensel-immediate", "g": "111"},
+            {"scenario": "unramified", "g": ["1", "1/0", "1"]},
+            {"scenario": "unramified", "g": []},
+            {
+                "scenario": "custom", "backend": "padic", "p": 2, "g": ["1", "1", "1"],
+                "stages": [{"poly": "01"}], "oracle": "resultant",
+            },
+            {
+                "scenario": "custom", "backend": "hahn", "p": 2, "g": ["1", "zz", "1"],
+                "stages": [{"poly": ["0", "1"]}], "oracle": "resultant",
+            },
+        ],
+    )
+    def test_malformed_coefficients_exit_four(self, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 4
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_integer_stage_coefficients_accepted(self):
+        cfg = parse_config_dict(
+            {
+                "scenario": "custom", "backend": "padic", "p": 2, "g": [1, 1, 1],
+                "stages": [{"poly": [0, 1]}], "oracle": "resultant",
+            }
+        )
+        assert cfg.g == ("1", "1", "1")
+        assert run(cfg)["status"] == "decisive"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "artin-schreier", "--terms", "1"],
+            ["scenario", "hensel-immediate", "--terms", "1"],
+            ["scenario", "kummer-schedule", "--terms", "1"],
+            ["scenario", "artin-schreier", "--window", "1"],
+            ["scenario", "hensel-immediate", "--window", "1"],
+        ],
+    )
+    def test_terms_or_window_below_two_exit_four(self, argv, capsys):
+        assert main(argv) == 4
+        assert "must be an integer >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate", "kummer-schedule"])
+    def test_two_terms_decide(self, scenario, capsys):
+        assert main(["scenario", scenario, "--terms", "2", "--window", "2"]) == 0
+
     def test_selftest_subcommand(self, capsys):
         code = main(["selftest", "--instances", "5", "--seed", "1"])
         out = capsys.readouterr().out
@@ -229,6 +310,17 @@ class TestCustomScenario:
         )
         # g = x^2 + x + a with a = t^-1: the same extension as x^2 - x - a
         # in characteristic 2
+        report = run(cfg)
+        assert report["status"] == "decisive"
+        assert report["verdicts"]["segment"]["kind"] == "omega_zero"
+
+    def test_custom_hahn_plain_integer_coefficients(self):
+        cfg = parse_config_dict(
+            {
+                "scenario": "custom", "backend": "hahn", "p": 2, "g": ["1*t^(-1)", "1", "1"],
+                "stages": [{"family": "artin_schreier", "va": "-1"}], "oracle": "stabilization",
+            }
+        )
         report = run(cfg)
         assert report["status"] == "decisive"
         assert report["verdicts"]["segment"]["kind"] == "omega_zero"

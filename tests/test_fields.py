@@ -98,6 +98,11 @@ class TestBackendConstructors:
         assert Backend("hahn", 3).from_int(3).is_zero()
         assert not Backend("padic", 3).from_int(3).is_zero()
 
+    @pytest.mark.parametrize("text", ["1", "-1"])
+    def test_parse_hahn_plain_constant(self, text):
+        assert parse_hahn(text, 2) == parse_hahn(f"{text}*t^(0)", 2)
+        assert parse_hahn(text, 3) == parse_hahn(f"{text}*t^(0)", 3)
+
     def test_parse_hahn_roundtrip(self):
         text = "1*t^(-1)+1*t^(-1/2)"
         x = parse_hahn(text, 2)

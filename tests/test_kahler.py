@@ -1,10 +1,12 @@
 """Invariant streams, segments and the three vanishing criteria."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from valkit import kahler
 from valkit.cli import parse_config_dict, build_stream
-from valkit.errors import HypothesisViolatedError
+from valkit.errors import HypothesisViolatedError, ScenarioDataError
 from valkit.groups import (
     CanonicalSegment,
     ClosedForm,
@@ -22,10 +24,12 @@ from valkit.kahler import (
     classify,
     first_minimizing_plateau,
     ideal_inclusion_check,
-    invariant_stream_from_schedule,
+    invariant_stream,
     omega_verdict,
 )
-from valkit.keyseq import CoefValueLaw, ScheduleStage
+from valkit.keyseq import CoefValueLaw, FinalStage, KeySequence, ScheduleStage
+from valkit.poly import q_expand
+from valkit.truncation import NuOracle
 
 
 def stream_for(data):
@@ -73,6 +77,42 @@ class TestInvariantStream:
         assert rec2.alpha == -rec2.nu_key
         assert rec2.nu_i_g == rec2.nu_key.scale(3)
         assert rec2.nu_i_gprime == rat1(1)
+
+
+class TestRowMemo:
+    def test_hensel_rows_built_once(self, monkeypatch):
+        # every row index costs exactly two truncations (of g and of g'),
+        # however many column fits extend through it
+        bases = Counter()
+        nu_q = NuOracle.nu_q
+
+        def counted(self, f, q):
+            bases[q] += 1
+            return nu_q(self, f, q)
+
+        monkeypatch.setattr(NuOracle, "nu_q", counted)
+        stream = stream_for({"scenario": "hensel-immediate"})
+        assert len(bases) > len(stream.records)  # the fits probed further rows
+        assert set(bases.values()) == {2}
+
+    def test_b_set_expands_g_once_per_term(self, monkeypatch):
+        stream = stream_for({"scenario": "artin-schreier", "p": 5, "va": "-1"})
+        bases = Counter()
+
+        def counted(f, q):
+            bases[q] += 1
+            return q_expand(f, q)
+
+        monkeypatch.setattr(kahler, "q_expand", counted)
+        report = b_set(stream)
+        assert report.b_set == frozenset({1})
+        assert bases and set(bases.values()) == {1}
+
+    def test_kummer_nu_gprime_from_the_schedule(self):
+        (stage,) = KUMMER_AT.ks.stages
+        assert KUMMER_AT.nu is None
+        assert KUMMER_AT.nu_gprime == stage.nu_gprime == rat1(1)
+        assert KUMMER_AT.g_degree == 3 and not KUMMER_AT.istar_has_max
 
 
 class TestSegments:
@@ -199,7 +239,7 @@ class TestBSet:
             gprime_coef_laws=(CoefValueLaw(rat1(0), 0),),
             nu_gprime=rat1(0),
         )
-        stream = invariant_stream_from_schedule(stage, g_degree=1, nu_gprime=rat1(0), p=2)
+        stream = invariant_stream(KeySequence((stage,), FinalStage(None, 1), 2), None)
         report = b_set(stream)
         assert report.b_set == frozenset() and not report.b1
 
@@ -259,6 +299,10 @@ class TestScheduleValidation:
             gprime_coef_laws=(CoefValueLaw(rat1(1), 0), CoefValueLaw(rat1(1), 1), CoefValueLaw(rat1(1), 2)),
             nu_gprime=rat1(1),
         )
-        stream = invariant_stream_from_schedule(stage, g_degree=3, nu_gprime=rat1(1), p=3)
+        stream = invariant_stream(KeySequence((stage,), FinalStage(None, 3), 3), None)
         assert omega_verdict(stream).kind is VerdictKind.INCONCLUSIVE
         assert classify(stream).kind is VerdictKind.INCONCLUSIVE
+
+    def test_stream_without_oracle_needs_schedules(self):
+        with pytest.raises(ScenarioDataError):
+            invariant_stream(UNRAMIFIED.ks, None)
