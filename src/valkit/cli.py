@@ -160,6 +160,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         budget=_int_at_least(data.get("budget", 64), "budget", 1),
         fmt=data.get("format", "text"),
     )
+    # A window longer than the budget can never fill.
+    if cfg.budget < cfg.window:
+        raise ConfigError(f"must be at least the window ({cfg.window})", "budget")
     if cfg.fmt not in ("text", "structured"):
         raise ConfigError("format must be 'text' or 'structured'", "format")
 

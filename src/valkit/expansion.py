@@ -24,7 +24,7 @@ from .errors import (
 from .fields import FieldElem
 from .groups import ExtValue, GroupElem, min_value
 from .keyseq import KeyIndex, KeySequence, NormalizedSequence, find_witness
-from .poly import Poly, derivative, q_expand
+from .poly import Poly, derivative
 from .truncation import NuOracle
 
 
@@ -91,7 +91,7 @@ def full_expansion(
 
     def expand(c: Poly, base_index: KeyIndex, base_poly: Poly) -> list[MonomialTerm]:
         out: list[MonomialTerm] = []
-        for j, cj in enumerate(q_expand(c, base_poly).coeffs):
+        for j, cj in enumerate(nu.expand(c, base_poly).coeffs):
             if cj.is_zero():
                 continue
             if cj.degree == 0:
@@ -139,7 +139,7 @@ def s_set(f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle) -> set[int]:
     q = ks.key_poly(i)
     vq = nu.nu(q)
     values: dict[int, ExtValue] = {}
-    for j, c in enumerate(q_expand(f, q).coeffs):
+    for j, c in enumerate(nu.expand(f, q).coeffs):
         if c.is_zero():
             continue
         values[j] = nu.nu(c) + vq.expect_finite().scale(j)
@@ -257,7 +257,7 @@ def rewrite_in_generators(
             raise NoWitnessError(f"no key of degree <= {c.degree} attains nu within budget")
         nk = normalized.at(w)
         out: list[RewriteTerm] = []
-        for j, cj in enumerate(q_expand(c, nk.original).coeffs):
+        for j, cj in enumerate(nu.expand(c, nk.original).coeffs):
             if cj.is_zero():
                 continue
             # c = sum cj Q^j = sum (cj a^j) Q~^j; the rescaled coefficient

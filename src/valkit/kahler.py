@@ -71,7 +71,7 @@ from .keyseq import (
     PlateauStage,
     ScheduleStage,
 )
-from .poly import derivative, q_expand
+from .poly import derivative, q_expand  # noqa: F401 (perfbench's tracer test reads it)
 from .truncation import NuOracle
 
 COLUMNS = (
@@ -750,15 +750,11 @@ def b_set(stream: InvariantStream) -> BSetReport:
     if cut is None:
         raise InconclusiveError("instability cut undecidable")
 
-    # One expansion of g per plateau term, shared by every slot.
-    expansion = functools.cache(
-        lambda n: q_expand(stream.ks.g, stream.ks.key_poly(KeyIndex(info.stage_pos, n)))
-    )
     reports: list[SlotReport] = []
     members: set[int] = set()
     undecided: set[int] = set()
     for b in range(1, stream.g_degree):
-        kind, tail = _slot_tail(stream, info, b, expansion)
+        kind, tail = _slot_tail(stream, info, b)
         if kind == "zero":
             reports.append(SlotReport(b, False, "slot vanishes on the materialized prefix"))
             continue
@@ -776,10 +772,11 @@ def b_set(stream: InvariantStream) -> BSetReport:
     return BSetReport(cut, tuple(reports), frozenset(members), b1)
 
 
-def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int, expansion):
+def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
     """Tail description of the b-th expansion-slot values of g.
 
-    `expansion(n)` is the expansion of g over the n-th plateau key.
+    The expansion of g over the n-th plateau key comes from the oracle's
+    memo, which the stream's rows share.
     """
     stage = stream.ks.stages[info.stage_pos]
     if isinstance(stage, ScheduleStage):
@@ -797,7 +794,7 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int, expansion):
     def slot_value(n: int) -> GroupElem | None:
         if n > stage.family.budget:
             return None
-        exp = expansion(n)
+        exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(info.stage_pos, n)))
         coeff = exp.coeff(b)
         if coeff.is_zero():
             return None

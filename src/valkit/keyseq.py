@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import Backend, FieldElem, HahnElem, _padic_order, artin_schreier_partial_sum
 from .groups import ClosedForm, ExtValue, FiniteList, GroupElem, rat1
-from .poly import Poly, is_q_monic
+from .poly import Poly
 from .truncation import NuOracle
 
 FAMILY_BUDGET = 64
@@ -315,7 +315,7 @@ def validate_sequence(
                     raise LawMismatchError(
                         f"declared key derivative value {stage.nu_key_deriv} != computed {got}"
                     )
-            if g is not None and not is_q_monic(g, stage.poly):
+            if g is not None and not nu.expand(g, stage.poly).is_monic():
                 raise ScenarioDataError("g is not monic over an explicit key")
         elif isinstance(stage, PlateauStage):
             previous: ExtValue | None = None
@@ -327,7 +327,7 @@ def validate_sequence(
                         "plateau key values must increase strictly"
                     )
                 previous = value
-                if g is not None and not is_q_monic(g, q):
+                if g is not None and not nu.expand(g, q).is_monic():
                     raise ScenarioDataError("g is not monic over a plateau key")
         else:
             vals = [stage.key_value(n) for n in range(1, stage.available_terms(terms_per_plateau) + 1)]

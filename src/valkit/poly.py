@@ -177,6 +177,11 @@ class QExpansion:
     def __len__(self):
         return len(self.coeffs)
 
+    def is_monic(self) -> bool:
+        """True when the top coefficient is the constant 1."""
+        top = self.coeffs[-1]
+        return top.degree == 0 and top.coeff(0) == self.base.backend.one()
+
 
 def q_expand(f: Poly, q: Poly) -> QExpansion:
     """Expand f in powers of the monic base q, remainder first."""
@@ -202,9 +207,7 @@ def derivative(f: Poly) -> Poly:
 
 def is_q_monic(f: Poly, q: Poly) -> bool:
     """True when the top coefficient of the q-expansion of f equals 1."""
-    exp = q_expand(f, q)
-    top = exp.coeffs[-1]
-    return top.degree == 0 and top.coeff(0) == f.backend.one()
+    return q_expand(f, q).is_monic()
 
 
 def resultant(f: Poly, g: Poly) -> FieldElem:

@@ -13,7 +13,10 @@ modulo the monic minimal polynomial g of eta.  Two modes are provided:
   guards against accidental early agreement.
 
 `nu_q` is the truncation at a monic base q: the least term value of the
-q-expansion.
+q-expansion.  The oracle owns the q-expansions of its run: `expand`
+computes each (f, q) pair once and every consumer holding the oracle
+(truncations, slot values, monicity checks, full expansions) reads it from
+there.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .fields import FieldElem, valuation
 from .groups import ExtValue, min_value
-from .poly import Poly, q_expand
+from .poly import Poly, QExpansion, q_expand
 
 DEFAULT_WINDOW = 3
 DEFAULT_BUDGET = 64
@@ -55,6 +58,7 @@ class NuOracle:
         self.window = window
         self.budget = budget
         self._cache: dict[Poly, ExtValue] = {}
+        self._expansions: dict[tuple[Poly, Poly], QExpansion] = {}
         self._lock = threading.Lock()
 
     # -- constructors -------------------------------------------------------
@@ -147,11 +151,20 @@ class NuOracle:
             trace=trace,
         )
 
+    def expand(self, f: Poly, q: Poly) -> QExpansion:
+        """The q-expansion of f, computed once per (f, q) for this oracle."""
+        key = (f, q)
+        if key in self._expansions:
+            return self._expansions[key]
+        result = q_expand(f, q)
+        with self._lock:
+            return self._expansions.setdefault(key, result)
+
     def nu_q(self, f: Poly, q: Poly) -> ExtValue:
         """Truncation at monic q: min over i of nu(f_i) + i * nu(q)."""
         if not q.is_monic() or q.degree < 1:
             raise NonMonicBaseError("truncation base must be monic of degree >= 1")
-        expansion = q_expand(f, q)
+        expansion = self.expand(f, q)
         if len(expansion) == 1:
             return self.nu(expansion.coeff(0))
         if q == self.g:

@@ -261,6 +261,15 @@ class TestMain:
         assert main(argv) == 4
         assert "must be an integer >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate"])
+    def test_budget_below_window_exit_four(self, scenario, capsys):
+        assert main(["scenario", scenario, "--budget", "2"]) == 4
+        assert "budget: must be at least the window (3)" in capsys.readouterr().err
+
+    def test_budget_equal_to_window_accepted(self):
+        cfg = parse_config_dict({"scenario": "artin-schreier", "window": 3, "budget": 3})
+        assert cfg.budget == cfg.window == 3
+
     @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate", "kummer-schedule"])
     def test_two_terms_decide(self, scenario, capsys):
         assert main(["scenario", scenario, "--terms", "2", "--window", "2"]) == 0

@@ -1,13 +1,16 @@
 """The support valuation and its truncations, in both oracle modes."""
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
 from valkit.fields import Backend, PAdicRational, valuation
 from valkit.groups import ExtValue, rat1
 from valkit.keyseq import artin_schreier_family, hensel_family
-from valkit.poly import Poly, derivative
+from valkit.poly import Poly, derivative, q_expand
 from valkit.truncation import NuOracle
 
 
@@ -180,3 +183,57 @@ class TestConcurrency:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, range(32)))
         assert len(set(results)) == 1
+
+    def test_concurrent_expansions_share_one_result(self):
+        import concurrent.futures
+        import threading
+
+        _, g, family, nu = as_setup(3)
+        bases = [family.poly(n) for n in range(1, 9)]
+        start = threading.Barrier(8)
+
+        def work(_):
+            start.wait(timeout=30)
+            return [nu.expand(g, q) for q in bases]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        # every caller gets the one stored expansion, never a racing copy
+        for column in zip(*results):
+            assert len({id(e) for e in column}) == 1
+
+
+class TestExpansionMemo:
+    @staticmethod
+    def run_counted(expansions, data) -> Counter:
+        expansions.clear()
+        cli.run(cli.parse_config_dict(data))
+        return Counter(expansions)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"scenario": "artin-schreier", "p": 5},
+            {"scenario": "hensel-immediate"},
+            {"scenario": "unramified"},
+        ],
+    )
+    def test_one_expansion_per_pair_per_run(self, expansions, data):
+        first = self.run_counted(expansions, data)
+        assert first and set(first.values()) == {1}
+        # a second run starts from a fresh oracle and expands everything again
+        second = self.run_counted(expansions, data)
+        assert sum(second.values()) == sum(first.values())
+
+    def test_expand_is_memoized_on_the_oracle(self):
+        _, g, family, nu = as_setup(2)
+        q = family.poly(3)
+        assert nu.expand(g, q) is nu.expand(g, q)
+        assert nu.expand(g, q) == q_expand(g, q)
+        _, _, _, other = as_setup(2)
+        assert other.expand(g, q) is not nu.expand(g, q)
