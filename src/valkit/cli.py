@@ -65,6 +65,8 @@ _ALLOWED_KEYS = {
     "unramified": _COMMON_KEYS | {"g"},
     "custom": _COMMON_KEYS | {"backend", "g", "stages", "oracle"},
 }
+# The backend each built-in plateau family computes over.
+_FAMILY_BACKEND = {"hensel_lift": "padic", "artin_schreier": "hahn"}
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
                 raise ConfigError("bad stage entry", "stages")
             if not isinstance(st.get("start", 0), int):
                 raise ConfigError("start must be an integer", "stages")
+            for family, needs in _FAMILY_BACKEND.items():
+                if st.get("family") == family and data["backend"] != needs:
+                    raise ConfigError(f"family {family!r} needs backend {needs!r}", "stages")
             if "poly" in st:
                 _coefficients(st["poly"], "stages", data["backend"], p)
         cfg = replace(

@@ -7,6 +7,12 @@ Three backends supply the base field (K, v) of a scenario:
 * ``hahn``   -- finite-support generalized power series over F_p with
                 rational exponents, valued by the least exponent.
 
+A Hahn element stores its exponents as integer numerators over one
+denominator per element, kept minimal, so equal series compare and hash
+equal without `Fraction` arithmetic; `Fraction` appears only where
+exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`valuation`,
+`str`).
+
 All arithmetic is exact.  Elements are immutable and hashable; mixing
 backends (or primes) raises `BackendMismatchError`.  Division is exact
 field division; for Hahn elements whose quotient would have infinite
@@ -14,6 +20,7 @@ support it raises instead of truncating.
 """
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -262,25 +269,43 @@ class RationalFunctionElem:
         return f"({side(self.num)})/({side(self.den)})"
 
 
+def _hahn(acc: dict[int, int], den: int, p: int) -> "HahnElem":
+    """The canonical element sum c * t^(n/den) over acc, coefficients mod p."""
+    terms = [(n, r) for n, c in sorted(acc.items()) if (r := c % p)]
+    if not terms:
+        return HahnElem((), 1, p)
+    g = math.gcd(den, *(n for n, _ in terms)) if den > 1 else 1
+    if g > 1:
+        den //= g
+        terms = [(n // g, c) for n, c in terms]
+    return HahnElem(tuple(terms), den, p)
+
+
 @dataclass(frozen=True)
 class HahnElem:
-    """Finite-support series sum c_e * t^e over F_p, e rational.
+    """Finite-support series sum c * t^(n/den) over F_p.
 
-    Stored as a sorted tuple of (exponent, coefficient) with coefficients in
-    1..p-1.  The valuation is the least exponent of the support.
+    Stored as a tuple of integer (n, c) pairs sorted by n, with coefficients
+    in 1..p-1, over one denominator `den` per element.  `den` is minimal
+    (gcd(den, *ns) == 1, zero is ((), 1)), so equal series are equal and
+    hash equal.  The valuation is the least exponent of the support.
     """
 
-    terms: tuple[tuple[Fraction, int], ...]
+    terms: tuple[tuple[int, int], ...]
+    den: int
     p: int
 
     @staticmethod
     def make(mapping, p) -> "HahnElem":
-        acc: dict[Fraction, int] = {}
-        items = mapping.items() if isinstance(mapping, dict) else mapping
+        """The element sum c * t^e from (e, c) pairs or a dict, e rational."""
+        pairs = mapping.items() if isinstance(mapping, dict) else mapping
+        items = [(Fraction(e), c) for e, c in pairs]
+        den = math.lcm(1, *(e.denominator for e, _ in items))
+        acc: dict[int, int] = {}
         for e, c in items:
-            e = Fraction(e)
-            acc[e] = (acc.get(e, 0) + c) % p
-        return HahnElem(tuple(sorted((e, c) for e, c in acc.items() if c)), p)
+            n = e.numerator * (den // e.denominator)
+            acc[n] = acc.get(n, 0) + c
+        return _hahn(acc, den, p)
 
     @property
     def backend(self) -> "Backend":
@@ -288,35 +313,52 @@ class HahnElem:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            other = HahnElem.make({Fraction(0): other}, self.p)
+            other = _hahn({0: other}, 1, self.p)
         if not isinstance(other, HahnElem) or other.p != self.p:
             raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
         return other
 
+    def _aligned(self, other):
+        """Both supports over lcm(den_a, den_b), and that denominator."""
+        if self.den == other.den:
+            return self.terms, other.terms, self.den
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return (
+            [(n * sa, c) for n, c in self.terms],
+            [(n * sb, c) for n, c in other.terms],
+            den,
+        )
+
     def __add__(self, other):
         other = self._coerce(other)
-        return HahnElem.make(list(self.terms) + list(other.terms), self.p)
+        a, b, den = self._aligned(other)
+        acc = dict(a)
+        for n, c in b:
+            acc[n] = acc.get(n, 0) + c
+        return _hahn(acc, den, self.p)
 
     def __neg__(self):
-        return HahnElem(tuple((e, (-c) % self.p) for e, c in self.terms), self.p)
+        return HahnElem(tuple((n, (-c) % self.p) for n, c in self.terms), self.den, self.p)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
         other = self._coerce(other)
-        acc: dict[Fraction, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = (acc.get(e, 0) + c1 * c2) % self.p
-        return HahnElem(tuple(sorted((e, c) for e, c in acc.items() if c)), self.p)
+        a, b, den = self._aligned(other)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for n1, c1 in a:
+            for n2, c2 in b:
+                n = n1 + n2
+                acc[n] = get(n, 0) + c1 * c2
+        return _hahn(acc, den, self.p)
 
     def __pow__(self, k: int):
+        out = _hahn({0: 1}, 1, self.p)
         if k < 0:
-            inv = HahnElem.make({Fraction(0): 1}, self.p) / self
-            return inv ** (-k)
-        out = HahnElem.make({Fraction(0): 1}, self.p)
+            return (out / self) ** (-k)
         base = self
         while k:
             if k & 1:
@@ -330,24 +372,22 @@ class HahnElem:
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        if len(other.terms) == 1:
-            e0, c0 = other.terms[0]
-            inv_c = pow(c0, self.p - 2, self.p)
-            return HahnElem(
-                tuple((e - e0, (c * inv_c) % self.p) for e, c in self.terms), self.p
-            )
-        # Valuation-ascending long division; terminates iff exact.
-        rem = self
-        quot: dict[Fraction, int] = {}
-        e0, c0 = other.terms[0]
+        a, b, den = self._aligned(other)
+        n0, c0 = b[0]
         inv_c = pow(c0, self.p - 2, self.p)
+        if len(b) == 1:
+            return _hahn({n - n0: c * inv_c for n, c in a}, den, self.p)
+        # Valuation-ascending long division; terminates iff exact.  Every
+        # remainder exponent, hence every quotient exponent, lies in (1/den)Z.
+        rem = self
+        quot: dict[int, int] = {}
         for _ in range(_HAHN_DIV_BUDGET):
             if rem.is_zero():
-                return HahnElem.make(quot, self.p)
-            e, c = rem.terms[0]
-            qe, qc = e - e0, (c * inv_c) % self.p
-            quot[qe] = (quot.get(qe, 0) + qc) % self.p
-            rem = rem - HahnElem.make({qe: qc}, self.p) * other
+                return _hahn(quot, den, self.p)
+            n, c = rem.terms[0]
+            qn, qc = n * (den // rem.den) - n0, (c * inv_c) % self.p
+            quot[qn] = quot.get(qn, 0) + qc
+            rem = rem - _hahn({qn: qc}, den, self.p) * other
         raise ValueNotRepresentableError(
             "quotient does not have finite support (or exceeds division budget)"
         )
@@ -358,20 +398,19 @@ class HahnElem:
     def valuation(self) -> ExtValue:
         if self.is_zero():
             return ExtValue.infinity()
-        return ExtValue.of(rat1(self.terms[0][0]))
+        return ExtValue.of(rat1(Fraction(self.terms[0][0], self.den)))
 
     def frobenius_root(self, k: int = 1) -> "HahnElem":
         """Inverse Frobenius applied k times: exponents divide by p**k.
 
         Coefficients lie in the prime field and are fixed by p-th roots.
         """
-        q = Fraction(1, self.p**k)
-        return HahnElem(tuple((e * q, c) for e, c in self.terms), self.p)
+        return _hahn(dict(self.terms), self.den * self.p**k, self.p)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        return "+".join(f"{c}*t^({e})" for e, c in self.terms)
+        return "+".join(f"{c}*t^({Fraction(n, self.den)})" for n, c in self.terms)
 
 
 FieldElem = Union[PAdicRational, RationalFunctionElem, HahnElem]
@@ -392,10 +431,6 @@ class Backend:
         if self.p < 2:
             raise ValkitError("p must be at least 2")
 
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.kind == "padic" else self.p
-
     def zero(self) -> FieldElem:
         return self.from_int(0)
 
@@ -407,7 +442,7 @@ class Backend:
             return PAdicRational(Fraction(n), self.p)
         if self.kind == "ratfun":
             return RationalFunctionElem.make([n], [1], self.p)
-        return HahnElem.make({Fraction(0): n}, self.p)
+        return _hahn({0: n}, 1, self.p)
 
     def element_from_value(self, value) -> FieldElem:
         """Some element with the requested valuation (a uniformizer power)."""
@@ -451,7 +486,11 @@ def parse_hahn(text: str, p: int) -> HahnElem:
         m = _HAHN_TERM.match(part)
         if not m:
             raise ValkitError(f"malformed Hahn term {part!r}")
-        terms.append((Fraction(m.group("e") or 0), int(m.group("c"))))
+        try:
+            e = Fraction(m.group("e") or 0)
+        except ZeroDivisionError:
+            raise ValkitError(f"zero denominator in Hahn term {part!r}") from None
+        terms.append((e, int(m.group("c"))))
     return HahnElem.make(terms, p)
 
 

@@ -82,9 +82,6 @@ class GroupElem:
         r = _frac(r)
         return GroupElem(tuple(r * a for a in self.coords))
 
-    def __abs__(self):
-        return self if self >= GroupElem.zero(self.rank) else -self
-
     def __lt__(self, other):
         self._check(other)
         return self.coords < other.coords

@@ -162,10 +162,6 @@ class Verdict:
     witness: dict = field(default_factory=dict)
     reason: str = ""
 
-    @property
-    def decisive(self) -> bool:
-        return self.kind is not VerdictKind.INCONCLUSIVE
-
     def describe(self) -> dict:
         return {
             "kind": self.kind.value,

@@ -105,12 +105,6 @@ class Poly:
             k >>= 1
         return out
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.backend, (self.backend.zero(),) * k + self.coeffs)
-
     def eval(self, point: FieldElem) -> FieldElem:
         acc = self.backend.zero()
         for c in reversed(self.coeffs):

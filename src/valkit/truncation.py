@@ -104,10 +104,6 @@ class NuOracle:
         """Stabilization mode along the 1-based approximation family."""
         return NuOracle(g, family=family, window=window, budget=budget)
 
-    @property
-    def mode(self) -> str:
-        return "evaluation" if self._value_fn is not None else "stabilization"
-
     # -- the valuation ------------------------------------------------------
 
     def nu(self, f: Poly) -> ExtValue:

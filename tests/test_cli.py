@@ -237,6 +237,38 @@ class TestMain:
         assert main(["run", str(path)]) == 4
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "g, stage",
+        [
+            (["1*t^(1/0)", "2", "0", "1"], ["0", "1"]),
+            (["1*t^(-1)", "2", "0", "1"], ["0", "1*t^(-1/0)"]),
+        ],
+    )
+    def test_hahn_zero_denominator_exit_four(self, g, stage, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "scenario": "custom", "backend": "hahn", "p": 3, "g": g,
+            "stages": [{"poly": stage}], "oracle": "resultant",
+        }))
+        assert main(["run", str(path)]) == 4
+        assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "backend, g, stage, needs",
+        [
+            ("hahn", ["1*t^(-1)", "2", "0", "1"], {"family": "hensel_lift", "start": 0}, "padic"),
+            ("padic", ["2", "1", "1"], {"family": "artin_schreier", "va": "-1"}, "hahn"),
+        ],
+    )
+    def test_family_on_wrong_backend_exit_four(self, backend, g, stage, needs, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "scenario": "custom", "backend": backend, "p": 3, "g": g,
+            "stages": [stage], "oracle": "stabilization",
+        }))
+        assert main(["run", str(path)]) == 4
+        assert f"needs backend '{needs}'" in capsys.readouterr().err
+
     def test_integer_stage_coefficients_accepted(self):
         cfg = parse_config_dict(
             {

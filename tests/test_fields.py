@@ -1,4 +1,5 @@
 """Field backends: exact arithmetic, valuations, iterated-root partial sums."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -199,3 +200,124 @@ class TestUltrametric:
     def test_multiplicativity_hahn(self, a, b):
         va, vb = valuation(a), valuation(b)
         assert valuation(a * b) == va + vb
+
+
+# --- HahnElem against a reference model --------------------------------------
+#
+# The model is a plain {Fraction exponent: coefficient mod p} dict, so it
+# shares no code with the integer-exponent representation it checks.
+
+
+def model_of(x: HahnElem) -> dict:
+    return {Fraction(n, x.den): c for n, c in x.terms}
+
+
+def model_norm(m: dict, p: int) -> dict:
+    return {e: c % p for e, c in m.items() if c % p}
+
+
+def model_add(a: dict, b: dict, p: int) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return model_norm(out, p)
+
+
+def model_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return model_norm(out, p)
+
+
+def model_str(m: dict) -> str:
+    return "+".join(f"{m[e]}*t^({e})" for e in sorted(m)) or "0"
+
+
+def assert_canonical(x: HahnElem) -> None:
+    ns = [n for n, _ in x.terms]
+    assert x.den >= 1 and ns == sorted(set(ns))
+    assert all(1 <= c < x.p for _, c in x.terms)
+    assert math.gcd(x.den, *ns) == 1  # zero is ((), 1)
+
+
+def assert_matches(x: HahnElem, m: dict) -> None:
+    assert_canonical(x)
+    assert model_of(x) == m
+    rebuilt = HahnElem.make(m, x.p)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+@st.composite
+def hahn_models(draw, p, max_terms=4, allow_zero=True):
+    """A model whose exponents have denominators d * p**k."""
+    m = {}
+    for _ in range(draw(st.integers(0 if allow_zero else 1, max_terms))):
+        den = draw(st.integers(1, 6)) * p ** draw(st.integers(0, 2))
+        m[Fraction(draw(st.integers(-12, 12)), den)] = draw(st.integers(1, p - 1))
+    return m
+
+
+@st.composite
+def model_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return p, draw(hahn_models(p)), draw(hahn_models(p))
+
+
+class TestHahnAgainstModel:
+    @given(model_pairs())
+    def test_ring_operations(self, case):
+        p, ma, mb = case
+        a, b = HahnElem.make(ma, p), HahnElem.make(mb, p)
+        assert_matches(a, ma)
+        assert_matches(a + b, model_add(ma, mb, p))
+        assert_matches(-b, model_norm({e: -c for e, c in mb.items()}, p))
+        assert_matches(a - b, model_add(ma, {e: -c for e, c in mb.items()}, p))
+        assert_matches(a * b, model_mul(ma, mb, p))
+        cube = model_mul(model_mul(ma, ma, p), ma, p) if ma else {}
+        assert_matches(a**3, cube)
+        assert_matches(a**0, {Fraction(0): 1})
+
+    @given(model_pairs(), st.integers(0, 3))
+    def test_valuation_str_and_roots(self, case, k):
+        p, ma, _ = case
+        a = HahnElem.make(ma, p)
+        if ma:
+            assert valuation(a) == ExtValue.of(rat1(min(ma)))
+        else:
+            assert valuation(a).is_infinite
+        assert str(a) == model_str(ma)
+        assert parse_hahn(str(a), p) == a
+        assert_matches(a.frobenius_root(k), {e / p**k: c for e, c in ma.items()})
+
+    @given(model_pairs(), st.data())
+    def test_exact_division(self, case, data):
+        p, ma, mb = case
+        mono = data.draw(hahn_models(p, max_terms=1, allow_zero=False))
+        (e0, c0), = mono.items()
+        a = HahnElem.make(ma, p)
+        inv = pow(c0, p - 2, p)
+        quotient = model_norm({e - e0: c * inv for e, c in ma.items()}, p)
+        assert_matches(a / HahnElem.make(mono, p), quotient)
+        if mb:
+            # a multi-term quotient that is exact by construction
+            product = HahnElem.make(model_mul(ma, mb, p), p)
+            assert_matches(product / HahnElem.make(mb, p), ma)
+
+    @given(model_pairs())
+    def test_routes_agree(self, case):
+        p, ma, mb = case
+        a, b = HahnElem.make(ma, p), HahnElem.make(mb, p)
+        for other in ((a + b) - b, (a - b) + b, b + a - b):
+            assert other == a and hash(other) == hash(a)
+
+    def test_equal_exponents_from_different_routes(self):
+        assert parse_hahn("1*t^(2/4)", 3) == parse_hahn("1*t^(1/2)", 3)
+        assert hash(parse_hahn("1*t^(2/4)", 3)) == hash(parse_hahn("1*t^(1/2)", 3))
+        half = hahn(2, ("1/2", 1))
+        assert half * half == hahn(2, ("1", 1)) and (half * half).den == 1
+        root = hahn(3, ("3", 1)).frobenius_root(1)
+        assert root == hahn(3, ("1", 1)) and root.den == 1
+        zero = half - half
+        assert zero == HahnElem.make({}, 2) and (zero.terms, zero.den) == ((), 1)
