@@ -28,7 +28,6 @@ from .fields import (
     Backend,
     HahnElem,
     PAdicRational,
-    RationalFunctionElem,
     artin_schreier_partial_sum,
     valuation,
 )
@@ -55,7 +54,6 @@ from .kahler import (
     Verdict,
     VerdictKind,
     alpha_beta_segments,
-    b1_criterion,
     b_set,
     classify,
     first_minimizing_plateau,

@@ -44,6 +44,7 @@ from .keyseq import (
     ExplicitStage,
     FinalStage,
     KeySequence,
+    KeyStage,
     PlateauStage,
     ScheduleStage,
     artin_schreier_family,
@@ -104,6 +105,19 @@ def _int_at_least(raw, field: str, least: int) -> int:
     return raw
 
 
+def _start(raw, field: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError("start must be an integer", field)
+    return raw
+
+
+def _negative_va(raw, field: str) -> Fraction:
+    va = _rational(raw, field)
+    if not va < 0:
+        raise ConfigError("va must be negative (approximation regime)", field)
+    return va
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin over the first twelve prime bases, exact for n < 3.18e23."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -138,6 +152,33 @@ def _coefficients(raw, field: str, backend: str, p: int) -> tuple[str, ...]:
     return tuple(str(c) for c in raw)
 
 
+def _check_stage(st, backend: str, p: int) -> None:
+    """A custom stage: exactly one of `poly` or a known `family`.
+
+    `va` goes only on an artin_schreier stage and `start` only on a
+    hensel_lift stage.
+    """
+    if not isinstance(st, dict) or set(st) - {"poly", "family", "va", "start"}:
+        raise ConfigError("bad stage entry", "stages")
+    family = st.get("family")
+    if "poly" in st and "family" in st:
+        raise ConfigError("stage takes 'poly' or 'family', not both", "stages")
+    if "poly" not in st and not (isinstance(family, str) and family in _FAMILY_BACKEND):
+        raise ConfigError("stage needs 'poly' or a known 'family'", "stages")
+    if "poly" in st:
+        _coefficients(st["poly"], "stages", backend, p)
+    elif backend != _FAMILY_BACKEND[family]:
+        raise ConfigError(f"family {family!r} needs backend {_FAMILY_BACKEND[family]!r}", "stages")
+    if "va" in st:
+        if family != "artin_schreier":
+            raise ConfigError("va goes only on an artin_schreier stage", "stages")
+        _negative_va(st["va"], "stages")
+    if "start" in st:
+        if family != "hensel_lift":
+            raise ConfigError("start goes only on a hensel_lift stage", "stages")
+        _start(st["start"], "stages")
+
+
 def parse_config_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -169,10 +210,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("format must be 'text' or 'structured'", "format")
 
     if scenario == "artin-schreier":
-        va = _rational(data.get("va", "-1"), "va")
-        if not va < 0:
-            raise ConfigError("va must be negative (approximation regime)", "va")
-        cfg = replace(cfg, va=va)
+        cfg = replace(cfg, va=_negative_va(data.get("va", "-1"), "va"))
     elif scenario == "kummer-schedule":
         vp = _rational(data.get("vp", "1"), "vp")
         if not vp > 0:
@@ -198,9 +236,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         cfg = replace(cfg, vp=vp, gamma=gamma, scale=scale, schedule=schedule)
     elif scenario == "hensel-immediate":
         g = _coefficients(data.get("g", ["2", "1", "1"]), "g", "padic", p)
-        cfg = replace(cfg, g=g, start=data.get("start", 0))
-        if not isinstance(cfg.start, int):
-            raise ConfigError("start must be an integer", "start")
+        cfg = replace(cfg, g=g, start=_start(data.get("start", 0), "start"))
     elif scenario == "unramified":
         cfg = replace(cfg, g=_coefficients(data.get("g", ["1", "1", "1"]), "g", "padic", p))
     else:  # custom
@@ -215,15 +251,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         if not isinstance(stages, list) or not stages:
             raise ConfigError("stages must be a nonempty list", "stages")
         for st in stages:
-            if not isinstance(st, dict) or set(st) - {"poly", "family", "va", "start"}:
-                raise ConfigError("bad stage entry", "stages")
-            if not isinstance(st.get("start", 0), int):
-                raise ConfigError("start must be an integer", "stages")
-            for family, needs in _FAMILY_BACKEND.items():
-                if st.get("family") == family and data["backend"] != needs:
-                    raise ConfigError(f"family {family!r} needs backend {needs!r}", "stages")
-            if "poly" in st:
-                _coefficients(st["poly"], "stages", data["backend"], p)
+            _check_stage(st, data["backend"], p)
+        if data["oracle"] == "stabilization" and not any("family" in st for st in stages):
+            raise ConfigError("stabilization oracle needs a plateau family", "oracle")
         cfg = replace(
             cfg,
             backend=data["backend"],
@@ -289,65 +319,47 @@ def _artin_schreier_g(backend: Backend, a) -> Poly:
 
 
 def build_stream(cfg: ScenarioConfig) -> InvariantStream:
-    if cfg.scenario == "artin-schreier":
-        backend = Backend("hahn", cfg.p)
-        a = backend.element_from_value(cfg.va)
-        g = _artin_schreier_g(backend, a)
-        family = artin_schreier_family(backend, a, budget=cfg.budget)
-        nu = NuOracle.stabilization(g, family.center, window=cfg.window, budget=cfg.budget)
-        ks = KeySequence((PlateauStage(family),), FinalStage.of(g), cfg.p, backend)
-        validate_sequence(ks, nu, min(cfg.terms, 6))
-        return invariant_stream(ks, nu, cfg.terms)
-
     if cfg.scenario == "kummer-schedule":
         ks = KeySequence((_kummer_stage(cfg),), FinalStage(None, cfg.p), cfg.p)
         return invariant_stream(ks, None, cfg.terms)
 
-    if cfg.scenario == "hensel-immediate":
-        backend = Backend("padic", cfg.p)
-        g = Poly.make(backend, [backend.parse(c) for c in cfg.g])
-        family = hensel_family(backend, g, cfg.start, budget=cfg.budget)
-        nu = NuOracle.stabilization(g, family.center, window=cfg.window, budget=cfg.budget)
-        ks = KeySequence((PlateauStage(family),), FinalStage.of(g), cfg.p, backend)
-        validate_sequence(ks, nu, min(cfg.terms, 6))
-        return invariant_stream(ks, nu, cfg.terms)
-
-    if cfg.scenario == "unramified":
-        backend = Backend("padic", cfg.p)
-        g = Poly.make(backend, [backend.parse(c) for c in cfg.g])
+    backend, g, stages = _field_scenario(cfg)
+    families = [st.family for st in stages if isinstance(st, PlateauStage)]
+    if cfg.oracle == "resultant" or not families:
         nu = NuOracle.from_resultant(g, window=cfg.window, budget=cfg.budget)
-        ks = KeySequence((ExplicitStage(Poly.x(backend)),), FinalStage.of(g), cfg.p, backend)
-        validate_sequence(ks, nu)
-        return invariant_stream(ks, nu, cfg.terms)
-
-    # custom
-    backend = Backend(cfg.backend, cfg.p)
-    g = Poly.make(backend, [backend.parse(c) for c in cfg.g])
-    stages = []
-    family = None
-    for st in cfg.stages:
-        if "poly" in st:
-            stages.append(
-                ExplicitStage(Poly.make(backend, [backend.parse(str(c)) for c in st["poly"]]))
-            )
-        elif st.get("family") == "artin_schreier":
-            a = backend.element_from_value(_rational(st.get("va", "-1"), "va"))
-            family = artin_schreier_family(backend, a, budget=cfg.budget)
-            stages.append(PlateauStage(family))
-        elif st.get("family") == "hensel_lift":
-            family = hensel_family(backend, g, st.get("start", 0), budget=cfg.budget)
-            stages.append(PlateauStage(family))
-        else:
-            raise ConfigError("stage needs 'poly' or a known 'family'", "stages")
-    if cfg.oracle == "stabilization":
-        if family is None:
-            raise ConfigError("stabilization oracle needs a plateau family", "oracle")
-        nu = NuOracle.stabilization(g, family.center, window=cfg.window, budget=cfg.budget)
     else:
-        nu = NuOracle.from_resultant(g, window=cfg.window, budget=cfg.budget)
+        # Stabilize along the last plateau, the one that approaches a root of g.
+        nu = NuOracle.stabilization(g, families[-1].center, window=cfg.window, budget=cfg.budget)
     ks = KeySequence(tuple(stages), FinalStage.of(g), cfg.p, backend)
     validate_sequence(ks, nu, min(cfg.terms, 6))
     return invariant_stream(ks, nu, cfg.terms)
+
+
+def _field_scenario(cfg: ScenarioConfig) -> tuple[Backend, Poly, list[KeyStage]]:
+    """The backend, the support polynomial g and the key stages of a scenario."""
+    if cfg.scenario == "artin-schreier":
+        backend = Backend("hahn", cfg.p)
+        a = backend.element_from_value(cfg.va)
+        family = artin_schreier_family(backend, a, budget=cfg.budget)
+        return backend, _artin_schreier_g(backend, a), [PlateauStage(family)]
+    # hensel-immediate and unramified are p-adic; custom names its backend.
+    backend = Backend(cfg.backend or "padic", cfg.p)
+    g = Poly.make(backend, [backend.parse(c) for c in cfg.g])
+    if cfg.scenario == "hensel-immediate":
+        return backend, g, [PlateauStage(hensel_family(backend, g, cfg.start, budget=cfg.budget))]
+    if cfg.scenario == "unramified":
+        return backend, g, [ExplicitStage(Poly.x(backend))]
+    return backend, g, [_custom_stage(backend, g, st, cfg.budget) for st in cfg.stages]
+
+
+def _custom_stage(backend: Backend, g: Poly, st: dict, budget: int) -> KeyStage:
+    """One custom stage, as checked by `parse_config_dict`."""
+    if "poly" in st:
+        return ExplicitStage(Poly.make(backend, [backend.parse(str(c)) for c in st["poly"]]))
+    if st["family"] == "artin_schreier":
+        a = backend.element_from_value(Fraction(str(st.get("va", "-1"))))
+        return PlateauStage(artin_schreier_family(backend, a, budget=budget))
+    return PlateauStage(hensel_family(backend, g, st.get("start", 0), budget=budget))
 
 
 def _kummer_stage(cfg: ScenarioConfig) -> ScheduleStage:

@@ -35,12 +35,6 @@ class MonomialTerm:
     coefficient: FieldElem
     exponents: tuple[tuple[KeyIndex, int], ...]  # sorted, nonzero exponents
 
-    def exponent(self, index: KeyIndex) -> int:
-        for k, e in self.exponents:
-            if k == index:
-                return e
-        return 0
-
     def value(self, key_value, coeff_value) -> ExtValue:
         total = coeff_value(self.coefficient)
         for k, e in self.exponents:

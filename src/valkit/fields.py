@@ -1,11 +1,10 @@
 """Exact valued-field element backends.
 
-Three backends supply the base field (K, v) of a scenario:
+Two backends supply the base field (K, v) of a scenario:
 
-* ``padic``  -- rational numbers with the p-adic valuation,
-* ``ratfun`` -- rational functions over F_p with the t-adic valuation,
-* ``hahn``   -- finite-support generalized power series over F_p with
-                rational exponents, valued by the least exponent.
+* ``padic`` -- rational numbers with the p-adic valuation,
+* ``hahn``  -- finite-support generalized power series over F_p with
+               rational exponents, valued by the least exponent.
 
 A Hahn element stores its exponents as integer numerators over one
 denominator per element, kept minimal, so equal series compare and hash
@@ -57,10 +56,6 @@ class PAdicRational:
     value: Fraction
     p: int
 
-    @property
-    def backend(self) -> "Backend":
-        return Backend("padic", self.p)
-
     def _coerce(self, other):
         if isinstance(other, int):
             other = PAdicRational(Fraction(other), self.p)
@@ -90,10 +85,8 @@ class PAdicRational:
         return PAdicRational(self.value / other.value, self.p)
 
     def __pow__(self, k: int):
-        if k < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("inverse of zero")
-            return PAdicRational(self.value**k, self.p)
+        if k < 0 and self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
         return PAdicRational(self.value**k, self.p)
 
     def is_zero(self) -> bool:
@@ -106,167 +99,6 @@ class PAdicRational:
 
     def __str__(self):
         return str(self.value)
-
-
-# --- dense F_p[t] helpers (ascending coefficient tuples) -------------------
-
-def _fp_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _fp_neg(a, p):
-    return tuple((-x) % p for x in a)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = (a[-1] * inv_lead) % p
-        q[shift] = factor
-        for i, y in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * y) % p
-        a = list(_fp_trim(a))
-    return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_gcd(a, b, p):
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((x * inv) % p for x in a)
-    return a
-
-
-def _fp_order(a) -> int:
-    for i, x in enumerate(a):
-        if x:
-            return i
-    raise ValueError("zero polynomial has no order")
-
-
-@dataclass(frozen=True)
-class RationalFunctionElem:
-    """An element of F_p(t), reduced, with monic denominator."""
-
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-    p: int
-
-    @staticmethod
-    def make(num, den, p) -> "RationalFunctionElem":
-        num = _fp_trim([x % p for x in num])
-        den = _fp_trim([x % p for x in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            return RationalFunctionElem((), (1,), p)
-        g = _fp_gcd(num, den, p)
-        if len(g) > 1 or (g and g != (1,)):
-            num = _fp_divmod(num, g, p)[0]
-            den = _fp_divmod(den, g, p)[0]
-        inv = pow(den[-1], p - 2, p)
-        num = tuple((x * inv) % p for x in num)
-        den = tuple((x * inv) % p for x in den)
-        return RationalFunctionElem(num, den, p)
-
-    @property
-    def backend(self) -> "Backend":
-        return Backend("ratfun", self.p)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            other = RationalFunctionElem.make([other], [1], self.p)
-        if not isinstance(other, RationalFunctionElem) or other.p != self.p:
-            raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
-        return other
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        num = _fp_add(
-            _fp_mul(self.num, other.den, self.p),
-            _fp_mul(other.num, self.den, self.p),
-            self.p,
-        )
-        return RationalFunctionElem.make(num, _fp_mul(self.den, other.den, self.p), self.p)
-
-    def __neg__(self):
-        return RationalFunctionElem(_fp_neg(self.num, self.p), self.den, self.p)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunctionElem.make(
-            _fp_mul(self.num, other.num, self.p),
-            _fp_mul(self.den, other.den, self.p),
-            self.p,
-        )
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        return RationalFunctionElem.make(
-            _fp_mul(self.num, other.den, self.p),
-            _fp_mul(self.den, other.num, self.p),
-            self.p,
-        )
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return (RationalFunctionElem.make([1], [1], self.p) / self) ** (-k)
-        out = RationalFunctionElem.make([1], [1], self.p)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def valuation(self) -> ExtValue:
-        if self.is_zero():
-            return ExtValue.infinity()
-        return ExtValue.of(rat1(_fp_order(self.num) - _fp_order(self.den)))
-
-    def __str__(self):
-        def side(c):
-            return "+".join(f"{x}*t^{i}" if i else str(x) for i, x in enumerate(c) if x) or "0"
-
-        if self.den == (1,):
-            return side(self.num)
-        return f"({side(self.num)})/({side(self.den)})"
 
 
 def _hahn(acc: dict[int, int], den: int, p: int) -> "HahnElem":
@@ -306,10 +138,6 @@ class HahnElem:
             n = e.numerator * (den // e.denominator)
             acc[n] = acc.get(n, 0) + c
         return _hahn(acc, den, p)
-
-    @property
-    def backend(self) -> "Backend":
-        return Backend("hahn", self.p)
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -413,9 +241,9 @@ class HahnElem:
         return "+".join(f"{c}*t^({Fraction(n, self.den)})" for n, c in self.terms)
 
 
-FieldElem = Union[PAdicRational, RationalFunctionElem, HahnElem]
+FieldElem = Union[PAdicRational, HahnElem]
 
-_BACKEND_KINDS = ("padic", "ratfun", "hahn")
+_BACKEND_KINDS = ("padic", "hahn")
 
 
 @dataclass(frozen=True)
@@ -440,8 +268,6 @@ class Backend:
     def from_int(self, n: int) -> FieldElem:
         if self.kind == "padic":
             return PAdicRational(Fraction(n), self.p)
-        if self.kind == "ratfun":
-            return RationalFunctionElem.make([n], [1], self.p)
         return _hahn({0: n}, 1, self.p)
 
     def element_from_value(self, value) -> FieldElem:
@@ -459,19 +285,12 @@ class Backend:
             raise ValueNotRepresentableError(
                 f"{self.kind} backend has integer value group; got {value}"
             )
-        k = value.numerator
-        if self.kind == "padic":
-            return PAdicRational(Fraction(self.p) ** k, self.p)
-        if k >= 0:
-            return RationalFunctionElem.make([0] * k + [1], [1], self.p)
-        return RationalFunctionElem.make([1], [0] * (-k) + [1], self.p)
+        return PAdicRational(Fraction(self.p) ** value.numerator, self.p)
 
     def parse(self, text: str) -> FieldElem:
         if self.kind == "padic":
             return PAdicRational(Fraction(text.strip()), self.p)
-        if self.kind == "hahn":
-            return parse_hahn(text, self.p)
-        raise ValkitError("ratfun elements are built from num/den coefficient lists")
+        return parse_hahn(text, self.p)
 
 
 _HAHN_TERM = re.compile(

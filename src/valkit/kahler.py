@@ -24,8 +24,8 @@ The three independent routes to the vanishing decision:
   beta-tilde domination and expansion-support witness; respectively first
   minimizing plateau, beta-tilde regeneration and weak limit relative to
   the largest invariant subgroup);
-* `b1_criterion` -- slot 1 of the expansion of g staying below the
-  instability cut along the single plateau.
+* `b_set` -- slot 1 of the expansion of g staying below the instability
+  cut along the single plateau (`BSetReport.b1`).
 
 Valid scenario data makes all three agree; structural violations raise
 `ScenarioDataError` instead of producing a verdict.
@@ -819,12 +819,4 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
         # already validated against the certificate for the g column.
         return "values", Tail(Diverging(increasing=True))
     return "values", None
-
-
-def b1_criterion(stream: InvariantStream) -> bool:
-    """The single-plateau vanishing test: slot 1 stays inside the cut."""
-    b1 = b_set(stream).b1
-    if b1 is None:
-        raise InconclusiveError("slot 1 membership undecided")
-    return b1
 

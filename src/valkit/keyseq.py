@@ -2,10 +2,10 @@
 
 A sequence consists of finitely many stages of non-decreasing degree
 followed by the final (support) polynomial.  A stage is either explicit --
-one polynomial with its value data -- or a plateau: an infinite family of
-same-degree keys with strictly increasing values and no last element,
-materialized lazily through a thread-safe generator so probe budgets apply
-uniformly to every consumer.
+one key polynomial -- or a plateau: an infinite family of same-degree keys
+with strictly increasing values and no last element, materialized lazily
+through a thread-safe generator so probe budgets apply uniformly to every
+consumer.
 
 Built-in plateau families:
 
@@ -24,12 +24,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    LawMismatchError,
-    ScenarioDataError,
-    ValkitError,
-    ValueNotRepresentableError,
-)
+from .errors import ScenarioDataError, ValkitError, ValueNotRepresentableError
 from .fields import Backend, FieldElem, HahnElem, _padic_order, artin_schreier_partial_sum
 from .groups import ClosedForm, ExtValue, FiniteList, GroupElem, rat1
 from .poly import Poly
@@ -95,11 +90,9 @@ class PlateauFamily:
 
 @dataclass(frozen=True)
 class ExplicitStage:
-    """A single key with optional declared value data (validated later)."""
+    """A single key polynomial."""
 
     poly: Poly
-    nu_key: GroupElem | None = None
-    nu_key_deriv: GroupElem | None = None
 
     @property
     def degree(self) -> int:
@@ -218,9 +211,6 @@ class KeySequence:
                 out.extend(KeyIndex(pos, n) for n in range(1, count + 1))
         return out
 
-    def has_plateau(self) -> bool:
-        return any(not isinstance(s, ExplicitStage) for s in self.stages)
-
     def istar_has_max(self) -> bool:
         """Whether the index set below g has a maximal element."""
         if not self.stages:
@@ -295,26 +285,12 @@ def validate_sequence(
 ) -> None:
     """Checkable key-sequence consequences on the materialized prefix.
 
-    Verifies strict value increase inside each plateau, monicity of g over
-    every earlier key, and declared stage values where present.
+    Verifies strict value increase inside each plateau and monicity of g
+    over every earlier key.
     """
     g = ks.final.poly
     for pos, stage in enumerate(ks.stages):
         if isinstance(stage, ExplicitStage):
-            if stage.nu_key is not None:
-                got = nu.nu(stage.poly)
-                if got != ExtValue.of(stage.nu_key):
-                    raise LawMismatchError(
-                        f"declared key value {stage.nu_key} != computed {got}"
-                    )
-            if stage.nu_key_deriv is not None:
-                from .poly import derivative
-
-                got = nu.nu(derivative(stage.poly))
-                if got != ExtValue.of(stage.nu_key_deriv):
-                    raise LawMismatchError(
-                        f"declared key derivative value {stage.nu_key_deriv} != computed {got}"
-                    )
             if g is not None and not nu.expand(g, stage.poly).is_monic():
                 raise ScenarioDataError("g is not monic over an explicit key")
         elif isinstance(stage, PlateauStage):

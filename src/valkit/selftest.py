@@ -59,16 +59,6 @@ def _random_elem(rng: random.Random, backend: Backend, allow_zero: bool = True):
         if not allow_zero and num == 0:
             num = 1
         return PAdicRational(Fraction(num, rng.randint(1, 24)), backend.p)
-    if backend.kind == "ratfun":
-        from .fields import RationalFunctionElem
-
-        num = [rng.randrange(backend.p) for _ in range(rng.randint(1, 3))]
-        if not any(num):
-            num[0] = 1 if not allow_zero else num[0]
-        den = [rng.randrange(backend.p) for _ in range(rng.randint(1, 3))]
-        if not any(den):
-            den[-1] = 1
-        return RationalFunctionElem.make(num, den, backend.p)
     from .fields import HahnElem
 
     terms = {}
@@ -90,7 +80,7 @@ def _random_poly(rng, backend, max_deg, allow_zero=True) -> Poly:
 
 
 def _random_backend(rng) -> Backend:
-    kind = rng.choice(("padic", "ratfun", "hahn"))
+    kind = rng.choice(("padic", "hahn"))
     return Backend(kind, rng.choice((2, 3, 5)))
 
 

@@ -4,8 +4,8 @@
 modulo the monic minimal polynomial g of eta.  Two modes are provided:
 
 * evaluation mode holds an exact value functional for polynomials of degree
-  below deg(g) -- built from an explicit element image, from a norm/resultant
-  formula (valid when the valuation extends uniquely), or supplied directly;
+  below deg(g) -- built from a norm/resultant formula (valid when the
+  valuation extends uniquely), or passed to the constructor as `value_fn`;
 * stabilization mode evaluates f_0 along a pseudo-convergent approximation
   family and returns the value once a window of consecutive evaluations
   agrees.  For deg(f_0) < deg(g) the evaluations are eventually constant
@@ -62,19 +62,6 @@ class NuOracle:
         self._lock = threading.Lock()
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_value_fn(g: Poly, fn: Callable[[Poly], ExtValue], **kw) -> "NuOracle":
-        return NuOracle(g, value_fn=fn, **kw)
-
-    @staticmethod
-    def from_eta_image(g: Poly, image: Callable[[Poly], FieldElem], **kw) -> "NuOracle":
-        """Evaluation mode from an explicit model of eta.
-
-        `image` maps a polynomial of degree < deg(g) to its value at eta in
-        some exact field; nu is the valuation of that element.
-        """
-        return NuOracle(g, value_fn=lambda f: valuation(image(f)), **kw)
 
     @staticmethod
     def from_resultant(g: Poly, **kw) -> "NuOracle":

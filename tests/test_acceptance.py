@@ -17,7 +17,7 @@ from valkit.groups import CanonicalSegment, rat1
 from valkit.kahler import (
     VerdictKind,
     alpha_beta_segments,
-    b1_criterion,
+    b_set,
     classify,
     omega_verdict,
 )
@@ -70,7 +70,7 @@ def test_criterion_2_artin_schreier_verdict():
             assert v_cls.kind is VerdictKind.OMEGA_ZERO and v_cls.case == "ii"
             assert v_cls.witness["delta_suffix_len"] == 0
             assert v_cls.witness["wlim_branch"] == 2
-            assert b1_criterion(stream) is True
+            assert b_set(stream).b1 is True
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_criterion_3_kummer_threshold():
             at = stream_for({"scenario": "kummer-schedule", "p": p, "vp": "1"})
             assert omega_verdict(at).kind is VerdictKind.OMEGA_ZERO
             assert classify(at).kind is VerdictKind.OMEGA_ZERO
-            assert b1_criterion(at) is True
+            assert b_set(at).b1 is True
 
             below_gamma = vp / (p - 1) - Fraction(1, 7)
             below = stream_for(
@@ -92,7 +92,7 @@ def test_criterion_3_kummer_threshold():
             )
             assert omega_verdict(below).kind is VerdictKind.OMEGA_NONZERO
             assert classify(below).kind is VerdictKind.OMEGA_NONZERO
-            assert b1_criterion(below) is False
+            assert b_set(below).b1 is False
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +179,9 @@ def test_criterion_6_agreement():
             stream = build_stream(cfg)
             kinds = {omega_verdict(stream).kind, classify(stream).kind}
             try:
-                kinds.add(
-                    VerdictKind.OMEGA_ZERO if b1_criterion(stream) else VerdictKind.OMEGA_NONZERO
-                )
+                b1 = b_set(stream).b1
+                assert b1 is not None, cfg
+                kinds.add(VerdictKind.OMEGA_ZERO if b1 else VerdictKind.OMEGA_NONZERO)
             except HypothesisViolatedError:
                 pass
             # never a contradictory decisive pair

@@ -1,9 +1,14 @@
 """Configuration parsing, report determinism, command-line surface."""
 import concurrent.futures
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from valkit.cli import (
     ScenarioConfig,
@@ -184,6 +189,66 @@ class TestMain:
         code = main(["run", str(path)])
         err = capsys.readouterr().err
         assert code == 4 and "start must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "backend, g, stages, oracle, message",
+        [
+            ("padic", ["2", "1", "1"], [{"family": "nope"}], "resultant", "known 'family'"),
+            ("padic", ["2", "1", "1"], [{}], "resultant", "known 'family'"),
+            (
+                "padic", ["2", "1", "1"], [{"poly": ["0", "1"], "family": "hensel_lift"}],
+                "resultant", "not both",
+            ),
+            (
+                "hahn", ["1*t^(-1)", "1", "1"], [{"family": "artin_schreier", "va": "1/0"}],
+                "stabilization", "not an exact rational",
+            ),
+            (
+                "hahn", ["1*t^(-1)", "1", "1"], [{"family": "artin_schreier", "va": "1"}],
+                "stabilization", "va must be negative",
+            ),
+            (
+                "padic", ["2", "1", "1"], [{"family": "hensel_lift", "va": "-1"}],
+                "stabilization", "va goes only on an artin_schreier stage",
+            ),
+            (
+                "hahn", ["1*t^(-1)", "1", "1"], [{"family": "artin_schreier", "start": 0}],
+                "stabilization", "start goes only on a hensel_lift stage",
+            ),
+            (
+                "padic", ["2", "1", "1"], [{"poly": ["0", "1"], "start": 0}],
+                "resultant", "start goes only on a hensel_lift stage",
+            ),
+            (
+                "padic", ["1", "1", "1"], [{"poly": ["0", "1"]}],
+                "stabilization", "stabilization oracle needs a plateau family",
+            ),
+        ],
+    )
+    def test_bad_custom_stage_exit_four(self, backend, g, stages, oracle, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "scenario": "custom", "backend": backend, "p": 2, "g": g,
+            "stages": stages, "oracle": oracle,
+        }))
+        assert main(["run", str(path)]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"scenario": "hensel-immediate", "start": True},
+            {
+                "scenario": "custom", "backend": "padic", "p": 2, "g": ["2", "1", "1"],
+                "stages": [{"family": "hensel_lift", "start": True}], "oracle": "stabilization",
+            },
+        ],
+    )
+    def test_boolean_start_exit_four(self, data, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 4
+        assert "start must be an integer" in capsys.readouterr().err
 
     def test_infinite_value_below_g_exit_three(self, tmp_path, capsys):
         # g = x^2: the key x divides g, so values below g become infinite
@@ -389,3 +454,74 @@ class TestCustomScenario:
     def test_custom_requires_all_fields(self):
         with pytest.raises(ConfigError):
             parse_config_dict({"scenario": "custom", "backend": "padic"})
+
+
+# Generated configs: small valid sizes, and mostly valid values with some
+# invalid ones mixed in, so that both the parse checks and the runs are
+# reached.
+_rationals = st.sampled_from(["-1", "-1/2", "-3/4", "-2", "-1/3", -1, "0", "1", "1/0", True])
+_int_coeffs = st.lists(st.sampled_from(["0", "1", "2", "-1", "3", "1/2"]), min_size=1, max_size=4)
+_hahn_coeffs = st.lists(
+    st.sampled_from(["0", "1", "1*t^(-1)", "2*t^(1/2)", "1*t^(-1/3)", "1*t^(1/0)"]),
+    min_size=1, max_size=4,
+)
+_starts = st.sampled_from([0, 1, 2, 3, -1, True, "1"])
+_sizes = st.fixed_dictionaries({
+    "p": st.sampled_from([2, 3]),
+    "terms": st.integers(2, 4),
+    "window": st.integers(2, 3),
+    "budget": st.integers(3, 8),
+})
+
+
+def _stage(backend):
+    poly = st.fixed_dictionaries({"poly": _int_coeffs if backend == "padic" else _hahn_coeffs})
+    family = st.fixed_dictionaries(
+        {"family": st.sampled_from(["hensel_lift", "artin_schreier", "nope"])},
+        optional={"va": _rationals, "start": _starts},
+    )
+    return st.one_of(poly, family)
+
+
+def _custom(backend):
+    return st.fixed_dictionaries({
+        "scenario": st.just("custom"),
+        "backend": st.just(backend),
+        "g": _int_coeffs if backend == "padic" else _hahn_coeffs,
+        "stages": st.lists(_stage(backend), min_size=1, max_size=2),
+        "oracle": st.sampled_from(["resultant", "stabilization"]),
+    })
+
+
+_configs = st.tuples(
+    _sizes,
+    st.one_of(
+        st.fixed_dictionaries({"scenario": st.just("artin-schreier")}, optional={"va": _rationals}),
+        st.fixed_dictionaries(
+            {"scenario": st.just("hensel-immediate")}, optional={"g": _int_coeffs, "start": _starts}
+        ),
+        st.fixed_dictionaries({"scenario": st.just("unramified")}, optional={"g": _int_coeffs}),
+        _custom("padic"),
+        _custom("hahn"),
+    ),
+).map(lambda pair: {**pair[0], **pair[1], "format": "structured"})
+
+
+class TestGeneratedConfigs:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_configs)
+    def test_every_config_ends_in_an_exit_code(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", path])
+        assert code in (0, 2, 3, 4)
+        if code == 4:
+            assert "configuration error" in err.getvalue()
+        else:
+            # A config the parser accepted never fails as a config later.
+            report = json.loads(out.getvalue())
+            assert "ConfigError" not in (report["error"] or "")

@@ -18,7 +18,6 @@ from valkit.groups import (
 from valkit.kahler import (
     VerdictKind,
     alpha_beta_segments,
-    b1_criterion,
     b_set,
     classify,
     first_minimizing_plateau,
@@ -195,7 +194,7 @@ class TestBSet:
         report = b_set(AS2)
         assert report.cut.kind == "open_below" and report.cut.bound == rat1(0)
         assert report.b_set == frozenset({1})
-        assert report.b1 and b1_criterion(AS2)
+        assert report.b1 is True
 
     def test_artin_schreier_p3_vanishing_slot(self):
         report = b_set(AS3)
@@ -258,7 +257,7 @@ class TestCriterionAgreement:
         assert v1.kind is expected
         assert v2.kind is expected
         try:
-            assert b1_criterion(stream) is expect_zero
+            assert b_set(stream).b1 is expect_zero
         except HypothesisViolatedError:
             pass  # criterion not applicable; the other two decided
 

@@ -140,14 +140,14 @@ class TestEvaluationAgreement:
             Poly.make(backend, [PAdicRational(Fraction(1, 2), 2), backend.one()]),
             Poly.make(backend, [PAdicRational(Fraction(3, 4), 2), backend.from_int(2)]),
         ]
-        eval_nu = NuOracle.from_value_fn(g, lambda f: hensel_eval_value(backend, g, f))
+        eval_nu = NuOracle(g, value_fn=lambda f: hensel_eval_value(backend, g, f))
         for f in probes:
             assert nu.nu(f) == eval_nu.nu(f), str(f)
 
     def test_eta_image_oracle(self):
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [-5, 1])  # eta = 5 inside K itself
-        nu = NuOracle.from_eta_image(g, lambda f: f.eval(backend.from_int(5)))
+        nu = NuOracle(g, value_fn=lambda f: valuation(f.eval(backend.from_int(5))))
         assert nu.nu(Poly.from_ints(backend, [-3, 1])) == ExtValue.of(rat1(1))
         assert nu.nu(Poly.from_ints(backend, [-5, 1])).is_infinite
         assert nu.nu(Poly.from_ints(backend, [3])) == ExtValue.of(rat1(0))
