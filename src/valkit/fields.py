@@ -6,6 +6,11 @@ Two backends supply the base field (K, v) of a scenario:
 * ``hahn``  -- finite-support generalized power series over F_p with
                rational exponents, valued by the least exponent.
 
+A p-adic element's value is an `int` when it is integral and a `Fraction`
+otherwise, so the integral centers and coefficients of the lift families
+stay in integer arithmetic; division and negative powers go through
+`Fraction` and come back to the canonical form.
+
 A Hahn element stores its exponents as integer numerators over one
 denominator per element, kept minimal, so equal series compare and hash
 equal without `Fraction` arithmetic; `Fraction` appears only where
@@ -37,7 +42,7 @@ from .groups import ExtValue, GroupElem, rat1
 _HAHN_DIV_BUDGET = 4096
 
 
-def _padic_order(x: Fraction, p: int) -> int:
+def _padic_order(x: int | Fraction, p: int) -> int:
     num, den = x.numerator, x.denominator
     k = 0
     while num % p == 0:
@@ -49,45 +54,59 @@ def _padic_order(x: Fraction, p: int) -> int:
     return k
 
 
+def _padic(value: int | Fraction, p: int) -> "PAdicRational":
+    """The canonical element: an `int` value when integral, else a `Fraction`."""
+    if type(value) is not int and value.denominator == 1:
+        value = value.numerator
+    return PAdicRational(value, p)
+
+
 @dataclass(frozen=True)
 class PAdicRational:
-    """An exact rational carrying the p-adic valuation."""
+    """An exact rational carrying the p-adic valuation.
 
-    value: Fraction
+    `value` is an `int` when the rational is integral and a `Fraction`
+    otherwise (`_padic` builds every element), so sums, differences and
+    products of integers never leave `int` arithmetic.  An `int` and the
+    equal `Fraction` compare, hash and print alike.
+    """
+
+    value: int | Fraction
     p: int
 
     def _coerce(self, other):
         if isinstance(other, int):
-            other = PAdicRational(Fraction(other), self.p)
+            other = PAdicRational(int(other), self.p)
         if not isinstance(other, PAdicRational) or other.p != self.p:
             raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
         return other
 
     def __add__(self, other):
         other = self._coerce(other)
-        return PAdicRational(self.value + other.value, self.p)
+        return _padic(self.value + other.value, self.p)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return PAdicRational(self.value - other.value, self.p)
+        return _padic(self.value - other.value, self.p)
 
     def __neg__(self):
         return PAdicRational(-self.value, self.p)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return PAdicRational(self.value * other.value, self.p)
+        return _padic(self.value * other.value, self.p)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        return PAdicRational(self.value / other.value, self.p)
+        return _padic(Fraction(self.value) / other.value, self.p)
 
     def __pow__(self, k: int):
         if k < 0 and self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return PAdicRational(self.value**k, self.p)
+        # Through Fraction: an int to a negative power would be a float.
+        return _padic(Fraction(self.value) ** k, self.p)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -267,7 +286,7 @@ class Backend:
 
     def from_int(self, n: int) -> FieldElem:
         if self.kind == "padic":
-            return PAdicRational(Fraction(n), self.p)
+            return _padic(n, self.p)
         return _hahn({0: n}, 1, self.p)
 
     def element_from_value(self, value) -> FieldElem:
@@ -285,11 +304,11 @@ class Backend:
             raise ValueNotRepresentableError(
                 f"{self.kind} backend has integer value group; got {value}"
             )
-        return PAdicRational(Fraction(self.p) ** value.numerator, self.p)
+        return _padic(Fraction(self.p) ** value.numerator, self.p)
 
     def parse(self, text: str) -> FieldElem:
         if self.kind == "padic":
-            return PAdicRational(Fraction(text.strip()), self.p)
+            return _padic(Fraction(text.strip()), self.p)
         return parse_hahn(text, self.p)
 
 

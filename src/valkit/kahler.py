@@ -11,7 +11,10 @@ schedules alike: a memoized row per key index serves the records and every
 tail fit.  Plateau columns additionally carry a `groups.Tail`: an exact
 geometric law ``c * p**-n + d`` with the scenario's own ``p``, fitted on
 four consecutive computed terms and verified on four more, or a divergence
-certificate inherited from the family's construction.  Segments
+certificate inherited from the family's construction.  Where a family has
+a certificate it decides first: only the two columns it reads (nu(Q_n')
+and nu_n(g')) and the columns it leaves open are fitted, so no fit probes
+rows for the columns the certificate proves unbounded.  Segments
 (`CanonicalSegment`), verdicts and the expansion-slot criterion are decided
 from those tails; a column without one (data following another ratio, for
 instance) yields an inconclusive outcome, never a guess.
@@ -83,6 +86,8 @@ COLUMNS = (
     "nu_i_g",
     "nu_i_gprime",
 )
+# The columns `_apply_divergence_cert` reads to decide the others.
+_CERT_PARTNERS = ("nu_key_deriv", "nu_i_gprime")
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,8 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     synthesizes them from its value laws (linear keys, so nu(Q') = 0), and a
     sequence of schedules alone comes with ``nu=None`` and its own nu(g').
     Tails are laws fitted and re-verified on further exact rows, or the
-    family's divergence certificate.
+    family's divergence certificate, which decides its columns before any
+    fit runs.
     """
     if nu is None:
         schedules = [s for s in ks.stages if isinstance(s, ScheduleStage)]
@@ -241,24 +247,31 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         records.extend(row(KeyIndex(pos, n)) for n in range(1, count + 1))
         block = records[start:]
 
-        def extender(name: str, pos=pos, limit=limit):
+        def fit(name: str, pos=pos, block=block, limit=limit) -> Tail | None:
             def extend(k: int) -> GroupElem | None:
                 if limit is not None and k + 1 > limit:
                     return None
                 return row(KeyIndex(pos, k + 1)).column(name)
 
-            return extend
-
-        tails = {
-            name: fit_closed_form(
+            return fit_closed_form(
                 [r.column(name) for r in block],
                 ks.p,
-                extend=None if limit == count else extender(name),
+                extend=None if limit == len(block) else extend,
             )
-            for name in COLUMNS
-        }
-        if isinstance(stage, PlateauStage) and stage.family.divergence_bound is not None:
-            tails = _apply_divergence_cert(block, tails, stage.family.divergence_bound)
+
+        cert = stage.family.divergence_bound if isinstance(stage, PlateauStage) else None
+        if cert is None:
+            tails = {name: fit(name) for name in COLUMNS}
+        else:
+            # The certificate decides the diverging columns before any fit
+            # probes them; only the partners it needs and what it leaves
+            # open are fitted.
+            decided = _apply_divergence_cert(
+                block, {name: fit(name) for name in _CERT_PARTNERS}, cert
+            )
+            tails = {
+                name: decided[name] if name in decided else fit(name) for name in COLUMNS
+            }
         infos.append(PlateauInfo(pos, stage.degree, start, count, tails))
 
     return InvariantStream(tuple(records), tuple(infos), nu_gprime, ks, nu, terms=terms)
@@ -282,7 +295,8 @@ def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
     truncated values of g (every expansion slot of g carries nonnegative
     coefficient value for an integral family, so nu_n(g) >= nu(Q_n)).
     Columns paired with an eventually constant partner then diverge with
-    the key value.
+    the key value.  A column missing from `tails` counts as unknown, so
+    the fits of `_CERT_PARTNERS` are all the certificate needs.
     """
     for n, rec in enumerate(block, start=1):
         if not rec.nu_key >= bound(n):
@@ -294,16 +308,16 @@ def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
     out = dict(tails)
     up = Tail(Diverging(increasing=True))
     down = Tail(Diverging(increasing=False))
-    if out["nu_key"] is None:
+    if out.get("nu_key") is None:
         out["nu_key"] = up
-    if out["nu_i_g"] is None:
+    if out.get("nu_i_g") is None:
         out["nu_i_g"] = up
     g_diverges = isinstance(out["nu_i_g"].law, Diverging)
-    if _is_constant(out["nu_key_deriv"]) and out["alpha"] is None:
+    if _is_constant(out["nu_key_deriv"]) and out.get("alpha") is None:
         out["alpha"] = down
-    if g_diverges and out["beta"] is None:
+    if g_diverges and out.get("beta") is None:
         out["beta"] = down
-    if _is_constant(out["nu_i_gprime"]) and g_diverges and out["beta_tilde"] is None:
+    if _is_constant(out["nu_i_gprime"]) and g_diverges and out.get("beta_tilde") is None:
         out["beta_tilde"] = down
     return out
 

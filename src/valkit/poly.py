@@ -106,8 +106,11 @@ class Poly:
         return out
 
     def eval(self, point: FieldElem) -> FieldElem:
-        acc = self.backend.zero()
-        for c in reversed(self.coeffs):
+        """Horner's rule, starting from the leading coefficient."""
+        if not self.coeffs:
+            return self.backend.zero()
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * point + c
         return acc
 

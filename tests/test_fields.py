@@ -298,3 +298,97 @@ class TestHahnAgainstModel:
         assert root == hahn(3, ("1", 1)) and root.den == 1
         zero = half - half
         assert zero == HahnElem.make({}, 2) and (zero.terms, zero.den) == ((), 1)
+
+
+# ---------------------------------------------------------------------------
+# PAdicRational against a plain Fraction model
+# ---------------------------------------------------------------------------
+
+
+def padic(p, x: Fraction) -> PAdicRational:
+    return Backend("padic", p).parse(f"{x.numerator}/{x.denominator}")
+
+
+def model_order(x: Fraction, p: int) -> int:
+    """The p-adic order of a nonzero rational, by the largest dividing power."""
+
+    def power(n: int) -> int:
+        k = 0
+        while n % p ** (k + 1) == 0:
+            k += 1
+        return k
+
+    return power(x.numerator) - power(x.denominator)
+
+
+def assert_padic(x: PAdicRational, m: Fraction) -> None:
+    assert x.value == m
+    assert (type(x.value) is int) == (m.denominator == 1)
+    assert str(x) == str(m)
+    rebuilt = padic(x.p, m)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+@st.composite
+def padic_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rationals = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 60))
+    return p, draw(rationals), draw(rationals)
+
+
+class TestPAdicAgainstModel:
+    @given(padic_pairs())
+    def test_field_operations(self, case):
+        p, ma, mb = case
+        a, b = padic(p, ma), padic(p, mb)
+        assert_padic(a, ma)
+        assert_padic(a + b, ma + mb)
+        assert_padic(a - b, ma - mb)
+        assert_padic(-a, -ma)
+        assert_padic(a * b, ma * mb)
+        if mb:
+            assert_padic(a / b, ma / mb)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+
+    @given(padic_pairs(), st.integers(-3, 3))
+    def test_powers_and_valuation(self, case, k):
+        p, ma, _ = case
+        a = padic(p, ma)
+        if ma == 0 and k < 0:
+            with pytest.raises(ZeroDivisionError):
+                a**k
+        else:
+            assert_padic(a**k, ma**k)
+        if ma:
+            assert valuation(a) == ExtValue.of(rat1(model_order(ma, p)))
+        else:
+            assert valuation(a).is_infinite
+
+    @given(padic_pairs())
+    def test_routes_agree(self, case):
+        p, ma, mb = case
+        a, b = padic(p, ma), padic(p, mb)
+        routes = [(a + b) - b, (a - b) + b, b + a - b]
+        if mb:
+            routes += [(a * b) / b, (a / b) * b]
+        for other in routes:
+            assert other == a and hash(other) == hash(a)
+            assert type(other.value) is type(a.value)
+
+    def test_equal_values_from_different_routes(self):
+        padic3 = Backend("padic", 3)
+        three = padic3.from_int(3)
+        for other in (
+            padic3.parse("6/2"),
+            padic3.element_from_value(1),
+            padic3.from_int(6) / padic3.from_int(2),
+            padic3.parse("1/2") * padic3.from_int(6),
+            (padic3.parse("1/3") ** -1),
+            three + 0,
+        ):
+            assert other == three and hash(other) == hash(three)
+            assert type(other.value) is int
+        assert padic3.element_from_value(-2) == padic3.parse("1/9")
+        assert type(padic3.element_from_value(-2).value) is Fraction

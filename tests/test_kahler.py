@@ -1,8 +1,11 @@
 """Invariant streams, segments and the three vanishing criteria."""
+import functools
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from valkit.cli import parse_config_dict, build_stream
 from valkit.errors import HypothesisViolatedError, ScenarioDataError
@@ -12,11 +15,14 @@ from valkit.groups import (
     Diverging,
     FiniteList,
     SegmentRelation,
+    fit_closed_form,
     rat1,
     segment_compare,
 )
 from valkit.kahler import (
+    COLUMNS,
     VerdictKind,
+    _apply_divergence_cert,
     alpha_beta_segments,
     b_set,
     classify,
@@ -25,7 +31,8 @@ from valkit.kahler import (
     invariant_stream,
     omega_verdict,
 )
-from valkit.keyseq import CoefValueLaw, FinalStage, KeySequence, ScheduleStage
+from valkit.keyseq import CoefValueLaw, FinalStage, KeyIndex, KeySequence, ScheduleStage
+from valkit.poly import derivative
 from valkit.truncation import NuOracle
 
 
@@ -79,7 +86,7 @@ class TestInvariantStream:
 class TestRowMemo:
     def test_hensel_rows_built_once(self, monkeypatch):
         # every row index costs exactly two truncations (of g and of g'),
-        # however many column fits extend through it
+        # and the stream builds no row beyond its `terms`
         bases = Counter()
         nu_q = NuOracle.nu_q
 
@@ -89,7 +96,8 @@ class TestRowMemo:
 
         monkeypatch.setattr(NuOracle, "nu_q", counted)
         stream = stream_for({"scenario": "hensel-immediate"})
-        assert len(bases) > len(stream.records)  # the fits probed further rows
+        # the certificate decides the columns whose fits probed further rows
+        assert len(bases) == len(stream.records) == stream.terms == 8
         assert set(bases.values()) == {2}
 
     def test_b_set_expands_g_once_per_term(self, expansions):
@@ -107,6 +115,67 @@ class TestRowMemo:
         assert KUMMER_AT.nu is None
         assert KUMMER_AT.nu_gprime == stage.nu_gprime == rat1(1)
         assert KUMMER_AT.g_degree == 3 and not KUMMER_AT.istar_has_max
+
+
+@st.composite
+def hensel_configs(draw):
+    """Monic integral quadratic with a simple residue root and no rational root."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    start = draw(st.integers(0, p - 1))
+    b = draw(st.integers(-20, 20))
+    if (2 * start + b) % p == 0:
+        b += 1  # g'(start) a unit
+    c = -(start * start + b * start) + p * draw(st.integers(-6, 6))
+    disc = b * b - 4 * c
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    return {
+        "scenario": "hensel-immediate", "p": p, "terms": draw(st.integers(2, 16)),
+        "g": [str(c), str(b), "1"], "start": start,
+    }
+
+
+def reference_tails(stream, info):
+    """Every column fitted with extension to the budget, then the certificate."""
+    ks, nu = stream.ks, stream.nu
+    family = ks.stages[info.stage_pos].family
+    gp = derivative(ks.g)
+
+    @functools.cache
+    def row(n):
+        q = ks.key_poly(KeyIndex(info.stage_pos, n))
+        nu_key, nu_key_deriv = nu.nu(q).expect_finite(), nu.nu(derivative(q)).expect_finite()
+        nu_i_g, nu_i_gp = nu.nu_q(ks.g, q).expect_finite(), nu.nu_q(gp, q).expect_finite()
+        return {
+            "nu_key": nu_key, "nu_key_deriv": nu_key_deriv, "alpha": nu_key_deriv - nu_key,
+            "beta": stream.nu_gprime - nu_i_g, "beta_tilde": nu_i_gp - nu_i_g,
+            "nu_i_g": nu_i_g, "nu_i_gprime": nu_i_gp,
+        }
+
+    def extender(name):
+        return lambda k: None if k + 1 > family.budget else row(k + 1)[name]
+
+    tails = {
+        name: fit_closed_form(
+            info.column_values(stream, name),
+            ks.p,
+            extend=None if family.budget == info.count else extender(name),
+        )
+        for name in COLUMNS
+    }
+    block = stream.records[info.start_record : info.start_record + info.count]
+    return _apply_divergence_cert(block, tails, family.divergence_bound)
+
+
+class TestCertificateFirst:
+    @settings(max_examples=30, deadline=None)
+    @given(hensel_configs())
+    def test_tails_equal_fitting_every_column(self, data):
+        stream = stream_for(data)
+        for info in stream.plateaus:
+            expected = reference_tails(stream, info)
+            assert {k: t and t.describe() for k, t in info.tails.items()} == {
+                k: expected[k] and expected[k].describe() for k in COLUMNS
+            }
 
 
 class TestSegments:
