@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -88,6 +88,8 @@ class ScenarioConfig:
     backend: str | None = None
     stages: tuple[dict, ...] | None = None
     oracle: str | None = None
+    # Set only on the objects `parse_config_dict` returns; `replace` clears it.
+    parsed: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 def _rational(raw, field: str) -> Fraction:
@@ -261,6 +263,7 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             stages=tuple(stages),
             oracle=data["oracle"],
         )
+    object.__setattr__(cfg, "parsed", True)
     return cfg
 
 
@@ -397,13 +400,17 @@ def run(cfg: ScenarioConfig) -> dict:
 
     Computation failures and invariant violations raised anywhere in the
     analysis are embedded in the report with a failure status rather than
-    escaping.
+    escaping; a config that `parse_config_dict` would reject ends in a
+    config-error report with exit code 4.
     """
     report: dict = {"version": REPORT_VERSION, "scenario": emit_config(cfg)}
     try:
+        if not cfg.parsed and parse_config_dict(report["scenario"]) != cfg:
+            raise ConfigError("fields missing or not in canonical form")
         stream = build_stream(cfg)
     except (ValkitError, ZeroDivisionError) as exc:
-        report.update(status="error", error=f"{type(exc).__name__}: {exc}", exit_code=3)
+        code = 4 if isinstance(exc, ConfigError) else 3
+        report.update(status="error", error=f"{type(exc).__name__}: {exc}", exit_code=code)
         return report
     try:
         return _analyze(stream, report)

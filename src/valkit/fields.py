@@ -14,8 +14,11 @@ stay in integer arithmetic; division and negative powers go through
 A Hahn element stores its exponents as integer numerators over one
 denominator per element, kept minimal, so equal series compare and hash
 equal without `Fraction` arithmetic; `Fraction` appears only where
-exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`valuation`,
-`str`).
+exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`order`, `str`).
+
+Each element's `order()` is its least exponent, an `int` or a `Fraction`,
+or `None` for zero.  `valuation(a)`, the only valuation, builds the
+`ExtValue` from it; loops that only compare values compare raw orders.
 
 All arithmetic is exact.  Elements are immutable and hashable; mixing
 backends (or primes) raises `BackendMismatchError`.  Division is exact
@@ -42,16 +45,22 @@ from .groups import ExtValue, GroupElem, rat1
 _HAHN_DIV_BUDGET = 4096
 
 
-def _padic_order(x: int | Fraction, p: int) -> int:
-    num, den = x.numerator, x.denominator
-    k = 0
-    while num % p == 0:
-        num //= p
+def _p_power(n: int, p: int) -> int:
+    """The exponent of p in the nonzero integer n: p**4 per divmod, then p."""
+    k, p4 = 0, p**4
+    q, r = divmod(n, p4)
+    while not r:
+        n, k = q, k + 4
+        q, r = divmod(n, p4)
+    while n % p == 0:
+        n //= p
         k += 1
-    while den % p == 0:
-        den //= p
-        k -= 1
     return k
+
+
+def _padic_order(x: int | Fraction, p: int) -> int:
+    k = _p_power(x.numerator, p)
+    return k if x.denominator == 1 else k - _p_power(x.denominator, p)
 
 
 def _padic(value: int | Fraction, p: int) -> "PAdicRational":
@@ -111,10 +120,8 @@ class PAdicRational:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def valuation(self) -> ExtValue:
-        if self.is_zero():
-            return ExtValue.infinity()
-        return ExtValue.of(rat1(_padic_order(self.value, self.p)))
+    def order(self) -> int | None:
+        return None if self.value == 0 else _padic_order(self.value, self.p)
 
     def __str__(self):
         return str(self.value)
@@ -242,10 +249,9 @@ class HahnElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def valuation(self) -> ExtValue:
-        if self.is_zero():
-            return ExtValue.infinity()
-        return ExtValue.of(rat1(Fraction(self.terms[0][0], self.den)))
+    def order(self) -> int | Fraction | None:
+        n = self.terms[0][0] if self.terms else None
+        return n if self.den == 1 else Fraction(n, self.den)
 
     def frobenius_root(self, k: int = 1) -> "HahnElem":
         """Inverse Frobenius applied k times: exponents divide by p**k.
@@ -333,8 +339,9 @@ def parse_hahn(text: str, p: int) -> HahnElem:
 
 
 def valuation(a: FieldElem) -> ExtValue:
-    """The backend's valuation; infinity on zero."""
-    return a.valuation()
+    """The backend's valuation, built from `a.order()`; infinity on zero."""
+    k = a.order()
+    return ExtValue.infinity() if k is None else ExtValue.of(rat1(k))
 
 
 def artin_schreier_partial_sum(p: int, a: HahnElem, n: int) -> HahnElem:
@@ -346,7 +353,7 @@ def artin_schreier_partial_sum(p: int, a: HahnElem, n: int) -> HahnElem:
     """
     if not isinstance(a, HahnElem):
         raise BackendMismatchError("partial sums are defined for Hahn elements")
-    if not (a.valuation() < rat1(0)):
+    if not (valuation(a) < rat1(0)):
         warnings.warn(
             "partial sums requested for v(a) >= 0",
             NonNegativeValuationWarning,

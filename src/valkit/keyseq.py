@@ -74,14 +74,18 @@ class PlateauFamily:
         self._lock = threading.Lock()
 
     def center(self, n: int) -> FieldElem:
+        centers = self._centers
+        if 0 < n <= len(centers):
+            # Materialized centers never change and the list only grows.
+            return centers[n - 1]
         if n < 1:
             raise ValueError("plateau terms are numbered from 1")
         if n > self.budget:
             raise ValkitError(f"plateau term {n} exceeds the family budget {self.budget}")
         with self._lock:
-            while len(self._centers) < n:
-                self._centers.append(self._center_fn(len(self._centers) + 1))
-            return self._centers[n - 1]
+            while len(centers) < n:
+                centers.append(self._center_fn(len(centers) + 1))
+            return centers[n - 1]
 
     def poly(self, n: int) -> Poly:
         c = self.center(n)

@@ -10,7 +10,10 @@ modulo the monic minimal polynomial g of eta.  Two modes are provided:
   family and returns the value once a window of consecutive evaluations
   agrees.  For deg(f_0) < deg(g) the evaluations are eventually constant
   because g has the least degree among unstable polynomials; the window
-  guards against accidental early agreement.
+  guards against accidental early agreement.  The loop compares raw orders
+  (`order()`) and builds one `ExtValue`, for the value it returns.  The
+  n-th plateau key x - a_n costs n + window family evaluations, so the keys
+  up to a budget cost quadratically many between them.
 
 `nu_q` is the truncation at a monic base q: the least term value of the
 q-expansion.  The oracle owns the q-expansions of its run: `expand`
@@ -30,7 +33,7 @@ from .errors import (
     ValkitError,
 )
 from .fields import FieldElem, valuation
-from .groups import ExtValue, min_value
+from .groups import ExtValue, min_value, rat1
 from .poly import Poly, QExpansion, q_expand
 
 DEFAULT_WINDOW = 3
@@ -111,27 +114,26 @@ class NuOracle:
         return result
 
     def _stabilized_value(self, f0: Poly) -> ExtValue:
-        trace: list[ExtValue] = []
-        run: ExtValue | None = None
-        run_len = 0
+        values: list[FieldElem] = []
+        run, run_len = None, 0
         for n in range(1, self.budget + 1):
-            point = self._family(n)
-            v = valuation(f0.eval(point))
-            trace.append(v)
-            if v.is_infinite:
+            value = f0.eval(self._family(n))
+            values.append(value)
+            k = value.order()
+            if k is None:
                 # A transient exact zero (the family walked through a root
                 # of f0); it cannot persist since f0 is not a multiple of g.
-                run, run_len = None, 0
+                run_len = 0
                 continue
-            if run is not None and v == run:
+            if k == run:
                 run_len += 1
             else:
-                run, run_len = v, 1
+                run, run_len = k, 1
             if run_len >= self.window:
-                return run
+                return ExtValue.of(rat1(run))
         raise StabilizationBudgetExceededError(
             f"no stabilization window of {self.window} within {self.budget} terms",
-            trace=trace,
+            trace=[valuation(v) for v in values],
         )
 
     def expand(self, f: Poly, q: Poly) -> QExpansion:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,32 @@ class TestReports:
         report = run(cfg)  # x^2+x+1 has no residue root at 0
         assert report["status"] == "error" and report["exit_code"] == 3
         assert "residue root" in report["error"]
+
+    def test_hand_built_config_without_va_is_a_config_error(self):
+        report = run(ScenarioConfig(scenario="artin-schreier", p=2))
+        assert report["status"] == "error" and report["exit_code"] == 4
+        assert report["error"].startswith("ConfigError: ")
+
+    def test_hand_built_unknown_family_is_a_config_error(self):
+        cfg = ScenarioConfig(
+            scenario="custom",
+            p=2,
+            backend="padic",
+            g=("2", "1", "1"),
+            stages=({"family": "nope"},),
+            oracle="stabilization",
+        )
+        report = run(cfg)
+        assert report["status"] == "error" and report["exit_code"] == 4
+        assert "known 'family'" in report["error"]
+        assert "status: error: ConfigError" in render(report, "text")
+
+    def test_replaced_fields_are_checked_again(self):
+        cfg = parse_config_dict({"scenario": "artin-schreier"})
+        assert run(cfg)["exit_code"] == 0
+        changed = replace(cfg, va=Fraction(1))
+        assert run(changed)["exit_code"] == 4
+        assert run(replace(cfg, terms=cfg.terms))["exit_code"] == 0
 
 
 class TestMain:

@@ -14,6 +14,7 @@ from valkit.fields import (
     Backend,
     HahnElem,
     PAdicRational,
+    _padic_order,
     artin_schreier_partial_sum,
     parse_hahn,
     valuation,
@@ -392,3 +393,61 @@ class TestPAdicAgainstModel:
             assert type(other.value) is int
         assert padic3.element_from_value(-2) == padic3.parse("1/9")
         assert type(padic3.element_from_value(-2).value) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# Raw orders and the one valuation built from them
+# ---------------------------------------------------------------------------
+
+
+def order_one_p_at_a_time(x: Fraction, p: int) -> int:
+    """Reference p-adic order: divide out a single p per step."""
+    num, den, k = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        k += 1
+    while den % p == 0:
+        den //= p
+        k -= 1
+    return k
+
+
+@st.composite
+def rationals_of_order(draw):
+    """A nonzero int or Fraction, either sign, with p**k on one side, k <= 200."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    k = draw(st.integers(0, 200))
+    num = draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, -1]))
+    den = draw(st.integers(1, 10**6))
+    if draw(st.booleans()):
+        return p, num * p**k
+    if draw(st.booleans()):
+        return p, Fraction(num * p**k, den)
+    return p, Fraction(num, den * p**k)
+
+
+class TestOrders:
+    @given(rationals_of_order())
+    def test_padic_order_matches_reference(self, case):
+        p, x = case
+        assert _padic_order(x, p) == order_one_p_at_a_time(Fraction(x), p)
+
+    @given(padic_pairs())
+    def test_padic_valuation_is_built_from_order(self, case):
+        p, ma, _ = case
+        a = padic(p, ma)
+        if ma == 0:
+            assert a.order() is None and valuation(a).is_infinite
+        else:
+            assert a.order() == order_one_p_at_a_time(ma, p)
+            assert valuation(a) == ExtValue.of(rat1(a.order()))
+
+    @given(model_pairs())
+    def test_hahn_valuation_is_built_from_order(self, case):
+        p, ma, _ = case
+        a = HahnElem.make(ma, p)
+        if not ma:
+            assert a.order() is None and valuation(a).is_infinite
+        else:
+            assert a.order() == min(ma)
+            assert valuation(a) == ExtValue.of(rat1(a.order()))

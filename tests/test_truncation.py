@@ -1,9 +1,11 @@
 """The support valuation and its truncations, in both oracle modes."""
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
@@ -41,12 +43,28 @@ class TestNu:
             q = family.poly(n)
             assert nu.nu(q) == ExtValue.of(rat1(Fraction(-1, p**n)))
 
+    def test_window_outlasts_early_agreement_and_transient_zero(self):
+        backend = Backend("padic", 3)
+        g = Poly.from_ints(backend, [-3, 0, 1])
+        # nu(x) along these points: two agreeing orders, an exact zero that
+        # breaks the run, then the stable order 4
+        orders = [1, 1, None, 1, 4, 4, 4]
+        points = [backend.zero() if k is None else backend.from_int(3**k) for k in orders]
+        nu = NuOracle.stabilization(g, lambda n: points[n - 1], window=3, budget=len(points))
+        assert nu.nu(Poly.x(backend)) == ExtValue.of(rat1(4))
+
     def test_budget_exceeded_carries_trace(self):
         backend, g, family, _ = as_setup(2)
-        nu = NuOracle.stabilization(g, family.center, window=3, budget=2)
-        with pytest.raises(StabilizationBudgetExceededError) as exc:
-            nu.nu(family.poly(4))
-        assert len(exc.value.trace) == 2
+        f0 = family.poly(4)
+        for budget in (2, 5):
+            nu = NuOracle.stabilization(g, family.center, window=3, budget=budget)
+            with pytest.raises(StabilizationBudgetExceededError) as exc:
+                nu.nu(f0)
+            trace = list(exc.value.trace)
+            terms = range(1, budget + 1)
+            assert trace == [valuation(f0.eval(family.center(n))) for n in terms]
+            # the family passes through the root of f0 at its fourth term
+            assert [v.is_infinite for v in trace] == [n == 4 for n in terms]
 
 
 class TestNuQ:
@@ -92,23 +110,24 @@ def hensel_setup():
     return backend, g, family, nu
 
 
-def hensel_eval_value(backend, g, f):
-    """Independent evaluation rule for v(f(eta)), eta the even root of g.
+def hensel_eval_value(backend, g, f, start=0):
+    """Independent evaluation rule for v(f(eta)), eta the root of the
+    quadratic g lifted from the simple residue root `start`.
 
-    For f = b(x - d):  v(eta - d) is v(d) when v(d) < 0, zero when
-    v(d) = 0, and v(g(d)) when v(d) >= 1 (the odd conjugate contributes
-    nothing).  Exact, no iteration.
+    For f = b(x - d):  v(eta - d) is v(d) when v(d) < 0, zero when d is
+    integral but not congruent to start, and v(g(d)) when d = start mod p
+    (the other root is not congruent to start, so it contributes nothing).
+    Exact, no iteration.
     """
+    p = backend.p
 
-    def v2(x: Fraction):
-        if x == 0:
-            return None
+    def vp(x: Fraction):
         num, den, k = x.numerator, x.denominator, 0
-        while num % 2 == 0:
-            num //= 2
+        while num % p == 0:
+            num //= p
             k += 1
-        while den % 2 == 0:
-            den //= 2
+        while den % p == 0:
+            den //= p
             k -= 1
         return Fraction(k)
 
@@ -118,14 +137,31 @@ def hensel_eval_value(backend, g, f):
         return valuation(f.coeff(0))
     b = f.coeff(1)
     d = -(f.coeff(0) / b).value
-    vd = v2(d)
-    if d == 0 or vd >= 1:
-        ve = v2(g.eval(PAdicRational(d, 2)).value)
-    elif vd < 0:
-        ve = vd
+    if d == start or vp(d - start) >= 1:
+        ve = vp(g.eval(PAdicRational(d, p)).value)
+    elif d != 0 and vp(d) < 0:
+        ve = vp(d)
     else:
         ve = Fraction(0)
     return valuation(b) + rat1(ve)
+
+
+@st.composite
+def hensel_cases(draw):
+    """A quadratic g irreducible over Q with a simple residue root `start`,
+    and a probe f = b(x - d) or a constant b."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    start = draw(st.integers(-p, 2 * p))
+    other = start + draw(st.integers(1, p - 1))  # the other residue root
+    c = start * other + p * draw(st.integers(-20, 20))
+    disc = (start + other) ** 2 - 4 * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    backend = Backend("padic", p)
+    g = Poly.from_ints(backend, [c, -(start + other), 1])
+    rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 50))
+    b = draw(rationals.filter(bool))
+    coeffs = [b] if draw(st.booleans()) else [-b * draw(rationals), b]
+    return backend, g, start, Poly.make(backend, [backend.parse(str(x)) for x in coeffs])
 
 
 class TestEvaluationAgreement:
@@ -143,6 +179,15 @@ class TestEvaluationAgreement:
         eval_nu = NuOracle(g, value_fn=lambda f: hensel_eval_value(backend, g, f))
         for f in probes:
             assert nu.nu(f) == eval_nu.nu(f), str(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hensel_cases())
+    def test_stabilization_matches_evaluation_on_hensel_setups(self, case):
+        backend, g, start, f = case
+        family = hensel_family(backend, g, start)
+        stabilized = NuOracle.stabilization(g, family.center)
+        evaluated = NuOracle(g, value_fn=lambda h: hensel_eval_value(backend, g, h, start))
+        assert stabilized.nu(f) == evaluated.nu(f), str(f)
 
     def test_eta_image_oracle(self):
         backend = Backend("padic", 2)
