@@ -49,7 +49,6 @@ from .keyseq import (
     ScheduleStage,
     artin_schreier_family,
     hensel_family,
-    validate_sequence,
 )
 from .poly import Poly
 from .truncation import NuOracle
@@ -334,7 +333,6 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
         # Stabilize along the last plateau, the one that approaches a root of g.
         nu = NuOracle.stabilization(g, families[-1].center, window=cfg.window, budget=cfg.budget)
     ks = KeySequence(tuple(stages), FinalStage.of(g), cfg.p, backend)
-    validate_sequence(ks, nu, min(cfg.terms, 6))
     return invariant_stream(ks, nu, cfg.terms)
 
 
@@ -400,16 +398,19 @@ def run(cfg: ScenarioConfig) -> dict:
 
     Computation failures and invariant violations raised anywhere in the
     analysis are embedded in the report with a failure status rather than
-    escaping; a config that `parse_config_dict` would reject ends in a
-    config-error report with exit code 4.
+    escaping; a config the parser would reject, or with a field of the
+    wrong type, ends in a config-error report with exit code 4.
     """
-    report: dict = {"version": REPORT_VERSION, "scenario": emit_config(cfg)}
+    report: dict = {"version": REPORT_VERSION}
     try:
-        if not cfg.parsed and parse_config_dict(report["scenario"]) != cfg:
-            raise ConfigError("fields missing or not in canonical form")
+        if not cfg.parsed:
+            cfg = _reparsed(cfg)
+        report["scenario"] = emit_config(cfg)
         stream = build_stream(cfg)
     except (ValkitError, ZeroDivisionError) as exc:
         code = 4 if isinstance(exc, ConfigError) else 3
+        # A config that does not parse is reported with its fields as given.
+        report.setdefault("scenario", {k: repr(v) for k, v in vars(cfg).items() if k != "parsed"})
         report.update(status="error", error=f"{type(exc).__name__}: {exc}", exit_code=code)
         return report
     try:
@@ -420,6 +421,18 @@ def run(cfg: ScenarioConfig) -> dict:
     except (ValkitError, ZeroDivisionError) as exc:
         report.update(status="error", error=f"{type(exc).__name__}: {exc}", exit_code=3)
         return report
+
+
+def _reparsed(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The parsed config equal to a hand-built one; ConfigError if none is."""
+    try:
+        emitted = emit_config(cfg)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"a field has the wrong type ({exc})") from None
+    parsed = parse_config_dict(emitted)
+    if parsed != cfg:
+        raise ConfigError("fields missing or not in canonical form")
+    return parsed
 
 
 def _analyze(stream: InvariantStream, report: dict) -> dict:
@@ -442,18 +455,18 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
         for r in stream.records
     ]
     report["laws"] = {
-        f"stage{info.stage_pos}.{name}": (
+        f"stage{block.stage_pos}.{name}": (
             tail.describe() if tail is not None else {"kind": "unknown"}
         )
-        for info in stream.plateaus
-        for name, tail in sorted(info.tails.items())
+        for block in stream.plateaus
+        for name, tail in sorted(block.tails.items())
     }
 
     alpha_seg, beta_seg = alpha_beta_segments(stream)
     report["alpha_segment"] = _segment_payload(alpha_seg)
     report["beta_segment"] = _segment_payload(beta_seg)
     if alpha_seg is not None:
-        report["delta_suffix_len"] = largest_delta(alpha_seg, stream.rank).suffix_len
+        report["delta_suffix_len"] = largest_delta(alpha_seg, alpha_seg.rank).suffix_len
     else:
         report["delta_suffix_len"] = None
 
@@ -557,26 +570,10 @@ def render(report: dict, fmt: str) -> str:
 
 def _scenario_config_from_args(args) -> ScenarioConfig:
     data: dict = {"scenario": args.id}
-    if args.p is not None:
-        data["p"] = args.p
-    if args.va is not None:
-        data["va"] = args.va
-    if args.vp is not None:
-        data["vp"] = args.vp
-    if args.gamma is not None:
-        data["gamma"] = args.gamma
-    if args.scale is not None:
-        data["scale"] = args.scale
-    if args.terms is not None:
-        data["terms"] = args.terms
-    if args.window is not None:
-        data["window"] = args.window
-    if args.budget is not None:
-        data["budget"] = args.budget
-    if args.g is not None:
-        data["g"] = args.g.split(",")
-    if args.start is not None:
-        data["start"] = args.start
+    for key in ("p", "va", "vp", "gamma", "scale", "terms", "window", "budget", "g", "start"):
+        value = getattr(args, key)
+        if value is not None:
+            data[key] = value.split(",") if key == "g" else value
     data["format"] = args.format
     return parse_config_dict(data)
 

@@ -8,9 +8,14 @@ For every key index i below the support polynomial g the stream records
 
 `invariant_stream` is the one builder, for field-backed keys and value
 schedules alike: a memoized row per key index serves the records and every
-tail fit.  Plateau columns additionally carry a `groups.Tail`: an exact
-geometric law ``c * p**-n + d`` with the scenario's own ``p``, fitted on
-four consecutive computed terms and verified on four more, or a divergence
+tail fit.  It returns one `Block` per stage (position, degree, records,
+and tails for a plateau or schedule); segments are unions of block
+segments.  Each field-backed row checks that g is monic over its key on
+the expansion its truncation of g then reads from the oracle, and each
+plateau or schedule block that its key values increase strictly, before
+any fit.  Plateau columns carry a `groups.Tail`: an exact geometric law
+``c * p**-n + d`` with the scenario's own ``p``, fitted on four
+consecutive computed terms and verified on four more, or a divergence
 certificate inherited from the family's construction.  Where a family has
 a certificate it decides first: only the two columns it reads (nu(Q_n')
 and nu_n(g')) and the columns it leaves open are fitted, so no fit probes
@@ -109,29 +114,46 @@ class InvariantRecord:
 
 
 @dataclass(frozen=True)
-class PlateauInfo:
+class Block:
+    """One stage of the stream with its records.
+
+    An explicit key has one record and ``tails=None``; a plateau or a
+    schedule has its materialized terms and a tail per column.
+    """
+
     stage_pos: int
     degree: int
-    start_record: int
-    count: int
-    tails: dict[str, Tail | None]  # None: no recognized description
+    records: tuple[InvariantRecord, ...]
+    tails: dict[str, Tail | None] | None
 
-    def column_values(self, stream: "InvariantStream", name: str) -> list[GroupElem]:
-        recs = stream.records[self.start_record : self.start_record + self.count]
-        return [r.column(name) for r in recs]
+    def values(self, name: str) -> list[GroupElem]:
+        return [r.column(name) for r in self.records]
+
+    def segment(self, name: str, drop_prefix: bool = False) -> CanonicalSegment | None:
+        """Segment generated by one column; None for a column without a tail."""
+        if self.tails is None:
+            return canonicalize(self.values(name))
+        tail = self.tails[name]
+        return None if tail is None else canonicalize(self.values(name), tail, drop_prefix)
 
 
 @dataclass(frozen=True, eq=False)
 class InvariantStream:
-    """Materialized records plus tail descriptions and source handles."""
+    """One block per stage, in stage order, plus the source handles."""
 
-    records: tuple[InvariantRecord, ...]
-    plateaus: tuple[PlateauInfo, ...]
+    blocks: tuple[Block, ...]
     nu_gprime: GroupElem
     ks: KeySequence
     nu: NuOracle | None = None  # None for a sequence of value schedules
-    rank: int = 1
     terms: int = 8
+
+    @functools.cached_property
+    def records(self) -> tuple[InvariantRecord, ...]:
+        return tuple(r for block in self.blocks for r in block.records)
+
+    @property
+    def plateaus(self) -> list[Block]:
+        return [block for block in self.blocks if block.tails is not None]
 
     @property
     def g_degree(self) -> int:
@@ -140,18 +162,6 @@ class InvariantStream:
     @property
     def istar_has_max(self) -> bool:
         return self.ks.istar_has_max()
-
-    def plateau_at(self, stage_pos: int) -> PlateauInfo | None:
-        for info in self.plateaus:
-            if info.stage_pos == stage_pos:
-                return info
-        return None
-
-    def explicit_records(self) -> list[InvariantRecord]:
-        plateau_rows: set[int] = set()
-        for info in self.plateaus:
-            plateau_rows.update(range(info.start_record, info.start_record + info.count))
-        return [r for k, r in enumerate(self.records) if k not in plateau_rows]
 
 
 class VerdictKind(Enum):
@@ -181,14 +191,16 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> InvariantStream:
-    """Exact records and plateau tails, from one memoized row per key index.
+    """One block per stage, from one memoized row per key index.
 
     Field-backed stages read their values off the oracle; a `ScheduleStage`
     synthesizes them from its value laws (linear keys, so nu(Q') = 0), and a
     sequence of schedules alone comes with ``nu=None`` and its own nu(g').
-    Tails are laws fitted and re-verified on further exact rows, or the
-    family's divergence certificate, which decides its columns before any
-    fit runs.
+    Each field-backed row checks that g is monic over its key, and each
+    plateau or schedule block that its key values increase strictly before
+    any fit.  Tails are laws fitted and re-verified on further exact rows,
+    or the family's divergence certificate, which decides its columns
+    before any fit runs.
     """
     if nu is None:
         schedules = [s for s in ks.stages if isinstance(s, ScheduleStage)]
@@ -214,6 +226,10 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             nu_i_gp = _least_slot_value(stage.gprime_coef_laws, nu_key)
         else:
             q = ks.key_poly(index)
+            # Checked before any value; nu_q(g, q) reads this expansion back.
+            if not nu.expand(g, q).is_monic():
+                kind = "an explicit" if isinstance(stage, ExplicitStage) else "a plateau"
+                raise ScenarioDataError(f"g is not monic over {kind} key")
             nu_key = nu.nu(q).expect_finite()
             nu_key_deriv = nu.nu(derivative(q)).expect_finite()
             nu_i_g = nu.nu_q(g, q).expect_finite()
@@ -230,33 +246,34 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             nu_i_gprime=nu_i_gp,
         )
 
-    records: list[InvariantRecord] = []
-    infos: list[PlateauInfo] = []
+    blocks: list[Block] = []
     for pos, stage in enumerate(ks.stages):
         if isinstance(stage, ExplicitStage):
-            records.append(row(KeyIndex(pos, 0)))
+            blocks.append(Block(pos, stage.degree, (row(KeyIndex(pos, 0)),), None))
             continue
         if isinstance(stage, ScheduleStage):
             # A finite schedule ends with its list; a closed form extends up
             # to the fit's probe budget.
             count = stage.available_terms(terms)
             limit = count if isinstance(stage.key_values, FiniteList) else None
+            subject = "schedule values"
         else:
             count, limit = min(terms, stage.family.budget), stage.family.budget
-        start = len(records)
-        records.extend(row(KeyIndex(pos, n)) for n in range(1, count + 1))
-        block = records[start:]
+            subject = "plateau key values"
+        records = tuple(row(KeyIndex(pos, n)) for n in range(1, count + 1))
+        if any(not a.nu_key < b.nu_key for a, b in zip(records, records[1:])):
+            raise ScenarioDataError(f"{subject} must increase strictly")
 
-        def fit(name: str, pos=pos, block=block, limit=limit) -> Tail | None:
+        def fit(name: str, pos=pos, records=records, limit=limit) -> Tail | None:
             def extend(k: int) -> GroupElem | None:
                 if limit is not None and k + 1 > limit:
                     return None
                 return row(KeyIndex(pos, k + 1)).column(name)
 
             return fit_closed_form(
-                [r.column(name) for r in block],
+                [r.column(name) for r in records],
                 ks.p,
-                extend=None if limit == len(block) else extend,
+                extend=None if limit == len(records) else extend,
             )
 
         cert = stage.family.divergence_bound if isinstance(stage, PlateauStage) else None
@@ -267,14 +284,14 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             # probes them; only the partners it needs and what it leaves
             # open are fitted.
             decided = _apply_divergence_cert(
-                block, {name: fit(name) for name in _CERT_PARTNERS}, cert
+                records, {name: fit(name) for name in _CERT_PARTNERS}, cert
             )
             tails = {
                 name: decided[name] if name in decided else fit(name) for name in COLUMNS
             }
-        infos.append(PlateauInfo(pos, stage.degree, start, count, tails))
+        blocks.append(Block(pos, stage.degree, records, tails))
 
-    return InvariantStream(tuple(records), tuple(infos), nu_gprime, ks, nu, terms=terms)
+    return InvariantStream(tuple(blocks), nu_gprime, ks, nu, terms=terms)
 
 
 def _least_slot_value(laws: Sequence[CoefValueLaw], key_value: GroupElem) -> GroupElem:
@@ -287,7 +304,7 @@ def _least_slot_value(laws: Sequence[CoefValueLaw], key_value: GroupElem) -> Gro
     ).expect_finite()
 
 
-def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
+def _apply_divergence_cert(records, tails, bound) -> dict[str, Tail | None]:
     """Upgrade unknown columns using the family's construction certificate.
 
     The certificate guarantees nu(Q_n) >= bound(n) -> infinity; the
@@ -298,7 +315,7 @@ def _apply_divergence_cert(block, tails, bound) -> dict[str, Tail | None]:
     the key value.  A column missing from `tails` counts as unknown, so
     the fits of `_CERT_PARTNERS` are all the certificate needs.
     """
-    for n, rec in enumerate(block, start=1):
+    for n, rec in enumerate(records, start=1):
         if not rec.nu_key >= bound(n):
             raise LawMismatchError("divergence certificate fails on the prefix")
         if not rec.nu_i_g >= bound(n):
@@ -330,24 +347,15 @@ def _is_constant(tail: Tail | None) -> bool:
 # Segments
 # ---------------------------------------------------------------------------
 
-def _plateau_segment(
-    stream: InvariantStream, info: PlateauInfo, name: str, drop_prefix: bool = False
+def column_segment(
+    stream: InvariantStream, name: str, degree: int | None = None
 ) -> CanonicalSegment | None:
-    """Segment generated by one plateau column; None without a tail."""
-    tail = info.tails[name]
-    if tail is None:
-        return None
-    return canonicalize(info.column_values(stream, name), tail, drop_prefix)
-
-
-def column_segment(stream: InvariantStream, name: str) -> CanonicalSegment | None:
-    """Final segment generated by one column over all indices below g."""
+    """Final segment generated by one column below g (keys of `degree` only)."""
     parts: list[CanonicalSegment] = []
-    explicit = stream.explicit_records()
-    if explicit:
-        parts.append(canonicalize([r.column(name) for r in explicit]))
-    for info in stream.plateaus:
-        canon = _plateau_segment(stream, info, name)
+    for block in stream.blocks:
+        if degree is not None and block.degree != degree:
+            continue
+        canon = block.segment(name)
         if canon is None:
             return None
         parts.append(canon)
@@ -452,34 +460,19 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
     if not stream.plateaus:
         raise HypothesisViolatedError("no plateau in the sequence")
 
-    explicit = stream.explicit_records()
-    for deg in sorted({r.degree for r in stream.records}):
-        parts: list[CanonicalSegment] = []
-        deg_explicit = [r.alpha for r in explicit if r.degree == deg]
-        if deg_explicit:
-            parts.append(canonicalize(deg_explicit))
-        deg_infos = [p for p in stream.plateaus if p.degree == deg]
-        for info in deg_infos:
-            part = _plateau_segment(stream, info, "alpha")
-            if part is None:
-                raise InconclusiveError("plateau alpha column undecidable")
-            parts.append(part)
-        if not parts:
-            continue
-        if segment_compare(segment_union(parts), canon) is SegmentRelation.EQUAL:
-            if not deg_infos:
-                raise ScenarioDataError(
-                    "alpha without minimum generated by explicit keys alone"
-                )
-            info = deg_infos[0]
-            values = info.column_values(stream, "alpha")
-            law = info.tails["alpha"].law
+    for deg in sorted({block.degree for block in stream.blocks}):
+        # Every plateau alpha column has a tail once `canon` exists.
+        if segment_compare(column_segment(stream, "alpha", deg), canon) is SegmentRelation.EQUAL:
+            block = next((b for b in stream.plateaus if b.degree == deg), None)
+            if block is None:
+                raise ScenarioDataError("alpha without minimum generated by explicit keys alone")
+            law = block.tails["alpha"].law
             if isinstance(law, Diverging):
                 if law.increasing:
                     raise ScenarioDataError("minimizing plateau alpha tail increases")
-            elif not law.c > GroupElem.zero(stream.rank):
+            elif not law.c > GroupElem.zero(law.c.rank):
                 raise ScenarioDataError("minimizing plateau alpha tail is not decreasing")
-            return info.stage_pos, _strictly_decreasing_from(values)
+            return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
     raise ScenarioDataError("no degree generates the alpha segment")
 
 
@@ -508,7 +501,7 @@ def classify(stream: InvariantStream) -> Verdict:
     canon = column_segment(stream, "alpha")
     if canon is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="alpha column undecidable")
-    delta = largest_delta(canon, stream.rank)
+    delta = largest_delta(canon, canon.rank)
     base = {"delta_suffix_len": delta.suffix_len}
     if canon.kind == "closed":
         return _classify_min_case(stream, canon, base)
@@ -575,12 +568,12 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
         stage_pos, cert = first_minimizing_plateau(stream)
     except InconclusiveError as exc:
         return Verdict(VerdictKind.INCONCLUSIVE, reason=str(exc))
-    info = stream.plateau_at(stage_pos)
+    block = stream.blocks[stage_pos]
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.
     # Dropping the prefix makes the generated segment invariant under all
     # further tail truncations, so one comparison decides them all.
-    tail_only = _plateau_segment(stream, info, "beta_tilde", drop_prefix=True)
+    tail_only = block.segment("beta_tilde", drop_prefix=True)
     if tail_only is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta_tilde tail unrecognized")
     if segment_compare(tail_only, canon) is not SegmentRelation.EQUAL:
@@ -610,8 +603,8 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
 
     # (b): nu(g') is a weak limit of the truncated values along the plateau,
     # tail truncations of the index set allowed.
-    gp_values = info.column_values(stream, "nu_i_gprime")
-    gp_tail = info.tails["nu_i_gprime"]
+    gp_values = block.values("nu_i_gprime")
+    gp_tail = block.tails["nu_i_gprime"]
     branch = None
     if gp_tail is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="nu_i(g') tail unrecognized")
@@ -635,7 +628,7 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
         witness={
             **base,
             "plateau_stage": stage_pos,
-            "plateau_degree": info.degree,
+            "plateau_degree": block.degree,
             "certificate_index": cert,
             "wlim_branch": branch,
         },
@@ -655,7 +648,6 @@ class Cut:
     """
 
     kind: str
-    rank: int
     bound: GroupElem | None = None
 
     def describe(self) -> dict:
@@ -665,25 +657,25 @@ class Cut:
         return out
 
 
-def _cut_from_column(tail: Tail | None, values: Sequence[GroupElem], rank: int) -> Cut | None:
+def _cut_from_column(tail: Tail | None, values: Sequence[GroupElem]) -> Cut | None:
     """Smallest initial segment containing one plateau column."""
     if tail is None:
         return None
     law = tail.law
     if isinstance(law, Diverging):
         if law.increasing:
-            return Cut("whole", rank)
-        return Cut("closed_below", rank, max(values))
+            return Cut("whole")
+        return Cut("closed_below", max(values))
     if law.c.is_zero():
         top, attained = law.d, True
-    elif law.c < GroupElem.zero(rank):
+    elif law.c < GroupElem.zero(law.c.rank):
         top, attained = law.d, False
     else:
         top, attained = law.term(0), True
     prefix = values[: tail.offset]
     if prefix and max(prefix) >= top:
-        return Cut("closed_below", rank, max(prefix))
-    return Cut("closed_below" if attained else "open_below", rank, top)
+        return Cut("closed_below", max(prefix))
+    return Cut("closed_below" if attained else "open_below", top)
 
 
 def cut_contains_eventually(cut: Cut, tail: Tail | None) -> bool | None:
@@ -734,14 +726,11 @@ class BSetReport:
 
 def check_b1_hypotheses(stream: InvariantStream) -> None:
     """Single degree-1 plateau, no last degree-1 key, no intermediate degrees."""
-    if not any(p.degree == 1 for p in stream.plateaus):
+    if not any(block.degree == 1 for block in stream.plateaus):
         raise HypothesisViolatedError("no degree-1 plateau: key values attain a maximum")
-    for rec in stream.records:
-        if 1 < rec.degree < stream.g_degree:
+    for block in stream.blocks:
+        if 1 < block.degree < stream.g_degree:
             raise HypothesisViolatedError("keys of intermediate degree exist")
-    for info in stream.plateaus:
-        if 1 < info.degree < stream.g_degree:
-            raise HypothesisViolatedError("plateau of intermediate degree exists")
 
 
 def b_set(stream: InvariantStream) -> BSetReport:
@@ -753,10 +742,8 @@ def b_set(stream: InvariantStream) -> BSetReport:
     plateau member.
     """
     check_b1_hypotheses(stream)
-    info = max((p for p in stream.plateaus if p.degree == 1), key=lambda p: p.stage_pos)
-    cut = _cut_from_column(
-        info.tails["nu_i_g"], info.column_values(stream, "nu_i_g"), stream.rank
-    )
+    block = [b for b in stream.plateaus if b.degree == 1][-1]
+    cut = _cut_from_column(block.tails["nu_i_g"], block.values("nu_i_g"))
     if cut is None:
         raise InconclusiveError("instability cut undecidable")
 
@@ -764,7 +751,7 @@ def b_set(stream: InvariantStream) -> BSetReport:
     members: set[int] = set()
     undecided: set[int] = set()
     for b in range(1, stream.g_degree):
-        kind, tail = _slot_tail(stream, info, b)
+        kind, tail = _slot_tail(stream, block, b)
         if kind == "zero":
             reports.append(SlotReport(b, False, "slot vanishes on the materialized prefix"))
             continue
@@ -782,19 +769,19 @@ def b_set(stream: InvariantStream) -> BSetReport:
     return BSetReport(cut, tuple(reports), frozenset(members), b1)
 
 
-def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
+def _slot_tail(stream: InvariantStream, block: Block, b: int):
     """Tail description of the b-th expansion-slot values of g.
 
     The expansion of g over the n-th plateau key comes from the oracle's
     memo, which the stream's rows share.
     """
-    stage = stream.ks.stages[info.stage_pos]
+    stage = stream.ks.stages[block.stage_pos]
     if isinstance(stage, ScheduleStage):
         law = stage.g_coef_laws[b]
         if law.const is None:
             return "zero", None
         # The slot value is const + mult * key value: map the key-value tail.
-        key_tail = info.tails["nu_key"]
+        key_tail = block.tails["nu_key"]
         if key_tail is None:
             return "values", None
         kv = key_tail.law
@@ -804,7 +791,7 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
     def slot_value(n: int) -> GroupElem | None:
         if n > stage.family.budget:
             return None
-        exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(info.stage_pos, n)))
+        exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(block.stage_pos, n)))
         coeff = exp.coeff(b)
         if coeff.is_zero():
             return None
@@ -813,7 +800,7 @@ def _slot_tail(stream: InvariantStream, info: PlateauInfo, b: int):
 
     vals: list[GroupElem] = []
     gap = False
-    for n in range(1, info.count + 1):
+    for n in range(1, len(block.records) + 1):
         v = slot_value(n)
         if v is None:
             gap = True

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .errors import ScenarioDataError, ValkitError, ValueNotRepresentableError
 from .fields import Backend, FieldElem, HahnElem, _padic_order, artin_schreier_partial_sum
-from .groups import ClosedForm, ExtValue, FiniteList, GroupElem, rat1
+from .groups import ClosedForm, FiniteList, GroupElem, rat1
 from .poly import Poly
 from .truncation import NuOracle
 
@@ -282,37 +282,6 @@ def find_witness(
         if nu.nu_q(f, q) == target:
             return index
     return None
-
-
-def validate_sequence(
-    ks: KeySequence, nu: NuOracle, terms_per_plateau: int = 8
-) -> None:
-    """Checkable key-sequence consequences on the materialized prefix.
-
-    Verifies strict value increase inside each plateau and monicity of g
-    over every earlier key.
-    """
-    g = ks.final.poly
-    for pos, stage in enumerate(ks.stages):
-        if isinstance(stage, ExplicitStage):
-            if g is not None and not nu.expand(g, stage.poly).is_monic():
-                raise ScenarioDataError("g is not monic over an explicit key")
-        elif isinstance(stage, PlateauStage):
-            previous: ExtValue | None = None
-            for n in range(1, terms_per_plateau + 1):
-                q = stage.family.poly(n)
-                value = nu.nu(q)
-                if previous is not None and not (previous < value):
-                    raise ScenarioDataError(
-                        "plateau key values must increase strictly"
-                    )
-                previous = value
-                if g is not None and not nu.expand(g, q).is_monic():
-                    raise ScenarioDataError("g is not monic over a plateau key")
-        else:
-            vals = [stage.key_value(n) for n in range(1, stage.available_terms(terms_per_plateau) + 1)]
-            if any(not (a < b) for a, b in zip(vals, vals[1:])):
-                raise ScenarioDataError("schedule values must increase strictly")
 
 
 # ---------------------------------------------------------------------------

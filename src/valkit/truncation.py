@@ -17,9 +17,9 @@ modulo the monic minimal polynomial g of eta.  Two modes are provided:
 
 `nu_q` is the truncation at a monic base q: the least term value of the
 q-expansion.  The oracle owns the q-expansions of its run: `expand`
-computes each (f, q) pair once and every consumer holding the oracle
-(truncations, slot values, monicity checks, full expansions) reads it from
-there.
+computes each (f, q) pair once and every consumer holding the oracle reads
+it from there: truncations, the invariant stream's check that g is monic
+over each key, `b_set`'s slot values and full expansions.
 """
 from __future__ import annotations
 

@@ -1,16 +1,19 @@
 """Configuration parsing, report determinism, command-line surface."""
 import concurrent.futures
 import contextlib
+import gc
 import io
 import json
 import os
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import valkit
 from valkit.cli import (
     ScenarioConfig,
     emit_config,
@@ -178,12 +181,61 @@ class TestReports:
         assert "known 'family'" in report["error"]
         assert "status: error: ConfigError" in render(report, "text")
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig("artin-schreier", 2, va=0.5),
+            ScenarioConfig(
+                scenario="custom",
+                p=2,
+                backend="padic",
+                g=("2", "1", "1"),
+                stages=(["x"],),
+                oracle="resultant",
+            ),
+            ScenarioConfig(Fraction(1), 2),
+        ],
+        ids=["float-va", "list-stage", "fraction-scenario"],
+    )
+    def test_hand_built_wrong_types_are_config_errors(self, cfg):
+        report = run(cfg)
+        assert report["status"] == "error" and report["exit_code"] == 4
+        assert report["error"].startswith("ConfigError: ")
+        assert "status: error: ConfigError" in render(report, "text")
+        assert json.loads(render(report, "structured"))["exit_code"] == 4
+
     def test_replaced_fields_are_checked_again(self):
         cfg = parse_config_dict({"scenario": "artin-schreier"})
         assert run(cfg)["exit_code"] == 0
         changed = replace(cfg, va=Fraction(1))
         assert run(changed)["exit_code"] == 4
         assert run(replace(cfg, terms=cfg.terms))["exit_code"] == 0
+
+
+class TestMemory:
+    def test_repeated_runs_keep_no_memory_in_valkit(self):
+        # A run's oracle, rows and report are garbage once it returns: 400
+        # runs may leave less than 64 KiB allocated by valkit's own lines.
+        cfgs = [
+            parse_config_dict({"scenario": s})
+            for s in ("unramified", "hensel-immediate", "artin-schreier", "kummer-schedule")
+        ]
+        for cfg in cfgs:
+            run(cfg)  # lazy imports and other first-use state
+        package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(valkit.__file__), "*"))]
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.take_snapshot().filter_traces(package)
+            for _ in range(100):
+                for cfg in cfgs:
+                    run(cfg)
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(package)
+        finally:
+            tracemalloc.stop()
+        kept = sum(d.size_diff for d in after.compare_to(before, "filename"))
+        assert kept < 64 * 1024
 
 
 class TestMain:

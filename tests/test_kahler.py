@@ -31,8 +31,19 @@ from valkit.kahler import (
     invariant_stream,
     omega_verdict,
 )
-from valkit.keyseq import CoefValueLaw, FinalStage, KeyIndex, KeySequence, ScheduleStage
-from valkit.poly import derivative
+from valkit.fields import Backend
+from valkit.keyseq import (
+    CoefValueLaw,
+    ExplicitStage,
+    FinalStage,
+    KeyIndex,
+    KeySequence,
+    PlateauFamily,
+    PlateauStage,
+    ScheduleStage,
+    hensel_family,
+)
+from valkit.poly import Poly, derivative
 from valkit.truncation import NuOracle
 
 
@@ -73,6 +84,19 @@ class TestInvariantStream:
         assert tails["nu_i_g"].law == Diverging(increasing=True)
         for rec, nxt in zip(HENSEL.records, HENSEL.records[1:]):
             assert nxt.alpha < rec.alpha
+
+    def test_one_block_per_stage(self):
+        stream = stream_for({
+            "scenario": "custom", "backend": "hahn", "p": 2,
+            "g": ["1*t^(-1)", "1*t^(0)", "1*t^(0)"],
+            "stages": [{"poly": ["0*t^(0)", "1*t^(0)"]}, {"family": "artin_schreier", "va": "-1"}],
+            "oracle": "stabilization",
+        })
+        explicit, plateau = stream.blocks
+        assert (explicit.stage_pos, len(explicit.records), explicit.tails) == (0, 1, None)
+        assert (plateau.stage_pos, len(plateau.records)) == (1, stream.terms)
+        assert set(plateau.tails) == set(COLUMNS) and stream.plateaus == [plateau]
+        assert stream.records == explicit.records + plateau.records
 
     def test_kummer_records(self):
         # nu(x - a_n) = 1/2 - 3^-n, alpha_n its negative, beta via p * kv
@@ -134,15 +158,15 @@ def hensel_configs(draw):
     }
 
 
-def reference_tails(stream, info):
+def reference_tails(stream, block):
     """Every column fitted with extension to the budget, then the certificate."""
     ks, nu = stream.ks, stream.nu
-    family = ks.stages[info.stage_pos].family
+    family = ks.stages[block.stage_pos].family
     gp = derivative(ks.g)
 
     @functools.cache
     def row(n):
-        q = ks.key_poly(KeyIndex(info.stage_pos, n))
+        q = ks.key_poly(KeyIndex(block.stage_pos, n))
         nu_key, nu_key_deriv = nu.nu(q).expect_finite(), nu.nu(derivative(q)).expect_finite()
         nu_i_g, nu_i_gp = nu.nu_q(ks.g, q).expect_finite(), nu.nu_q(gp, q).expect_finite()
         return {
@@ -156,14 +180,13 @@ def reference_tails(stream, info):
 
     tails = {
         name: fit_closed_form(
-            info.column_values(stream, name),
+            block.values(name),
             ks.p,
-            extend=None if family.budget == info.count else extender(name),
+            extend=None if family.budget == len(block.records) else extender(name),
         )
         for name in COLUMNS
     }
-    block = stream.records[info.start_record : info.start_record + info.count]
-    return _apply_divergence_cert(block, tails, family.divergence_bound)
+    return _apply_divergence_cert(block.records, tails, family.divergence_bound)
 
 
 class TestCertificateFirst:
@@ -171,11 +194,34 @@ class TestCertificateFirst:
     @given(hensel_configs())
     def test_tails_equal_fitting_every_column(self, data):
         stream = stream_for(data)
-        for info in stream.plateaus:
-            expected = reference_tails(stream, info)
-            assert {k: t and t.describe() for k, t in info.tails.items()} == {
+        for block in stream.plateaus:
+            expected = reference_tails(stream, block)
+            assert {k: t and t.describe() for k, t in block.tails.items()} == {
                 k: expected[k] and expected[k].describe() for k in COLUMNS
             }
+
+
+class TestSequenceChecks:
+    def test_stalling_plateau_rejected(self):
+        # the key values rise for six terms and then repeat; the stream
+        # checks every materialized term, not a shorter prefix
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [2, 1, 1])
+        lifts = hensel_family(backend, g, 0)
+        stalling = PlateauFamily(backend, lambda n: lifts.center(min(n, 6)))
+        ks = KeySequence((PlateauStage(stalling),), FinalStage.of(g), 2, backend)
+        nu = NuOracle.stabilization(g, lifts.center)
+        with pytest.raises(ScenarioDataError, match="plateau key values must increase strictly"):
+            invariant_stream(ks, nu, terms=8)
+
+    def test_g_not_monic_over_explicit_key_rejected(self):
+        # x^3 + x + 1 = (x - 1)(x^2 + x + 1) + (x + 2): the top slot is x - 1
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [1, 1, 0, 1])
+        key = ExplicitStage(Poly.from_ints(backend, [1, 1, 1]))
+        ks = KeySequence((key,), FinalStage.of(g), 2, backend)
+        with pytest.raises(ScenarioDataError, match="g is not monic over an explicit key"):
+            invariant_stream(ks, NuOracle.from_resultant(g))
 
 
 class TestSegments:
@@ -335,12 +381,12 @@ class TestMinimizingPlateauMonotonicity:
     @pytest.mark.parametrize("stream", [AS2, AS3, HENSEL])
     def test_alpha_strictly_decreasing_beyond_certificate(self, stream):
         stage_pos, cert = first_minimizing_plateau(stream)
-        info = stream.plateau_at(stage_pos)
-        values = info.column_values(stream, "alpha")
+        block = stream.blocks[stage_pos]
+        values = block.values("alpha")
         assert len(values) >= 8
         tail_values = values[cert - 1 :]
         assert all(b < a for a, b in zip(tail_values, tail_values[1:]))
-        law = info.tails["alpha"].law
+        law = block.tails["alpha"].law
         if isinstance(law, ClosedForm):
             assert law.c > rat1(0)  # keeps decreasing forever
         else:

@@ -17,8 +17,8 @@ from valkit.keyseq import (
     artin_schreier_family,
     find_witness,
     hensel_family,
-    validate_sequence,
 )
+from valkit.kahler import invariant_stream
 from valkit.poly import Poly, is_q_monic
 from valkit.truncation import NuOracle
 
@@ -83,7 +83,9 @@ class TestStructure:
         ks, nu = as_sequence(3)
         for index in ks.indices(5):
             assert is_q_monic(ks.g, ks.key_poly(index))
-        validate_sequence(ks, nu, 5)
+        # the stream's rows make the same check on the keys they build
+        stream = invariant_stream(ks, nu, 5)
+        assert [r.index for r in stream.records] == ks.indices(5)
 
 
 def normalize(ks, nu, terms_per_plateau=8):
