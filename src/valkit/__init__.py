@@ -24,13 +24,7 @@ from .errors import (
     ValkitError,
     ValueNotRepresentableError,
 )
-from .fields import (
-    Backend,
-    HahnElem,
-    PAdicRational,
-    artin_schreier_partial_sum,
-    valuation,
-)
+from .fields import Backend, HahnElem, PAdicRational, valuation
 from .groups import (
     CanonicalSegment,
     ClosedForm,

@@ -156,6 +156,7 @@ def _coefficients(raw, field: str, backend: str, p: int) -> tuple[str, ...]:
 def _check_stage(st, backend: str, p: int) -> None:
     """A custom stage: exactly one of `poly` or a known `family`.
 
+    A `poly` is a key: monic of degree >= 1 once trailing zeros are dropped.
     `va` goes only on an artin_schreier stage and `start` only on a
     hensel_lift stage.
     """
@@ -167,7 +168,13 @@ def _check_stage(st, backend: str, p: int) -> None:
     if "poly" not in st and not (isinstance(family, str) and family in _FAMILY_BACKEND):
         raise ConfigError("stage needs 'poly' or a known 'family'", "stages")
     if "poly" in st:
-        _coefficients(st["poly"], "stages", backend, p)
+        coeffs = _coefficients(st["poly"], "stages", backend, p)
+        # A key spelled with a top "1", the common case, needs no parse.
+        if coeffs[-1] != "1" or len(coeffs) < 2:
+            over = Backend(backend, p)
+            key = Poly.make(over, [over.parse(c) for c in coeffs])
+            if key.degree < 1 or not key.is_monic():
+                raise ConfigError("an explicit key must be monic of degree >= 1", "stages")
     elif backend != _FAMILY_BACKEND[family]:
         raise ConfigError(f"family {family!r} needs backend {_FAMILY_BACKEND[family]!r}", "stages")
     if "va" in st:

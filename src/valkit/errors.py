@@ -68,6 +68,3 @@ class ConfigError(ValkitError):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
 
-
-class NonNegativeValuationWarning(UserWarning):
-    """Partial sums were requested outside the negative-valuation regime."""

@@ -15,6 +15,9 @@ A Hahn element stores its exponents as integer numerators over one
 denominator per element, kept minimal, so equal series compare and hash
 equal without `Fraction` arithmetic; `Fraction` appears only where
 exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`order`, `str`).
+Sums and differences are one linear merge of the two sorted supports
+(`HahnElem._merge`), which reduces the denominator only after a term
+cancels; products accumulate in a dict and sort once.
 
 Each element's `order()` is its least exponent, an `int` or a `Fraction`,
 or `None` for zero.  `valuation(a)`, the only valuation, builds the
@@ -29,17 +32,11 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    BackendMismatchError,
-    NonNegativeValuationWarning,
-    ValkitError,
-    ValueNotRepresentableError,
-)
+from .errors import BackendMismatchError, ValkitError, ValueNotRepresentableError
 from .groups import ExtValue, GroupElem, rat1
 
 _HAHN_DIV_BUDGET = 4096
@@ -184,19 +181,49 @@ class HahnElem:
             den,
         )
 
-    def __add__(self, other):
+    def _merge(self, other, negate: bool) -> "HahnElem":
+        """self + other, or self - other when `negate`: one pass over both sorted supports.
+
+        The denominator lcm(den_a, den_b) needs reducing only after a term
+        cancels.  For a prime l dividing it, one operand, say a, carries all
+        of l in den_a; a is minimal, so a has a numerator prime to l, which
+        stays prime to l when rescaled to den, and with no cancellation that
+        term is in the result.
+        """
         other = self._coerce(other)
+        p = self.p
         a, b, den = self._aligned(other)
-        acc = dict(a)
-        for n, c in b:
-            acc[n] = acc.get(n, 0) + c
-        return _hahn(acc, den, self.p)
+        out, cancelled, i, j, la, lb = [], False, 0, 0, len(a), len(b)
+        while i < la and j < lb:
+            (na, ca), (nb, cb) = a[i], b[j]
+            if na < nb:
+                out.append(a[i])
+                i += 1
+            elif nb < na:
+                out.append((nb, p - cb) if negate else b[j])
+                j += 1
+            else:
+                c = (ca - cb if negate else ca + cb) % p
+                if c:
+                    out.append((na, c))
+                cancelled = cancelled or not c
+                i, j = i + 1, j + 1
+        out += a[i:]
+        out += [(n, p - c) for n, c in b[j:]] if negate else b[j:]
+        g = math.gcd(den, *(n for n, _ in out)) if cancelled else 1
+        if g > 1:
+            den //= g
+            out = [(n // g, c) for n, c in out]
+        return HahnElem(tuple(out), den, p)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     def __neg__(self):
         return HahnElem(tuple((n, (-c) % self.p) for n, c in self.terms), self.den, self.p)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._merge(other, True)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -343,23 +370,3 @@ def valuation(a: FieldElem) -> ExtValue:
     k = a.order()
     return ExtValue.infinity() if k is None else ExtValue.of(rat1(k))
 
-
-def artin_schreier_partial_sum(p: int, a: HahnElem, n: int) -> HahnElem:
-    """The partial sum of iterated p-th roots  sum_{i=0..n} a**(1/p**i).
-
-    Exponents divide by p**i; coefficients in the prime field are their own
-    p-th roots.  Meaningful for v(a) < 0 (the approximation regime); other
-    inputs are allowed but flagged with a warning.
-    """
-    if not isinstance(a, HahnElem):
-        raise BackendMismatchError("partial sums are defined for Hahn elements")
-    if not (valuation(a) < rat1(0)):
-        warnings.warn(
-            "partial sums requested for v(a) >= 0",
-            NonNegativeValuationWarning,
-            stacklevel=2,
-        )
-    acc = HahnElem.make({}, p)
-    for i in range(n + 1):
-        acc = acc + a.frobenius_root(i)
-    return acc

@@ -9,8 +9,9 @@ consumer.
 
 Built-in plateau families:
 
-* `artin_schreier_family` -- keys x - s_{n-1} over a Hahn backend, where
-  s_m sums the first m iterated p-th roots of a;
+* `artin_schreier_family` -- keys x - s_n over a Hahn backend, where s_n
+  sums the first n - 1 iterated p-th roots of a, each center built from the
+  one before by adding one root;
 * `hensel_family` -- keys x - a_n over p-adic rationals, a_n the successive
   lifts of a simple residue root of g, with a construction certificate that
   the key values exceed the term index (hence diverge);
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ScenarioDataError, ValkitError, ValueNotRepresentableError
-from .fields import Backend, FieldElem, HahnElem, _padic_order, artin_schreier_partial_sum
+from .fields import Backend, FieldElem, HahnElem, _padic_order
 from .groups import ClosedForm, FiniteList, GroupElem, rat1
-from .poly import Poly
+from .poly import Poly, derivative
 from .truncation import NuOracle
 
 FAMILY_BUDGET = 64
@@ -50,8 +52,10 @@ class KeyIndex:
 class PlateauFamily:
     """Lazy family of same-degree keys x - center(n), n = 1, 2, ...
 
-    Materialization is memoized under a lock so concurrent first access
-    yields identical terms.  `divergence_bound` (optional) certifies, by
+    `center_fn(n, prev)` builds center n from center n - 1 (`prev`, `None`
+    for n = 1).  Centers are made in order and memoized here, the family's
+    one memo, under a lock so concurrent first access yields identical
+    terms.  `divergence_bound` (optional) certifies, by
     construction, that the key value at term n is at least `bound(n)` with
     unbounded bounds; scenario builders set it only when the generator
     really guarantees it.
@@ -60,7 +64,7 @@ class PlateauFamily:
     def __init__(
         self,
         backend: Backend,
-        center_fn: Callable[[int], FieldElem],
+        center_fn: Callable[[int, FieldElem | None], FieldElem],
         degree: int = 1,
         divergence_bound: Callable[[int], GroupElem] | None = None,
         budget: int = FAMILY_BUDGET,
@@ -84,7 +88,8 @@ class PlateauFamily:
             raise ValkitError(f"plateau term {n} exceeds the family budget {self.budget}")
         with self._lock:
             while len(centers) < n:
-                centers.append(self._center_fn(len(centers) + 1))
+                prev = centers[-1] if centers else None
+                centers.append(self._center_fn(len(centers) + 1, prev))
             return centers[n - 1]
 
     def poly(self, n: int) -> Poly:
@@ -289,18 +294,18 @@ def find_witness(
 # ---------------------------------------------------------------------------
 
 def artin_schreier_family(backend: Backend, a: HahnElem, budget: int = FAMILY_BUDGET) -> PlateauFamily:
-    """Keys x - s_{n-1} with s_m the sum of the first m iterated p-th roots.
+    """Keys x - s_n with s_n = sum_{i=1..n-1} a**(1/p**i), iterated p-th roots.
 
-    Term n = 1 is the key x itself; the n-th key value is v(a)/p**n, read
-    off later family members, never assumed.
+    Term n = 1 is the key x itself (s_1 = 0).  Each center is the one before
+    plus one root, s_n = s_{n-1} + a**(1/p**(n-1)), so a center costs one
+    merge; the family memoizes them in order.  The n-th key value is
+    v(a)/p**n, read off later family members, never assumed.
     """
-    p = backend.p
 
-    def center(n: int) -> FieldElem:
+    def center(n: int, prev: FieldElem | None) -> FieldElem:
         if n == 1:
             return backend.zero()
-        # sum_{i=1..n-1} a**(1/p**i)  =  (sum_{i=0..n-1} a**(1/p**i)) - a
-        return artin_schreier_partial_sum(p, a, n - 1) - a
+        return prev + a.frobenius_root(n - 1)
 
     return PlateauFamily(backend, center, degree=1, budget=budget)
 
@@ -314,49 +319,37 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     coefficient value, which is what lets the truncated values of g
     inherit the divergence certificate.  Each lift appends the unique next
     digit, so the value of g at the n-th center is at least n and strictly
-    increasing.
+    increasing.  A lift reads the previous center a from the family; with
+    v = v(g(a)), g(a + t*p^v) = g(a) + g'(start)*t*p^v mod p^(v+1) fixes the
+    digit t, and one more Horner evaluation checks the gain.
     """
     p = backend.p
     for c in g.coeffs:
         if not c.is_zero() and _padic_order(c.value, p) < 0:
-            raise ScenarioDataError(
-                "the lift family needs integral polynomial coefficients"
-            )
+            raise ScenarioDataError("the lift family needs integral polynomial coefficients")
 
-    def g_val(a: int) -> int:
+    def g_at(a: int) -> tuple[int | Fraction, int]:
         value = g.eval(backend.from_int(a)).value
         if value == 0:
             raise ScenarioDataError("the family hit an exact rational root of g")
-        return _padic_order(value, p)
+        return value, _padic_order(value, p)
 
-    if g_val(start) < 1:
+    if g_at(start)[1] < 1:
         raise ScenarioDataError("start is not a residue root")
-    from .poly import derivative
-
     gp = derivative(g).eval(backend.from_int(start))
     if gp.is_zero() or _padic_order(gp.value, p) != 0:
         raise ScenarioDataError("residue root is not simple")
 
-    centers = [start]
-    values = [g_val(start)]
-    lock = threading.Lock()
-
-    def extend() -> None:
-        a, va = centers[-1], values[-1]
-        for t in range(1, p):
-            cand = a + t * p**va
-            vc = g_val(cand)
-            if vc > va:
-                centers.append(cand)
-                values.append(vc)
-                return
-        raise ScenarioDataError("lift step found no gaining digit")
-
-    def center(n: int) -> FieldElem:
-        with lock:
-            while len(centers) < n:
-                extend()
-            return backend.from_int(centers[n - 1])
+    def center(n: int, prev: FieldElem | None) -> FieldElem:
+        if n == 1:
+            return backend.from_int(start)
+        a = prev.value
+        value, va = g_at(a)
+        u = Fraction(value, p**va) / gp.value  # a p-adic unit; the digit is -u mod p
+        cand = a + (-u.numerator * pow(u.denominator, -1, p) % p) * p**va
+        if g_at(cand)[1] <= va:
+            raise ScenarioDataError("lift step found no gaining digit")
+        return backend.from_int(cand)
 
     def bound(n: int) -> GroupElem:
         return rat1(n)

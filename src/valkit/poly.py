@@ -124,13 +124,14 @@ class Poly:
         if len(rem) - 1 < dq:
             return Poly(self.backend, ()), self
         quot = [self.backend.zero()] * (len(rem) - dq)
+        lower = q.coeffs[:-1]  # q is monic: rem[top] - 1*c is 0, and rem[:dq] drops it
         for top in range(len(rem) - 1, dq - 1, -1):
             c = rem[top]
             if c.is_zero():
                 continue
             shift = top - dq
             quot[shift] = c
-            for i, qc in enumerate(q.coeffs):
+            for i, qc in enumerate(lower):
                 rem[shift + i] = rem[shift + i] - qc * c
         return Poly.make(self.backend, quot), Poly.make(self.backend, rem[:dq])
 

@@ -382,6 +382,35 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "backend, p, stage",
+        [
+            ("padic", 2, ["2"]),
+            ("padic", 2, ["1/2", "3"]),
+            ("padic", 3, ["0", "2", "0"]),
+            ("padic", 2, ["0", "0"]),
+            ("hahn", 3, ["1", "3"]),  # 3 = 0 over F_3: a constant
+            ("hahn", 2, ["0", "1*t^(1)"]),
+        ],
+    )
+    def test_constant_or_non_monic_stage_exit_four(self, backend, p, stage, tmp_path, capsys):
+        g = ["2", "1", "1"] if backend == "padic" else ["1*t^(-1)", "2", "0", "1"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "scenario": "custom", "backend": backend, "p": p, "g": g,
+            "stages": [{"poly": stage}], "oracle": "resultant",
+        }))
+        assert main(["run", str(path)]) == 4
+        assert "an explicit key must be monic of degree >= 1" in capsys.readouterr().err
+
+    def test_monic_stage_after_trailing_zeros_accepted(self):
+        for backend, stage in (("padic", ["1", "1", "0"]), ("hahn", ["1", "1", "3"])):
+            cfg = parse_config_dict({
+                "scenario": "custom", "backend": backend, "p": 3, "g": ["1", "1", "1"],
+                "stages": [{"poly": stage}], "oracle": "resultant",
+            })
+            assert cfg.stages == ({"poly": stage},)
+
+    @pytest.mark.parametrize(
         "g, stage",
         [
             (["1*t^(1/0)", "2", "0", "1"], ["0", "1"]),

@@ -1,25 +1,15 @@
-"""Field backends: exact arithmetic, valuations, iterated-root partial sums."""
+"""Field backends: exact arithmetic, valuations, iterated-root centers."""
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from valkit.errors import (
-    BackendMismatchError,
-    NonNegativeValuationWarning,
-    ValueNotRepresentableError,
-)
-from valkit.fields import (
-    Backend,
-    HahnElem,
-    PAdicRational,
-    _padic_order,
-    artin_schreier_partial_sum,
-    parse_hahn,
-    valuation,
-)
+from valkit.cli import parse_config_dict
+from valkit.errors import BackendMismatchError, ConfigError, ValueNotRepresentableError
+from valkit.fields import Backend, HahnElem, PAdicRational, _padic_order, parse_hahn, valuation
 from valkit.groups import ExtValue, rat1
+from valkit.keyseq import artin_schreier_family
 
 
 def hahn(p, *terms):
@@ -100,25 +90,66 @@ class TestBackendConstructors:
         assert parse_hahn(str(x), 2) == x
 
 
+def root_sum(a: HahnElem, n: int) -> HahnElem:
+    """sum_{i=1..n} a**(1/p**i), one root at a time, independent of the family."""
+    acc = HahnElem.make({}, a.p)
+    for i in range(1, n + 1):
+        acc = acc + a.frobenius_root(i)
+    return acc
+
+
 class TestPartialSums:
+    """The Artin-Schreier family's centers s_n = sum_{i=1..n-1} a**(1/p**i)."""
+
     def test_literal_sum_p2(self):
         a = hahn(2, ("-1", 1))
-        s2 = artin_schreier_partial_sum(2, a, 2)
-        assert s2 == hahn(2, ("-1", 1), ("-1/2", 1), ("-1/4", 1))
+        s3 = artin_schreier_family(Backend("hahn", 2), a).center(3)
+        assert s3 == hahn(2, ("-1/2", 1), ("-1/4", 1))
 
     def test_literal_sum_p3(self):
         a = hahn(3, ("-1", 1))
-        s1 = artin_schreier_partial_sum(3, a, 1)
-        assert s1 == hahn(3, ("-1", 1), ("-1/3", 1))
+        s2 = artin_schreier_family(Backend("hahn", 3), a).center(2)
+        assert s2 == hahn(3, ("-1/3", 1))
 
-    def test_zeroth_sum_is_a(self):
+    def test_first_center_is_zero(self):
         a = hahn(2, ("-1", 1))
-        assert artin_schreier_partial_sum(2, a, 0) == a
+        assert artin_schreier_family(Backend("hahn", 2), a).center(1).is_zero()
 
-    def test_nonnegative_valuation_flagged(self):
-        a = hahn(2, ("1", 1))
-        with pytest.warns(NonNegativeValuationWarning):
-            artin_schreier_partial_sum(2, a, 1)
+    def test_nonnegative_valuation_rejected_at_parse(self):
+        stage = {"family": "artin_schreier", "va": "1"}
+        for data in (
+            {"scenario": "artin-schreier", "va": "0"},
+            {"scenario": "artin-schreier", "va": "1/2"},
+            {
+                "scenario": "custom", "backend": "hahn", "p": 2, "g": ["1*t^(1)", "1", "1"],
+                "stages": [stage], "oracle": "stabilization",
+            },
+        ):
+            with pytest.raises(ConfigError, match="va must be negative"):
+                parse_config_dict(data)
+
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.lists(
+            st.tuples(st.fractions(-8, 8, max_denominator=6), st.integers(1, 4)),
+            min_size=1, max_size=3,
+        ),
+        st.permutations(range(1, 9)),
+    )
+    def test_centers_equal_root_sums_in_any_order(self, p, terms, order):
+        a = HahnElem.make({e: c % p or 1 for e, c in terms}, p)
+        family = artin_schreier_family(Backend("hahn", p), a)
+        for n in order:
+            center = family.center(n)
+            assert_canonical(center)
+            assert center == root_sum(a, n - 1)
+        assert family.center(7) is family.center(7)  # one memo, filled once
+
+    def test_late_center_first(self):
+        a = hahn(3, ("-2/3", 2), ("1", 1))
+        family = artin_schreier_family(Backend("hahn", 3), a)
+        assert family.center(7) == root_sum(a, 6)
+        assert family.center(3) == root_sum(a, 2)
 
 
 class TestValueLawOracle:
@@ -132,7 +163,7 @@ class TestValueLawOracle:
         a = backend.element_from_value(-1)
         va = Fraction(-1)
         for n in range(0, 9):
-            s_n = artin_schreier_partial_sum(p, a, n) - a  # roots 1..n
+            s_n = root_sum(a, n)  # roots 1..n
             g_at = s_n**p - s_n - a
             assert valuation(g_at) == ExtValue.of(rat1(va / p**n))
 
@@ -243,6 +274,52 @@ def model_pairs(draw):
     return p, draw(hahn_models(p)), draw(hahn_models(p))
 
 
+@st.composite
+def overlapping_pairs(draw):
+    """a and b share part of their support; some shared terms cancel.
+
+    A shared exponent gets the coefficient that cancels in a + b, the one
+    that cancels in a - b, or another one; b may carry further terms whose
+    denominators differ from a's by powers of p.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    ma = draw(hahn_models(p, max_terms=5, allow_zero=False))
+    mb = {}
+    for e, c in ma.items():
+        kind = draw(st.sampled_from(["absent", "cancel_add", "cancel_sub", "other"]))
+        if kind == "cancel_add":
+            mb[e] = (-c) % p
+        elif kind == "cancel_sub":
+            mb[e] = c
+        elif kind == "other":
+            mb[e] = draw(st.integers(1, p - 1))
+    for e, c in draw(hahn_models(p)).items():
+        mb.setdefault(e, c)
+    return p, ma, mb
+
+
+@st.composite
+def p_power_denominator_pairs(draw):
+    """b's terms are a's p**k-th roots, mixed with a's own terms: the family's shape."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ma = draw(hahn_models(p))
+    k = draw(st.integers(0, 3))
+    mb = {e / p**k: c for e, c in ma.items()}
+    for e in draw(st.lists(st.sampled_from(sorted(ma)), unique=True)) if ma else ():
+        mb[e] = draw(st.integers(1, p - 1))
+    return p, ma, mb
+
+
+def assert_sums(p, ma, mb):
+    a, b = HahnElem.make(ma, p), HahnElem.make(mb, p)
+    neg_b = {e: -c for e, c in mb.items()}
+    assert_matches(a + b, model_add(ma, mb, p))
+    assert_matches(a - b, model_add(ma, neg_b, p))
+    assert_matches(b + a, model_add(ma, mb, p))
+    assert_matches(b - a, model_add(mb, {e: -c for e, c in ma.items()}, p))
+    assert_matches(a + (-b), model_add(ma, neg_b, p))
+
+
 class TestHahnAgainstModel:
     @given(model_pairs())
     def test_ring_operations(self, case):
@@ -256,6 +333,34 @@ class TestHahnAgainstModel:
         cube = model_mul(model_mul(ma, ma, p), ma, p) if ma else {}
         assert_matches(a**3, cube)
         assert_matches(a**0, {Fraction(0): 1})
+
+    @given(overlapping_pairs())
+    def test_sums_with_cancellation(self, case):
+        p, ma, mb = case
+        a = HahnElem.make(ma, p)
+        for zero in (a - a, a + (-a), -a + a):
+            assert_matches(zero, {})
+            assert (zero.terms, zero.den) == ((), 1)
+        assert_sums(p, ma, mb)
+
+    @given(p_power_denominator_pairs())
+    def test_sums_over_p_power_denominators(self, case):
+        assert_sums(*case)
+
+    @pytest.mark.parametrize(
+        "p, ma, mb, den",
+        [
+            # the 1/2 terms cancel and the denominator drops back to 1
+            (3, {Fraction(1, 2): 1, Fraction(1): 2}, {Fraction(1, 2): 2}, 1),
+            # a root and its base: only the base term is left, over den 1
+            (2, {Fraction(-1, 4): 1, Fraction(-1): 1}, {Fraction(-1, 4): 1}, 1),
+            # denominators 5 and 25: the 1/25 parts cancel, 1/5 is left
+            (5, {Fraction(-1, 5): 1, Fraction(3, 25): 4}, {Fraction(3, 25): 1, Fraction(2): 3}, 5),
+        ],
+    )
+    def test_cancellation_reduces_denominator(self, p, ma, mb, den):
+        assert_sums(p, ma, mb)
+        assert (HahnElem.make(ma, p) + HahnElem.make(mb, p)).den == den
 
     @given(model_pairs(), st.integers(0, 3))
     def test_valuation_str_and_roots(self, case, k):

@@ -208,7 +208,7 @@ class TestSequenceChecks:
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [2, 1, 1])
         lifts = hensel_family(backend, g, 0)
-        stalling = PlateauFamily(backend, lambda n: lifts.center(min(n, 6)))
+        stalling = PlateauFamily(backend, lambda n, prev: lifts.center(min(n, 6)))
         ks = KeySequence((PlateauStage(stalling),), FinalStage.of(g), 2, backend)
         nu = NuOracle.stabilization(g, lifts.center)
         with pytest.raises(ScenarioDataError, match="plateau key values must increase strictly"):

@@ -1,8 +1,11 @@
 """Key sequences: stages, plateau families, normalization, witness search."""
 import concurrent.futures
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from valkit.errors import ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
@@ -179,6 +182,58 @@ class TestCompletenessProbe:
             assert min(terms) == nu.nu(f)
 
 
+def p_order(x: Fraction, p: int) -> int:
+    num, den, k = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, k = num // p, k + 1
+    while den % p == 0:
+        den, k = den // p, k - 1
+    return k
+
+
+def trial_lifts(coeffs, p, start, count):
+    """Centers of the digit lift by trying t = 1..p-1 at each step.
+
+    Stops early where a lift is an exact rational root of g.
+    """
+
+    def order_of_g(a):
+        value = sum(Fraction(c) * a**i for i, c in enumerate(coeffs))
+        return None if value == 0 else p_order(value, p)
+
+    centers = [start]
+    while len(centers) < count:
+        a = centers[-1]
+        va = order_of_g(a)
+        for t in range(1, p):
+            vc = order_of_g(a + t * p**va)
+            if vc is None:
+                return centers
+            if vc > va:
+                centers.append(a + t * p**va)
+                break
+        else:
+            raise AssertionError("no gaining digit")
+    return centers
+
+
+@st.composite
+def hensel_inputs(draw):
+    """A monic g of degree 2-3 with p-integral rational coefficients and a
+    simple residue root: g(start) = 0 mod p, g'(start) a unit."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    unit_dens = [d for d in range(1, 12) if d % p]
+    rational = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(unit_dens))
+    degree = draw(st.integers(2, 3))
+    coeffs = [Fraction(0)] + draw(st.lists(rational, min_size=degree - 1, max_size=degree - 1)) + [1]
+    start = draw(st.integers(-2 * p, 2 * p))
+    at_start = sum(c * start**i for i, c in enumerate(coeffs))
+    coeffs[0] = -at_start + p * draw(st.integers(-20, 20).filter(bool))
+    gprime = sum(i * c * start ** (i - 1) for i, c in enumerate(coeffs) if i)
+    assume(p_order(gprime, p) == 0 if gprime else False)
+    return p, coeffs, start
+
+
 class TestFamilies:
     def test_artin_schreier_centers(self):
         backend = Backend("hahn", 2)
@@ -199,6 +254,24 @@ class TestFamilies:
             assert gval >= family.divergence_bound(n)
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(hensel_inputs())
+    def test_hensel_digits_match_trial_lifts(self, case):
+        p, coeffs, start = case
+        backend = Backend("padic", p)
+        g = Poly.make(backend, [backend.parse(str(c)) for c in coeffs])
+        family = hensel_family(backend, g, start)
+        want = trial_lifts(coeffs, p, start, 12)
+        assert [family.center(n).value for n in range(1, len(want) + 1)] == want
+
+    def test_hensel_exact_root_raises_at_its_lift(self):
+        # g = (x - 7)(x - 2) over the 3-adics: from start 1 the first lift is 7
+        backend = Backend("padic", 3)
+        family = hensel_family(backend, Poly.from_ints(backend, [14, -9, 1]), 1)
+        assert trial_lifts([14, -9, 1], 3, 1, 2) == [1]
+        with pytest.raises(ScenarioDataError, match="exact rational root"):
+            family.center(2)
+
     def test_hensel_rejects_non_root(self):
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [1, 1, 1])  # no residue root at 0
@@ -218,6 +291,36 @@ class TestFamilies:
         fresh = artin_schreier_family(backend, a)
         for n, got in enumerate(results):
             assert got == str(fresh.center(1 + n % 10))
+
+    def test_concurrent_incremental_centers(self):
+        # Each center is built from the one before: racing first accesses,
+        # out of order and under a short switch interval, must still see
+        # exactly the centers built in order.
+        padic = Backend("padic", 7)
+        g = Poly.from_ints(padic, [1, 1, 1])  # root 2 mod 7, g'(2) = 5
+        hahn = Backend("hahn", 3)
+        builders = [
+            lambda: artin_schreier_family(hahn, hahn.element_from_value(Fraction(-2, 3))),
+            lambda: hensel_family(padic, g, 2),
+        ]
+        shared = [build() for build in builders]
+        start = threading.Barrier(8)
+
+        def work(k):
+            start.wait(timeout=30)
+            return [[f.center(n) for n in range(12 - k % 3, 0, -2)] for f in shared]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        fresh = [build() for build in builders]
+        for k, got in enumerate(results):
+            want = [[f.center(n) for n in range(12 - k % 3, 0, -2)] for f in fresh]
+            assert got == want
 
     def test_budget_enforced(self):
         backend = Backend("hahn", 2)

@@ -89,11 +89,27 @@ class TestQMonic:
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 
 
+@st.composite
+def poly_and_monic_base(draw, max_base_degree):
+    """(f, q) over the 2-adics (small integers) or over Hahn series with
+    fractional exponents (p in {2, 3}); q is monic of degree >= 1."""
+    if draw(st.booleans()):
+        f = Poly.from_ints(B2, draw(coeffs))
+        lower = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=max_base_degree))
+        return f, Poly.from_ints(B2, lower + [1])
+    p = draw(st.sampled_from([2, 3]))
+    backend = Backend("hahn", p)
+    term = st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(1, p - 1))
+    elem = st.lists(term, max_size=2).map(lambda ts: HahnElem.make(dict(ts), p))
+    f = Poly.make(backend, draw(st.lists(elem, max_size=5)))
+    lower = draw(st.lists(elem, min_size=1, max_size=max_base_degree))
+    return f, Poly.make(backend, lower + [backend.one()])
+
+
 class TestAlgebraProperties:
-    @given(coeffs, st.lists(st.integers(-9, 9), min_size=1, max_size=2))
-    def test_reconstruction(self, fc, qc_lower):
-        f = Poly.from_ints(B2, fc)
-        q = Poly.from_ints(B2, qc_lower + [1])
+    @given(poly_and_monic_base(max_base_degree=2))
+    def test_reconstruction(self, case):
+        f, q = case
         exp = q_expand(f, q)
         assert exp.to_poly() == f
         assert all(c.degree < q.degree for c in exp.coeffs)
@@ -109,10 +125,9 @@ class TestAlgebraProperties:
         scale = B2.from_int(k)
         assert derivative(f + g.scale(scale)) == derivative(f) + derivative(g).scale(scale)
 
-    @given(coeffs, st.lists(st.integers(-9, 9), min_size=1, max_size=3))
-    def test_divmod_identity(self, fc, qc_lower):
-        f = Poly.from_ints(B2, fc)
-        q = Poly.from_ints(B2, qc_lower + [1])
+    @given(poly_and_monic_base(max_base_degree=3))
+    def test_divmod_identity(self, case):
+        f, q = case
         quot, rem = f.divmod_monic(q)
         assert quot * q + rem == f
         assert rem.degree < q.degree
