@@ -66,7 +66,7 @@ from .keyseq import (
     find_witness,
     hensel_family,
 )
-from .poly import Poly, QExpansion, derivative, is_q_monic, q_expand, resultant
+from .poly import Poly, QExpansion, derivative, q_expand, resultant
 from .truncation import NuOracle
 
 __version__ = "0.1.0"

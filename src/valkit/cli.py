@@ -29,6 +29,7 @@ from .errors import (
 from .fields import Backend, parse_hahn
 from .groups import ClosedForm, FiniteList, GroupElem, format_rational, largest_delta, rat1
 from .kahler import (
+    COLUMNS,
     BSetReport,
     InvariantStream,
     VerdictKind,
@@ -291,14 +292,9 @@ def emit_config(cfg: ScenarioConfig) -> dict:
         "budget": cfg.budget,
         "format": cfg.fmt,
     }
-    if cfg.va is not None:
-        out["va"] = format_rational(cfg.va)
-    if cfg.vp is not None:
-        out["vp"] = format_rational(cfg.vp)
-    if cfg.gamma is not None:
-        out["gamma"] = format_rational(cfg.gamma)
-    if cfg.scale is not None:
-        out["scale"] = format_rational(cfg.scale)
+    for name in ("va", "vp", "gamma", "scale"):
+        if getattr(cfg, name) is not None:
+            out[name] = format_rational(getattr(cfg, name))
     if cfg.schedule is not None:
         out["schedule"] = [format_rational(x) for x in cfg.schedule]
     if cfg.g is not None:
@@ -448,17 +444,7 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
 
     report["nu_gprime"] = str(stream.nu_gprime)
     report["records"] = [
-        {
-            "index": r.index.label(),
-            "degree": r.degree,
-            "nu_key": str(r.nu_key),
-            "nu_key_deriv": str(r.nu_key_deriv),
-            "alpha": str(r.alpha),
-            "beta": str(r.beta),
-            "beta_tilde": str(r.beta_tilde),
-            "nu_i_g": str(r.nu_i_g),
-            "nu_i_gprime": str(r.nu_i_gprime),
-        }
+        {"index": r.index.label(), "degree": r.degree, **{c: str(r.column(c)) for c in COLUMNS}}
         for r in stream.records
     ]
     report["laws"] = {
@@ -533,19 +519,7 @@ def render_text(report: dict) -> str:
         lines.append(f"status: {report['status']}: {report['error']}")
         return "\n".join(lines) + "\n"
     header = ("index", "nu_key", "nu_key'", "alpha", "beta", "beta~", "nu_i(g)", "nu_i(g')")
-    rows = [header] + [
-        (
-            r["index"],
-            r["nu_key"],
-            r["nu_key_deriv"],
-            r["alpha"],
-            r["beta"],
-            r["beta_tilde"],
-            r["nu_i_g"],
-            r["nu_i_gprime"],
-        )
-        for r in report["records"]
-    ]
+    rows = [header] + [(r["index"], *(r[c] for c in COLUMNS)) for r in report["records"]]
     widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
     for row in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))

@@ -6,14 +6,16 @@ anchor key, then recursively expand every non-constant coefficient at the
 smallest earlier witness index computing its full value.  The term values
 of the result compute the truncation at the anchor exactly.
 
-On top of it: the index-support set of an expansion, the minimizing-term
-set of a base-q expansion, the derivative drop with its equality test, and
-the monomial rewriting of nonnegative-value polynomials over a normalized
-sequence.
+On top of it: the index-support set of an expansion, the minimizing-slot
+set of a base-q expansion (the argmin of `NuOracle.term_values`), the
+derivative drop with its equality test, and the monomial rewriting of
+nonnegative-value polynomials over a normalized sequence, which is the
+full expansion at f's witness with its coefficients rescaled.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     LawMismatchError,
@@ -21,7 +23,7 @@ from .errors import (
     NoWitnessError,
     ScenarioDataError,
 )
-from .fields import FieldElem
+from .fields import Backend, FieldElem, valuation
 from .groups import ExtValue, GroupElem, min_value
 from .keyseq import KeyIndex, KeySequence, NormalizedSequence, find_witness
 from .poly import Poly, derivative
@@ -30,16 +32,21 @@ from .truncation import NuOracle
 
 @dataclass(frozen=True)
 class MonomialTerm:
-    """One summand  b * prod_k Q_k ** exponents[k]  of a full expansion."""
+    """One summand  b * prod_k Q_k ** exponents[k]  of an expansion."""
 
     coefficient: FieldElem
     exponents: tuple[tuple[KeyIndex, int], ...]  # sorted, nonzero exponents
 
-    def value(self, key_value, coeff_value) -> ExtValue:
-        total = coeff_value(self.coefficient)
-        for k, e in self.exponents:
-            total = total + key_value(k).expect_finite().scale(e)
-        return total
+
+def _monomial_sum(backend: Backend, terms, key_poly: Callable[[KeyIndex], Poly]) -> Poly:
+    """The polynomial  sum b * prod key_poly(k) ** e  over the terms."""
+    acc = Poly(backend, ())
+    for term in terms:
+        part = Poly.constant(backend, term.coefficient)
+        for index, e in term.exponents:
+            part = part * key_poly(index) ** e
+        acc = acc + part
+    return acc
 
 
 @dataclass(frozen=True)
@@ -48,14 +55,7 @@ class FullExpansion:
     terms: tuple[MonomialTerm, ...]
 
     def reconstruct(self, ks: KeySequence) -> Poly:
-        backend = ks.backend
-        acc = Poly(backend, ())
-        for term in self.terms:
-            part = Poly.constant(backend, term.coefficient)
-            for index, e in term.exponents:
-                part = part * ks.key_poly(index) ** e
-            acc = acc + part
-        return acc
+        return _monomial_sum(ks.backend, self.terms, ks.key_poly)
 
     def support(self) -> set[KeyIndex]:
         out: set[KeyIndex] = set()
@@ -78,10 +78,7 @@ def full_expansion(
     terms_per_plateau: int = 8,
 ) -> FullExpansion:
     """Rewrite f over key monomials at indices <= i; exact identity."""
-    anchor_poly = ks.key_poly(i)
-    candidates = [
-        j for j in ks.indices(terms_per_plateau) if j < i
-    ]
+    candidates = [j for j in ks.indices(terms_per_plateau) if j < i]
 
     def expand(c: Poly, base_index: KeyIndex, base_poly: Poly) -> list[MonomialTerm]:
         out: list[MonomialTerm] = []
@@ -107,7 +104,7 @@ def full_expansion(
         return FullExpansion(i, ())
     if f.degree == 0:
         return FullExpansion(i, (MonomialTerm(f.coeff(0), ()),))
-    return FullExpansion(i, tuple(expand(f, i, anchor_poly)))
+    return FullExpansion(i, tuple(expand(f, i, ks.key_poly(i))))
 
 
 def i0_set(
@@ -121,22 +118,19 @@ def expansion_min_value(
     exp: FullExpansion, ks: KeySequence, nu: NuOracle
 ) -> ExtValue:
     """Minimum of the term values; equals the truncation at the anchor."""
-    from .fields import valuation
 
-    return min_value(
-        term.value(lambda k: nu.nu(ks.key_poly(k)), valuation) for term in exp.terms
-    )
+    def value(term: MonomialTerm) -> ExtValue:
+        total = valuation(term.coefficient)
+        for k, e in term.exponents:
+            total = total + nu.nu(ks.key_poly(k)).expect_finite().scale(e)
+        return total
+
+    return min_value(value(term) for term in exp.terms)
 
 
 def s_set(f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle) -> set[int]:
     """Slots of the base-q expansion of f attaining the truncation value."""
-    q = ks.key_poly(i)
-    vq = nu.nu(q)
-    values: dict[int, ExtValue] = {}
-    for j, c in enumerate(nu.expand(f, q).coeffs):
-        if c.is_zero():
-            continue
-        values[j] = nu.nu(c) + vq.expect_finite().scale(j)
+    values = nu.term_values(f, ks.key_poly(i))
     if not values:
         return set()
     least = min_value(values.values())
@@ -209,15 +203,21 @@ def _slot_is_unit(ks: KeySequence, j: int) -> bool:
     """Whether the slot number j is a unit of the base field (j >= 1, v(j) = 0)."""
     if j < 1:
         return False
-    from .fields import valuation
-
     return valuation(ks.backend.from_int(j)) == ExtValue.of(GroupElem.zero())
 
 
-@dataclass(frozen=True)
-class RewriteTerm:
-    scalar: FieldElem  # element of the valuation ring
-    exponents: tuple[tuple[KeyIndex, int], ...]
+def normalized_terms(exp: FullExpansion, normalized: NormalizedSequence) -> list[MonomialTerm]:
+    """The terms of exp over the normalized keys Q~_k = Q_k / a_k.
+
+    b * prod Q_k ** e_k = (b * prod a_k ** e_k) * prod Q~_k ** e_k.
+    """
+    out = []
+    for term in exp.terms:
+        scalar = term.coefficient
+        for k, e in term.exponents:
+            scalar = scalar * normalized.at(k).scalar**e
+        out.append(MonomialTerm(scalar, term.exponents))
+    return out
 
 
 def rewrite_in_generators(
@@ -225,59 +225,36 @@ def rewrite_in_generators(
     normalized: NormalizedSequence,
     nu: NuOracle,
     terms_per_plateau: int = 8,
-) -> list[RewriteTerm]:
+) -> list[MonomialTerm]:
     """Write f as an O_K-combination of monomials in the normalized keys.
 
-    Requires nu(f) >= 0 and deg(f) < deg(g); the least scalar value of the
-    result equals nu(f), and the identity is verified by re-expansion.
+    Requires nu(f) >= 0 and deg(f) < deg(g).  The result is the full
+    expansion at f's witness over the normalized keys: a coefficient's
+    witness has lower degree than its base, so it is an earlier index, and
+    rescaling by a nonzero constant moves no witness and no zero slot.  Its
+    least scalar value equals nu(f), and the identity is re-verified.
     """
     ks = normalized.ks
-    backend = ks.backend
     if f.degree >= ks.final.degree:
         raise ScenarioDataError("rewriting applies below the degree of g")
     v_f = nu.nu(f)
-    if not f.is_zero() and v_f < ExtValue.of(GroupElem.zero()):
+    zero = ExtValue.of(GroupElem.zero())
+    if not f.is_zero() and v_f < zero:
         raise NegativeValueInputError(f"nu(f) = {v_f} is negative")
 
-    candidates = ks.indices(terms_per_plateau)
-
-    def rec(c: Poly) -> list[RewriteTerm]:
-        if c.is_zero():
-            return []
-        if c.degree == 0:
-            return [RewriteTerm(c.coeff(0), ())]
-        w = find_witness(ks, nu, c, candidates)
-        if w is None:
-            raise NoWitnessError(f"no key of degree <= {c.degree} attains nu within budget")
-        nk = normalized.at(w)
-        out: list[RewriteTerm] = []
-        for j, cj in enumerate(nu.expand(c, nk.original).coeffs):
-            if cj.is_zero():
-                continue
-            # c = sum cj Q^j = sum (cj a^j) Q~^j; the rescaled coefficient
-            # keeps nonnegative value because the term value did.
-            rescaled = cj.scale(nk.scalar**j)
-            for t in rec(rescaled):
-                out.append(RewriteTerm(t.scalar, _merge(t.exponents, w, j)))
-        return out
-
-    terms = rec(f)
+    anchor = ks.final_index  # a constant is its own expansion at any anchor
+    if f.degree >= 1:
+        anchor = find_witness(ks, nu, f, ks.indices(terms_per_plateau))
+        if anchor is None:
+            raise NoWitnessError(f"no key of degree <= {f.degree} attains nu within budget")
+    terms = normalized_terms(full_expansion(f, anchor, ks, nu, terms_per_plateau), normalized)
 
     # Exactness and the minimal-value law are cheap to certify; do it always.
-    acc = Poly(backend, ())
-    zero = ExtValue.of(GroupElem.zero())
-    least: ExtValue | None = None
-    for t in terms:
-        sv = nu.nu(Poly.constant(backend, t.scalar))
-        if sv < zero:
-            raise ScenarioDataError("rewriting produced a scalar outside O_K")
-        least = sv if least is None or sv < least else least
-        part = Poly.constant(backend, t.scalar)
-        for index, e in t.exponents:
-            part = part * normalized.at(index).normalized ** e
-        acc = acc + part
-    if acc != f:
+    values = [valuation(t.coefficient) for t in terms]
+    if any(v < zero for v in values):
+        raise ScenarioDataError("rewriting produced a scalar outside O_K")
+    if _monomial_sum(ks.backend, terms, lambda k: normalized.at(k).normalized) != f:
         raise ScenarioDataError("rewriting identity failed to re-evaluate")
-    if terms and least != v_f:
+    if terms and min_value(values) != v_f:
         raise ScenarioDataError("rewriting lost the minimal-value law")
     return terms

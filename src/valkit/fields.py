@@ -310,12 +310,15 @@ class Backend:
             raise ValkitError(f"unknown backend {self.kind!r}")
         if self.p < 2:
             raise ValkitError("p must be at least 2")
+        # Elements are immutable, so one zero and one one serve every call.
+        object.__setattr__(self, "_zero", self.from_int(0))
+        object.__setattr__(self, "_one", self.from_int(1))
 
     def zero(self) -> FieldElem:
-        return self.from_int(0)
+        return self._zero
 
     def one(self) -> FieldElem:
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, n: int) -> FieldElem:
         if self.kind == "padic":

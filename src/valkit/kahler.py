@@ -276,19 +276,13 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
                 extend=None if limit == len(records) else extend,
             )
 
+        # A certificate decides the diverging columns before any fit probes
+        # them; only the partners it needs and what it leaves open are fitted.
+        tails = {name: fit(name) for name in _CERT_PARTNERS}
         cert = stage.family.divergence_bound if isinstance(stage, PlateauStage) else None
-        if cert is None:
-            tails = {name: fit(name) for name in COLUMNS}
-        else:
-            # The certificate decides the diverging columns before any fit
-            # probes them; only the partners it needs and what it leaves
-            # open are fitted.
-            decided = _apply_divergence_cert(
-                records, {name: fit(name) for name in _CERT_PARTNERS}, cert
-            )
-            tails = {
-                name: decided[name] if name in decided else fit(name) for name in COLUMNS
-            }
+        if cert is not None:
+            tails = _apply_divergence_cert(records, tails, cert)
+        tails = {name: tails[name] if name in tails else fit(name) for name in COLUMNS}
         blocks.append(Block(pos, stage.degree, records, tails))
 
     return InvariantStream(tuple(blocks), nu_gprime, ks, nu, terms=terms)

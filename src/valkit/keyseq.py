@@ -50,7 +50,7 @@ class KeyIndex:
 
 
 class PlateauFamily:
-    """Lazy family of same-degree keys x - center(n), n = 1, 2, ...
+    """Lazy family of linear keys x - center(n), n = 1, 2, ...
 
     `center_fn(n, prev)` builds center n from center n - 1 (`prev`, `None`
     for n = 1).  Centers are made in order and memoized here, the family's
@@ -61,16 +61,16 @@ class PlateauFamily:
     really guarantees it.
     """
 
+    degree = 1
+
     def __init__(
         self,
         backend: Backend,
         center_fn: Callable[[int, FieldElem | None], FieldElem],
-        degree: int = 1,
         divergence_bound: Callable[[int], GroupElem] | None = None,
         budget: int = FAMILY_BUDGET,
     ):
         self.backend = backend
-        self.degree = degree
         self._center_fn = center_fn
         self.divergence_bound = divergence_bound
         self.budget = budget
@@ -142,7 +142,8 @@ class ScheduleStage:
     g_coef_laws: tuple[CoefValueLaw, ...]
     gprime_coef_laws: tuple[CoefValueLaw, ...]
     nu_gprime: GroupElem
-    degree: int = 1
+
+    degree = 1  # a class constant, not a field
 
     def key_value(self, n: int) -> GroupElem:
         return self.key_values.term(n - 1)
@@ -307,7 +308,7 @@ def artin_schreier_family(backend: Backend, a: HahnElem, budget: int = FAMILY_BU
             return backend.zero()
         return prev + a.frobenius_root(n - 1)
 
-    return PlateauFamily(backend, center, degree=1, budget=budget)
+    return PlateauFamily(backend, center, budget=budget)
 
 
 def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BUDGET) -> PlateauFamily:
@@ -354,5 +355,5 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     def bound(n: int) -> GroupElem:
         return rat1(n)
 
-    return PlateauFamily(backend, center, degree=1, divergence_bound=bound, budget=budget)
+    return PlateauFamily(backend, center, divergence_bound=bound, budget=budget)
 

@@ -3,7 +3,7 @@
 Coefficients are exact field elements in ascending order with no trailing
 zeros.  Provides base-q expansions (repeated Euclidean division by a monic
 base, remainder first), formal derivatives with characteristic-p
-cancellation, q-monicity tests and Sylvester resultants.
+cancellation, q-monicity of an expansion and Sylvester resultants.
 """
 from __future__ import annotations
 
@@ -201,11 +201,6 @@ def derivative(f: Poly) -> Poly:
     for k in range(1, len(f.coeffs)):
         out.append(f.coeffs[k] * f.backend.from_int(k))
     return Poly.make(f.backend, out)
-
-
-def is_q_monic(f: Poly, q: Poly) -> bool:
-    """True when the top coefficient of the q-expansion of f equals 1."""
-    return q_expand(f, q).is_monic()
 
 
 def resultant(f: Poly, g: Poly) -> FieldElem:

@@ -18,6 +18,7 @@ from .expansion import (
     full_expansion,
     expansion_min_value,
     i0_set,
+    normalized_terms,
     rewrite_in_generators,
 )
 from .fields import Backend, valuation
@@ -37,7 +38,7 @@ from .groups import (
 )
 from .kahler import ideal_inclusion_check, alpha_beta_segments
 from .keyseq import NormalizedSequence
-from .poly import Poly, derivative, is_q_monic, q_expand
+from .poly import Poly, derivative, q_expand
 
 
 @dataclass
@@ -137,7 +138,7 @@ def suite_q_expansion(rng, instances) -> SuiteResult:
             failures.append(f"#{k}: reconstruction failed for {f} base {q}")
         if any(c.degree >= q.degree for c in exp.coeffs):
             failures.append(f"#{k}: coefficient degree out of bound")
-        if not f.is_zero() and f.is_monic() and q.degree == 1 and not is_q_monic(f, q):
+        if not f.is_zero() and f.is_monic() and q.degree == 1 and not exp.is_monic():
             failures.append(f"#{k}: monic f not q-monic over a linear base")
     return SuiteResult("q_expansion_reconstruction", instances, failures)
 
@@ -198,18 +199,12 @@ def suite_full_expansion(rng, instances) -> SuiteResult:
         if any(idx > i for idx in exp.support()):
             failures.append(f"#{k}: support escapes the anchor")
         # Degree bound below the anchor, and the normalized min-value law.
-        normalized = NormalizedSequence(ks, nu)
-        min_scaled = None
         for term in exp.terms:
             below = [(idx, e) for idx, e in term.exponents if idx < i]
             if sum(e * ks.key_poly(idx).degree for idx, e in below) >= ks.key_poly(i).degree:
                 failures.append(f"#{k}: sub-anchor degree bound failed")
-            scaled = term.coefficient
-            for idx, e in term.exponents:
-                scaled = scaled * normalized.at(idx).scalar**e
-            v = valuation(scaled)
-            min_scaled = v if min_scaled is None or v < min_scaled else min_scaled
-        if min_scaled != nu.nu_q(f, ks.key_poly(i)):
+        scaled = normalized_terms(exp, NormalizedSequence(ks, nu))
+        if min_value(valuation(t.coefficient) for t in scaled) != nu.nu_q(f, ks.key_poly(i)):
             failures.append(f"#{k}: normalized min-value law failed")
     return SuiteResult("full_expansion_min_value", instances, failures)
 

@@ -15,8 +15,9 @@ modulo the monic minimal polynomial g of eta.  Two modes are provided:
   n-th plateau key x - a_n costs n + window family evaluations, so the keys
   up to a budget cost quadratically many between them.
 
-`nu_q` is the truncation at a monic base q: the least term value of the
-q-expansion.  The oracle owns the q-expansions of its run: `expand`
+`term_values` is the one place that values the slots of a q-expansion,
+nu(f_j) + j * nu(q); `nu_q`, the truncation at a monic base q, is their
+least value.  The oracle owns the q-expansions of its run: `expand`
 computes each (f, q) pair once and every consumer holding the oracle reads
 it from there: truncations, the invariant stream's check that g is monic
 over each key, `b_set`'s slot values and full expansions.
@@ -145,25 +146,26 @@ class NuOracle:
         with self._lock:
             return self._expansions.setdefault(key, result)
 
+    def term_values(self, f: Poly, q: Poly) -> dict[int, ExtValue]:
+        """nu(f_j) + j * nu(q) for each nonzero slot j of the q-expansion of f."""
+        vq = self.nu(q)
+        if vq.is_infinite:
+            raise ValkitError(
+                "expansion base has infinite value (only g may, as a truncation base)"
+            )
+        step = vq.expect_finite()
+        return {
+            j: self.nu(c) + step.scale(j)
+            for j, c in enumerate(self.expand(f, q).coeffs)
+            if not c.is_zero()
+        }
+
     def nu_q(self, f: Poly, q: Poly) -> ExtValue:
         """Truncation at monic q: min over i of nu(f_i) + i * nu(q)."""
         if not q.is_monic() or q.degree < 1:
             raise NonMonicBaseError("truncation base must be monic of degree >= 1")
-        expansion = self.expand(f, q)
-        if len(expansion) == 1:
-            return self.nu(expansion.coeff(0))
-        if q == self.g:
-            # Truncation at the support polynomial: all higher terms are
-            # infinite, the constant term carries the value.
-            return self.nu(expansion.coeff(0))
-        vq = self.nu(q)
-        if vq.is_infinite:
-            raise ValkitError(
-                "truncation base has infinite value but is not the support polynomial"
-            )
-        terms = []
-        for i, c in enumerate(expansion.coeffs):
-            if c.is_zero():
-                continue
-            terms.append(self.nu(c) + vq.expect_finite().scale(i))
-        return min_value(terms)
+        if f.degree < q.degree or q == self.g:
+            # One slot, or the support polynomial as base (every higher slot
+            # is infinite): the constant slot carries the value.
+            return self.nu(self.expand(f, q).coeff(0))
+        return min_value(self.term_values(f, q).values())

@@ -2,8 +2,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from valkit.errors import NegativeValueInputError, ScenarioDataError
+from valkit.errors import NegativeValueInputError, NoWitnessError, ScenarioDataError
 from valkit.expansion import (
     derivative_drop,
     expansion_min_value,
@@ -12,7 +13,7 @@ from valkit.expansion import (
     rewrite_in_generators,
     s_set,
 )
-from valkit.fields import Backend
+from valkit.fields import Backend, HahnElem, _padic
 from valkit.groups import ExtValue, rat1
 from valkit.keyseq import (
     ExplicitStage,
@@ -22,8 +23,10 @@ from valkit.keyseq import (
     NormalizedSequence,
     PlateauStage,
     artin_schreier_family,
+    find_witness,
 )
-from valkit.poly import Poly
+from valkit.poly import Poly, q_expand
+from valkit.selftest import _context
 from valkit.truncation import NuOracle
 
 
@@ -164,7 +167,7 @@ class TestRewrite:
         f = Poly.from_ints(ks.backend, [0, 4])  # 4 * x, and x is normalized
         terms = rewrite_in_generators(f, view, nu)
         assert len(terms) == 1
-        assert terms[0].scalar.value == Fraction(4)
+        assert terms[0].coefficient.value == Fraction(4)
         assert terms[0].exponents == ((KeyIndex(0, 0), 1),)
         assert nu.nu(f) == ExtValue.of(rat1(2))
 
@@ -188,7 +191,101 @@ class TestRewrite:
         view = NormalizedSequence(ks, nu)
         f = Poly.from_ints(ks.backend, [6, 4])  # values 1 and 2, nu(f) = 1
         terms = rewrite_in_generators(f, view, nu)
-        values = sorted(str(t.scalar.value) for t in terms)
+        values = sorted(str(t.coefficient.value) for t in terms)
         assert nu.nu(f) == ExtValue.of(rat1(1))
         assert values == ["4", "6"]
 
+
+
+def reference_rewrite(f, normalized, nu, terms_per_plateau=8):
+    """Rewriting as its own walk: at the witness of each coefficient, expand
+    in the raw key, rescale slot j by a**j and recurse on the rescaled
+    coefficient.  Returns (scalar, exponents) pairs in walk order.
+    """
+    ks = normalized.ks
+    candidates = ks.indices(terms_per_plateau)
+
+    def rec(c):
+        if c.is_zero():
+            return []
+        if c.degree == 0:
+            return [(c.coeff(0), ())]
+        w = find_witness(ks, nu, c, candidates)
+        if w is None:
+            raise NoWitnessError("no witness")
+        nk = normalized.at(w)
+        out = []
+        for j, cj in enumerate(nu.expand(c, nk.original).coeffs):
+            if cj.is_zero():
+                continue
+            for scalar, exponents in rec(cj.scale(nk.scalar**j)):
+                if j:
+                    exponents = tuple(sorted(exponents + ((w, j),)))
+                out.append((scalar, exponents))
+        return out
+
+    return rec(f)
+
+
+CONTEXTS = ("as2", "as3", "unramified", "hensel")
+
+
+@st.composite
+def elements(draw, backend):
+    if backend.kind == "padic":
+        return _padic(Fraction(draw(st.integers(-24, 24)), draw(st.integers(1, 24))), backend.p)
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        e = Fraction(draw(st.integers(-6, 6)), backend.p ** draw(st.integers(0, 2)))
+        terms[e] = draw(st.integers(1, backend.p - 1))
+    return HahnElem.make(terms, backend.p)
+
+
+@st.composite
+def context_polys(draw, max_degree=None):
+    """(context name, nonzero f) with deg f <= max_degree, else deg f < deg g."""
+    name = draw(st.sampled_from(CONTEXTS))
+    ks = _context(name)[0]
+    top = ks.final.degree - 1 if max_degree is None else max_degree
+    coeffs = [draw(elements(ks.backend)) for _ in range(draw(st.integers(0, top)) + 1)]
+    f = Poly.make(ks.backend, coeffs)
+    assume(not f.is_zero())
+    return name, f
+
+
+class TestOneExpansionWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(context_polys(), st.integers(0, 2))
+    def test_rewrite_matches_the_reference_walk(self, case, shift):
+        name, f = case
+        ks, nu, _ = _context(name)
+        # Scale f to nu(f) = shift >= 0.
+        f = f.scale(ks.backend.element_from_value(rat1(shift) - nu.nu(f).expect_finite()))
+        normalized = NormalizedSequence(ks, nu)
+        try:
+            want = reference_rewrite(f, normalized, nu)
+        except NoWitnessError:
+            with pytest.raises(NoWitnessError):
+                rewrite_in_generators(f, normalized, nu)
+            return
+        got = rewrite_in_generators(f, normalized, nu)
+        assert [(t.coefficient, t.exponents) for t in got] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(context_polys(max_degree=4), st.integers(0, 4))
+    def test_nu_q_and_s_set_read_term_values(self, case, pos):
+        name, f = case
+        ks, nu, _ = _context(name)
+        indices = ks.indices(5)
+        i = indices[pos % len(indices)]
+        q = ks.key_poly(i)
+        vq = nu.nu(q).expect_finite()
+        want = {
+            j: nu.nu(c) + vq.scale(j)
+            for j, c in enumerate(q_expand(f, q).coeffs)
+            if not c.is_zero()
+        }
+        least = min(want.values())
+        assert nu.term_values(f, q) == want
+        assert nu.nu_q(f, q) == least
+        assert s_set(f, i, ks, nu) == {j for j, v in want.items() if v == least}

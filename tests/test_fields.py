@@ -74,6 +74,14 @@ class TestBackendConstructors:
         with pytest.raises(ValueNotRepresentableError):
             bp.element_from_value(Fraction(1, 2))
 
+    @pytest.mark.parametrize("kind", ["padic", "hahn"])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_and_one_are_the_integers(self, kind, p):
+        backend = Backend(kind, p)
+        assert backend.zero() == backend.from_int(0) and backend.zero().is_zero()
+        assert backend.one() == backend.from_int(1)
+        assert backend.one() * backend.one() == backend.one()
+
     def test_from_int_characteristic(self):
         assert Backend("hahn", 3).from_int(3).is_zero()
         assert not Backend("padic", 3).from_int(3).is_zero()

@@ -22,7 +22,7 @@ from valkit.keyseq import (
     hensel_family,
 )
 from valkit.kahler import invariant_stream
-from valkit.poly import Poly, is_q_monic
+from valkit.poly import Poly, q_expand
 from valkit.truncation import NuOracle
 
 
@@ -85,7 +85,7 @@ class TestStructure:
     def test_g_monic_over_every_key(self):
         ks, nu = as_sequence(3)
         for index in ks.indices(5):
-            assert is_q_monic(ks.g, ks.key_poly(index))
+            assert q_expand(ks.g, ks.key_poly(index)).is_monic()
         # the stream's rows make the same check on the keys they build
         stream = invariant_stream(ks, nu, 5)
         assert [r.index for r in stream.records] == ks.indices(5)
@@ -241,6 +241,16 @@ class TestFamilies:
         family = artin_schreier_family(backend, a)
         assert family.center(1).is_zero()
         assert valuation(family.center(2)) == ExtValue.of(rat1(Fraction(-1, 2)))
+
+    def test_family_degree_is_the_key_degree(self):
+        hahn, padic = Backend("hahn", 3), Backend("padic", 2)
+        families = (
+            artin_schreier_family(hahn, hahn.element_from_value(-1)),
+            hensel_family(padic, Poly.from_ints(padic, [2, 1, 1]), 0),
+        )
+        for family in families:
+            assert [family.poly(n).degree for n in range(1, 5)] == [family.degree] * 4
+            assert PlateauStage(family).degree == family.degree
 
     def test_hensel_values_strictly_increase_and_diverge(self):
         backend = Backend("padic", 2)
