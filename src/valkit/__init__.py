@@ -34,7 +34,6 @@ from .groups import (
     GroupElem,
     IsolatedSubgroup,
     SegmentRelation,
-    Stabilized,
     Tail,
     canonicalize,
     largest_delta,

@@ -331,7 +331,7 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
     backend, g, stages = _field_scenario(cfg)
     families = [st.family for st in stages if isinstance(st, PlateauStage)]
     if cfg.oracle == "resultant" or not families:
-        nu = NuOracle.from_resultant(g, window=cfg.window, budget=cfg.budget)
+        nu = NuOracle.from_resultant(g)
     else:
         # Stabilize along the last plateau, the one that approaches a root of g.
         nu = NuOracle.stabilization(g, families[-1].center, window=cfg.window, budget=cfg.budget)

@@ -7,14 +7,15 @@ always exactly and never by floating point or truncation guesswork:
 * which final segment (upward-closed set) a column of values generates,
 * containment and equality of such segments,
 * the largest isolated (convex) subgroup a segment is invariant under,
-* weak limits of value sequences relative to an isolated subgroup.
+* weak limits of a column's law relative to an isolated subgroup.
 
 A column is a list of exactly computed values plus, for an infinite
 family, a `Tail` telling how it continues: a `ClosedForm` law
 ``c * p**-n + d`` recognized by `fit_closed_form` with the scenario's own
 ``p``, or a `Diverging` certificate issued by the family's construction.
 `canonicalize` turns a column into its `CanonicalSegment`, the one normal
-form every comparison works on.  A column without a tail description has
+form every comparison works on; an initial segment (a cut) is the final
+segment of the negated column.  A column without a tail description has
 no segment; callers report such questions inconclusive rather than guess.
 """
 from __future__ import annotations
@@ -195,9 +196,6 @@ class ExtValue:
         return "inf" if self.is_infinite else str(self.finite)
 
 
-INFINITY = ExtValue(None)
-
-
 def min_value(values: Iterable[ExtValue]) -> ExtValue:
     best: ExtValue | None = None
     for v in values:
@@ -242,14 +240,6 @@ class ClosedForm:
 
     def term(self, n: int) -> GroupElem:
         return self.c.scale(Fraction(1, self.p**n)) + self.d
-
-
-@dataclass(frozen=True)
-class Stabilized:
-    """A family equal to `tail` beyond an explicit finite prefix."""
-
-    prefix: tuple[GroupElem, ...]
-    tail: GroupElem
 
 
 @dataclass(frozen=True)
@@ -398,8 +388,10 @@ def canonicalize(
     Without a tail, `values` is the whole (finite) family.  With one,
     `values` are the materialized terms and the tail continues them; the
     terms before the law offset count unless `drop_prefix` asks for the
-    segment of the tail alone, which for a law or a decreasing divergence
-    is invariant under further tail truncation.
+    segment of the tail alone.  That segment is invariant under further
+    tail truncation for a law with c >= 0 or a decreasing divergence; an
+    increasing tail generates the closed segment at its first term, which
+    shrinks as the tail is truncated.
     """
     if tail is None:
         if not values:
@@ -570,34 +562,25 @@ def translation_invariant(canon: CanonicalSegment, delta: IsolatedSubgroup) -> b
     return True
 
 
-def wlim(gamma: GroupElem, seq: ClosedForm | Stabilized, delta: IsolatedSubgroup) -> bool:
-    """Decide whether `gamma` is the weak limit of `seq` relative to `delta`.
+def wlim(gamma: GroupElem, law: ClosedForm, delta: IsolatedSubgroup) -> bool:
+    """Decide whether `gamma` is the weak limit of `law`'s terms relative to `delta`.
 
     Either the cosets of the terms modulo `delta` never reach a minimal one
     and the terms come within every epsilon exceeding `delta` of gamma, or
     the cosets stabilize at a minimal coset containing gamma.
     """
     rank = delta.rank
-    limit = seq.tail if isinstance(seq, Stabilized) else seq.d
-    if limit.rank != rank or gamma.rank != rank:
+    if law.d.rank != rank or gamma.rank != rank:
         raise ValueError("rank mismatch")
-
-    if isinstance(seq, Stabilized):
-        cosets = [delta.coset_key(t) for t in (*seq.prefix, seq.tail)]
-        tail_key = delta.coset_key(seq.tail)
-        # The coset family stabilizes by construction; branch (2) needs the
-        # stabilized coset to be the minimal one visited and to contain gamma.
-        return tail_key == min(cosets) and delta.coset_key(gamma) == tail_key
-
-    if delta.member(seq.c):
+    if delta.member(law.c):
         # All terms share the coset of the limit: branch (2).
-        return delta.coset_key(gamma) == delta.coset_key(seq.d)
-    if seq.c < GroupElem.zero(rank):
+        return delta.coset_key(gamma) == delta.coset_key(law.d)
+    if law.c < GroupElem.zero(rank):
         # Cosets strictly increase: a minimal coset exists (the first)
         # but the family never returns to it, so neither branch holds.
         return False
     # Cosets strictly decrease: no minimal coset; branch (1) asks that
     # |gamma - term| eventually drops below every epsilon > delta.
-    if not delta.member(gamma - seq.d):
+    if not delta.member(gamma - law.d):
         return False
-    return seq.c.leading_position() == delta.fixed_positions
+    return law.c.leading_position() == delta.fixed_positions

@@ -33,7 +33,11 @@ The three independent routes to the vanishing decision:
   minimizing plateau, beta-tilde regeneration and weak limit relative to
   the largest invariant subgroup);
 * `b_set` -- slot 1 of the expansion of g staying below the instability
-  cut along the single plateau (`BSetReport.b1`).
+  cut along the single plateau (`BSetReport.b1`); the cut is the
+  `CanonicalSegment` of the negated nu_i(g) column.
+
+Every segment, the cut included, is a `CanonicalSegment` built by
+`canonicalize`, and every tail a `groups.Tail`.
 
 Valid scenario data makes all three agree; structural violations raise
 `ScenarioDataError` instead of producing a verdict.
@@ -60,7 +64,6 @@ from .groups import (
     FiniteList,
     GroupElem,
     SegmentRelation,
-    Stabilized,
     Tail,
     canonicalize,
     fit_closed_form,
@@ -377,10 +380,14 @@ def ideal_inclusion_check(stream: InvariantStream) -> bool:
         rel = segment_compare(beta_seg, alpha_seg)
         if rel not in (SegmentRelation.EQUAL, SegmentRelation.B_CONTAINS_A):
             raise ScenarioDataError("beta segment escapes the alpha segment")
-    for k, rec in enumerate(stream.records):
+    # In a total order some alpha_{i'} (i' <= i) lies below beta_tilde_i
+    # exactly when the least of them does.
+    least_alpha = None
+    for rec in stream.records:
+        least_alpha = rec.alpha if least_alpha is None else min(least_alpha, rec.alpha)
         if not rec.beta >= rec.beta_tilde:
             raise ScenarioDataError("beta < beta_tilde at a record")
-        if not any(rec.beta_tilde >= r.alpha for r in stream.records[: k + 1]):
+        if not rec.beta_tilde >= least_alpha:
             raise ScenarioDataError("no earlier alpha witnesses beta_tilde")
     return True
 
@@ -566,7 +573,10 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.
     # Dropping the prefix makes the generated segment invariant under all
-    # further tail truncations, so one comparison decides them all.
+    # further tail truncations for a law with c >= 0 or a decreasing
+    # divergence, so one comparison decides them all.  An increasing tail
+    # generates only closed segments, and an alpha segment without a
+    # minimum is never closed, so no truncation of it compares EQUAL either.
     tail_only = block.segment("beta_tilde", drop_prefix=True)
     if tail_only is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta_tilde tail unrecognized")
@@ -597,19 +607,10 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
 
     # (b): nu(g') is a weak limit of the truncated values along the plateau,
     # tail truncations of the index set allowed.
-    gp_values = block.values("nu_i_gprime")
     gp_tail = block.tails["nu_i_gprime"]
-    branch = None
     if gp_tail is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="nu_i(g') tail unrecognized")
-    if _is_constant(gp_tail):
-        for offset in range(gp_tail.offset + 1):
-            seq = Stabilized(tuple(gp_values[offset : gp_tail.offset]), gp_tail.law.d)
-            if wlim(stream.nu_gprime, seq, delta):
-                branch = 2
-                break
-    elif isinstance(gp_tail.law, ClosedForm) and wlim(stream.nu_gprime, gp_tail.law, delta):
-        branch = 1
+    branch = _wlim_branch(stream.nu_gprime, gp_tail.law, delta)
     if branch is None:
         return Verdict(
             VerdictKind.INCONCLUSIVE,
@@ -629,51 +630,43 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
     )
 
 
+def _wlim_branch(gamma: GroupElem, law: ClosedForm | Diverging, delta) -> int | None:
+    """The weak-limit branch that puts `gamma` on a tail truncation of `law`.
+
+    None when neither branch holds or the tail is a divergence.  The law
+    alone decides: a constant law's cosets stabilize at the coset of its
+    limit, which is minimal once the truncation drops the prefix before the
+    law offset (branch 2), and every tail truncation of any other law has
+    the law's weak limits.
+    """
+    if not (isinstance(law, ClosedForm) and wlim(gamma, law, delta)):
+        return None
+    return 2 if law.c.is_zero() else 1
+
+
 # ---------------------------------------------------------------------------
 # Criterion 3: slot membership along a single plateau
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Cut:
-    """An initial segment (downward-closed set) in canonical form.
+def _instability_cut(values: Sequence[GroupElem], tail: Tail) -> CanonicalSegment:
+    """Smallest initial segment containing one plateau column.
 
-    kind "whole"; "closed_below": {x : x <= bound}; "open_below":
-    {x : x < bound}.
+    It is kept as the final segment that the negated column generates.
     """
-
-    kind: str
-    bound: GroupElem | None = None
-
-    def describe(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.bound is not None:
-            out["bound"] = str(self.bound)
-        return out
-
-
-def _cut_from_column(tail: Tail | None, values: Sequence[GroupElem]) -> Cut | None:
-    """Smallest initial segment containing one plateau column."""
-    if tail is None:
-        return None
     law = tail.law
     if isinstance(law, Diverging):
-        if law.increasing:
-            return Cut("whole")
-        return Cut("closed_below", max(values))
-    if law.c.is_zero():
-        top, attained = law.d, True
-    elif law.c < GroupElem.zero(law.c.rank):
-        top, attained = law.d, False
+        negated = Tail(Diverging(not law.increasing))
     else:
-        top, attained = law.term(0), True
-    prefix = values[: tail.offset]
-    if prefix and max(prefix) >= top:
-        return Cut("closed_below", max(prefix))
-    return Cut("closed_below" if attained else "open_below", top)
+        negated = Tail(ClosedForm(-law.c, -law.d, law.p), tail.offset)
+    return canonicalize([-v for v in values], negated)
 
 
-def cut_contains_eventually(cut: Cut, tail: Tail | None) -> bool | None:
-    """Whether a slot-value stream lies in the cut for all large terms."""
+def cut_contains_eventually(cut: CanonicalSegment, tail: Tail | None) -> bool | None:
+    """Whether a slot-value stream lies in the cut for all large terms.
+
+    `cut` comes from `_instability_cut`, so a value v lies in the cut when
+    -v lies in `cut`.
+    """
     if tail is None:
         return None
     if cut.kind == "whole":
@@ -681,18 +674,15 @@ def cut_contains_eventually(cut: Cut, tail: Tail | None) -> bool | None:
     law = tail.law
     if isinstance(law, Diverging):
         return not law.increasing
-    limit = law.d
-    from_above = law.c > GroupElem.zero(law.d.rank)
-    if cut.kind == "closed_below":
-        if from_above:
-            return limit < cut.bound
-        return limit <= cut.bound
-    # open_below
-    if from_above:
-        return limit < cut.bound
+    # The negated terms tend to -d: strictly from below when the values
+    # decrease (c > 0), so a term must pass the point; strictly from above
+    # when they increase, so the limit may sit on the point.
+    limit = -law.d
     if law.c.is_zero():
-        return limit < cut.bound
-    return limit <= cut.bound
+        return cut.contains(limit)
+    if law.c > GroupElem.zero(law.c.rank):
+        return limit > cut.point
+    return limit >= cut.point
 
 
 @dataclass(frozen=True)
@@ -702,16 +692,22 @@ class SlotReport:
     note: str = ""
 
 
+_CUT_KINDS = {"whole": "whole", "closed": "closed_below", "open": "open_below"}
+
+
 @dataclass(frozen=True)
 class BSetReport:
-    cut: Cut
+    cut: CanonicalSegment  # of the negated values; see `_instability_cut`
     slots: tuple[SlotReport, ...]
     b_set: frozenset[int]
     b1: bool | None  # None: slot 1 membership undecided
 
     def describe(self) -> dict:
+        cut: dict = {"kind": _CUT_KINDS[self.cut.kind]}
+        if self.cut.point is not None:
+            cut["bound"] = str(-self.cut.point)
         return {
-            "cut": self.cut.describe(),
+            "cut": cut,
             "slots": [{"slot": s.slot, "member": s.member, "note": s.note} for s in self.slots],
             "b_set": sorted(self.b_set),
             "b1": self.b1,
@@ -737,9 +733,10 @@ def b_set(stream: InvariantStream) -> BSetReport:
     """
     check_b1_hypotheses(stream)
     block = [b for b in stream.plateaus if b.degree == 1][-1]
-    cut = _cut_from_column(block.tails["nu_i_g"], block.values("nu_i_g"))
-    if cut is None:
+    tail = block.tails["nu_i_g"]
+    if tail is None:
         raise InconclusiveError("instability cut undecidable")
+    cut = _instability_cut(block.values("nu_i_g"), tail)
 
     reports: list[SlotReport] = []
     members: set[int] = set()

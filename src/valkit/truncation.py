@@ -68,7 +68,7 @@ class NuOracle:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_resultant(g: Poly, **kw) -> "NuOracle":
+    def from_resultant(g: Poly) -> "NuOracle":
         """Evaluation mode via v(res(g, f)) / deg(g).
 
         Valid when the valuation extends uniquely to K[x]/(g), so that all
@@ -83,7 +83,7 @@ class NuOracle:
                 return v
             return ExtValue.of(v.expect_finite().scale(Fraction(1, g.degree)))
 
-        return NuOracle(g, value_fn=fn, **kw)
+        return NuOracle(g, value_fn=fn)
 
     @staticmethod
     def stabilization(

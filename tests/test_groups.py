@@ -13,7 +13,6 @@ from valkit.groups import (
     GroupElem,
     IsolatedSubgroup,
     SegmentRelation,
-    Stabilized,
     Tail,
     canonicalize,
     fit_closed_form,
@@ -178,7 +177,7 @@ class TestLargestDelta:
 
 class TestWlim:
     def test_stabilized_constant_branch2(self):
-        assert wlim(rat1(0), Stabilized((), rat1(0)), IsolatedSubgroup(0, 1))
+        assert wlim(rat1(0), ClosedForm(rat1(0), rat1(0), 2), IsolatedSubgroup(0, 1))
 
     def test_halving_branch1(self):
         seq = ClosedForm(rat1(1), rat1(0), 2)
@@ -190,8 +189,7 @@ class TestWlim:
 
     def test_branch2_with_constant_equals_coset_equality(self):
         delta = IsolatedSubgroup(1, 2)  # second coordinate free
-        tail = GroupElem.of(3, 7)
-        seq = Stabilized((), tail)
+        seq = ClosedForm(GroupElem.zero(2), GroupElem.of(3, 7), 2)
         assert wlim(GroupElem.of(3, -50), seq, delta)
         assert not wlim(GroupElem.of(2, 7), seq, delta)
 

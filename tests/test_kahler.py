@@ -1,4 +1,5 @@
 """Invariant streams, segments and the three vanishing criteria."""
+import dataclasses
 import functools
 from collections import Counter
 from fractions import Fraction
@@ -14,17 +15,27 @@ from valkit.groups import (
     ClosedForm,
     Diverging,
     FiniteList,
+    GroupElem,
+    IsolatedSubgroup,
     SegmentRelation,
+    Tail,
     fit_closed_form,
     rat1,
     segment_compare,
+    wlim,
 )
 from valkit.kahler import (
     COLUMNS,
+    Block,
+    BSetReport,
+    InvariantRecord,
     VerdictKind,
     _apply_divergence_cert,
+    _instability_cut,
+    _wlim_branch,
     alpha_beta_segments,
     b_set,
+    cut_contains_eventually,
     classify,
     first_minimizing_plateau,
     ideal_inclusion_check,
@@ -307,7 +318,7 @@ class TestFirstMinimizingPlateau:
 class TestBSet:
     def test_artin_schreier_b1(self):
         report = b_set(AS2)
-        assert report.cut.kind == "open_below" and report.cut.bound == rat1(0)
+        assert report.describe()["cut"] == {"kind": "open_below", "bound": "0/1"}
         assert report.b_set == frozenset({1})
         assert report.b1 is True
 
@@ -334,7 +345,7 @@ class TestBSet:
 
     def test_hensel_whole_cut(self):
         report = b_set(HENSEL)
-        assert report.cut.kind == "whole"
+        assert report.describe()["cut"] == {"kind": "whole"}
         assert report.b1
 
     def test_unramified_hypotheses_violated(self):
@@ -415,3 +426,225 @@ class TestScheduleValidation:
     def test_stream_without_oracle_needs_schedules(self):
         with pytest.raises(ScenarioDataError):
             invariant_stream(UNRAMIFIED.ks, None)
+
+
+# ---------------------------------------------------------------------------
+# One tail description and one segment normal form, checked against
+# test-local copies of the code they replaced: a prefix-plus-constant family
+# for the weak limit, a separate initial-segment type for the instability
+# cut, and a rescan of all earlier alphas for the inclusion chain.
+# ---------------------------------------------------------------------------
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def elems(rank):
+    return st.tuples(*[small] * rank).map(GroupElem)
+
+
+def _former_stabilized_wlim(gamma, prefix, tail, delta):
+    """Weak limit of a family equal to `tail` beyond `prefix`."""
+    cosets = [delta.coset_key(t) for t in (*prefix, tail)]
+    tail_key = delta.coset_key(tail)
+    return tail_key == min(cosets) and delta.coset_key(gamma) == tail_key
+
+
+def _former_wlim_branch(gamma, values, tail, delta):
+    """Classification branch (b), one try per truncation offset."""
+    law = tail.law
+    if isinstance(law, ClosedForm) and law.c.is_zero():
+        for offset in range(tail.offset + 1):
+            if _former_stabilized_wlim(gamma, values[offset : tail.offset], law.d, delta):
+                return 2
+        return None
+    if isinstance(law, ClosedForm) and wlim(gamma, law, delta):
+        return 1
+    return None
+
+
+@st.composite
+def columns(draw, rank):
+    """Materialized values and the tail of a column: any law or a divergence."""
+    prefix = draw(st.lists(elems(rank), max_size=4))
+    kind = draw(st.sampled_from(("constant", "law", "up", "down")))
+    if kind in ("up", "down"):
+        return prefix or [draw(elems(rank))], Tail(Diverging(kind == "up"))
+    c = GroupElem.zero(rank) if kind == "constant" else draw(elems(rank))
+    law = ClosedForm(c, draw(elems(rank)), draw(st.sampled_from((2, 3))))
+    return prefix + [law.term(k) for k in range(4)], Tail(law, len(prefix))
+
+
+class TestWlimBranch:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_wlim_call_matches_the_offset_loop(self, data):
+        rank = data.draw(st.integers(1, 2))
+        delta = IsolatedSubgroup(data.draw(st.integers(0, rank)), rank)
+        values, tail = data.draw(columns(rank))
+        gamma = data.draw(elems(rank))
+        if isinstance(tail.law, ClosedForm) and data.draw(st.booleans()):
+            # Land gamma in the limit's coset, where either branch can hold.
+            fixed = delta.fixed_positions
+            gamma = tail.law.d + GroupElem(
+                tuple(0 if k < fixed else x for k, x in enumerate(gamma.coords))
+            )
+        assert _wlim_branch(gamma, tail.law, delta) == _former_wlim_branch(
+            gamma, values, tail, delta
+        )
+
+    def test_constant_law_is_branch_2_and_a_decreasing_one_branch_1(self):
+        delta = IsolatedSubgroup(0, 1)
+        assert _wlim_branch(rat1(3), ClosedForm(rat1(0), rat1(3), 2), delta) == 2
+        assert _wlim_branch(rat1(3), ClosedForm(rat1(1), rat1(3), 2), delta) == 1
+        assert _wlim_branch(rat1(3), Diverging(increasing=False), delta) is None
+
+
+@dataclasses.dataclass(frozen=True)
+class _FormerCut:
+    kind: str  # "whole" | "closed_below" | "open_below"
+    bound: GroupElem | None = None
+
+    def describe(self):
+        out = {"kind": self.kind}
+        if self.bound is not None:
+            out["bound"] = str(self.bound)
+        return out
+
+
+def _former_cut_from_column(tail, values):
+    law = tail.law
+    if isinstance(law, Diverging):
+        if law.increasing:
+            return _FormerCut("whole")
+        return _FormerCut("closed_below", max(values))
+    if law.c.is_zero():
+        top, attained = law.d, True
+    elif law.c < GroupElem.zero(law.c.rank):
+        top, attained = law.d, False
+    else:
+        top, attained = law.term(0), True
+    prefix = values[: tail.offset]
+    if prefix and max(prefix) >= top:
+        return _FormerCut("closed_below", max(prefix))
+    return _FormerCut("closed_below" if attained else "open_below", top)
+
+
+def _former_cut_contains_eventually(cut, tail):
+    if tail is None:
+        return None
+    if cut.kind == "whole":
+        return True
+    law = tail.law
+    if isinstance(law, Diverging):
+        return not law.increasing
+    limit = law.d
+    from_above = law.c > GroupElem.zero(law.d.rank)
+    if cut.kind == "closed_below":
+        if from_above:
+            return limit < cut.bound
+        return limit <= cut.bound
+    # open_below
+    if from_above:
+        return limit < cut.bound
+    if law.c.is_zero():
+        return limit < cut.bound
+    return limit <= cut.bound
+
+
+class TestInstabilityCut:
+    # Every value `run` builds has rank 1, so the cut is compared there.
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_cut_and_membership_match_the_former_cut(self, data):
+        values, tail = data.draw(columns(1))
+        law = tail.law
+        if isinstance(law, ClosedForm) and tail.offset:
+            # Prefixes above and below the top of the law.
+            values[: tail.offset] = [
+                law.term(0) + v for v in data.draw(
+                    st.lists(elems(1), min_size=tail.offset, max_size=tail.offset)
+                )
+            ]
+        cut = _instability_cut(values, tail)
+        former = _former_cut_from_column(tail, values)
+        assert BSetReport(cut, (), frozenset(), None).describe()["cut"] == former.describe()
+
+        slot_kind = data.draw(st.sampled_from(("none", "up", "down", "law")))
+        if slot_kind == "none":
+            slot = None
+        elif slot_kind != "law":
+            slot = Tail(Diverging(slot_kind == "up"))
+        else:
+            # A limit at, just above or just below a value of the column.
+            d = data.draw(st.sampled_from(values)) + data.draw(
+                st.sampled_from((rat1(0), rat1(0), rat1(1), rat1(-1)))
+            )
+            c = data.draw(st.sampled_from((rat1(-1), rat1(0), rat1(1))))
+            slot = Tail(ClosedForm(c, d, 2))
+        assert cut_contains_eventually(cut, slot) == _former_cut_contains_eventually(
+            former, slot
+        )
+
+    def test_cut_of_an_increasing_law_is_open_below_its_limit(self):
+        tail = Tail(ClosedForm(rat1(-1), rat1(2), 2))
+        cut = _instability_cut([rat1(1), rat1(Fraction(3, 2))], tail)
+        describe = BSetReport(cut, (), frozenset(), None).describe()["cut"]
+        assert describe == {"kind": "open_below", "bound": "2/1"}
+        assert cut_contains_eventually(cut, Tail(ClosedForm(rat1(-1), rat1(2), 3)))
+        assert not cut_contains_eventually(cut, Tail(ClosedForm(rat1(1), rat1(2), 3)))
+
+
+def _former_inclusion_check(stream):
+    alpha_seg, beta_seg = alpha_beta_segments(stream)
+    if alpha_seg is not None and beta_seg is not None:
+        rel = segment_compare(beta_seg, alpha_seg)
+        if rel not in (SegmentRelation.EQUAL, SegmentRelation.B_CONTAINS_A):
+            raise ScenarioDataError("beta segment escapes the alpha segment")
+    for k, rec in enumerate(stream.records):
+        if not rec.beta >= rec.beta_tilde:
+            raise ScenarioDataError("beta < beta_tilde at a record")
+        if not any(rec.beta_tilde >= r.alpha for r in stream.records[: k + 1]):
+            raise ScenarioDataError("no earlier alpha witnesses beta_tilde")
+    return True
+
+
+def _hand_built(rows):
+    """A stream of explicit keys with the given (alpha, beta_tilde, beta) rows."""
+    blocks = []
+    for k, (alpha, beta_tilde, beta) in enumerate(rows):
+        alpha, beta_tilde, beta = rat1(alpha), rat1(beta_tilde), rat1(beta)
+        rec = InvariantRecord(
+            KeyIndex(k, 0), 1, rat1(0), alpha, alpha, beta, beta_tilde, rat1(0), beta_tilde
+        )
+        blocks.append(Block(k, 1, (rec,), None))
+    return dataclasses.replace(KUMMER_AT, blocks=tuple(blocks))
+
+
+def _outcome(check, stream):
+    try:
+        return check(stream)
+    except ScenarioDataError as exc:
+        return str(exc)
+
+
+class TestInclusionChain:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=6))
+    def test_running_minimum_matches_the_rescan(self, rows):
+        stream = _hand_built(rows)
+        assert _outcome(ideal_inclusion_check, stream) == _outcome(_former_inclusion_check, stream)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ([(0, 1, 0)], "beta < beta_tilde at a record"),
+            ([(5, 3, 3), (1, 1, 1)], "no earlier alpha witnesses beta_tilde"),
+            ([(1, 0, 0)], "beta segment escapes the alpha segment"),
+        ],
+    )
+    def test_each_failure_raises(self, rows, message):
+        with pytest.raises(ScenarioDataError, match=message):
+            ideal_inclusion_check(_hand_built(rows))
+
+    def test_an_earlier_alpha_witnesses_a_later_beta_tilde(self):
+        assert ideal_inclusion_check(_hand_built([(0, 0, 0), (5, 3, 3)]))
