@@ -17,7 +17,9 @@ equal without `Fraction` arithmetic; `Fraction` appears only where
 exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`order`, `str`).
 Sums and differences are one linear merge of the two sorted supports
 (`HahnElem._merge`), which reduces the denominator only after a term
-cancels; products accumulate in a dict and sort once.
+cancels; a product with a one-term factor shifts the other support, and
+other products accumulate in a dict and sort once.  `frobenius(k)` and
+`frobenius_root(k)` scale every exponent by p**k and p**-k.
 
 Each element's `order()` is its least exponent, an `int` or a `Fraction`,
 or `None` for zero.  `valuation(a)`, the only valuation, builds the
@@ -126,7 +128,11 @@ class PAdicRational:
 
 def _hahn(acc: dict[int, int], den: int, p: int) -> "HahnElem":
     """The canonical element sum c * t^(n/den) over acc, coefficients mod p."""
-    terms = [(n, r) for n, c in sorted(acc.items()) if (r := c % p)]
+    return _reduced([(n, r) for n, c in sorted(acc.items()) if (r := c % p)], den, p)
+
+
+def _reduced(terms: list[tuple[int, int]], den: int, p: int) -> "HahnElem":
+    """The element of sorted terms with coefficients in 1..p-1, den made minimal."""
     if not terms:
         return HahnElem((), 1, p)
     g = math.gcd(den, *(n for n, _ in terms)) if den > 1 else 1
@@ -228,6 +234,11 @@ class HahnElem:
     def __mul__(self, other):
         other = self._coerce(other)
         a, b, den = self._aligned(other)
+        if len(a) == 1 or len(b) == 1:
+            # A monomial factor c0 * t^n0 shifts the other support.
+            (n0, c0), rest = (a[0], b) if len(a) == 1 else (b[0], a)
+            p = self.p
+            return _reduced([(n + n0, r) for n, c in rest if (r := c * c0 % p)], den, p)
         acc: dict[int, int] = {}
         get = acc.get
         for n1, c1 in a:
@@ -286,6 +297,15 @@ class HahnElem:
         Coefficients lie in the prime field and are fixed by p-th roots.
         """
         return _hahn(dict(self.terms), self.den * self.p**k, self.p)
+
+    def frobenius(self, k: int = 1) -> "HahnElem":
+        """Frobenius applied k times, self ** p**k: exponents multiply by p**k.
+
+        Only p can leave the minimal denominator, by gcd(den, p**k).
+        """
+        g = math.gcd(self.den, self.p**k)
+        scale = self.p**k // g
+        return HahnElem(tuple((n * scale, c) for n, c in self.terms), self.den // g, self.p)
 
     def __str__(self):
         if not self.terms:

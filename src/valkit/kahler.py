@@ -674,15 +674,19 @@ def cut_contains_eventually(cut: CanonicalSegment, tail: Tail | None) -> bool | 
     law = tail.law
     if isinstance(law, Diverging):
         return not law.increasing
-    # The negated terms tend to -d: strictly from below when the values
-    # decrease (c > 0), so a term must pass the point; strictly from above
-    # when they increase, so the limit may sit on the point.
+    # The negated terms are -d - c p^-n.  Membership reads coordinates up
+    # to the cut's depth (all of them for a closed cut); when c leads
+    # beyond it, those coordinates are the limit's.  Otherwise compare the
+    # prefixes through c's leading position j: the terms move towards -d
+    # from below there when the values decrease (c > 0), so the limit must
+    # pass the point; from above when they increase, so it may sit on it.
     limit = -law.d
-    if law.c.is_zero():
+    j = law.c.leading_position()
+    if j is None or (cut.kind == "open" and j > cut.depth):
         return cut.contains(limit)
     if law.c > GroupElem.zero(law.c.rank):
-        return limit > cut.point
-    return limit >= cut.point
+        return limit.prefix(j) > cut.point.prefix(j)
+    return limit.prefix(j) >= cut.point.prefix(j)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Coefficients are exact field elements in ascending order with no trailing
 zeros.  Provides base-q expansions (repeated Euclidean division by a monic
-base, remainder first), formal derivatives with characteristic-p
-cancellation, q-monicity of an expansion and Sylvester resultants.
+base, remainder first; over Hahn series a linear base splits f by the
+binomials q^(p^k) = x^(p^k) + Frob^k(q(0)) instead), formal derivatives
+with characteristic-p cancellation, q-monicity of an expansion and
+Sylvester resultants.
 """
 from __future__ import annotations
 
@@ -124,14 +126,16 @@ class Poly:
         if len(rem) - 1 < dq:
             return Poly(self.backend, ()), self
         quot = [self.backend.zero()] * (len(rem) - dq)
-        lower = q.coeffs[:-1]  # q is monic: rem[top] - 1*c is 0, and rem[:dq] drops it
+        # q is monic: rem[top] - 1*c is 0, and rem[:dq] drops it.  Zero
+        # coefficients of q, all the middle ones of a binomial, are skipped.
+        lower = [(i, qc) for i, qc in enumerate(q.coeffs[:-1]) if not qc.is_zero()]
         for top in range(len(rem) - 1, dq - 1, -1):
             c = rem[top]
             if c.is_zero():
                 continue
             shift = top - dq
             quot[shift] = c
-            for i, qc in enumerate(lower):
+            for i, qc in lower:
                 rem[shift + i] = rem[shift + i] - qc * c
         return Poly.make(self.backend, quot), Poly.make(self.backend, rem[:dq])
 
@@ -182,17 +186,41 @@ class QExpansion:
 
 
 def q_expand(f: Poly, q: Poly) -> QExpansion:
-    """Expand f in powers of the monic base q, remainder first."""
+    """Expand f in powers of the monic base q, remainder first.
+
+    In general the coefficients are the remainders of repeated division
+    by q.  Over Hahn series (characteristic p) a linear q = x + a has
+    q^P = x^P + a^P for every power P of p, so f of degree >= p is split
+    once as f = A q^P + B by the binomial x^P + Frob^k(a), P = p^k the
+    largest power of p at most deg f, and B and A are expanded the same
+    way (radix conversion; von zur Gathen and Gerhard, ISSAC 1997).  The
+    powers of a that the repeated division multiplies out, and whose
+    support mostly cancels mod p, are never formed.
+    """
     if not q.is_monic() or q.degree < 1:
         raise NonMonicBaseError("expansion base must be monic of degree >= 1")
+    return QExpansion(q, tuple(_expand(f, q)))
+
+
+def _expand(f: Poly, q: Poly) -> list[Poly]:
+    """The coefficients of f in powers of q, at least one."""
+    backend, p = q.backend, q.backend.p
+    if q.degree == 1 and backend.kind == "hahn" and f.degree >= p:
+        k = 1
+        while p ** (k + 1) <= f.degree:
+            k += 1
+        size = p**k
+        middle = (backend.zero(),) * (size - 1)
+        binomial = Poly(backend, (q.coeffs[0].frobenius(k), *middle, backend.one()))
+        high, low = f.divmod_monic(binomial)
+        coeffs = _expand(low, q)
+        return coeffs + [Poly(backend, ())] * (size - len(coeffs)) + _expand(high, q)
     coeffs = []
     rest = f
     while not rest.is_zero():
         rest, rem = rest.divmod_monic(q)
         coeffs.append(rem)
-    if not coeffs:
-        coeffs = [Poly(f.backend, ())]
-    return QExpansion(q, tuple(coeffs))
+    return coeffs or [Poly(f.backend, ())]
 
 
 def derivative(f: Poly) -> Poly:

@@ -403,6 +403,26 @@ class TestHahnAgainstModel:
         for other in ((a + b) - b, (a - b) + b, b + a - b):
             assert other == a and hash(other) == hash(a)
 
+    @given(model_pairs(), st.integers(0, 2))
+    def test_frobenius_is_the_p_power_map(self, case, k):
+        p, ma, _ = case
+        a = HahnElem.make(ma, p)
+        assert_matches(a.frobenius(k), {e * p**k: c for e, c in ma.items()})
+        assert a.frobenius(k) == a ** p**k
+        assert a.frobenius(k).frobenius_root(k) == a
+        assert a.frobenius_root(k).frobenius(k) == a
+
+    @given(model_pairs(), st.data())
+    def test_monomial_products_match_the_dict_product(self, case, data):
+        # model_mul sums every pair of terms in a dict, as products of two
+        # longer elements still do.
+        p, ma, _ = case
+        mono = data.draw(hahn_models(p, max_terms=1, allow_zero=False))
+        a, m = HahnElem.make(ma, p), HahnElem.make(mono, p)
+        product = model_mul(ma, mono, p)
+        assert_matches(a * m, product)
+        assert_matches(m * a, product)
+
     def test_equal_exponents_from_different_routes(self):
         assert parse_hahn("1*t^(2/4)", 3) == parse_hahn("1*t^(1/2)", 3)
         assert hash(parse_hahn("1*t^(2/4)", 3)) == hash(parse_hahn("1*t^(1/2)", 3))

@@ -1,6 +1,7 @@
 """Invariant streams, segments and the three vanishing criteria."""
 import dataclasses
 import functools
+import itertools
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -592,6 +593,57 @@ class TestInstabilityCut:
         assert describe == {"kind": "open_below", "bound": "2/1"}
         assert cut_contains_eventually(cut, Tail(ClosedForm(rat1(-1), rat1(2), 3)))
         assert not cut_contains_eventually(cut, Tail(ClosedForm(rat1(1), rat1(2), 3)))
+
+
+def _late_term_in_cut(cut, law):
+    """Membership of the value at n = 64, far past every gap these draws make."""
+    return cut.contains(-law.term(64))
+
+
+def unit_elems(rank):
+    """Every element with coordinates in {-1, 0, 1}."""
+    units = (Fraction(-1), Fraction(0), Fraction(1))
+    return [GroupElem(x) for x in itertools.product(units, repeat=rank)]
+
+
+@st.composite
+def unit_columns(draw, rank):
+    """A column that is a law from its first term, its scale in {-1, 0, 1}^rank."""
+    law = ClosedForm(
+        draw(st.sampled_from(unit_elems(rank))), draw(elems(rank)), draw(st.sampled_from((2, 3)))
+    )
+    return [law.term(k) for k in range(4)], Tail(law)
+
+
+class TestCutContainsEventually:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_membership_of_a_late_term(self, data):
+        rank = data.draw(st.integers(1, 2))
+        values, tail = data.draw(st.one_of(columns(rank), unit_columns(rank)))
+        cut = _instability_cut(values, tail)
+        p = data.draw(st.sampled_from((2, 3)))
+        limits = [data.draw(elems(rank))]
+        if cut.point is not None:
+            # Negated limits at, above and below the point in each coordinate.
+            limits += [-(cut.point + u) for u in unit_elems(rank)]
+        # Every scale leading at each position with either sign, and zero.
+        for c in unit_elems(rank) + [data.draw(elems(rank))]:
+            for d in limits:
+                law = ClosedForm(c, d, p)
+                assert cut_contains_eventually(cut, Tail(law)) == _late_term_in_cut(cut, law), law
+
+    def test_a_law_below_the_depth_of_an_open_cut(self):
+        # nu_i(g) = (-2^-n, 5): the cut is {x : x_1 < 0}, and (-2^-n, 7) lies in it.
+        column = ClosedForm(GroupElem.of(-1, 0), GroupElem.of(0, 5), 2)
+        cut = _instability_cut([column.term(k) for k in range(4)], Tail(column))
+        slot = ClosedForm(GroupElem.of(-1, 0), GroupElem.of(0, 7), 2)
+        assert _late_term_in_cut(cut, slot)
+        assert cut_contains_eventually(cut, Tail(slot))
+        # A law that moves only past the cut's depth keeps its limit's first
+        # coordinate, which is not below 0.
+        flat = ClosedForm(GroupElem.of(0, -1), GroupElem.of(0, 7), 2)
+        assert not cut_contains_eventually(cut, Tail(flat))
 
 
 def _former_inclusion_check(stream):

@@ -2,11 +2,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from valkit import kahler, poly, selftest, truncation
+from valkit.cli import parse_config_dict, render_structured, run
 from valkit.errors import NonMonicBaseError
 from valkit.fields import Backend, HahnElem
-from valkit.poly import Poly, derivative, q_expand, resultant
+from valkit.poly import Poly, QExpansion, derivative, q_expand, resultant
 
 B2 = Backend("padic", 2)
 H2 = Backend("hahn", 2)
@@ -145,3 +147,93 @@ class TestResultant:
         g = Poly.from_ints(B2, [1, 1, 1])
         c = Poly.from_ints(B2, [5])
         assert resultant(g, c).value == Fraction(25)
+
+
+# ---------------------------------------------------------------------------
+# Radix conversion at linear Hahn bases, against the repeated division by q
+# ---------------------------------------------------------------------------
+
+
+def repeated_division(f, q):
+    """Expansion of f in powers of q by dividing the quotient by q until it is 0."""
+    coeffs = []
+    rest = f
+    while not rest.is_zero():
+        rest, rem = rest.divmod_monic(q)
+        coeffs.append(rem)
+    return QExpansion(q, tuple(coeffs or [Poly(f.backend, ())]))
+
+
+def p_power_degrees(p, top=30):
+    """p^k and p^k - 1 for every p^k <= top."""
+    out, power = [], p
+    while power <= top:
+        out += [power, power - 1]
+        power *= p
+    return out
+
+
+@st.composite
+def linear_hahn_bases(draw):
+    """f of degree 0-30 (often p^k or p^k - 1) and x - c, c of up to 6 terms."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    backend = Backend("hahn", p)
+    exponent = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, p]))
+    term = st.tuples(exponent, st.integers(1, p - 1))
+
+    def elem(min_terms, max_terms):
+        return st.lists(term, min_size=min_terms, max_size=max_terms).map(
+            lambda ts: HahnElem.make(dict(ts), p)
+        )
+
+    degree = draw(st.one_of(st.integers(0, 30), st.sampled_from(p_power_degrees(p))))
+    lower = draw(st.lists(elem(0, 2), min_size=degree, max_size=degree))
+    top = draw(elem(1, 2))  # distinct exponents: never zero
+    c = draw(elem(0, 6))
+    return Poly.make(backend, lower + [top]), Poly.make(backend, [-c, backend.one()])
+
+
+class TestRadixConversion:
+    @settings(max_examples=100, deadline=None)
+    @given(linear_hahn_bases())
+    def test_matches_repeated_division(self, case):
+        f, q = case
+        exp = q_expand(f, q)
+        assert exp == repeated_division(f, q)
+        assert exp.to_poly() == f
+
+    @pytest.mark.parametrize(
+        "p, degree", [(p, d) for p in (2, 3, 5, 7) for d in p_power_degrees(p)]
+    )
+    def test_degrees_at_and_below_powers_of_p(self, p, degree):
+        backend = Backend("hahn", p)
+        f = Poly.make(backend, [hahn(p, (Fraction(i, p), 1)) for i in range(degree + 1)])
+        q = Poly.make(backend, [hahn(p, ("-1/2", 1), (1, p - 1)), backend.one()])
+        assert q_expand(f, q) == repeated_division(f, q)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_power_of_x_is_a_binomial_in_q(self, p):
+        # x^P = (q + a)^P = q^P + a^P: every middle coefficient is zero.
+        backend = Backend("hahn", p)
+        a = hahn(p, ("-1/3", 1), (2, 1))
+        q = Poly.make(backend, [-a, backend.one()])
+        for power in (p, p * p):
+            f = Poly.make(backend, [backend.zero()] * power + [backend.one()])
+            zero = Poly(backend, ())
+            expected = [Poly.constant(backend, a**power)] + [zero] * (power - 1)
+            assert list(q_expand(f, q).coeffs) == expected + [Poly.constant(backend, backend.one())]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_reports_match_the_repeated_division(self, p, monkeypatch):
+        cfg = parse_config_dict({"scenario": "artin-schreier", "p": p, "terms": 16, "va": "-1/2"})
+        fast = render_structured(run(cfg))
+        calls = []
+
+        def reference(f, q):
+            calls.append(q)
+            return repeated_division(f, q)
+
+        for module in (poly, truncation, kahler, selftest):
+            monkeypatch.setattr(module, "q_expand", reference)
+        assert render_structured(run(cfg)) == fast
+        assert calls
