@@ -55,11 +55,9 @@ from .kahler import (
     omega_verdict,
 )
 from .keyseq import (
-    ExplicitStage,
-    FinalStage,
     KeyIndex,
     KeySequence,
-    PlateauStage,
+    PlateauFamily,
     ScheduleStage,
     artin_schreier_family,
     find_witness,

@@ -42,11 +42,9 @@ from .kahler import (
 )
 from .keyseq import (
     CoefValueLaw,
-    ExplicitStage,
-    FinalStage,
     KeySequence,
     KeyStage,
-    PlateauStage,
+    PlateauFamily,
     ScheduleStage,
     artin_schreier_family,
     hensel_family,
@@ -120,8 +118,13 @@ def _negative_va(raw, field: str) -> Fraction:
     return va
 
 
+# The least composite that passes Miller-Rabin over the first twelve prime
+# bases: below it `_is_prime` is exact.
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the first twelve prime bases, exact for n < 3.18e23."""
+    """Miller-Rabin over the first twelve prime bases, exact for n < _PRIME_BOUND."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n <= bases[-1] or any(n % b == 0 for b in bases):
         return n in bases
@@ -200,8 +203,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             raise ConfigError(f"unknown key {key!r} for scenario {scenario}", key)
 
     p = _int_at_least(data.get("p", _default_p(scenario)), "p", 2)
-    if not _is_prime(p):
-        raise ConfigError("p must be prime", "p")
+    if not (p < _PRIME_BOUND and _is_prime(p)):
+        raise ConfigError(f"p must be prime and below {_PRIME_BOUND}", "p")
     # One term or a window of one cannot tell a law or a stable value apart
     # from a coincidence.
     cfg = ScenarioConfig(
@@ -325,17 +328,17 @@ def _artin_schreier_g(backend: Backend, a) -> Poly:
 
 def build_stream(cfg: ScenarioConfig) -> InvariantStream:
     if cfg.scenario == "kummer-schedule":
-        ks = KeySequence((_kummer_stage(cfg),), FinalStage(None, cfg.p), cfg.p)
+        ks = KeySequence((_kummer_stage(cfg),), None, cfg.p)
         return invariant_stream(ks, None, cfg.terms)
 
     backend, g, stages = _field_scenario(cfg)
-    families = [st.family for st in stages if isinstance(st, PlateauStage)]
+    families = [st for st in stages if isinstance(st, PlateauFamily)]
     if cfg.oracle == "resultant" or not families:
         nu = NuOracle.from_resultant(g)
     else:
         # Stabilize along the last plateau, the one that approaches a root of g.
         nu = NuOracle.stabilization(g, families[-1].center, window=cfg.window, budget=cfg.budget)
-    ks = KeySequence(tuple(stages), FinalStage.of(g), cfg.p, backend)
+    ks = KeySequence(tuple(stages), g, cfg.p, backend)
     return invariant_stream(ks, nu, cfg.terms)
 
 
@@ -345,25 +348,25 @@ def _field_scenario(cfg: ScenarioConfig) -> tuple[Backend, Poly, list[KeyStage]]
         backend = Backend("hahn", cfg.p)
         a = backend.element_from_value(cfg.va)
         family = artin_schreier_family(backend, a, budget=cfg.budget)
-        return backend, _artin_schreier_g(backend, a), [PlateauStage(family)]
+        return backend, _artin_schreier_g(backend, a), [family]
     # hensel-immediate and unramified are p-adic; custom names its backend.
     backend = Backend(cfg.backend or "padic", cfg.p)
     g = Poly.make(backend, [backend.parse(c) for c in cfg.g])
     if cfg.scenario == "hensel-immediate":
-        return backend, g, [PlateauStage(hensel_family(backend, g, cfg.start, budget=cfg.budget))]
+        return backend, g, [hensel_family(backend, g, cfg.start, budget=cfg.budget)]
     if cfg.scenario == "unramified":
-        return backend, g, [ExplicitStage(Poly.x(backend))]
+        return backend, g, [Poly.x(backend)]
     return backend, g, [_custom_stage(backend, g, st, cfg.budget) for st in cfg.stages]
 
 
 def _custom_stage(backend: Backend, g: Poly, st: dict, budget: int) -> KeyStage:
     """One custom stage, as checked by `parse_config_dict`."""
     if "poly" in st:
-        return ExplicitStage(Poly.make(backend, [backend.parse(str(c)) for c in st["poly"]]))
+        return Poly.make(backend, [backend.parse(str(c)) for c in st["poly"]])
     if st["family"] == "artin_schreier":
         a = backend.element_from_value(Fraction(str(st.get("va", "-1"))))
-        return PlateauStage(artin_schreier_family(backend, a, budget=budget))
-    return PlateauStage(hensel_family(backend, g, st.get("start", 0), budget=budget))
+        return artin_schreier_family(backend, a, budget=budget)
+    return hensel_family(backend, g, st.get("start", 0), budget=budget)
 
 
 def _kummer_stage(cfg: ScenarioConfig) -> ScheduleStage:
@@ -592,6 +595,9 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         from .selftest import run_selftest
 
+        if args.instances < 1:
+            print("configuration error: instances: must be at least 1", file=sys.stderr)
+            return 4
         results = run_selftest(seed=args.seed, instances=args.instances)
         failed = 0
         for res in results:
@@ -608,7 +614,7 @@ def main(argv=None) -> int:
                 cfg = parse_config(fh.read())
         else:
             cfg = _scenario_config_from_args(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 4
 

@@ -235,7 +235,7 @@ def rewrite_in_generators(
     least scalar value equals nu(f), and the identity is re-verified.
     """
     ks = normalized.ks
-    if f.degree >= ks.final.degree:
+    if f.degree >= ks.g_degree:
         raise ScenarioDataError("rewriting applies below the degree of g")
     v_f = nu.nu(f)
     zero = ExtValue.of(GroupElem.zero())

@@ -8,12 +8,13 @@ For every key index i below the support polynomial g the stream records
 
 `invariant_stream` is the one builder, for field-backed keys and value
 schedules alike: a memoized row per key index serves the records and every
-tail fit.  It returns one `Block` per stage (position, degree, records,
-and tails for a plateau or schedule); segments are unions of block
-segments.  Each field-backed row checks that g is monic over its key on
-the expansion its truncation of g then reads from the oracle, and each
-plateau or schedule block that its key values increase strictly, before
-any fit.  Plateau columns carry a `groups.Tail`: an exact geometric law
+tail fit.  It returns one `Block` per stage -- a key `Poly`, a
+`PlateauFamily` or a `ScheduleStage` -- with its position, degree, the
+records of as many terms as `keyseq.stage_terms` gives, and tails for a
+plateau or schedule; segments are unions of block segments.  Each
+field-backed row checks that g is monic over its key on the expansion its
+truncation of g then reads from the oracle, and each plateau or schedule
+block that its key values increase strictly, before any fit.  Plateau columns carry a `groups.Tail`: an exact geometric law
 ``c * p**-n + d`` with the scenario's own ``p``, fitted on four
 consecutive computed terms and verified on four more, or a divergence
 certificate inherited from the family's construction.  Where a family has
@@ -45,6 +46,7 @@ Valid scenario data makes all three agree; structural violations raise
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -61,7 +63,6 @@ from .groups import (
     ClosedForm,
     Diverging,
     ExtValue,
-    FiniteList,
     GroupElem,
     SegmentRelation,
     Tail,
@@ -76,13 +77,13 @@ from .groups import (
 )
 from .keyseq import (
     CoefValueLaw,
-    ExplicitStage,
     KeyIndex,
     KeySequence,
-    PlateauStage,
+    PlateauFamily,
     ScheduleStage,
+    stage_terms,
 )
-from .poly import derivative, q_expand  # noqa: F401 (perfbench's tracer test reads it)
+from .poly import Poly, derivative, q_expand  # noqa: F401 (perfbench's tracer test reads it)
 from .truncation import NuOracle
 
 COLUMNS = (
@@ -158,13 +159,6 @@ class InvariantStream:
     def plateaus(self) -> list[Block]:
         return [block for block in self.blocks if block.tails is not None]
 
-    @property
-    def g_degree(self) -> int:
-        return self.ks.final.degree
-
-    @property
-    def istar_has_max(self) -> bool:
-        return self.ks.istar_has_max()
 
 
 class VerdictKind(Enum):
@@ -205,13 +199,14 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     or the family's divergence certificate, which decides its columns
     before any fit runs.
     """
+    if (nu is None) != (ks.g is None):
+        raise ScenarioDataError("a sequence takes an oracle exactly when it carries g")
     if nu is None:
-        schedules = [s for s in ks.stages if isinstance(s, ScheduleStage)]
-        if len(schedules) != len(ks.stages) or len({s.nu_gprime for s in schedules}) != 1:
-            raise ScenarioDataError(
-                "without an oracle every stage must be a value schedule with one nu(g')"
-            )
-        nu_gprime = schedules[0].nu_gprime
+        # Without g every stage is a value schedule (checked by KeySequence).
+        nu_gprimes = {s.nu_gprime for s in ks.stages}
+        if len(nu_gprimes) != 1:
+            raise ScenarioDataError("the value schedules must share one nu(g')")
+        (nu_gprime,) = nu_gprimes
     else:
         g = ks.g
         gp = derivative(g)
@@ -231,7 +226,7 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             q = ks.key_poly(index)
             # Checked before any value; nu_q(g, q) reads this expansion back.
             if not nu.expand(g, q).is_monic():
-                kind = "an explicit" if isinstance(stage, ExplicitStage) else "a plateau"
+                kind = "an explicit" if isinstance(stage, Poly) else "a plateau"
                 raise ScenarioDataError(f"g is not monic over {kind} key")
             nu_key = nu.nu(q).expect_finite()
             nu_key_deriv = nu.nu(derivative(q)).expect_finite()
@@ -251,25 +246,20 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
 
     blocks: list[Block] = []
     for pos, stage in enumerate(ks.stages):
-        if isinstance(stage, ExplicitStage):
+        if isinstance(stage, Poly):
             blocks.append(Block(pos, stage.degree, (row(KeyIndex(pos, 0)),), None))
             continue
-        if isinstance(stage, ScheduleStage):
-            # A finite schedule ends with its list; a closed form extends up
-            # to the fit's probe budget.
-            count = stage.available_terms(terms)
-            limit = count if isinstance(stage.key_values, FiniteList) else None
-            subject = "schedule values"
-        else:
-            count, limit = min(terms, stage.family.budget), stage.family.budget
-            subject = "plateau key values"
+        # A fit may probe past the records up to the most terms the stage
+        # gives: a family's budget, a finite schedule's list, or without end.
+        count, limit = stage_terms(stage, terms), stage_terms(stage, math.inf)
+        subject = "schedule values" if isinstance(stage, ScheduleStage) else "plateau key values"
         records = tuple(row(KeyIndex(pos, n)) for n in range(1, count + 1))
         if any(not a.nu_key < b.nu_key for a, b in zip(records, records[1:])):
             raise ScenarioDataError(f"{subject} must increase strictly")
 
         def fit(name: str, pos=pos, records=records, limit=limit) -> Tail | None:
             def extend(k: int) -> GroupElem | None:
-                if limit is not None and k + 1 > limit:
+                if k + 1 > limit:
                     return None
                 return row(KeyIndex(pos, k + 1)).column(name)
 
@@ -282,7 +272,7 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         # A certificate decides the diverging columns before any fit probes
         # them; only the partners it needs and what it leaves open are fitted.
         tails = {name: fit(name) for name in _CERT_PARTNERS}
-        cert = stage.family.divergence_bound if isinstance(stage, PlateauStage) else None
+        cert = stage.divergence_bound if isinstance(stage, PlateauFamily) else None
         if cert is not None:
             tails = _apply_divergence_cert(records, tails, cert)
         tails = {name: tails[name] if name in tails else fit(name) for name in COLUMNS}
@@ -511,7 +501,7 @@ def classify(stream: InvariantStream) -> Verdict:
 
 def _classify_min_case(stream, canon, base) -> Verdict:
     min_alpha = canon.point
-    if not stream.istar_has_max:
+    if not stream.ks.istar_has_max():
         return Verdict(
             VerdictKind.OMEGA_NONZERO,
             case="i",
@@ -723,7 +713,7 @@ def check_b1_hypotheses(stream: InvariantStream) -> None:
     if not any(block.degree == 1 for block in stream.plateaus):
         raise HypothesisViolatedError("no degree-1 plateau: key values attain a maximum")
     for block in stream.blocks:
-        if 1 < block.degree < stream.g_degree:
+        if 1 < block.degree < stream.ks.g_degree:
             raise HypothesisViolatedError("keys of intermediate degree exist")
 
 
@@ -745,7 +735,7 @@ def b_set(stream: InvariantStream) -> BSetReport:
     reports: list[SlotReport] = []
     members: set[int] = set()
     undecided: set[int] = set()
-    for b in range(1, stream.g_degree):
+    for b in range(1, stream.ks.g_degree):
         kind, tail = _slot_tail(stream, block, b)
         if kind == "zero":
             reports.append(SlotReport(b, False, "slot vanishes on the materialized prefix"))
@@ -784,7 +774,7 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
         return "values", Tail(slot_law, key_tail.offset)
 
     def slot_value(n: int) -> GroupElem | None:
-        if n > stage.family.budget:
+        if n > stage.budget:
             return None
         exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(block.stage_pos, n)))
         coeff = exp.coeff(b)
@@ -809,7 +799,7 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
     fitted = fit_closed_form(vals, stream.ks.p, extend=extend)
     if fitted is not None:
         return "values", fitted
-    cert = stage.family.divergence_bound
+    cert = stage.divergence_bound
     if cert is not None and all(y > x for x, y in zip(vals, vals[1:])):
         # Slot value >= b * nu(Q_n) plus a nonnegative coefficient value,
         # already validated against the certificate for the g column.

@@ -1,11 +1,11 @@
 """Key-polynomial sequences: stages, plateau families, witness search.
 
 A sequence consists of finitely many stages of non-decreasing degree
-followed by the final (support) polynomial.  A stage is either explicit --
-one key polynomial -- or a plateau: an infinite family of same-degree keys
-with strictly increasing values and no last element, materialized lazily
-through a thread-safe generator so probe budgets apply uniformly to every
-consumer.
+followed by the support polynomial g itself.  A stage is its key `Poly`,
+a `PlateauFamily` -- an infinite family of same-degree keys with strictly
+increasing values and no last element, materialized lazily through a
+thread-safe generator up to its budget -- or a `ScheduleStage`.
+`stage_terms` is the one rule for how many terms a stage gives.
 
 Built-in plateau families:
 
@@ -17,7 +17,8 @@ Built-in plateau families:
   the key values exceed the term index (hence diverge);
 * `ScheduleStage` -- value data only (no field arithmetic): an explicit or
   closed-form law for the key values plus term-value laws for the base-q
-  expansion coefficients of g and g'.
+  expansion coefficients of g and g'.  A sequence of schedules carries no
+  polynomial for g, whose degree is one less than the number of its laws.
 """
 from __future__ import annotations
 
@@ -98,28 +99,6 @@ class PlateauFamily:
 
 
 @dataclass(frozen=True)
-class ExplicitStage:
-    """A single key polynomial."""
-
-    poly: Poly
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-
-@dataclass(frozen=True, eq=False)
-class PlateauStage:
-    """An infinite same-degree family without a last element."""
-
-    family: PlateauFamily
-
-    @property
-    def degree(self) -> int:
-        return self.family.degree
-
-
-@dataclass(frozen=True)
 class CoefValueLaw:
     """Term-value law  n -> const + mult * key_value(n)  for one expansion slot.
 
@@ -148,49 +127,51 @@ class ScheduleStage:
     def key_value(self, n: int) -> GroupElem:
         return self.key_values.term(n - 1)
 
-    def available_terms(self, default: int) -> int:
-        if isinstance(self.key_values, FiniteList):
-            return len(self.key_values.values)
-        return default
+KeyStage = Poly | PlateauFamily | ScheduleStage
 
 
-KeyStage = ExplicitStage | PlateauStage | ScheduleStage
+def stage_terms(stage: KeyStage, terms: int | float) -> int | float:
+    """How many terms of a stage to take when a plateau may give `terms`.
 
-
-@dataclass(frozen=True)
-class FinalStage:
-    """The last element of the sequence: the support polynomial g.
-
-    Schedule-backed sequences carry only its degree.
+    One for an explicit key, at most the budget of a family, every listed
+    value of a finite schedule, and `terms` for a closed-form schedule.
     """
-
-    poly: Poly | None
-    degree: int
-
-    @staticmethod
-    def of(g: Poly) -> "FinalStage":
-        return FinalStage(g, g.degree)
+    if isinstance(stage, Poly):
+        return 1
+    if isinstance(stage, PlateauFamily):
+        return min(terms, stage.budget)
+    if isinstance(stage.key_values, FiniteList):
+        return len(stage.key_values.values)
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
 class KeySequence:
-    """Well-ordered key data: stages of non-decreasing degree, then g."""
+    """Well-ordered key data: stages of non-decreasing degree, then g.
+
+    A sequence of value schedules carries no polynomial (``g=None``); each
+    schedule has one expansion-slot law per coefficient of g.
+    """
 
     stages: tuple[KeyStage, ...]
-    final: FinalStage
+    g: Poly | None
     p: int
     backend: Backend | None = None
 
     def __post_init__(self):
-        degs = [s.degree for s in self.stages] + [self.final.degree]
+        if self.g is None and not (
+            self.stages and all(isinstance(s, ScheduleStage) for s in self.stages)
+        ):
+            raise ScenarioDataError("only a sequence of value schedules may omit g")
+        degs = [s.degree for s in self.stages] + [self.g_degree]
         if any(a > b for a, b in zip(degs, degs[1:])):
             raise ScenarioDataError("stage degrees must be non-decreasing")
 
     @property
-    def g(self) -> Poly:
-        if self.final.poly is None:
-            raise ScenarioDataError("this sequence carries no polynomial for g")
-        return self.final.poly
+    def g_degree(self) -> int:
+        if self.g is None:
+            return len(self.stages[-1].g_coef_laws) - 1
+        return self.g.degree
 
     @property
     def final_index(self) -> KeyIndex:
@@ -200,32 +181,28 @@ class KeySequence:
         if index == self.final_index:
             return self.g
         stage = self.stages[index.stage]
-        if isinstance(stage, ExplicitStage):
+        if isinstance(stage, Poly):
             if index.term != 0:
                 raise ValueError("explicit stages have a single term")
-            return stage.poly
-        if isinstance(stage, PlateauStage):
-            return stage.family.poly(index.term)
+            return stage
+        if isinstance(stage, PlateauFamily):
+            return stage.poly(index.term)
         raise ScenarioDataError("schedule stages carry no polynomials")
 
     def indices(self, terms_per_plateau: int) -> list[KeyIndex]:
         """Materialized view of I* (the final index excluded)."""
         out: list[KeyIndex] = []
         for pos, stage in enumerate(self.stages):
-            if isinstance(stage, ExplicitStage):
+            if isinstance(stage, Poly):
                 out.append(KeyIndex(pos, 0))
             else:
-                count = terms_per_plateau
-                if isinstance(stage, ScheduleStage):
-                    count = stage.available_terms(terms_per_plateau)
+                count = stage_terms(stage, terms_per_plateau)
                 out.extend(KeyIndex(pos, n) for n in range(1, count + 1))
         return out
 
     def istar_has_max(self) -> bool:
         """Whether the index set below g has a maximal element."""
-        if not self.stages:
-            return False
-        return isinstance(self.stages[-1], ExplicitStage)
+        return bool(self.stages) and isinstance(self.stages[-1], Poly)
 
 
 # ---------------------------------------------------------------------------

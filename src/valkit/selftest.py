@@ -264,7 +264,7 @@ def suite_rewrite(rng, instances) -> SuiteResult:
     contexts = [_context("as2"), _context("as3"), _context("unramified")]
     for k in range(instances):
         ks, nu, _ = contexts[k % len(contexts)]
-        f = _random_poly(rng, ks.backend, ks.final.degree - 1, allow_zero=False)
+        f = _random_poly(rng, ks.backend, ks.g_degree - 1, allow_zero=False)
         vf = nu.nu(f)
         shift = ks.backend.element_from_value(-vf.expect_finite())
         f = f.scale(shift)  # nu(f) = 0 now

@@ -55,7 +55,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_dict({"scenario": "artin-schreier", "va": -1.0})
 
-    @pytest.mark.parametrize("p", [4, 9, 2047, 3215031751])  # the last two fool base 2
+    # 2047 and 3215031751 fool base 2; 318665857834031151167461 =
+    # 399165290221 * 798330580441 fools all twelve bases of `_is_prime`.
+    @pytest.mark.parametrize("p", [4, 9, 2047, 3215031751, 318665857834031151167461])
     def test_composite_p_rejected(self, p):
         with pytest.raises(ConfigError, match="p must be prime"):
             parse_config_dict({"scenario": "artin-schreier", "p": p})
@@ -258,6 +260,12 @@ class TestMain:
         code = main(["run", str(path)])
         err = capsys.readouterr().err
         assert code == 4 and "tolerance" in err
+
+    def test_non_utf8_config_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"scenario": "unramified"}')
+        assert main(["run", str(path)]) == 4
+        assert "configuration error" in capsys.readouterr().err
 
     def test_non_integer_stage_start_exit_four(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -484,6 +492,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("pass") == 10
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_selftest_without_instances_exit_four(self, instances, capsys):
+        assert main(["selftest", "--instances", instances]) == 4
+        captured = capsys.readouterr()
+        assert "instances: must be at least 1" in captured.err and "pass" not in captured.out
 
     def test_kummer_flags(self, capsys):
         code = main(

@@ -16,12 +16,9 @@ from valkit.expansion import (
 from valkit.fields import Backend, HahnElem, _padic
 from valkit.groups import ExtValue, rat1
 from valkit.keyseq import (
-    ExplicitStage,
-    FinalStage,
     KeyIndex,
     KeySequence,
     NormalizedSequence,
-    PlateauStage,
     artin_schreier_family,
     find_witness,
 )
@@ -36,7 +33,7 @@ def as_sequence(p):
     coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
-    ks = KeySequence((PlateauStage(family),), FinalStage.of(g), p, backend)
+    ks = KeySequence((family,), g, p, backend)
     nu = NuOracle.stabilization(g, family.center)
     return ks, nu
 
@@ -44,7 +41,7 @@ def as_sequence(p):
 def unramified_sequence():
     backend = Backend("padic", 2)
     g = Poly.from_ints(backend, [1, 1, 1])
-    ks = KeySequence((ExplicitStage(Poly.x(backend)),), FinalStage.of(g), 2, backend)
+    ks = KeySequence((Poly.x(backend),), g, 2, backend)
     nu = NuOracle.from_resultant(g)
     return ks, nu
 
@@ -246,7 +243,7 @@ def context_polys(draw, max_degree=None):
     """(context name, nonzero f) with deg f <= max_degree, else deg f < deg g."""
     name = draw(st.sampled_from(CONTEXTS))
     ks = _context(name)[0]
-    top = ks.final.degree - 1 if max_degree is None else max_degree
+    top = ks.g_degree - 1 if max_degree is None else max_degree
     coeffs = [draw(elements(ks.backend)) for _ in range(draw(st.integers(0, top)) + 1)]
     f = Poly.make(ks.backend, coeffs)
     assume(not f.is_zero())

@@ -46,12 +46,9 @@ from valkit.kahler import (
 from valkit.fields import Backend
 from valkit.keyseq import (
     CoefValueLaw,
-    ExplicitStage,
-    FinalStage,
     KeyIndex,
     KeySequence,
     PlateauFamily,
-    PlateauStage,
     ScheduleStage,
     hensel_family,
 )
@@ -87,7 +84,7 @@ class TestInvariantStream:
         (rec,) = UNRAMIFIED.records
         assert rec.alpha == rec.beta == rec.beta_tilde == rat1(0)
         assert rec.nu_key == rec.nu_key_deriv == rat1(0)
-        assert UNRAMIFIED.istar_has_max
+        assert UNRAMIFIED.ks.istar_has_max()
 
     def test_hensel_divergence(self):
         tails = HENSEL.plateaus[0].tails
@@ -150,7 +147,7 @@ class TestRowMemo:
         (stage,) = KUMMER_AT.ks.stages
         assert KUMMER_AT.nu is None
         assert KUMMER_AT.nu_gprime == stage.nu_gprime == rat1(1)
-        assert KUMMER_AT.g_degree == 3 and not KUMMER_AT.istar_has_max
+        assert KUMMER_AT.ks.g_degree == 3 and not KUMMER_AT.ks.istar_has_max()
 
 
 @st.composite
@@ -173,7 +170,7 @@ def hensel_configs(draw):
 def reference_tails(stream, block):
     """Every column fitted with extension to the budget, then the certificate."""
     ks, nu = stream.ks, stream.nu
-    family = ks.stages[block.stage_pos].family
+    family = ks.stages[block.stage_pos]
     gp = derivative(ks.g)
 
     @functools.cache
@@ -221,7 +218,7 @@ class TestSequenceChecks:
         g = Poly.from_ints(backend, [2, 1, 1])
         lifts = hensel_family(backend, g, 0)
         stalling = PlateauFamily(backend, lambda n, prev: lifts.center(min(n, 6)))
-        ks = KeySequence((PlateauStage(stalling),), FinalStage.of(g), 2, backend)
+        ks = KeySequence((stalling,), g, 2, backend)
         nu = NuOracle.stabilization(g, lifts.center)
         with pytest.raises(ScenarioDataError, match="plateau key values must increase strictly"):
             invariant_stream(ks, nu, terms=8)
@@ -230,8 +227,8 @@ class TestSequenceChecks:
         # x^3 + x + 1 = (x - 1)(x^2 + x + 1) + (x + 2): the top slot is x - 1
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [1, 1, 0, 1])
-        key = ExplicitStage(Poly.from_ints(backend, [1, 1, 1]))
-        ks = KeySequence((key,), FinalStage.of(g), 2, backend)
+        key = Poly.from_ints(backend, [1, 1, 1])
+        ks = KeySequence((key,), g, 2, backend)
         with pytest.raises(ScenarioDataError, match="g is not monic over an explicit key"):
             invariant_stream(ks, NuOracle.from_resultant(g))
 
@@ -360,7 +357,7 @@ class TestBSet:
             gprime_coef_laws=(CoefValueLaw(rat1(0), 0),),
             nu_gprime=rat1(0),
         )
-        stream = invariant_stream(KeySequence((stage,), FinalStage(None, 1), 2), None)
+        stream = invariant_stream(KeySequence((stage,), None, 2), None)
         report = b_set(stream)
         assert report.b_set == frozenset() and not report.b1
 
@@ -420,7 +417,7 @@ class TestScheduleValidation:
             gprime_coef_laws=(CoefValueLaw(rat1(1), 0), CoefValueLaw(rat1(1), 1), CoefValueLaw(rat1(1), 2)),
             nu_gprime=rat1(1),
         )
-        stream = invariant_stream(KeySequence((stage,), FinalStage(None, 3), 3), None)
+        stream = invariant_stream(KeySequence((stage,), None, 3), None)
         assert omega_verdict(stream).kind is VerdictKind.INCONCLUSIVE
         assert classify(stream).kind is VerdictKind.INCONCLUSIVE
 

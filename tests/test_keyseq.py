@@ -9,17 +9,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from valkit.errors import ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
-from valkit.groups import ExtValue, rat1
+from valkit.groups import ClosedForm, ExtValue, FiniteList, rat1
 from valkit.keyseq import (
-    ExplicitStage,
-    FinalStage,
+    CoefValueLaw,
     KeyIndex,
     KeySequence,
     NormalizedSequence,
-    PlateauStage,
+    ScheduleStage,
     artin_schreier_family,
     find_witness,
     hensel_family,
+    stage_terms,
 )
 from valkit.kahler import invariant_stream
 from valkit.poly import Poly, q_expand
@@ -32,7 +32,7 @@ def as_sequence(p):
     coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
-    ks = KeySequence((PlateauStage(family),), FinalStage.of(g), p, backend)
+    ks = KeySequence((family,), g, p, backend)
     nu = NuOracle.stabilization(g, family.center)
     return ks, nu
 
@@ -40,7 +40,7 @@ def as_sequence(p):
 def unramified_sequence():
     backend = Backend("padic", 2)
     g = Poly.from_ints(backend, [1, 1, 1])
-    ks = KeySequence((ExplicitStage(Poly.x(backend)),), FinalStage.of(g), 2, backend)
+    ks = KeySequence((Poly.x(backend),), g, 2, backend)
     nu = NuOracle.from_resultant(g)
     return ks, nu
 
@@ -49,7 +49,7 @@ def hensel_sequence():
     backend = Backend("padic", 2)
     g = Poly.from_ints(backend, [2, 1, 1])
     family = hensel_family(backend, g, 0)
-    ks = KeySequence((PlateauStage(family),), FinalStage.of(g), 2, backend)
+    ks = KeySequence((family,), g, 2, backend)
     nu = NuOracle.stabilization(g, family.center)
     return ks, nu
 
@@ -61,13 +61,39 @@ class TestStructure:
         assert idx == sorted(idx)
         assert all(i < ks.final_index for i in idx)
 
+    def test_indices_stop_at_the_family_budget(self):
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [2, 1, 1])
+        family = hensel_family(backend, g, 0, budget=10)
+        ks = KeySequence((family,), g, 2, backend)
+        idx = ks.indices(12)
+        assert idx == [KeyIndex(0, n) for n in range(1, 11)]
+        assert all(ks.key_poly(i).degree == 1 for i in idx)
+
+    def test_stage_terms(self):
+        backend = Backend("padic", 2)
+        family = hensel_family(backend, Poly.from_ints(backend, [2, 1, 1]), 0, budget=10)
+        laws = (CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1))
+        listed = ScheduleStage(FiniteList((rat1(0), rat1(1), rat1(2))), laws, laws[:1], rat1(0))
+        closed = ScheduleStage(ClosedForm(rat1(-1), rat1(0), 2), laws, laws[:1], rat1(0))
+        assert stage_terms(Poly.x(backend), 12) == 1
+        assert (stage_terms(family, 8), stage_terms(family, 12)) == (8, 10)
+        assert (stage_terms(listed, 2), stage_terms(listed, 12)) == (3, 3)
+        assert stage_terms(closed, 12) == 12
+        assert KeySequence((closed,), None, 2).g_degree == 1
+
+    def test_only_schedules_omit_g(self):
+        backend = Backend("padic", 2)
+        with pytest.raises(ScenarioDataError, match="only a sequence of value schedules"):
+            KeySequence((Poly.x(backend),), None, 2, backend)
+
     def test_degrees_must_not_decrease(self):
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [1, 1, 1])
-        quad = ExplicitStage(Poly.from_ints(backend, [1, 0, 1]))
-        lin = ExplicitStage(Poly.x(backend))
+        quad = Poly.from_ints(backend, [1, 0, 1])
+        lin = Poly.x(backend)
         with pytest.raises(ScenarioDataError):
-            KeySequence((quad, lin), FinalStage.of(g * g), 2, backend)
+            KeySequence((quad, lin), g * g, 2, backend)
 
     def test_plateau_report(self):
         # the degree-1 keys have no last element; g is the last element
@@ -119,7 +145,7 @@ class TestNormalize:
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [2, 0, 1])  # x^2 - 2 would force value 1/2
         ks = KeySequence(
-            (ExplicitStage(Poly.x(backend)),), FinalStage.of(g), 2, backend
+            (Poly.x(backend),), g, 2, backend
         )
         nu = NuOracle.from_resultant(g)
         index = KeyIndex(0, 0)
@@ -250,7 +276,6 @@ class TestFamilies:
         )
         for family in families:
             assert [family.poly(n).degree for n in range(1, 5)] == [family.degree] * 4
-            assert PlateauStage(family).degree == family.degree
 
     def test_hensel_values_strictly_increase_and_diverge(self):
         backend = Backend("padic", 2)
