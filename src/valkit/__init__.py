@@ -14,7 +14,6 @@ from .errors import (
     EmptySequenceError,
     HypothesisViolatedError,
     InconclusiveError,
-    InvalidSubgroupError,
     LawMismatchError,
     NegativeValueInputError,
     NoWitnessError,
@@ -32,7 +31,6 @@ from .groups import (
     ExtValue,
     FiniteList,
     GroupElem,
-    IsolatedSubgroup,
     SegmentRelation,
     Tail,
     canonicalize,

@@ -282,6 +282,8 @@ def parse_config(text: str) -> ScenarioConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply") from None
     return parse_config_dict(data)
 
 
@@ -462,7 +464,7 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
     report["alpha_segment"] = _segment_payload(alpha_seg)
     report["beta_segment"] = _segment_payload(beta_seg)
     if alpha_seg is not None:
-        report["delta_suffix_len"] = largest_delta(alpha_seg, alpha_seg.rank).suffix_len
+        report["delta_suffix_len"] = largest_delta(alpha_seg)
     else:
         report["delta_suffix_len"] = None
 

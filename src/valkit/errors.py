@@ -9,10 +9,6 @@ class EmptySequenceError(ValkitError):
     """A value sequence with no terms was supplied where one is required."""
 
 
-class InvalidSubgroupError(ValkitError):
-    """The requested subgroup is not contained in the ambient group."""
-
-
 class InconclusiveError(ValkitError):
     """The question could not be decided within the configured probe budget.
 

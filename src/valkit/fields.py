@@ -350,9 +350,7 @@ class Backend:
         if isinstance(value, ExtValue):
             value = value.expect_finite()
         if isinstance(value, GroupElem):
-            if value.rank != 1:
-                raise ValueNotRepresentableError("field backends are rank 1")
-            value = value.coords[0]
+            value = value.value
         value = Fraction(value)
         if self.kind == "hahn":
             return HahnElem.make({value: 1}, self.p)

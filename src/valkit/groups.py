@@ -1,13 +1,16 @@
-"""Exact order arithmetic for lexicographic rational value groups.
+"""Exact order arithmetic for the rational value group.
 
-Elements are tuples of `fractions.Fraction` of a fixed rank, compared
-lexicographically.  On top of the element arithmetic this module decides,
-always exactly and never by floating point or truncation guesswork:
+Every value group valkit meets has rank 1: the integers for the p-adic
+backend, the rationals for Hahn series and value schedules.  An element
+wraps one `fractions.Fraction`.  On top of the element arithmetic this
+module decides, always exactly and never by floating point or truncation
+guesswork:
 
 * which final segment (upward-closed set) a column of values generates,
 * containment and equality of such segments,
-* the largest isolated (convex) subgroup a segment is invariant under,
-* weak limits of a column's law relative to an isolated subgroup.
+* the largest isolated subgroup a segment is invariant under (in rank 1
+  the whole group or the trivial one),
+* weak limits of a column's law relative to that subgroup.
 
 A column is a list of exactly computed values plus, for an infinite
 family, a `Tail` telling how it continues: a `ClosedForm` law
@@ -25,7 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import EmptySequenceError, InvalidSubgroupError, ScenarioDataError
+from .errors import EmptySequenceError, ScenarioDataError
 
 PROBE_BUDGET = 64
 _FIT_TERMS = 4
@@ -40,85 +43,63 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True, order=False)
+def _value(other) -> Fraction:
+    if not isinstance(other, GroupElem):
+        raise TypeError(f"expected GroupElem, got {other!r}")
+    return other.value
+
+
+@dataclass(frozen=True, slots=True)
 class GroupElem:
-    """An element of Q^r with the lexicographic order."""
+    """An element of the rational value group.
 
-    coords: tuple[Fraction, ...]
+    Arithmetic and order take group elements only, never bare numbers, so
+    every value stays exact and prints as ``n/d``.
+    """
 
-    def __post_init__(self):
-        if not self.coords:
-            raise ValueError("rank must be at least 1")
-
-    @staticmethod
-    def of(*coords) -> "GroupElem":
-        return GroupElem(tuple(_frac(c) for c in coords))
+    value: Fraction
 
     @staticmethod
-    def zero(rank: int = 1) -> "GroupElem":
-        return GroupElem((Fraction(0),) * rank)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def _check(self, other: "GroupElem") -> None:
-        if not isinstance(other, GroupElem):
-            raise TypeError(f"expected GroupElem, got {other!r}")
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
+    def zero() -> "GroupElem":
+        return _ZERO
 
     def __add__(self, other):
-        self._check(other)
-        return GroupElem(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return GroupElem(self.value + _value(other))
 
     def __sub__(self, other):
-        self._check(other)
-        return GroupElem(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return GroupElem(self.value - _value(other))
 
     def __neg__(self):
-        return GroupElem(tuple(-a for a in self.coords))
+        return GroupElem(-self.value)
 
     def scale(self, r) -> "GroupElem":
-        r = _frac(r)
-        return GroupElem(tuple(r * a for a in self.coords))
+        return GroupElem(_frac(r) * self.value)
 
     def __lt__(self, other):
-        self._check(other)
-        return self.coords < other.coords
+        return self.value < _value(other)
 
     def __le__(self, other):
-        self._check(other)
-        return self.coords <= other.coords
+        return self.value <= _value(other)
 
     def __gt__(self, other):
-        self._check(other)
-        return self.coords > other.coords
+        return self.value > _value(other)
 
     def __ge__(self, other):
-        self._check(other)
-        return self.coords >= other.coords
+        return self.value >= _value(other)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def leading_position(self) -> int | None:
-        """1-based index of the first nonzero coordinate, None for zero."""
-        for k, c in enumerate(self.coords, start=1):
-            if c:
-                return k
-        return None
-
-    def prefix(self, j: int) -> tuple[Fraction, ...]:
-        return self.coords[:j]
+        return not self.value
 
     def __str__(self):
-        return ",".join(format_rational(c) for c in self.coords)
+        return format_rational(self.value)
+
+
+_ZERO = GroupElem(Fraction(0))
 
 
 def rat1(x) -> GroupElem:
-    """Rank-1 element from an exact rational."""
-    return GroupElem((_frac(x),))
+    """The group element of an exact rational."""
+    return GroupElem(_frac(x))
 
 
 def format_rational(x: Fraction) -> str:
@@ -235,11 +216,9 @@ class ClosedForm:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("ratio base must be >= 2")
-        if self.c.rank != self.d.rank:
-            raise ValueError("rank mismatch between scale and limit")
 
     def term(self, n: int) -> GroupElem:
-        return self.c.scale(Fraction(1, self.p**n)) + self.d
+        return GroupElem(self.c.value / self.p**n + self.d.value)
 
 
 @dataclass(frozen=True)
@@ -340,44 +319,34 @@ class CanonicalSegment:
     """Normal form of a final segment.
 
     kind "closed":  {x : x >= point}.
-    kind "open":    {x : prefix_depth(x) >lex prefix_depth(point)} --- the
-                    segment generated by a family strictly decreasing to
-                    `point` whose decay has leading coordinate `depth`.
-                    Coordinates of `point` beyond `depth` are zeroed.
+    kind "open":    {x : x > point} --- the segment generated by a family
+                    strictly decreasing to `point`.
     """
 
     kind: str  # "empty" | "whole" | "closed" | "open"
-    rank: int
     point: GroupElem | None = None
-    depth: int | None = None
 
     def contains(self, x: GroupElem) -> bool:
-        if x.rank != self.rank:
-            raise ValueError("rank mismatch")
         if self.kind == "empty":
             return False
         if self.kind == "whole":
             return True
         if self.kind == "closed":
             return x >= self.point
-        return x.prefix(self.depth) > self.point.prefix(self.depth)
+        return x > self.point
 
     def describe(self) -> dict:
-        out = {"kind": self.kind, "rank": self.rank}
+        # Reports keep the rank and an open segment's depth, both always 1.
+        out = {"kind": self.kind, "rank": 1}
         if self.point is not None:
             out["point"] = str(self.point)
-        if self.depth is not None:
-            out["depth"] = self.depth
+        if self.kind == "open":
+            out["depth"] = 1
         return out
 
 
 def _closed(m: GroupElem) -> CanonicalSegment:
-    return CanonicalSegment("closed", m.rank, m)
-
-
-def _open(limit: GroupElem, depth: int) -> CanonicalSegment:
-    point = GroupElem(limit.coords[:depth] + (Fraction(0),) * (limit.rank - depth))
-    return CanonicalSegment("open", limit.rank, point, depth)
+    return CanonicalSegment("closed", m)
 
 
 def canonicalize(
@@ -400,14 +369,14 @@ def canonicalize(
     law = tail.law
     if isinstance(law, Diverging):
         if not law.increasing:
-            return CanonicalSegment("whole", values[0].rank)
+            return CanonicalSegment("whole")
         return _closed(min(values[-1:] if drop_prefix else values))
     if law.c.is_zero():
         seg = _closed(law.d)
-    elif law.c < GroupElem.zero(law.c.rank):
+    elif law.c < _ZERO:
         seg = _closed(law.term(0))
     else:
-        seg = _open(law.d, law.c.leading_position())
+        seg = CanonicalSegment("open", law.d)
     prefix = [] if drop_prefix else values[: tail.offset]
     if not prefix:
         return seg
@@ -420,55 +389,19 @@ def canonicalize(
 def segment_compare(ca: CanonicalSegment, cb: CanonicalSegment) -> SegmentRelation:
     """Exact containment verdict between two final segments.
 
-    Final segments of a totally ordered group are always nested, so one of
-    the three relations holds.
+    Final segments of a totally ordered group are always nested: the one
+    with the lower point contains the other, and at an equal point the
+    closed segment contains the open one.
     """
-    if ca.rank != cb.rank:
-        raise ValueError("cannot compare segments of different groups")
     if ca == cb:
         return SegmentRelation.EQUAL
-    if ca.kind == "empty":
-        return SegmentRelation.B_CONTAINS_A
-    if cb.kind == "empty":
+    if ca.kind == "whole" or cb.kind == "empty":
         return SegmentRelation.A_CONTAINS_B
-    if ca.kind == "whole":
+    if cb.kind == "whole" or ca.kind == "empty":
+        return SegmentRelation.B_CONTAINS_A
+    if ca.point < cb.point or (ca.point == cb.point and ca.kind == "closed"):
         return SegmentRelation.A_CONTAINS_B
-    if cb.kind == "whole":
-        return SegmentRelation.B_CONTAINS_A
-    if ca.kind == "closed" and cb.kind == "closed":
-        return (
-            SegmentRelation.A_CONTAINS_B
-            if ca.point < cb.point
-            else SegmentRelation.B_CONTAINS_A
-        )
-    if ca.kind == "closed" and cb.kind == "open":
-        j = cb.depth
-        if ca.point.prefix(j) <= cb.point.prefix(j):
-            return SegmentRelation.A_CONTAINS_B
-        return SegmentRelation.B_CONTAINS_A
-    if ca.kind == "open" and cb.kind == "closed":
-        return _flip(segment_compare(cb, ca))
-    # open vs open
-    j = min(ca.depth, cb.depth)
-    pa, pb = ca.point.prefix(j), cb.point.prefix(j)
-    if pa == pb:
-        if ca.depth == cb.depth:
-            return SegmentRelation.EQUAL
-        # The deeper constraint admits boundary elements the shallower omits.
-        return (
-            SegmentRelation.B_CONTAINS_A
-            if ca.depth < cb.depth
-            else SegmentRelation.A_CONTAINS_B
-        )
-    return SegmentRelation.A_CONTAINS_B if pa < pb else SegmentRelation.B_CONTAINS_A
-
-
-def _flip(rel: SegmentRelation) -> SegmentRelation:
-    if rel is SegmentRelation.A_CONTAINS_B:
-        return SegmentRelation.B_CONTAINS_A
-    if rel is SegmentRelation.B_CONTAINS_A:
-        return SegmentRelation.A_CONTAINS_B
-    return rel
+    return SegmentRelation.B_CONTAINS_A
 
 
 def segment_union(parts: Sequence[CanonicalSegment]) -> CanonicalSegment:
@@ -481,106 +414,27 @@ def segment_union(parts: Sequence[CanonicalSegment]) -> CanonicalSegment:
 
 
 # ---------------------------------------------------------------------------
-# Isolated subgroups, translation invariance, weak limits
+# Isolated subgroups and weak limits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsolatedSubgroup:
-    """The convex subgroup of elements vanishing on the first rank-k coords.
+def largest_delta(canon: CanonicalSegment) -> int:
+    """Largest isolated subgroup D with alpha - D = alpha, as its suffix length.
 
-    suffix_len 0 is the trivial subgroup, suffix_len == rank the whole group.
-    """
-
-    suffix_len: int
-    rank: int
-
-    def __post_init__(self):
-        if not 0 <= self.suffix_len <= self.rank:
-            raise InvalidSubgroupError("suffix length out of range")
-
-    @property
-    def fixed_positions(self) -> int:
-        return self.rank - self.suffix_len
-
-    def member(self, x: GroupElem) -> bool:
-        if x.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return not any(x.coords[: self.fixed_positions])
-
-    def coset_key(self, x: GroupElem) -> tuple[Fraction, ...]:
-        return x.coords[: self.fixed_positions]
-
-    def positive_generators(self) -> list[GroupElem]:
-        gens = []
-        for pos in range(self.fixed_positions, self.rank):
-            coords = [Fraction(0)] * self.rank
-            coords[pos] = Fraction(1)
-            gens.append(GroupElem(tuple(coords)))
-        return gens
-
-
-def largest_delta(canon: CanonicalSegment, rank: int) -> IsolatedSubgroup:
-    """Largest isolated subgroup D with alpha - D = alpha.
-
-    A closed segment moves under any positive translation, so it only
-    tolerates the trivial subgroup.  An open segment constraining the first
-    j coordinates tolerates exactly the subgroup free on the rest.
+    In rank 1 the isolated subgroups are the trivial one (0) and the whole
+    group (1).  Only the whole segment is invariant under a nonzero
+    translation: a closed or open segment moves with its point.
     """
     if canon.kind == "empty":
         raise EmptySequenceError("delta of an empty segment")
-    if canon.rank != rank:
-        raise ValueError("rank mismatch")
-    if canon.kind == "whole":
-        return IsolatedSubgroup(rank, rank)
-    if canon.kind == "closed":
-        return IsolatedSubgroup(0, rank)
-    return IsolatedSubgroup(rank - canon.depth, rank)
+    return 1 if canon.kind == "whole" else 0
 
 
-def translation_invariant(canon: CanonicalSegment, delta: IsolatedSubgroup) -> bool:
-    """Direct check of `seg - delta == seg` on generators.
-
-    For every generator (or minimum) g of the segment and every positive
-    generator d of `delta`, some segment element must lie at or below g - d,
-    i.e. g - d must itself belong to the segment.  Upward closure makes the
-    generator check sufficient.  An open segment is generated by its point
-    plus ever smaller steps in the coordinate at its depth.
-    """
-    if canon.kind in ("whole", "empty"):
-        return True
-    if canon.kind == "closed":
-        gens = [canon.point]
-    else:
-        step = GroupElem(
-            tuple(Fraction(int(k == canon.depth - 1)) for k in range(canon.rank))
-        )
-        gens = [canon.point + step.scale(Fraction(1, 2**n)) for n in range(8)]
-    for g in gens:
-        for d in delta.positive_generators():
-            if not canon.contains(g - d):
-                return False
-    return True
-
-
-def wlim(gamma: GroupElem, law: ClosedForm, delta: IsolatedSubgroup) -> bool:
+def wlim(gamma: GroupElem, law: ClosedForm, delta: int) -> bool:
     """Decide whether `gamma` is the weak limit of `law`'s terms relative to `delta`.
 
-    Either the cosets of the terms modulo `delta` never reach a minimal one
-    and the terms come within every epsilon exceeding `delta` of gamma, or
-    the cosets stabilize at a minimal coset containing gamma.
+    Relative to the whole group (``delta == 1``) every term shares one
+    coset, so every `gamma` is a weak limit.  Relative to the trivial
+    subgroup the terms must stabilize at `gamma` (c = 0) or decrease to it
+    (c > 0); increasing terms never return to their minimal first coset.
     """
-    rank = delta.rank
-    if law.d.rank != rank or gamma.rank != rank:
-        raise ValueError("rank mismatch")
-    if delta.member(law.c):
-        # All terms share the coset of the limit: branch (2).
-        return delta.coset_key(gamma) == delta.coset_key(law.d)
-    if law.c < GroupElem.zero(rank):
-        # Cosets strictly increase: a minimal coset exists (the first)
-        # but the family never returns to it, so neither branch holds.
-        return False
-    # Cosets strictly decrease: no minimal coset; branch (1) asks that
-    # |gamma - term| eventually drops below every epsilon > delta.
-    if not delta.member(gamma - law.d):
-        return False
-    return law.c.leading_position() == delta.fixed_positions
+    return bool(delta) or (law.c.value >= 0 and gamma == law.d)

@@ -11,10 +11,12 @@ schedules alike: a memoized row per key index serves the records and every
 tail fit.  It returns one `Block` per stage -- a key `Poly`, a
 `PlateauFamily` or a `ScheduleStage` -- with its position, degree, the
 records of as many terms as `keyseq.stage_terms` gives, and tails for a
-plateau or schedule; segments are unions of block segments.  Each
-field-backed row checks that g is monic over its key on the expansion its
-truncation of g then reads from the oracle, and each plateau or schedule
-block that its key values increase strictly, before any fit.  Plateau columns carry a `groups.Tail`: an exact geometric law
+plateau or schedule; segments are unions of block segments.
+
+Each field-backed row checks that g is monic over its key on the expansion
+its truncation of g then reads from the oracle, and each plateau or
+schedule block that its key values increase strictly, before any fit.
+Plateau columns carry a `groups.Tail`: an exact geometric law
 ``c * p**-n + d`` with the scenario's own ``p``, fitted on four
 consecutive computed terms and verified on four more, or a divergence
 certificate inherited from the family's construction.  Where a family has
@@ -32,7 +34,8 @@ The three independent routes to the vanishing decision:
 * `classify` -- the minimum / no-minimum case analysis (maximal index,
   beta-tilde domination and expansion-support witness; respectively first
   minimizing plateau, beta-tilde regeneration and weak limit relative to
-  the largest invariant subgroup);
+  the largest invariant subgroup, which in the rank-1 value group is the
+  whole group for the whole segment and trivial otherwise);
 * `b_set` -- slot 1 of the expansion of g staying below the instability
   cut along the single plateau (`BSetReport.b1`); the cut is the
   `CanonicalSegment` of the negated nu_i(g) column.
@@ -413,13 +416,11 @@ def _canon_str(canon: CanonicalSegment) -> str:
         return canon.kind
     if canon.kind == "closed":
         return f"[{canon.point}, inf)"
-    return f"({canon.point}, inf) depth {canon.depth}"
+    return f"({canon.point}, inf) depth 1"
 
 
 def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem | None:
-    """Some element of the larger segment missing from the smaller (rank 1)."""
-    if ca.rank != 1:
-        return None
+    """Some element of the larger segment missing from the smaller."""
     if ca.kind == "whole":
         if cb.kind == "closed":
             return cb.point - rat1(1)
@@ -461,7 +462,7 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
             if isinstance(law, Diverging):
                 if law.increasing:
                     raise ScenarioDataError("minimizing plateau alpha tail increases")
-            elif not law.c > GroupElem.zero(law.c.rank):
+            elif not law.c > GroupElem.zero():
                 raise ScenarioDataError("minimizing plateau alpha tail is not decreasing")
             return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
     raise ScenarioDataError("no degree generates the alpha segment")
@@ -492,8 +493,8 @@ def classify(stream: InvariantStream) -> Verdict:
     canon = column_segment(stream, "alpha")
     if canon is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="alpha column undecidable")
-    delta = largest_delta(canon, canon.rank)
-    base = {"delta_suffix_len": delta.suffix_len}
+    delta = largest_delta(canon)
+    base = {"delta_suffix_len": delta}
     if canon.kind == "closed":
         return _classify_min_case(stream, canon, base)
     return _classify_no_min_case(stream, canon, delta, base)
@@ -620,7 +621,7 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
     )
 
 
-def _wlim_branch(gamma: GroupElem, law: ClosedForm | Diverging, delta) -> int | None:
+def _wlim_branch(gamma: GroupElem, law: ClosedForm | Diverging, delta: int) -> int | None:
     """The weak-limit branch that puts `gamma` on a tail truncation of `law`.
 
     None when neither branch holds or the tail is a divergence.  The law
@@ -664,19 +665,16 @@ def cut_contains_eventually(cut: CanonicalSegment, tail: Tail | None) -> bool | 
     law = tail.law
     if isinstance(law, Diverging):
         return not law.increasing
-    # The negated terms are -d - c p^-n.  Membership reads coordinates up
-    # to the cut's depth (all of them for a closed cut); when c leads
-    # beyond it, those coordinates are the limit's.  Otherwise compare the
-    # prefixes through c's leading position j: the terms move towards -d
-    # from below there when the values decrease (c > 0), so the limit must
-    # pass the point; from above when they increase, so it may sit on it.
+    # The negated terms are -d - c p^-n.  A constant law sits at -d.  The
+    # terms move towards -d from below when the values decrease (c > 0), so
+    # -d must pass the point; from above when they increase, so it may sit
+    # on it.
     limit = -law.d
-    j = law.c.leading_position()
-    if j is None or (cut.kind == "open" and j > cut.depth):
+    if law.c.is_zero():
         return cut.contains(limit)
-    if law.c > GroupElem.zero(law.c.rank):
-        return limit.prefix(j) > cut.point.prefix(j)
-    return limit.prefix(j) >= cut.point.prefix(j)
+    if law.c > GroupElem.zero():
+        return limit > cut.point
+    return limit >= cut.point
 
 
 @dataclass(frozen=True)

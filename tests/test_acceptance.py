@@ -113,7 +113,7 @@ def test_criterion_4_finite_cases_against_golden():
         assert v_cls.witness["beta_tilde_i"] == "0/1"
         assert omega_verdict(stream).kind is VerdictKind.OMEGA_ZERO
         alpha_seg, beta_seg = alpha_beta_segments(stream)
-        assert alpha_seg == CanonicalSegment("closed", 1, rat1(0)) == beta_seg
+        assert alpha_seg == CanonicalSegment("closed", rat1(0)) == beta_seg
 
         # -- immediate Hensel x^2 + x + 2 over the 2-adics ------------------
         golden = _golden_hensel_family(terms=8)

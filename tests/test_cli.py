@@ -267,6 +267,12 @@ class TestMain:
         assert main(["run", str(path)]) == 4
         assert "configuration error" in capsys.readouterr().err
 
+    def test_deeply_nested_json_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["run", str(path)]) == 4
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_non_integer_stage_start_exit_four(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -1,8 +1,9 @@
 """Value-group arithmetic, segments, isolated subgroups, weak limits."""
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from valkit.errors import EmptySequenceError
 from valkit.groups import (
@@ -11,7 +12,6 @@ from valkit.groups import (
     Diverging,
     ExtValue,
     GroupElem,
-    IsolatedSubgroup,
     SegmentRelation,
     Tail,
     canonicalize,
@@ -19,7 +19,6 @@ from valkit.groups import (
     largest_delta,
     rat1,
     segment_compare,
-    translation_invariant,
     wlim,
 )
 
@@ -28,8 +27,8 @@ rationals = st.fractions(
 )
 
 
-def elems(rank=1):
-    return st.tuples(*([rationals] * rank)).map(lambda t: GroupElem(tuple(t)))
+def elems():
+    return rationals.map(GroupElem)
 
 
 class TestGroupElem:
@@ -37,13 +36,29 @@ class TestGroupElem:
     def test_lex_order_translation_invariant(self, a, b, c):
         assert (a < b) == (a + c < b + c)
 
-    @given(elems(2), elems(2))
+    @given(elems(), elems())
     def test_lex_order_total(self, a, b):
         assert (a < b) + (a == b) + (b < a) == 1
 
     @given(elems())
     def test_additive_inverse(self, a):
-        assert a + (-a) == GroupElem.zero(1)
+        assert a + (-a) == GroupElem.zero()
+
+    @pytest.mark.parametrize("bare", [Fraction(1, 2), 3])
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.lt, operator.le, operator.gt, operator.ge]
+    )
+    def test_bare_numbers_rejected(self, op, bare):
+        # Exactness is enforced by type: a bare number never mixes in.
+        with pytest.raises(TypeError):
+            op(rat1(1), bare)
+        with pytest.raises(TypeError):
+            op(bare, rat1(1))
+        assert rat1(3) != 3 and rat1(Fraction(1, 2)) != Fraction(1, 2)
+
+    def test_rat1_rejects_float(self):
+        with pytest.raises(TypeError):
+            rat1(0.5)
 
     def test_infinity_dominates(self):
         inf = ExtValue.infinity()
@@ -62,10 +77,10 @@ def law_segment(c, d, p):
 
 
 def closed(x):
-    return CanonicalSegment("closed", x.rank, x)
+    return CanonicalSegment("closed", x)
 
 
-WHOLE = CanonicalSegment("whole", 1)
+WHOLE = CanonicalSegment("whole")
 
 
 class TestSegmentFrom:
@@ -122,7 +137,7 @@ class TestSegmentCompare:
         assert segment_compare(WHOLE, closed(rat1(-100))) is SegmentRelation.A_CONTAINS_B
 
     def test_empty_below_everything(self):
-        empty = CanonicalSegment("empty", 1)
+        empty = CanonicalSegment("empty")
         assert segment_compare(empty, closed(rat1(0))) is SegmentRelation.B_CONTAINS_A
 
     def test_open_ordering_by_limits(self):
@@ -136,66 +151,47 @@ class TestSegmentCompare:
         terms = [rat1(Fraction(1, n + 1)) for n in range(12)]
         assert fit_closed_form(terms, 2, extend=lambda n: rat1(Fraction(1, n + 1))) is None
 
-    def test_rank2_depth_matters(self):
-        # generated by (1/2^n, 0): the segment {x1 > 0}
-        shallow = law_segment(GroupElem.of(1, 0), GroupElem.of(0, 0), 2)
-        # generated by (0, 1/2^n): the segment {x >lex (0,0)}
-        deep = law_segment(GroupElem.of(0, 1), GroupElem.of(0, 0), 2)
-        assert segment_compare(deep, shallow) is SegmentRelation.A_CONTAINS_B
-        assert deep.contains(GroupElem.of(0, 1))
-        assert not shallow.contains(GroupElem.of(0, 1))
-        assert shallow.contains(GroupElem.of(Fraction(1, 8), -100))
-
 
 class TestLargestDelta:
     def test_rank1_open_segment_trivial_delta(self):
-        seg = law_segment(rat1(1), rat1(0), 2)
-        delta = largest_delta(seg, 1)
-        assert delta.suffix_len == 0
-        assert translation_invariant(seg, delta)
+        assert largest_delta(law_segment(rat1(1), rat1(0), 2)) == 0
 
     def test_rank1_whole_group(self):
-        assert largest_delta(WHOLE, 1).suffix_len == 1
+        assert largest_delta(WHOLE) == 1
 
     def test_rank1_closed_trivial(self):
-        seg = closed(rat1(0))
-        delta = largest_delta(seg, 1)
-        assert delta.suffix_len == 0
-        assert not translation_invariant(seg, IsolatedSubgroup(1, 1))
-
-    def test_rank2_second_coordinate_tail(self):
-        seg = law_segment(GroupElem.of(1, 0), GroupElem.of(0, 0), 2)
-        delta = largest_delta(seg, 2)
-        assert delta.suffix_len == 1
-        assert translation_invariant(seg, delta)
-        assert not translation_invariant(seg, IsolatedSubgroup(2, 2))
+        assert largest_delta(closed(rat1(0))) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
-            largest_delta(CanonicalSegment("empty", 1), 1)
+            largest_delta(CanonicalSegment("empty"))
 
 
 class TestWlim:
     def test_stabilized_constant_branch2(self):
-        assert wlim(rat1(0), ClosedForm(rat1(0), rat1(0), 2), IsolatedSubgroup(0, 1))
+        assert wlim(rat1(0), ClosedForm(rat1(0), rat1(0), 2), 0)
 
     def test_halving_branch1(self):
         seq = ClosedForm(rat1(1), rat1(0), 2)
-        assert wlim(rat1(0), seq, IsolatedSubgroup(0, 1))
+        assert wlim(rat1(0), seq, 0)
+        # Relative to the whole group every value is a weak limit.
+        assert wlim(rat1(-50), seq, 1)
 
     def test_halving_wrong_target(self):
         seq = ClosedForm(rat1(1), rat1(0), 2)
-        assert not wlim(rat1(1), seq, IsolatedSubgroup(0, 1))
+        assert not wlim(rat1(1), seq, 0)
 
     def test_branch2_with_constant_equals_coset_equality(self):
-        delta = IsolatedSubgroup(1, 2)  # second coordinate free
-        seq = ClosedForm(GroupElem.zero(2), GroupElem.of(3, 7), 2)
-        assert wlim(GroupElem.of(3, -50), seq, delta)
-        assert not wlim(GroupElem.of(2, 7), seq, delta)
+        seq = ClosedForm(GroupElem.zero(), rat1(3), 2)
+        # Modulo the trivial subgroup a coset is one value.
+        assert wlim(rat1(3), seq, 0)
+        assert not wlim(rat1(2), seq, 0)
+        # Modulo the whole group there is one coset.
+        assert wlim(rat1(-50), seq, 1)
 
     def test_increasing_sequence_has_no_weak_limit(self):
         seq = ClosedForm(rat1(-1), rat1(0), 2)  # -1, -1/2, ... increasing
-        assert not wlim(rat1(0), seq, IsolatedSubgroup(0, 1))
+        assert not wlim(rat1(0), seq, 0)
 
     def test_sampled_with_recognized_law(self):
         # terms sampled from 1/2^n after a two-term prefix: the fitted law
@@ -203,14 +199,7 @@ class TestWlim:
         terms = [rat1(5), rat1(3)] + [rat1(Fraction(1, 2**n)) for n in range(8)]
         tail = fit_closed_form(terms, 2)
         assert tail.offset == 2
-        assert wlim(rat1(0), tail.law, IsolatedSubgroup(0, 1))
-
-    def test_rank2_epsilon_level_blocks_branch1(self):
-        # terms (1/2^n, 0) never drop below epsilon = (0, t) > trivial delta
-        seq = ClosedForm(GroupElem.of(1, 0), GroupElem.of(0, 0), 2)
-        assert not wlim(GroupElem.of(0, 0), seq, IsolatedSubgroup(0, 2))
-        # relative to the subgroup free on the second coordinate it works
-        assert wlim(GroupElem.of(0, 0), seq, IsolatedSubgroup(1, 2))
+        assert wlim(rat1(0), tail.law, 0)
 
 
 class TestFitClosedForm:
@@ -256,3 +245,108 @@ class TestSegmentLawProperties:
         assert canonicalize(values, down) == WHOLE
         assert canonicalize(values, up) == closed(rat1(0))
         assert canonicalize(values, up, drop_prefix=True) == closed(rat1(2))
+
+
+# ---------------------------------------------------------------------------
+# Test-local copies of the lexicographic rank-r `segment_compare` and `wlim`
+# that the rank-1 code replaced, on coordinate tuples.  The rank-1 code must
+# agree with them on every rank-1 draw.
+# ---------------------------------------------------------------------------
+
+def _lex_view(seg):
+    """(kind, point coordinates, depth) of a segment; an open one has depth 1."""
+    point = None if seg.point is None else (seg.point.value,)
+    return seg.kind, point, 1 if seg.kind == "open" else None
+
+
+def _flip(rel):
+    return {
+        SegmentRelation.A_CONTAINS_B: SegmentRelation.B_CONTAINS_A,
+        SegmentRelation.B_CONTAINS_A: SegmentRelation.A_CONTAINS_B,
+    }.get(rel, rel)
+
+
+def _rank_r_segment_compare(a, b):
+    (ka, pa, da), (kb, pb, db) = a, b
+    A, B = SegmentRelation.A_CONTAINS_B, SegmentRelation.B_CONTAINS_A
+    if a == b:
+        return SegmentRelation.EQUAL
+    if ka == "empty":
+        return B
+    if kb == "empty":
+        return A
+    if ka == "whole":
+        return A
+    if kb == "whole":
+        return B
+    if ka == kb == "closed":
+        return A if pa < pb else B
+    if ka == "closed":
+        return A if pa[:db] <= pb[:db] else B
+    if kb == "closed":
+        return _flip(_rank_r_segment_compare(b, a))
+    j = min(da, db)
+    if pa[:j] == pb[:j]:
+        if da == db:
+            return SegmentRelation.EQUAL
+        return B if da < db else A
+    return A if pa[:j] < pb[:j] else B
+
+
+def _leading_position(coords):
+    return next((k for k, x in enumerate(coords, start=1) if x), None)
+
+
+def _rank_r_wlim(gamma, c, d, suffix_len):
+    """Weak limit of ``c * p**-n + d`` modulo the subgroup free on the last
+    `suffix_len` coordinates."""
+    fixed = len(c) - suffix_len
+    zero = (0,) * len(c)
+    if not any(c[:fixed]):
+        return gamma[:fixed] == d[:fixed]
+    if c < zero:
+        return False
+    if any(x - y for x, y in zip(gamma[:fixed], d[:fixed])):
+        return False
+    return _leading_position(c) == fixed
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(GroupElem)
+
+
+@st.composite
+def segments(draw):
+    """Any segment kind, points drawn from a small set so that they collide."""
+    kind = draw(st.sampled_from(("empty", "whole", "closed", "open")))
+    if kind in ("empty", "whole"):
+        return CanonicalSegment(kind)
+    if kind == "closed":
+        return canonicalize([draw(small)])
+    c = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+    return law_segment(rat1(c), draw(small), draw(st.sampled_from((2, 3))))
+
+
+class TestRankRReference:
+    @settings(max_examples=400, deadline=None)
+    @given(segments(), segments())
+    def test_segment_compare_matches(self, a, b):
+        expected = _rank_r_segment_compare(_lex_view(a), _lex_view(b))
+        assert segment_compare(a, b) is expected
+
+    @pytest.mark.parametrize("x", [rat1(-1), rat1(0), rat1(Fraction(1, 3))])
+    def test_closed_and_open_at_an_equal_point(self, x):
+        a, b = closed(x), law_segment(rat1(1), x, 2)
+        for u, v in ((a, b), (b, a)):
+            expected = _rank_r_segment_compare(_lex_view(u), _lex_view(v))
+            assert segment_compare(u, v) is expected
+        assert segment_compare(a, b) is SegmentRelation.A_CONTAINS_B
+
+    @settings(max_examples=400, deadline=None)
+    @given(small, small, small, st.sampled_from((2, 3)), st.integers(0, 1), st.booleans())
+    def test_wlim_matches(self, gamma, c, d, p, delta, at_limit):
+        if at_limit:
+            gamma = d
+        for scale in (c, GroupElem.zero()):
+            law = ClosedForm(scale, d, p)
+            expected = _rank_r_wlim((gamma.value,), (scale.value,), (d.value,), delta)
+            assert wlim(gamma, law, delta) == expected

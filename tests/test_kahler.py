@@ -1,7 +1,6 @@
 """Invariant streams, segments and the three vanishing criteria."""
 import dataclasses
 import functools
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -17,7 +16,6 @@ from valkit.groups import (
     Diverging,
     FiniteList,
     GroupElem,
-    IsolatedSubgroup,
     SegmentRelation,
     Tail,
     fit_closed_form,
@@ -241,7 +239,7 @@ class TestSegments:
 
     def test_unramified_min_closed_zero(self):
         alpha_seg, beta_seg = alpha_beta_segments(UNRAMIFIED)
-        assert alpha_seg == CanonicalSegment("closed", 1, rat1(0)) == beta_seg
+        assert alpha_seg == CanonicalSegment("closed", rat1(0)) == beta_seg
 
     def test_hensel_whole_group(self):
         alpha_seg, beta_seg = alpha_beta_segments(HENSEL)
@@ -436,15 +434,20 @@ class TestScheduleValidation:
 small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
-def elems(rank):
-    return st.tuples(*[small] * rank).map(GroupElem)
+def elems():
+    return small.map(GroupElem)
+
+
+def _coset_key(x, delta):
+    """The coset of `x` modulo the whole group (delta 1) or the trivial one."""
+    return () if delta else (x.value,)
 
 
 def _former_stabilized_wlim(gamma, prefix, tail, delta):
     """Weak limit of a family equal to `tail` beyond `prefix`."""
-    cosets = [delta.coset_key(t) for t in (*prefix, tail)]
-    tail_key = delta.coset_key(tail)
-    return tail_key == min(cosets) and delta.coset_key(gamma) == tail_key
+    cosets = [_coset_key(t, delta) for t in (*prefix, tail)]
+    tail_key = _coset_key(tail, delta)
+    return tail_key == min(cosets) and _coset_key(gamma, delta) == tail_key
 
 
 def _former_wlim_branch(gamma, values, tail, delta):
@@ -461,14 +464,14 @@ def _former_wlim_branch(gamma, values, tail, delta):
 
 
 @st.composite
-def columns(draw, rank):
+def columns(draw):
     """Materialized values and the tail of a column: any law or a divergence."""
-    prefix = draw(st.lists(elems(rank), max_size=4))
+    prefix = draw(st.lists(elems(), max_size=4))
     kind = draw(st.sampled_from(("constant", "law", "up", "down")))
     if kind in ("up", "down"):
-        return prefix or [draw(elems(rank))], Tail(Diverging(kind == "up"))
-    c = GroupElem.zero(rank) if kind == "constant" else draw(elems(rank))
-    law = ClosedForm(c, draw(elems(rank)), draw(st.sampled_from((2, 3))))
+        return prefix or [draw(elems())], Tail(Diverging(kind == "up"))
+    c = GroupElem.zero() if kind == "constant" else draw(elems())
+    law = ClosedForm(c, draw(elems()), draw(st.sampled_from((2, 3))))
     return prefix + [law.term(k) for k in range(4)], Tail(law, len(prefix))
 
 
@@ -476,22 +479,18 @@ class TestWlimBranch:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_one_wlim_call_matches_the_offset_loop(self, data):
-        rank = data.draw(st.integers(1, 2))
-        delta = IsolatedSubgroup(data.draw(st.integers(0, rank)), rank)
-        values, tail = data.draw(columns(rank))
-        gamma = data.draw(elems(rank))
+        delta = data.draw(st.integers(0, 1))
+        values, tail = data.draw(columns())
+        gamma = data.draw(elems())
         if isinstance(tail.law, ClosedForm) and data.draw(st.booleans()):
             # Land gamma in the limit's coset, where either branch can hold.
-            fixed = delta.fixed_positions
-            gamma = tail.law.d + GroupElem(
-                tuple(0 if k < fixed else x for k, x in enumerate(gamma.coords))
-            )
+            gamma = tail.law.d + (gamma if delta else GroupElem.zero())
         assert _wlim_branch(gamma, tail.law, delta) == _former_wlim_branch(
             gamma, values, tail, delta
         )
 
     def test_constant_law_is_branch_2_and_a_decreasing_one_branch_1(self):
-        delta = IsolatedSubgroup(0, 1)
+        delta = 0
         assert _wlim_branch(rat1(3), ClosedForm(rat1(0), rat1(3), 2), delta) == 2
         assert _wlim_branch(rat1(3), ClosedForm(rat1(1), rat1(3), 2), delta) == 1
         assert _wlim_branch(rat1(3), Diverging(increasing=False), delta) is None
@@ -517,7 +516,7 @@ def _former_cut_from_column(tail, values):
         return _FormerCut("closed_below", max(values))
     if law.c.is_zero():
         top, attained = law.d, True
-    elif law.c < GroupElem.zero(law.c.rank):
+    elif law.c < GroupElem.zero():
         top, attained = law.d, False
     else:
         top, attained = law.term(0), True
@@ -536,7 +535,7 @@ def _former_cut_contains_eventually(cut, tail):
     if isinstance(law, Diverging):
         return not law.increasing
     limit = law.d
-    from_above = law.c > GroupElem.zero(law.d.rank)
+    from_above = law.c > GroupElem.zero()
     if cut.kind == "closed_below":
         if from_above:
             return limit < cut.bound
@@ -550,17 +549,16 @@ def _former_cut_contains_eventually(cut, tail):
 
 
 class TestInstabilityCut:
-    # Every value `run` builds has rank 1, so the cut is compared there.
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_cut_and_membership_match_the_former_cut(self, data):
-        values, tail = data.draw(columns(1))
+        values, tail = data.draw(columns())
         law = tail.law
         if isinstance(law, ClosedForm) and tail.offset:
             # Prefixes above and below the top of the law.
             values[: tail.offset] = [
                 law.term(0) + v for v in data.draw(
-                    st.lists(elems(1), min_size=tail.offset, max_size=tail.offset)
+                    st.lists(elems(), min_size=tail.offset, max_size=tail.offset)
                 )
             ]
         cut = _instability_cut(values, tail)
@@ -597,18 +595,33 @@ def _late_term_in_cut(cut, law):
     return cut.contains(-law.term(64))
 
 
-def unit_elems(rank):
-    """Every element with coordinates in {-1, 0, 1}."""
-    units = (Fraction(-1), Fraction(0), Fraction(1))
-    return [GroupElem(x) for x in itertools.product(units, repeat=rank)]
+def _rank_r_cut_contains_eventually(cut, tail):
+    """The lexicographic rank-r `cut_contains_eventually` that the rank-1
+    code replaced, on coordinate tuples; an open cut has depth 1."""
+    if tail is None:
+        return None
+    if cut.kind == "whole":
+        return True
+    law = tail.law
+    if isinstance(law, Diverging):
+        return not law.increasing
+    point, limit, c = (cut.point.value,), (-law.d.value,), (law.c.value,)
+    depth = 1 if cut.kind == "open" else len(point)
+    j = next((k for k, x in enumerate(c, start=1) if x), None)
+    if j is None or (cut.kind == "open" and j > depth):
+        return limit[:depth] > point[:depth] if cut.kind == "open" else limit >= point
+    if c > (0,) * len(c):
+        return limit[:j] > point[:j]
+    return limit[:j] >= point[:j]
+
+
+UNITS = [rat1(-1), rat1(0), rat1(1)]
 
 
 @st.composite
-def unit_columns(draw, rank):
-    """A column that is a law from its first term, its scale in {-1, 0, 1}^rank."""
-    law = ClosedForm(
-        draw(st.sampled_from(unit_elems(rank))), draw(elems(rank)), draw(st.sampled_from((2, 3)))
-    )
+def unit_columns(draw):
+    """A column that is a law from its first term, its scale in {-1, 0, 1}."""
+    law = ClosedForm(draw(st.sampled_from(UNITS)), draw(elems()), draw(st.sampled_from((2, 3))))
     return [law.term(k) for k in range(4)], Tail(law)
 
 
@@ -616,31 +629,20 @@ class TestCutContainsEventually:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_membership_of_a_late_term(self, data):
-        rank = data.draw(st.integers(1, 2))
-        values, tail = data.draw(st.one_of(columns(rank), unit_columns(rank)))
+        values, tail = data.draw(st.one_of(columns(), unit_columns()))
         cut = _instability_cut(values, tail)
         p = data.draw(st.sampled_from((2, 3)))
-        limits = [data.draw(elems(rank))]
+        limits = [data.draw(elems())]
         if cut.point is not None:
-            # Negated limits at, above and below the point in each coordinate.
-            limits += [-(cut.point + u) for u in unit_elems(rank)]
-        # Every scale leading at each position with either sign, and zero.
-        for c in unit_elems(rank) + [data.draw(elems(rank))]:
+            # Negated limits at, above and below the point.
+            limits += [-(cut.point + u) for u in UNITS]
+        # Scales of either sign and zero.
+        for c in UNITS + [data.draw(elems())]:
             for d in limits:
                 law = ClosedForm(c, d, p)
-                assert cut_contains_eventually(cut, Tail(law)) == _late_term_in_cut(cut, law), law
-
-    def test_a_law_below_the_depth_of_an_open_cut(self):
-        # nu_i(g) = (-2^-n, 5): the cut is {x : x_1 < 0}, and (-2^-n, 7) lies in it.
-        column = ClosedForm(GroupElem.of(-1, 0), GroupElem.of(0, 5), 2)
-        cut = _instability_cut([column.term(k) for k in range(4)], Tail(column))
-        slot = ClosedForm(GroupElem.of(-1, 0), GroupElem.of(0, 7), 2)
-        assert _late_term_in_cut(cut, slot)
-        assert cut_contains_eventually(cut, Tail(slot))
-        # A law that moves only past the cut's depth keeps its limit's first
-        # coordinate, which is not below 0.
-        flat = ClosedForm(GroupElem.of(0, -1), GroupElem.of(0, 7), 2)
-        assert not cut_contains_eventually(cut, Tail(flat))
+                got = cut_contains_eventually(cut, Tail(law))
+                assert got == _late_term_in_cut(cut, law), law
+                assert got == _rank_r_cut_contains_eventually(cut, Tail(law)), law
 
 
 def _former_inclusion_check(stream):
