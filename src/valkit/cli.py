@@ -394,6 +394,7 @@ def _kummer_stage(cfg: ScenarioConfig) -> ScheduleStage:
         g_coef_laws=tuple(g_laws),
         gprime_coef_laws=tuple(gp_laws),
         nu_gprime=vp,
+        budget=cfg.budget,
     )
 
 

@@ -266,18 +266,20 @@ def fit_closed_form(
 
     Returns the tail whose law reproduces ``terms[offset + k]`` at index
     ``k``, fitted on four consecutive terms and verified on four further
-    ones (drawn from `extend` when the list is too short; `extend` may
-    return None once its budget is exhausted).  Returns None when no offset
-    admits a law with ratio `p`.  With an extension the offset search
-    reaches beyond the supplied prefix, up to the probe budget, so laws
-    that only set in after a late slope change are still recognized.
+    ones (drawn from `extend` when the list is too short; its first None
+    ends the list).  Returns None when no offset admits a law with ratio
+    `p`.  With an extension the offset search reaches beyond the supplied
+    prefix, up to the probe budget, so laws that only set in after a late
+    slope change are still recognized.
     """
     terms = list(terms)
 
     def term_at(n: int) -> GroupElem | None:
+        nonlocal extend
         while n >= len(terms):
             more = extend(len(terms)) if extend is not None else None
             if more is None:
+                extend = None  # the list ends here: no probe is repeated
                 return None
             terms.append(more)
         return terms[n]
@@ -323,12 +325,10 @@ class CanonicalSegment:
                     strictly decreasing to `point`.
     """
 
-    kind: str  # "empty" | "whole" | "closed" | "open"
+    kind: str  # "whole" | "closed" | "open"
     point: GroupElem | None = None
 
     def contains(self, x: GroupElem) -> bool:
-        if self.kind == "empty":
-            return False
         if self.kind == "whole":
             return True
         if self.kind == "closed":
@@ -395,9 +395,9 @@ def segment_compare(ca: CanonicalSegment, cb: CanonicalSegment) -> SegmentRelati
     """
     if ca == cb:
         return SegmentRelation.EQUAL
-    if ca.kind == "whole" or cb.kind == "empty":
+    if ca.kind == "whole":
         return SegmentRelation.A_CONTAINS_B
-    if cb.kind == "whole" or ca.kind == "empty":
+    if cb.kind == "whole":
         return SegmentRelation.B_CONTAINS_A
     if ca.point < cb.point or (ca.point == cb.point and ca.kind == "closed"):
         return SegmentRelation.A_CONTAINS_B
@@ -424,8 +424,6 @@ def largest_delta(canon: CanonicalSegment) -> int:
     group (1).  Only the whole segment is invariant under a nonzero
     translation: a closed or open segment moves with its point.
     """
-    if canon.kind == "empty":
-        raise EmptySequenceError("delta of an empty segment")
     return 1 if canon.kind == "whole" else 0
 
 

@@ -60,6 +60,7 @@ from .errors import (
     InconclusiveError,
     LawMismatchError,
     ScenarioDataError,
+    StabilizationBudgetExceededError,
 )
 from .groups import (
     CanonicalSegment,
@@ -261,16 +262,8 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             raise ScenarioDataError(f"{subject} must increase strictly")
 
         def fit(name: str, pos=pos, records=records, limit=limit) -> Tail | None:
-            def extend(k: int) -> GroupElem | None:
-                if k + 1 > limit:
-                    return None
-                return row(KeyIndex(pos, k + 1)).column(name)
-
-            return fit_closed_form(
-                [r.column(name) for r in records],
-                ks.p,
-                extend=None if limit == len(records) else extend,
-            )
+            values = [r.column(name) for r in records]
+            return _fit(values, ks.p, lambda n: row(KeyIndex(pos, n)).column(name), limit)
 
         # A certificate decides the diverging columns before any fit probes
         # them; only the partners it needs and what it leaves open are fitted.
@@ -282,6 +275,25 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         blocks.append(Block(pos, stage.degree, records, tails))
 
     return InvariantStream(tuple(blocks), nu_gprime, ks, nu, terms=terms)
+
+
+def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | None:
+    """`fit_closed_form` on `values`, extended by ``term(n)`` up to term `limit`.
+
+    A term the stabilization oracle cannot value within its budget ends the
+    extension as the limit does: a window bounds how far a fit reaches, and
+    never turns a column the certificate decides into an error.
+    """
+
+    def extend(k: int) -> GroupElem | None:
+        if k + 1 > limit:
+            return None
+        try:
+            return term(k + 1)
+        except StabilizationBudgetExceededError:
+            return None
+
+    return fit_closed_form(values, p, extend=None if limit <= len(values) else extend)
 
 
 def _least_slot_value(laws: Sequence[CoefValueLaw], key_value: GroupElem) -> GroupElem:
@@ -412,7 +424,7 @@ def omega_verdict(stream: InvariantStream) -> Verdict:
 
 
 def _canon_str(canon: CanonicalSegment) -> str:
-    if canon.kind in ("empty", "whole"):
+    if canon.kind == "whole":
         return canon.kind
     if canon.kind == "closed":
         return f"[{canon.point}, inf)"
@@ -772,8 +784,6 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
         return "values", Tail(slot_law, key_tail.offset)
 
     def slot_value(n: int) -> GroupElem | None:
-        if n > stage.budget:
-            return None
         exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(block.stage_pos, n)))
         coeff = exp.coeff(b)
         if coeff.is_zero():
@@ -781,20 +791,13 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
         nu = stream.nu
         return (nu.nu(coeff) + nu.nu(exp.base).expect_finite().scale(b)).expect_finite()
 
-    vals: list[GroupElem] = []
-    gap = False
-    for n in range(1, len(block.records) + 1):
-        v = slot_value(n)
-        if v is None:
-            gap = True
-            continue
-        vals.append(v)
+    vals = [v for v in map(slot_value, range(1, len(block.records) + 1)) if v is not None]
     if not vals:
         return "zero", None
     # Extension keeps term positions aligned with n, so it only applies to
     # gap-free prefixes.
-    extend = (lambda k: slot_value(k + 1)) if not gap else None
-    fitted = fit_closed_form(vals, stream.ks.p, extend=extend)
+    gap = len(vals) < len(block.records)
+    fitted = _fit(vals, stream.ks.p, slot_value, len(vals) if gap else stage.budget)
     if fitted is not None:
         return "values", fitted
     cert = stage.divergence_bound

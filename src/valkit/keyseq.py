@@ -115,12 +115,14 @@ class ScheduleStage:
 
     `key_values` lists (or gives in closed form) the key values; the laws
     describe the base-q expansion term values of g and g' at the n-th key.
+    A closed-form schedule gives at most `budget` terms, like a family.
     """
 
     key_values: FiniteList | ClosedForm
     g_coef_laws: tuple[CoefValueLaw, ...]
     gprime_coef_laws: tuple[CoefValueLaw, ...]
     nu_gprime: GroupElem
+    budget: int = FAMILY_BUDGET
 
     degree = 1  # a class constant, not a field
 
@@ -133,16 +135,14 @@ KeyStage = Poly | PlateauFamily | ScheduleStage
 def stage_terms(stage: KeyStage, terms: int | float) -> int | float:
     """How many terms of a stage to take when a plateau may give `terms`.
 
-    One for an explicit key, at most the budget of a family, every listed
-    value of a finite schedule, and `terms` for a closed-form schedule.
+    One for an explicit key, every listed value of a finite schedule, and
+    at most the budget of a family or a closed-form schedule.
     """
     if isinstance(stage, Poly):
         return 1
-    if isinstance(stage, PlateauFamily):
-        return min(terms, stage.budget)
-    if isinstance(stage.key_values, FiniteList):
+    if isinstance(stage, ScheduleStage) and isinstance(stage.key_values, FiniteList):
         return len(stage.key_values.values)
-    return terms
+    return min(terms, stage.budget)
 
 
 @dataclass(frozen=True, eq=False)

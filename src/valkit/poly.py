@@ -4,8 +4,9 @@ Coefficients are exact field elements in ascending order with no trailing
 zeros.  Provides base-q expansions (repeated Euclidean division by a monic
 base, remainder first; over Hahn series a linear base splits f by the
 binomials q^(p^k) = x^(p^k) + Frob^k(q(0)) instead), formal derivatives
-with characteristic-p cancellation, q-monicity of an expansion and
-Sylvester resultants.
+with characteristic-p cancellation, q-monicity of an expansion and the
+resultant res(g, f) of a monic g, as the determinant of multiplication by
+f modulo g.
 """
 from __future__ import annotations
 
@@ -231,50 +232,39 @@ def derivative(f: Poly) -> Poly:
     return Poly.make(f.backend, out)
 
 
-def resultant(f: Poly, g: Poly) -> FieldElem:
-    """Sylvester resultant res(f, g) over the coefficient field."""
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return f.backend.zero()
-    if m == 0:
-        return f.coeff(0) ** n
-    if n == 0:
-        return g.coeff(0) ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [f.backend.zero()] * size
-        for j in range(m + 1):
-            row[i + j] = f.coeff(m - j)
+def resultant(g: Poly, f: Poly) -> FieldElem:
+    """res(g, f) for monic g: the norm of f(eta), eta a root of g.
+
+    It is the determinant of multiplication by f on K[x]/(g), the
+    deg g x deg g matrix whose row i holds x^i f mod g: the first row by one
+    division, each next row the previous one shifted up a slot with x^n
+    replaced through g.  Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968) evaluates it: every quotient is a minor of the matrix, so it
+    is exact in the ring the entries generate -- for Hahn series the
+    finite-support series, a domain -- and no division leaves it.  A
+    non-monic g raises `NonMonicBaseError`.
+    """
+    n, zero = g.degree, g.backend.zero()
+    row = list(f.divmod_monic(g)[1].coeffs)
+    row += [zero] * (n - len(row))
+    rows = [row]
+    for _ in range(n - 1):
+        top, row = row[-1], [zero] + row[:-1]
+        if not top.is_zero():
+            row = [a - top * c for a, c in zip(row, g.coeffs)]
         rows.append(row)
-    for i in range(m):
-        row = [f.backend.zero()] * size
-        for j in range(n + 1):
-            row[i + j] = g.coeff(n - j)
-        rows.append(row)
-    # Gaussian elimination over the exact field.
-    det = f.backend.one()
-    sign = 1
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
+    sign, prev = 1, g.backend.one()
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if not rows[r][k].is_zero()), None)
         if pivot is None:
-            return f.backend.zero()
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+            return zero
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        pv = rows[col][col]
-        det = det * pv
-        for r in range(col + 1, size):
-            if rows[r][col].is_zero():
-                continue
-            factor = rows[r][col] / pv
-            rows[r] = [
-                rows[r][k] - factor * rows[col][k] for k in range(size)
-            ]
-    if sign < 0:
-        det = -det
-    return det
+        pk = rows[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk[k] - ri[k] * pk[j]) / prev
+        prev = pk[k]
+    return prev if sign > 0 else -prev

@@ -4,8 +4,9 @@
 modulo the monic minimal polynomial g of eta.  Two modes are provided:
 
 * evaluation mode holds an exact value functional for polynomials of degree
-  below deg(g) -- built from a norm/resultant formula (valid when the
-  valuation extends uniquely), or passed to the constructor as `value_fn`;
+  below deg(g) -- built from the norm of f(eta), the determinant of
+  multiplication by f modulo g (valid when the valuation extends uniquely),
+  or passed to the constructor as `value_fn`;
 * stabilization mode evaluates f_0 along a pseudo-convergent approximation
   family and returns the value once a window of consecutive evaluations
   agrees.  For deg(f_0) < deg(g) the evaluations are eventually constant
@@ -69,10 +70,11 @@ class NuOracle:
 
     @staticmethod
     def from_resultant(g: Poly) -> "NuOracle":
-        """Evaluation mode via v(res(g, f)) / deg(g).
+        """Evaluation mode via v(N(f(eta))) / deg(g).
 
-        Valid when the valuation extends uniquely to K[x]/(g), so that all
-        conjugates of f(eta) share one value.
+        The norm N(f(eta)) = res(g, f) is the determinant of multiplication
+        by f on K[x]/(g).  Valid when the valuation extends uniquely to
+        K[x]/(g), so that all conjugates of f(eta) share one value.
         """
 
         def fn(f: Poly) -> ExtValue:

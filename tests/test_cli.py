@@ -515,6 +515,31 @@ class TestMain:
         assert report["verdicts"]["segment"]["kind"] == "omega_nonzero"
 
 
+class TestBudgetsBoundWork:
+    """A window or a budget bounds work and never changes a decisive answer."""
+
+    @pytest.mark.parametrize("window", [6, 10])
+    def test_wider_window_keeps_the_hensel_report(self, window):
+        def report(w):
+            out = run(parse_config_dict({"scenario": "hensel-immediate", "window": w}))
+            assert out["scenario"].pop("window") == w
+            return out
+
+        wide = report(window)
+        assert wide["exit_code"] == 0
+        assert wide == report(3)
+
+    @pytest.mark.parametrize("terms, budget", [(5200, None), (200, 16)])
+    def test_closed_form_schedule_stops_at_the_budget(self, terms, budget):
+        data = {"scenario": "kummer-schedule", "p": 7, "vp": "1", "terms": terms}
+        if budget is not None:
+            data["budget"] = budget
+        cfg = parse_config_dict(data)
+        report = run(cfg)
+        assert report["exit_code"] == 0
+        assert len(report["records"]) == cfg.budget
+
+
 class TestCustomScenario:
     def test_custom_unramified_equivalent(self):
         cfg = parse_config_dict(

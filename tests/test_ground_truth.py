@@ -5,6 +5,7 @@ Eisenstein), Omega is O_L/(g'(eta)), so it vanishes exactly when p does not
 divide disc(g).  The discriminant is computed here in plain integers and
 shares no code with valkit.
 """
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -58,12 +59,42 @@ def irreducible_mod_p(draw):
     return p, g
 
 
+@st.composite
+def hahn_unramified(draw):
+    """p and a monic Hahn g of degree 2-3, coefficients of value >= 0 and
+    residue irreducible mod p, as config strings."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    residue = draw(st.sampled_from(irreducible_residues(p, draw(st.sampled_from([2, 3])))))
+    exponent = st.builds(Fraction, st.integers(1, 4), st.sampled_from([1, 2, 3, p]))
+    higher = st.lists(
+        st.tuples(exponent, st.integers(1, p - 1)), max_size=2, unique_by=lambda t: t[0]
+    )
+    g = []
+    for r in residue[:-1]:
+        terms = ([str(r)] if r else []) + [f"{c}*t^({e})" for e, c in draw(higher)]
+        g.append("+".join(terms) or "0")
+    return p, g + ["1"]
+
+
 class TestMonogenicClosedForm:
     @settings(max_examples=200, deadline=None)
     @given(irreducible_mod_p(), st.sampled_from(["unramified", "custom"]))
     def test_omega_vanishes_exactly_off_the_discriminant(self, pg, scenario):
         p, g = pg
         assert decisive_omega_zero(config(scenario, p, g)) == (discriminant(g) % p != 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hahn_unramified())
+    def test_hahn_residue_irreducible_is_omega_zero(self, pg):
+        # Over F_p((t^Q)) a g with integral coefficients whose residue is
+        # irreducible of degree deg g defines an unramified extension with a
+        # separable residue extension: O_L = O_K[eta] and g'(eta) is a unit.
+        p, g = pg
+        data = {
+            "scenario": "custom", "p": p, "backend": "hahn", "g": g,
+            "stages": [{"poly": ["0", "1"]}], "oracle": "resultant",
+        }
+        assert decisive_omega_zero(data)
 
     def test_discriminants_of_known_polynomials(self):
         assert discriminant([1, 1, 1]) == -3

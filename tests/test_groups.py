@@ -136,10 +136,6 @@ class TestSegmentCompare:
     def test_whole_contains_everything(self):
         assert segment_compare(WHOLE, closed(rat1(-100))) is SegmentRelation.A_CONTAINS_B
 
-    def test_empty_below_everything(self):
-        empty = CanonicalSegment("empty")
-        assert segment_compare(empty, closed(rat1(0))) is SegmentRelation.B_CONTAINS_A
-
     def test_open_ordering_by_limits(self):
         a = law_segment(rat1(1), rat1(0), 2)
         b = law_segment(rat1(1), rat1(1), 3)
@@ -161,10 +157,6 @@ class TestLargestDelta:
 
     def test_rank1_closed_trivial(self):
         assert largest_delta(closed(rat1(0))) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequenceError):
-            largest_delta(CanonicalSegment("empty"))
 
 
 class TestWlim:
@@ -271,10 +263,6 @@ def _rank_r_segment_compare(a, b):
     A, B = SegmentRelation.A_CONTAINS_B, SegmentRelation.B_CONTAINS_A
     if a == b:
         return SegmentRelation.EQUAL
-    if ka == "empty":
-        return B
-    if kb == "empty":
-        return A
     if ka == "whole":
         return A
     if kb == "whole":
@@ -317,8 +305,8 @@ small = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(GroupElem
 @st.composite
 def segments(draw):
     """Any segment kind, points drawn from a small set so that they collide."""
-    kind = draw(st.sampled_from(("empty", "whole", "closed", "open")))
-    if kind in ("empty", "whole"):
+    kind = draw(st.sampled_from(("whole", "closed", "open")))
+    if kind == "whole":
         return CanonicalSegment(kind)
     if kind == "closed":
         return canonicalize([draw(small)])

@@ -11,6 +11,7 @@ from valkit.errors import ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
 from valkit.groups import ClosedForm, ExtValue, FiniteList, rat1
 from valkit.keyseq import (
+    FAMILY_BUDGET,
     CoefValueLaw,
     KeyIndex,
     KeySequence,
@@ -81,6 +82,13 @@ class TestStructure:
         assert (stage_terms(listed, 2), stage_terms(listed, 12)) == (3, 3)
         assert stage_terms(closed, 12) == 12
         assert KeySequence((closed,), None, 2).g_degree == 1
+
+    def test_closed_form_schedule_stops_at_its_budget(self):
+        laws = (CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1))
+        law = ClosedForm(rat1(-1), rat1(0), 2)
+        assert stage_terms(ScheduleStage(law, laws, laws[:1], rat1(0)), 100) == FAMILY_BUDGET
+        capped = ScheduleStage(law, laws, laws[:1], rat1(0), budget=5)
+        assert (stage_terms(capped, 4), stage_terms(capped, 12)) == (4, 5)
 
     def test_only_schedules_omit_g(self):
         backend = Backend("padic", 2)

@@ -1,12 +1,13 @@
 """Dense polynomials: expansions, derivatives, monicity, resultants."""
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from valkit import kahler, poly, selftest, truncation
 from valkit.cli import parse_config_dict, render_structured, run
-from valkit.errors import NonMonicBaseError
+from valkit.errors import NonMonicBaseError, ValueNotRepresentableError
 from valkit.fields import Backend, HahnElem
 from valkit.poly import Poly, QExpansion, derivative, q_expand, resultant
 
@@ -135,6 +136,104 @@ class TestAlgebraProperties:
         assert rem.degree < q.degree
 
 
+def sylvester(g, f):
+    """The Sylvester matrix of g and f: deg f rows of g, then deg g rows of f."""
+    n, m = g.degree, f.degree
+    zero = g.backend.zero()
+    rows = []
+    for a, count in ((g, m), (f, n)):
+        for i in range(count):
+            row = [zero] * (m + n)
+            for j, c in enumerate(reversed(a.coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def leibniz_det(rows, one):
+    """Sum over permutations of the signed products; no division."""
+    total = one - one
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def former_resultant(f, g):
+    """Sylvester resultant res(f, g) by Gaussian elimination over the field.
+
+    A copy of the elimination `poly.resultant` used before it became a
+    fraction-free determinant; Hahn inputs may fail on an inexact quotient.
+    """
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        return f.backend.zero()
+    if m == 0:
+        return f.coeff(0) ** n
+    if n == 0:
+        return g.coeff(0) ** m
+    size = m + n
+    rows = []
+    for i in range(n):
+        row = [f.backend.zero()] * size
+        for j in range(m + 1):
+            row[i + j] = f.coeff(m - j)
+        rows.append(row)
+    for i in range(m):
+        row = [f.backend.zero()] * size
+        for j in range(n + 1):
+            row[i + j] = g.coeff(n - j)
+        rows.append(row)
+    det = f.backend.one()
+    sign = 1
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            return f.backend.zero()
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        pv = rows[col][col]
+        det = det * pv
+        for r in range(col + 1, size):
+            if rows[r][col].is_zero():
+                continue
+            factor = rows[r][col] / pv
+            rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(size)]
+    return det if sign > 0 else -det
+
+
+@st.composite
+def resultant_pairs(draw):
+    """Monic g of degree 1-3 and nonzero f of degree <= 2, p-adic or Hahn.
+
+    Coefficients are often zero, so that the elimination meets zero pivots
+    and swaps rows.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    backend = Backend(draw(st.sampled_from(["padic", "hahn"])), p)
+    if backend.kind == "padic":
+        nonzero = st.builds(
+            lambda n, d: backend.parse(str(Fraction(n, d))),
+            st.integers(-12, 12).filter(bool), st.sampled_from([1, 1, p, 3]),
+        )
+    else:
+        exponent = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, p]))
+        nonzero = st.lists(
+            st.tuples(exponent, st.integers(1, p - 1)), min_size=1, max_size=3,
+            unique_by=lambda t: t[0],
+        ).map(lambda ts: HahnElem.make(ts, p))
+    elem = st.one_of(st.just(backend.zero()), nonzero)
+    g_low = draw(st.lists(elem, min_size=1, max_size=3))
+    f_low = draw(st.lists(elem, max_size=2))
+    g = Poly.make(backend, g_low + [backend.one()])
+    f = Poly.make(backend, f_low + [draw(nonzero)])
+    return g, f
+
+
 class TestResultant:
     def test_resultant_is_product_of_evaluations(self):
         # res(g, f) for monic g = (x-1)(x-3) equals f(1) * f(3)
@@ -147,6 +246,37 @@ class TestResultant:
         g = Poly.from_ints(B2, [1, 1, 1])
         c = Poly.from_ints(B2, [5])
         assert resultant(g, c).value == Fraction(25)
+
+    def test_resultant_with_zero_and_with_a_multiple_of_g(self):
+        g = Poly.from_ints(B2, [1, 1, 1])
+        assert resultant(g, Poly(B2, ())).is_zero()
+        assert resultant(g, g * Poly.from_ints(B2, [3, 1])).is_zero()
+
+    def test_non_monic_g_rejected(self):
+        with pytest.raises(NonMonicBaseError):
+            resultant(Poly.from_ints(B2, [1, 2]), Poly.from_ints(B2, [1, 1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(resultant_pairs())
+    def test_matches_the_sylvester_determinant(self, pair):
+        g, f = pair
+        res = resultant(g, f)
+        assert res == leibniz_det(sylvester(g, f), g.backend.one())
+        try:
+            former = former_resultant(g, f)
+        except ValueNotRepresentableError:
+            return
+        assert res == former
+
+    def test_hahn_pair_the_field_elimination_could_not_finish(self):
+        # g = x^2 + (1 + t) x + (1 + t^(1/2)) over F_2((t^Q)), f = x: the
+        # norm of eta is g(0), but Gaussian elimination divides by a pivot
+        # that does not divide the next row exactly.
+        g = Poly.make(H2, [hahn(2, (0, 1), ("1/2", 1)), hahn(2, (0, 1), (1, 1)), H2.one()])
+        f = Poly.x(H2)
+        with pytest.raises(ValueNotRepresentableError):
+            former_resultant(g, f)
+        assert resultant(g, f) == g.coeff(0)
 
 
 # ---------------------------------------------------------------------------
