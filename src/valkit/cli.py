@@ -273,6 +273,18 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             stages=tuple(stages),
             oracle=data["oracle"],
         )
+    # The stabilization oracle values the n-th key x - a_n of its family by
+    # evaluating it at a_1, a_2, ...: the values at a_m for m < n increase
+    # strictly and a_n is a root, so the first window of equal values ends
+    # at a_(n + window).  Every materialized term must fit the budget, and
+    # with terms > budget - window one never can.
+    stabilized = scenario in ("artin-schreier", "hensel-immediate") or cfg.oracle == "stabilization"
+    if stabilized and cfg.terms > cfg.budget - cfg.window:
+        raise ConfigError(
+            f"must be at most budget - window ({cfg.budget - cfg.window}) "
+            "for the stabilization oracle",
+            "terms",
+        )
     object.__setattr__(cfg, "parsed", True)
     return cfg
 

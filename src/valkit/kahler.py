@@ -73,14 +73,12 @@ from .groups import (
     canonicalize,
     fit_closed_form,
     largest_delta,
-    min_value,
     rat1,
     segment_compare,
     segment_union,
     wlim,
 )
 from .keyseq import (
-    CoefValueLaw,
     KeyIndex,
     KeySequence,
     PlateauFamily,
@@ -195,8 +193,10 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     """One block per stage, from one memoized row per key index.
 
     Field-backed stages read their values off the oracle; a `ScheduleStage`
-    synthesizes them from its value laws (linear keys, so nu(Q') = 0), and a
-    sequence of schedules alone comes with ``nu=None`` and its own nu(g').
+    synthesizes them from its value laws (linear keys, so nu(Q') = 0): each
+    truncation of g or g' is the least of the stage's reduced slot lines at
+    the key value, in plain `Fraction` arithmetic.  A sequence of schedules
+    alone comes with ``nu=None`` and its own nu(g').
     Each field-backed row checks that g is monic over its key, and each
     plateau or schedule block that its key values increase strictly before
     any fit.  Tails are laws fitted and re-verified on further exact rows,
@@ -224,8 +224,8 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         if isinstance(stage, ScheduleStage):
             nu_key = stage.key_value(index.term)
             nu_key_deriv = GroupElem.zero()
-            nu_i_g = _least_slot_value(stage.g_coef_laws, nu_key)
-            nu_i_gp = _least_slot_value(stage.gprime_coef_laws, nu_key)
+            nu_i_g = _least_line(stage.g_lines, nu_key.value)
+            nu_i_gp = _least_line(stage.gprime_lines, nu_key.value)
         else:
             q = ks.key_poly(index)
             # Checked before any value; nu_q(g, q) reads this expansion back.
@@ -296,14 +296,14 @@ def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | No
     return fit_closed_form(values, p, extend=None if limit <= len(values) else extend)
 
 
-def _least_slot_value(laws: Sequence[CoefValueLaw], key_value: GroupElem) -> GroupElem:
-    """Least term value ``const + mult * key_value`` over the nonzero slots."""
-    return min_value(
-        ExtValue.infinity()
-        if law.const is None
-        else ExtValue.of(law.const + key_value.scale(law.mult))
-        for law in laws
-    ).expect_finite()
+def _least_line(lines: tuple[tuple[Fraction, int], ...], x: Fraction) -> GroupElem:
+    """Least ``const + mult * x`` over a schedule's `slot_lines`.
+
+    With no line left every slot vanishes, and the truncation is infinite.
+    """
+    if not lines:
+        return ExtValue.infinity().expect_finite()
+    return GroupElem(min(c + m * x for c, m in lines))
 
 
 def _apply_divergence_cert(records, tails, bound) -> dict[str, Tail | None]:

@@ -22,6 +22,7 @@ Built-in plateau families:
 """
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,6 +110,23 @@ class CoefValueLaw:
     mult: int
 
 
+def slot_lines(laws: Sequence[CoefValueLaw]) -> tuple[tuple[Fraction, int], ...]:
+    """The lines ``(const, mult)`` whose least ``const + mult * x`` is the
+    least slot value of `laws` at every key value x.
+
+    Vanishing slots drop out, and of the laws sharing one const only the
+    least and the greatest mult stay: ``const + m * x`` is linear in m, so
+    its minimum over any set of mults lies at one of the two.  No line is
+    left when every slot vanishes.
+    """
+    mults: dict[Fraction, tuple[int, int]] = {}
+    for law in laws:
+        if law.const is not None:
+            lo, hi = mults.get(law.const.value, (law.mult, law.mult))
+            mults[law.const.value] = (min(lo, law.mult), max(hi, law.mult))
+    return tuple((c, m) for c, (lo, hi) in mults.items() for m in {lo, hi})
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleStage:
     """Degree-1 plateau given purely by value data.
@@ -116,6 +134,9 @@ class ScheduleStage:
     `key_values` lists (or gives in closed form) the key values; the laws
     describe the base-q expansion term values of g and g' at the n-th key.
     A closed-form schedule gives at most `budget` terms, like a family.
+    `g_lines` and `gprime_lines` are the laws reduced to `slot_lines`,
+    derived once per stage: a truncation value nu_n(g) or nu_n(g') is the
+    least of its lines at the n-th key value.
     """
 
     key_values: FiniteList | ClosedForm
@@ -128,6 +149,14 @@ class ScheduleStage:
 
     def key_value(self, n: int) -> GroupElem:
         return self.key_values.term(n - 1)
+
+    @functools.cached_property
+    def g_lines(self) -> tuple[tuple[Fraction, int], ...]:
+        return slot_lines(self.g_coef_laws)
+
+    @functools.cached_property
+    def gprime_lines(self) -> tuple[tuple[Fraction, int], ...]:
+        return slot_lines(self.gprime_coef_laws)
 
 KeyStage = Poly | PlateauFamily | ScheduleStage
 

@@ -236,16 +236,24 @@ def resultant(g: Poly, f: Poly) -> FieldElem:
     """res(g, f) for monic g: the norm of f(eta), eta a root of g.
 
     It is the determinant of multiplication by f on K[x]/(g), the
-    deg g x deg g matrix whose row i holds x^i f mod g: the first row by one
-    division, each next row the previous one shifted up a slot with x^n
-    replaced through g.  Bareiss's fraction-free elimination (Math. Comp.
-    22, 1968) evaluates it: every quotient is a minor of the matrix, so it
-    is exact in the ring the entries generate -- for Hahn series the
-    finite-support series, a domain -- and no division leaves it.  A
-    non-monic g raises `NonMonicBaseError`.
+    deg g x deg g matrix whose row i holds x^i f mod g: the first row is f
+    itself when deg f < deg g and one division otherwise, each next row the
+    previous one shifted up a slot with x^n replaced through g.  Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968) evaluates it: every
+    quotient is a minor of the matrix, so it is exact in the ring the
+    entries generate -- for Hahn series the finite-support series, a
+    domain -- and no division leaves it.  A non-monic g raises
+    `NonMonicBaseError`.
     """
     n, zero = g.degree, g.backend.zero()
-    row = list(f.divmod_monic(g)[1].coeffs)
+    # The oracle hands over f already reduced below deg g: no division then.
+    if f.degree >= n:
+        f = f.divmod_monic(g)[1]
+    else:
+        f._check(g)
+        if not g.is_monic():
+            raise NonMonicBaseError("division base must be monic")
+    row = list(f.coeffs)
     row += [zero] * (n - len(row))
     rows = [row]
     for _ in range(n - 1):

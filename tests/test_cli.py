@@ -486,8 +486,53 @@ class TestMain:
         assert "budget: must be at least the window (3)" in capsys.readouterr().err
 
     def test_budget_equal_to_window_accepted(self):
-        cfg = parse_config_dict({"scenario": "artin-schreier", "window": 3, "budget": 3})
+        cfg = parse_config_dict({"scenario": "unramified", "window": 3, "budget": 3})
         assert cfg.budget == cfg.window == 3
+
+    _CUSTOM_STABILIZED = {
+        "scenario": "custom", "backend": "padic", "p": 2, "g": ["2", "1", "1"],
+        "stages": [{"poly": ["0", "1"]}, {"family": "hensel_lift"}], "oracle": "stabilization",
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "artin-schreier", "--p", "2", "--terms", "62"],
+            ["scenario", "hensel-immediate", "--terms", "62"],
+            ["scenario", "artin-schreier", "--p", "3", "--budget", "20", "--terms", "18"],
+            ["scenario", "hensel-immediate", "--budget", "16", "--window", "7", "--terms", "10"],
+            # Too small a budget for the default eight terms.
+            ["scenario", "artin-schreier", "--budget", "4"],
+            ["scenario", "hensel-immediate", "--budget", "8"],
+            ["scenario", "artin-schreier", "--window", "3", "--budget", "3"],
+        ],
+    )
+    def test_terms_no_stabilization_serves_exit_four(self, argv, capsys):
+        assert main(argv) == 4
+        assert "terms: must be at most budget - window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget, window", [(64, 3), (20, 3), (16, 7)])
+    def test_custom_stabilization_bound(self, budget, window, capsys):
+        data = {**self._CUSTOM_STABILIZED, "budget": budget, "window": window}
+        with pytest.raises(ConfigError, match="terms: must be at most budget - window"):
+            parse_config_dict({**data, "terms": budget - window + 1})
+        # At the bound the last term still stabilizes within the budget.
+        report = run(parse_config_dict({**data, "terms": budget - window}))
+        assert report["exit_code"] == 0 and report["status"] == "decisive"
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "artin-schreier", "--budget", "20", "--terms", "17"],
+        ["scenario", "hensel-immediate", "--budget", "16", "--window", "7", "--terms", "9"],
+    ])
+    def test_terms_at_the_stabilization_bound_decide(self, argv, capsys):
+        assert main(argv) == 0
+
+    def test_bound_only_on_the_stabilization_oracle(self):
+        data = {**self._CUSTOM_STABILIZED, "oracle": "resultant", "budget": 3, "terms": 8}
+        assert parse_config_dict(data).terms == 8
+        assert parse_config_dict({"scenario": "unramified", "budget": 3, "terms": 8}).terms == 8
+        kummer = {"scenario": "kummer-schedule", "budget": 12, "terms": 16}
+        assert parse_config_dict(kummer).terms == 16
 
     @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate", "kummer-schedule"])
     def test_two_terms_decide(self, scenario, capsys):

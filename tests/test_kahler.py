@@ -8,17 +8,20 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from valkit import kahler
 from valkit.cli import parse_config_dict, build_stream
 from valkit.errors import HypothesisViolatedError, ScenarioDataError
 from valkit.groups import (
     CanonicalSegment,
     ClosedForm,
     Diverging,
+    ExtValue,
     FiniteList,
     GroupElem,
     SegmentRelation,
     Tail,
     fit_closed_form,
+    min_value,
     rat1,
     segment_compare,
     wlim,
@@ -31,6 +34,7 @@ from valkit.kahler import (
     VerdictKind,
     _apply_divergence_cert,
     _instability_cut,
+    _least_line,
     _wlim_branch,
     alpha_beta_segments,
     b_set,
@@ -49,6 +53,7 @@ from valkit.keyseq import (
     PlateauFamily,
     ScheduleStage,
     hensel_family,
+    slot_lines,
 )
 from valkit.poly import Poly, derivative
 from valkit.truncation import NuOracle
@@ -422,6 +427,79 @@ class TestScheduleValidation:
     def test_stream_without_oracle_needs_schedules(self):
         with pytest.raises(ScenarioDataError):
             invariant_stream(UNRAMIFIED.ks, None)
+
+
+# ---------------------------------------------------------------------------
+# Schedule truncations from the reduced slot lines, checked against a
+# test-local copy of the full minimum over every slot law that the schedule
+# rows took before.
+# ---------------------------------------------------------------------------
+
+def former_least_slot_value(laws, key_value):
+    """Least term value ``const + mult * key_value`` over the nonzero slots."""
+    return min_value(
+        ExtValue.infinity()
+        if law.const is None
+        else ExtValue.of(law.const + key_value.scale(law.mult))
+        for law in laws
+    ).expect_finite()
+
+
+_consts = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+slot_laws = st.lists(
+    st.builds(CoefValueLaw, st.one_of(st.none(), _consts.map(rat1)), st.integers(0, 9)),
+    min_size=1, max_size=10,
+)
+
+
+class TestSlotLines:
+    @settings(max_examples=300, deadline=None)
+    @given(slot_laws, _consts)
+    def test_least_line_is_the_least_slot_value(self, laws, x):
+        lines = slot_lines(laws)
+        consts = {law.const for law in laws if law.const is not None}
+        assert len(lines) <= 2 * len(consts)
+        if not consts:
+            with pytest.raises(ScenarioDataError) as former:
+                former_least_slot_value(laws, rat1(x))
+            with pytest.raises(ScenarioDataError) as reduced:
+                _least_line(lines, x)
+            assert str(reduced.value) == str(former.value)
+            return
+        # Key values below, at and above 0.
+        for key_value in (-abs(x), Fraction(0), abs(x)):
+            least = _least_line(lines, key_value)
+            assert least == former_least_slot_value(laws, rat1(key_value))
+
+    def test_lines_are_derived_once_per_stage(self):
+        (stage,) = KUMMER_AT.ks.stages
+        assert stage.g_lines is stage.g_lines
+        # g = x^3 - a at p = 3: the outer slots share const 0 and mult 3,
+        # the inner two const 1 with mults 1 and 2; g' has const 1, mults 0..2.
+        assert sorted(stage.g_lines) == [(0, 3), (1, 1), (1, 2)]
+        assert sorted(stage.gprime_lines) == [(1, 0), (1, 2)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("terms", [8, 16, 32])
+    @pytest.mark.parametrize("gamma", ["at", "half", "near"])
+    def test_kummer_rows_match_the_full_minimum(self, p, terms, gamma, monkeypatch):
+        threshold = Fraction(1, p - 1)
+        data = {"scenario": "kummer-schedule", "p": p, "vp": "1", "terms": terms}
+        data["gamma"] = str({"at": threshold, "half": threshold / 2, "near": threshold - Fraction(1, p**3)}[gamma])
+        built = []
+
+        def record(**fields):
+            built.append(InvariantRecord(**fields))
+            return built[-1]
+
+        # Every row the stream builds, the ones its fits probe included.
+        monkeypatch.setattr(kahler, "InvariantRecord", record)
+        stream = stream_for(data)
+        (stage,) = stream.ks.stages
+        assert len(built) >= terms
+        for rec in built:
+            assert rec.nu_i_g == former_least_slot_value(stage.g_coef_laws, rec.nu_key)
+            assert rec.nu_i_gprime == former_least_slot_value(stage.gprime_coef_laws, rec.nu_key)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,22 @@ class TestResultant:
     def test_non_monic_g_rejected(self):
         with pytest.raises(NonMonicBaseError):
             resultant(Poly.from_ints(B2, [1, 2]), Poly.from_ints(B2, [1, 1]))
+        with pytest.raises(NonMonicBaseError):
+            resultant(Poly.from_ints(B2, [1, 1, 2]), Poly.from_ints(B2, [1, 1]))
+
+    def test_reduced_f_is_not_divided(self, monkeypatch):
+        # The oracle reduces f below deg g before it asks for the norm, so
+        # the first row needs no division; an unreduced f still gets one.
+        calls = []
+        divide = Poly.divmod_monic
+        monkeypatch.setattr(Poly, "divmod_monic", lambda f, q: calls.append(f) or divide(f, q))
+        g = Poly.from_ints(B2, [3, -4, 1])
+        f = Poly.from_ints(B2, [2, 5])
+        assert resultant(g, f) == f.eval(B2.from_int(1)) * f.eval(B2.from_int(3))
+        assert calls == []
+        f2 = Poly.from_ints(B2, [2, 5, 1])
+        assert resultant(g, f2) == f2.eval(B2.from_int(1)) * f2.eval(B2.from_int(3))
+        assert calls == [f2]
 
     @settings(max_examples=300, deadline=None)
     @given(resultant_pairs())
