@@ -346,12 +346,12 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
         return invariant_stream(ks, None, cfg.terms)
 
     backend, g, stages = _field_scenario(cfg)
-    families = [st for st in stages if isinstance(st, PlateauFamily)]
-    if cfg.oracle == "resultant" or not families:
+    # `KeySequence` admits one plateau: it approaches a root of g.
+    family = next((st for st in stages if isinstance(st, PlateauFamily)), None)
+    if cfg.oracle == "resultant" or family is None:
         nu = NuOracle.from_resultant(g)
     else:
-        # Stabilize along the last plateau, the one that approaches a root of g.
-        nu = NuOracle.stabilization(g, families[-1].center, window=cfg.window, budget=cfg.budget)
+        nu = NuOracle.stabilization(g, family.center, window=cfg.window, budget=cfg.budget)
     ks = KeySequence(tuple(stages), g, cfg.p, backend)
     return invariant_stream(ks, nu, cfg.terms)
 
@@ -465,12 +465,13 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
         {"index": r.index.label(), "degree": r.degree, **{c: str(r.column(c)) for c in COLUMNS}}
         for r in stream.records
     ]
+    plateau = stream.plateau
+    tails = sorted(plateau.tails.items()) if plateau is not None else ()
     report["laws"] = {
-        f"stage{block.stage_pos}.{name}": (
+        f"stage{plateau.stage_pos}.{name}": (
             tail.describe() if tail is not None else {"kind": "unknown"}
         )
-        for block in stream.plateaus
-        for name, tail in sorted(block.tails.items())
+        for name, tail in tails
     }
 
     alpha_seg, beta_seg = alpha_beta_segments(stream)

@@ -150,7 +150,7 @@ class InvariantStream:
     blocks: tuple[Block, ...]
     nu_gprime: GroupElem
     ks: KeySequence
-    nu: NuOracle | None = None  # None for a sequence of value schedules
+    nu: NuOracle | None = None  # None for a value schedule
     terms: int = 8
 
     @functools.cached_property
@@ -158,9 +158,9 @@ class InvariantStream:
         return tuple(r for block in self.blocks for r in block.records)
 
     @property
-    def plateaus(self) -> list[Block]:
-        return [block for block in self.blocks if block.tails is not None]
-
+    def plateau(self) -> Block | None:
+        """The one block with tails (`KeySequence` admits one plateau), or None."""
+        return next((block for block in self.blocks if block.tails is not None), None)
 
 
 class VerdictKind(Enum):
@@ -206,11 +206,8 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     if (nu is None) != (ks.g is None):
         raise ScenarioDataError("a sequence takes an oracle exactly when it carries g")
     if nu is None:
-        # Without g every stage is a value schedule (checked by KeySequence).
-        nu_gprimes = {s.nu_gprime for s in ks.stages}
-        if len(nu_gprimes) != 1:
-            raise ScenarioDataError("the value schedules must share one nu(g')")
-        (nu_gprime,) = nu_gprimes
+        # Without g the sequence is its one value schedule (checked by KeySequence).
+        nu_gprime = ks.stages[0].nu_gprime
     else:
         g = ks.g
         gp = derivative(g)
@@ -349,14 +346,10 @@ def _is_constant(tail: Tail | None) -> bool:
 # Segments
 # ---------------------------------------------------------------------------
 
-def column_segment(
-    stream: InvariantStream, name: str, degree: int | None = None
-) -> CanonicalSegment | None:
-    """Final segment generated by one column below g (keys of `degree` only)."""
+def column_segment(stream: InvariantStream, name: str) -> CanonicalSegment | None:
+    """Final segment generated by one column below g."""
     parts: list[CanonicalSegment] = []
     for block in stream.blocks:
-        if degree is not None and block.degree != degree:
-            continue
         canon = block.segment(name)
         if canon is None:
             return None
@@ -449,35 +442,23 @@ def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem |
 # ---------------------------------------------------------------------------
 
 def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
-    """Smallest degree whose alpha values already generate the alpha segment.
+    """The plateau, which generates an alpha segment without a minimum.
 
-    Requires alpha without a minimum.  Returns (stage position of the
-    plateau at that degree, certificate index): the certificate is the
-    1-based materialized term from which the alpha column decreases
-    strictly, the tail description guaranteeing continuation.
+    An explicit key, an increasing or a constant tail generates a closed
+    segment, so a segment without a minimum is the one plateau's, from a
+    decreasing alpha tail, and degree 1 is the smallest that generates it.
+    Returns (stage position of the plateau, certificate index): the
+    certificate is the 1-based materialized term from which the alpha
+    column decreases strictly, the tail description guaranteeing
+    continuation.
     """
     canon = column_segment(stream, "alpha")
     if canon is None:
         raise InconclusiveError("alpha segment undecidable")
     if canon.kind == "closed":
         raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
-    if not stream.plateaus:
-        raise HypothesisViolatedError("no plateau in the sequence")
-
-    for deg in sorted({block.degree for block in stream.blocks}):
-        # Every plateau alpha column has a tail once `canon` exists.
-        if segment_compare(column_segment(stream, "alpha", deg), canon) is SegmentRelation.EQUAL:
-            block = next((b for b in stream.plateaus if b.degree == deg), None)
-            if block is None:
-                raise ScenarioDataError("alpha without minimum generated by explicit keys alone")
-            law = block.tails["alpha"].law
-            if isinstance(law, Diverging):
-                if law.increasing:
-                    raise ScenarioDataError("minimizing plateau alpha tail increases")
-            elif not law.c > GroupElem.zero():
-                raise ScenarioDataError("minimizing plateau alpha tail is not decreasing")
-            return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
-    raise ScenarioDataError("no degree generates the alpha segment")
+    block = stream.plateau
+    return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
 
 
 def _strictly_decreasing_from(values: Sequence[GroupElem]) -> int:
@@ -568,10 +549,7 @@ def _classify_min_case(stream, canon, base) -> Verdict:
 
 
 def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
-    try:
-        stage_pos, cert = first_minimizing_plateau(stream)
-    except InconclusiveError as exc:
-        return Verdict(VerdictKind.INCONCLUSIVE, reason=str(exc))
+    stage_pos, cert = first_minimizing_plateau(stream)
     block = stream.blocks[stage_pos]
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.
@@ -719,8 +697,12 @@ class BSetReport:
 
 
 def check_b1_hypotheses(stream: InvariantStream) -> None:
-    """Single degree-1 plateau, no last degree-1 key, no intermediate degrees."""
-    if not any(block.degree == 1 for block in stream.plateaus):
+    """A plateau and no keys of intermediate degree.
+
+    The plateau has degree 1 and is the sequence's only one, with no key of
+    degree 1 after it: `KeySequence` holds every sequence to that shape.
+    """
+    if stream.plateau is None:
         raise HypothesisViolatedError("no degree-1 plateau: key values attain a maximum")
     for block in stream.blocks:
         if 1 < block.degree < stream.ks.g_degree:
@@ -736,7 +718,7 @@ def b_set(stream: InvariantStream) -> BSetReport:
     plateau member.
     """
     check_b1_hypotheses(stream)
-    block = [b for b in stream.plateaus if b.degree == 1][-1]
+    block = stream.plateau
     tail = block.tails["nu_i_g"]
     if tail is None:
         raise InconclusiveError("instability cut undecidable")

@@ -4,7 +4,8 @@ A sequence consists of finitely many stages of non-decreasing degree
 followed by the support polynomial g itself.  A stage is its key `Poly`,
 a `PlateauFamily` -- an infinite family of same-degree keys with strictly
 increasing values and no last element, materialized lazily through a
-thread-safe generator up to its budget -- or a `ScheduleStage`.
+thread-safe generator up to its budget -- or a `ScheduleStage`.  Every
+plateau has degree 1 and every key after it, g included, larger degree.
 `stage_terms` is the one rule for how many terms a stage gives.
 
 Built-in plateau families:
@@ -17,8 +18,8 @@ Built-in plateau families:
   the key values exceed the term index (hence diverge);
 * `ScheduleStage` -- value data only (no field arithmetic): an explicit or
   closed-form law for the key values plus term-value laws for the base-q
-  expansion coefficients of g and g'.  A sequence of schedules carries no
-  polynomial for g, whose degree is one less than the number of its laws.
+  expansion coefficients of g and g'.  A sequence of one schedule carries
+  no polynomial for g, whose degree is one less than the number of its laws.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ScenarioDataError, ValkitError, ValueNotRepresentableError
+from .errors import HypothesisViolatedError, ScenarioDataError, ValkitError, ValueNotRepresentableError
 from .fields import Backend, FieldElem, HahnElem, _padic_order
 from .groups import ClosedForm, FiniteList, GroupElem, rat1
 from .poly import Poly, derivative
@@ -178,8 +179,10 @@ def stage_terms(stage: KeyStage, terms: int | float) -> int | float:
 class KeySequence:
     """Well-ordered key data: stages of non-decreasing degree, then g.
 
-    A sequence of value schedules carries no polynomial (``g=None``); each
-    schedule has one expansion-slot law per coefficient of g.
+    Every key after a plateau (a `PlateauFamily` or a `ScheduleStage`), g
+    included, has larger degree than the plateau, so there is at most one.
+    A sequence without g (``g=None``) is one value schedule, with one
+    expansion-slot law per coefficient of g.
     """
 
     stages: tuple[KeyStage, ...]
@@ -195,6 +198,12 @@ class KeySequence:
         degs = [s.degree for s in self.stages] + [self.g_degree]
         if any(a > b for a, b in zip(degs, degs[1:])):
             raise ScenarioDataError("stage degrees must be non-decreasing")
+        # With degrees non-decreasing, the next key decides for all later ones.
+        plateaus = [pos for pos, s in enumerate(self.stages) if not isinstance(s, Poly)]
+        if any(degs[pos] >= degs[pos + 1] for pos in plateaus):
+            raise HypothesisViolatedError(
+                "every key after a plateau, g included, must have larger degree than the plateau"
+            )
 
     @property
     def g_degree(self) -> int:

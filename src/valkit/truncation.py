@@ -1,13 +1,13 @@
 """The valuation with support at a minimal polynomial, and its truncations.
 
 `NuOracle` computes nu(f) = v(f_0(eta)) where f_0 is the remainder of f
-modulo the monic minimal polynomial g of eta.  Two modes are provided:
+modulo the monic minimal polynomial g of eta, by one value function for
+polynomials of degree below deg(g), passed to the constructor as
+`value_fn`.  Two constructors build one:
 
-* evaluation mode holds an exact value functional for polynomials of degree
-  below deg(g) -- built from the norm of f(eta), the determinant of
-  multiplication by f modulo g (valid when the valuation extends uniquely),
-  or passed to the constructor as `value_fn`;
-* stabilization mode evaluates f_0 along a pseudo-convergent approximation
+* `from_resultant` values f by the norm of f(eta), the determinant of
+  multiplication by f modulo g (valid when the valuation extends uniquely);
+* `stabilization` evaluates f_0 along a pseudo-convergent approximation
   family and returns the value once a window of consecutive evaluations
   agrees.  For deg(f_0) < deg(g) the evaluations are eventually constant
   because g has the least degree among unstable polynomials; the window
@@ -45,23 +45,11 @@ DEFAULT_BUDGET = 64
 class NuOracle:
     """Exact oracle for the valuation with support at g."""
 
-    def __init__(
-        self,
-        g: Poly,
-        value_fn: Callable[[Poly], ExtValue] | None = None,
-        family: Callable[[int], FieldElem] | None = None,
-        window: int = DEFAULT_WINDOW,
-        budget: int = DEFAULT_BUDGET,
-    ):
+    def __init__(self, g: Poly, value_fn: Callable[[Poly], ExtValue]):
         if not g.is_monic() or g.degree < 1:
             raise ValkitError("the support polynomial must be monic of degree >= 1")
-        if (value_fn is None) == (family is None):
-            raise ValkitError("exactly one of value_fn/family must be given")
         self.g = g
         self._value_fn = value_fn
-        self._family = family
-        self.window = window
-        self.budget = budget
         self._cache: dict[Poly, ExtValue] = {}
         self._expansions: dict[tuple[Poly, Poly], QExpansion] = {}
         self._lock = threading.Lock()
@@ -85,7 +73,7 @@ class NuOracle:
                 return v
             return ExtValue.of(v.expect_finite().scale(Fraction(1, g.degree)))
 
-        return NuOracle(g, value_fn=fn)
+        return NuOracle(g, fn)
 
     @staticmethod
     def stabilization(
@@ -95,7 +83,7 @@ class NuOracle:
         budget: int = DEFAULT_BUDGET,
     ) -> "NuOracle":
         """Stabilization mode along the 1-based approximation family."""
-        return NuOracle(g, family=family, window=window, budget=budget)
+        return NuOracle(g, lambda f0: _stabilized_value(f0, family, window, budget))
 
     # -- the valuation ------------------------------------------------------
 
@@ -108,36 +96,11 @@ class NuOracle:
             result = ExtValue.infinity()
         elif f0.degree == 0:
             result = valuation(f0.coeff(0))
-        elif self._value_fn is not None:
-            result = self._value_fn(f0)
         else:
-            result = self._stabilized_value(f0)
+            result = self._value_fn(f0)
         with self._lock:
             self._cache.setdefault(f, result)
         return result
-
-    def _stabilized_value(self, f0: Poly) -> ExtValue:
-        values: list[FieldElem] = []
-        run, run_len = None, 0
-        for n in range(1, self.budget + 1):
-            value = f0.eval(self._family(n))
-            values.append(value)
-            k = value.order()
-            if k is None:
-                # A transient exact zero (the family walked through a root
-                # of f0); it cannot persist since f0 is not a multiple of g.
-                run_len = 0
-                continue
-            if k == run:
-                run_len += 1
-            else:
-                run, run_len = k, 1
-            if run_len >= self.window:
-                return ExtValue.of(rat1(run))
-        raise StabilizationBudgetExceededError(
-            f"no stabilization window of {self.window} within {self.budget} terms",
-            trace=[valuation(v) for v in values],
-        )
 
     def expand(self, f: Poly, q: Poly) -> QExpansion:
         """The q-expansion of f, computed once per (f, q) for this oracle."""
@@ -171,3 +134,30 @@ class NuOracle:
             # is infinite): the constant slot carries the value.
             return self.nu(self.expand(f, q).coeff(0))
         return min_value(self.term_values(f, q).values())
+
+
+def _stabilized_value(
+    f0: Poly, family: Callable[[int], FieldElem], window: int, budget: int
+) -> ExtValue:
+    """v(f0(a_n)) once `window` consecutive family members agree on it."""
+    values: list[FieldElem] = []
+    run, run_len = None, 0
+    for n in range(1, budget + 1):
+        value = f0.eval(family(n))
+        values.append(value)
+        k = value.order()
+        if k is None:
+            # A transient exact zero (the family walked through a root of
+            # f0); it cannot persist since f0 is not a multiple of g.
+            run_len = 0
+            continue
+        if k == run:
+            run_len += 1
+        else:
+            run, run_len = k, 1
+        if run_len >= window:
+            return ExtValue.of(rat1(run))
+    raise StabilizationBudgetExceededError(
+        f"no stabilization window of {window} within {budget} terms",
+        trace=[valuation(v) for v in values],
+    )

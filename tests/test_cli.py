@@ -520,6 +520,25 @@ class TestMain:
         report = run(parse_config_dict({**data, "terms": budget - window}))
         assert report["exit_code"] == 0 and report["status"] == "decisive"
 
+    @pytest.mark.parametrize(
+        "stages, g",
+        [
+            ([{"family": "hensel_lift"}, {"family": "hensel_lift"}], ["2", "1", "1"]),
+            ([{"family": "hensel_lift"}, {"poly": ["0", "1"]}], ["2", "1", "1"]),
+            ([{"family": "hensel_lift", "start": 1}], ["-1/3", "1"]),
+        ],
+    )
+    def test_key_after_the_plateau_of_its_degree_exit_three(self, stages, g, tmp_path, capsys):
+        # a second family, a linear key after the family, or a linear g
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self._CUSTOM_STABILIZED, "stages": stages, "g": g}))
+        assert main(["run", str(path)]) == 3
+        assert "HypothesisViolatedError: every key after a plateau" in capsys.readouterr().out
+
+    def test_hensel_immediate_linear_g_exit_three(self, capsys):
+        assert main(["scenario", "hensel-immediate", "--g=-1/3,1", "--start", "1"]) == 3
+        assert "HypothesisViolatedError: every key after a plateau" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["scenario", "artin-schreier", "--budget", "20", "--terms", "17"],
         ["scenario", "hensel-immediate", "--budget", "16", "--window", "7", "--terms", "9"],

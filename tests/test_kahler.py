@@ -31,6 +31,7 @@ from valkit.kahler import (
     Block,
     BSetReport,
     InvariantRecord,
+    InvariantStream,
     VerdictKind,
     _apply_divergence_cert,
     _instability_cut,
@@ -40,6 +41,7 @@ from valkit.kahler import (
     b_set,
     cut_contains_eventually,
     classify,
+    column_segment,
     first_minimizing_plateau,
     ideal_inclusion_check,
     invariant_stream,
@@ -80,7 +82,7 @@ class TestInvariantStream:
             assert rec.beta_tilde == rec.beta
             assert rec.nu_i_gprime == rat1(0)
         assert stream.nu_gprime == rat1(0)
-        law = stream.plateaus[0].tails["alpha"].law
+        law = stream.plateau.tails["alpha"].law
         assert law.d == rat1(0) and law.p == p
 
     def test_unramified_single_record(self):
@@ -90,7 +92,7 @@ class TestInvariantStream:
         assert UNRAMIFIED.ks.istar_has_max()
 
     def test_hensel_divergence(self):
-        tails = HENSEL.plateaus[0].tails
+        tails = HENSEL.plateau.tails
         assert tails["alpha"].law == Diverging(increasing=False)
         assert tails["beta"].law == Diverging(increasing=False)
         assert tails["nu_i_g"].law == Diverging(increasing=True)
@@ -107,7 +109,7 @@ class TestInvariantStream:
         explicit, plateau = stream.blocks
         assert (explicit.stage_pos, len(explicit.records), explicit.tails) == (0, 1, None)
         assert (plateau.stage_pos, len(plateau.records)) == (1, stream.terms)
-        assert set(plateau.tails) == set(COLUMNS) and stream.plateaus == [plateau]
+        assert set(plateau.tails) == set(COLUMNS) and stream.plateau is plateau
         assert stream.records == explicit.records + plateau.records
 
     def test_kummer_records(self):
@@ -206,11 +208,11 @@ class TestCertificateFirst:
     @given(hensel_configs())
     def test_tails_equal_fitting_every_column(self, data):
         stream = stream_for(data)
-        for block in stream.plateaus:
-            expected = reference_tails(stream, block)
-            assert {k: t and t.describe() for k, t in block.tails.items()} == {
-                k: expected[k] and expected[k].describe() for k in COLUMNS
-            }
+        block = stream.plateau
+        expected = reference_tails(stream, block)
+        assert {k: t and t.describe() for k, t in block.tails.items()} == {
+            k: expected[k] and expected[k].describe() for k in COLUMNS
+        }
 
 
 class TestSequenceChecks:
@@ -301,6 +303,95 @@ class TestClassify:
         assert v.witness["wlim_branch"] == 2
 
 
+# ---------------------------------------------------------------------------
+# The outcomes of the minimum case, on streams built by hand.  A record has
+# nu(Q) = nu(g') = 0, so its alpha, beta and beta-tilde fix the rest.
+# ---------------------------------------------------------------------------
+
+_PADIC2 = Backend("padic", 2)
+# Keys x and x^2 + x + 1 below g = x^2 + x + 3; the full expansion of g at
+# the quadratic key has support {1.0}.
+_G = Poly.from_ints(_PADIC2, [3, 1, 1])
+_EXPLICIT_KS = KeySequence(
+    (Poly.x(_PADIC2), Poly.from_ints(_PADIC2, [1, 1, 1])), _G, 2, _PADIC2
+)
+# A plateau (its centers are never built) below a quadratic key and a cubic g.
+_PLATEAU_KS = KeySequence(
+    (
+        PlateauFamily(_PADIC2, lambda n, prev: _PADIC2.zero()),
+        Poly.from_ints(_PADIC2, [1, 1, 1]),
+    ),
+    Poly.from_ints(_PADIC2, [1, 1, 0, 1]),
+    2,
+    _PADIC2,
+)
+_CONSTANT = Tail(ClosedForm(rat1(0), rat1(0), 2))
+
+
+def hand_record(index, degree, alpha, beta, beta_tilde):
+    a, b, bt = rat1(alpha), rat1(beta), rat1(beta_tilde)
+    return InvariantRecord(index, degree, rat1(0), a, a, b, bt, -b, bt - b)
+
+
+def explicit_stream(*rows):
+    """`_EXPLICIT_KS` with one (alpha, beta, beta_tilde) row per key."""
+    blocks = tuple(
+        Block(pos, pos + 1, (hand_record(KeyIndex(pos, 0), pos + 1, *row),), None)
+        for pos, row in enumerate(rows)
+    )
+    return InvariantStream(blocks, rat1(0), _EXPLICIT_KS, NuOracle.from_resultant(_G))
+
+
+def plateau_stream(beta_tail, last_row=None):
+    """A plateau of constant alpha 0 and beta 1, then the quadratic key's row."""
+    records = tuple(hand_record(KeyIndex(0, n), 1, 0, 1, 0) for n in (1, 2))
+    tails = {**{name: _CONSTANT for name in COLUMNS}, "beta": beta_tail}
+    blocks = [Block(0, 1, records, tails)]
+    if last_row is not None:
+        blocks.append(Block(1, 2, (hand_record(KeyIndex(1, 0), 2, *last_row),), None))
+        ks = _PLATEAU_KS
+    else:
+        ks = KeySequence(_PLATEAU_KS.stages[:1], _G, 2, _PADIC2)
+    return InvariantStream(tuple(blocks), rat1(0), ks)
+
+
+class TestClassifyMinCase:
+    """Each way the minimum case (i) can fail, and its undecided beta column."""
+
+    def failed(self, stream):
+        v = classify(stream)
+        assert v.kind is VerdictKind.OMEGA_NONZERO and v.case == "i"
+        return v.witness["failed"]
+
+    def test_no_maximal_index(self):
+        # alpha attains its minimum, but the plateau has no last key
+        assert self.failed(plateau_stream(_CONSTANT)) == "no_maximal_index"
+
+    def test_beta_tilde_above_a_whole_beta_segment(self):
+        stream = plateau_stream(Tail(Diverging(increasing=False)), last_row=(1, 1, 1))
+        assert column_segment(stream, "beta").kind == "whole"
+        assert self.failed(stream) == "beta_tilde_not_below_all_betas"
+
+    def test_beta_tilde_above_a_closed_beta_segment(self):
+        # the last beta-tilde, 1, exceeds the first beta, 0
+        stream = explicit_stream((0, 0, 0), (1, 2, 1))
+        assert self.failed(stream) == "beta_tilde_not_below_all_betas"
+
+    def test_beta_tilde_differs_from_min_alpha(self):
+        stream = explicit_stream((0, 1, 0), (1, 1, Fraction(1, 2)))
+        assert self.failed(stream) == "beta_tilde_differs_from_min_alpha"
+
+    def test_no_support_witness(self):
+        # the minimal alpha sits at x, outside the support {1.0} of g's
+        # expansion at the quadratic key
+        stream = explicit_stream((-1, 0, -1), (0, 0, -1))
+        assert self.failed(stream) == "no_support_witness"
+
+    def test_beta_column_undecidable(self):
+        v = classify(plateau_stream(None, last_row=(1, 1, 1)))
+        assert v.kind is VerdictKind.INCONCLUSIVE and v.reason == "beta column undecidable"
+
+
 class TestFirstMinimizingPlateau:
     def test_artin_schreier_degree_one(self):
         stage_pos, cert = first_minimizing_plateau(AS2)
@@ -353,16 +444,17 @@ class TestBSet:
         with pytest.raises(HypothesisViolatedError):
             b_set(UNRAMIFIED)
 
-    def test_linear_limit_polynomial_empty_range(self):
+    def test_linear_limit_polynomial_rejected(self):
+        # a linear g has the degree of the plateau's keys: the sequence is
+        # rejected before b_set could look at its empty slot range
         stage = ScheduleStage(
             key_values=ClosedForm(rat1(-1), rat1(0), 2),
             g_coef_laws=(CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1)),
             gprime_coef_laws=(CoefValueLaw(rat1(0), 0),),
             nu_gprime=rat1(0),
         )
-        stream = invariant_stream(KeySequence((stage,), None, 2), None)
-        report = b_set(stream)
-        assert report.b_set == frozenset() and not report.b1
+        with pytest.raises(HypothesisViolatedError, match="larger degree than the plateau"):
+            KeySequence((stage,), None, 2)
 
 
 class TestCriterionAgreement:

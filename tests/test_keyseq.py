@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from valkit.errors import ScenarioDataError, ValueNotRepresentableError
+from valkit.errors import HypothesisViolatedError, ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
 from valkit.groups import ClosedForm, ExtValue, FiniteList, rat1
 from valkit.keyseq import (
@@ -74,14 +74,14 @@ class TestStructure:
     def test_stage_terms(self):
         backend = Backend("padic", 2)
         family = hensel_family(backend, Poly.from_ints(backend, [2, 1, 1]), 0, budget=10)
-        laws = (CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1))
-        listed = ScheduleStage(FiniteList((rat1(0), rat1(1), rat1(2))), laws, laws[:1], rat1(0))
-        closed = ScheduleStage(ClosedForm(rat1(-1), rat1(0), 2), laws, laws[:1], rat1(0))
+        laws = (CoefValueLaw(rat1(0), 2), CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 2))
+        listed = ScheduleStage(FiniteList((rat1(0), rat1(1), rat1(2))), laws, laws[:2], rat1(0))
+        closed = ScheduleStage(ClosedForm(rat1(-1), rat1(0), 2), laws, laws[:2], rat1(0))
         assert stage_terms(Poly.x(backend), 12) == 1
         assert (stage_terms(family, 8), stage_terms(family, 12)) == (8, 10)
         assert (stage_terms(listed, 2), stage_terms(listed, 12)) == (3, 3)
         assert stage_terms(closed, 12) == 12
-        assert KeySequence((closed,), None, 2).g_degree == 1
+        assert KeySequence((closed,), None, 2).g_degree == 2
 
     def test_closed_form_schedule_stops_at_its_budget(self):
         laws = (CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1))
@@ -123,6 +123,59 @@ class TestStructure:
         # the stream's rows make the same check on the keys they build
         stream = invariant_stream(ks, nu, 5)
         assert [r.index for r in stream.records] == ks.indices(5)
+
+
+_AFTER_PLATEAU = "every key after a plateau, g included, must have larger degree"
+
+
+def _schedule(slots):
+    """A closed-form value schedule for a g with `slots` expansion slots."""
+    laws = (CoefValueLaw(rat1(0), 1),) * slots
+    return ScheduleStage(ClosedForm(rat1(-1), rat1(0), 2), laws, laws[:-1], rat1(0))
+
+
+class TestOnePlateau:
+    """Every key after a plateau, g included, has larger degree than it."""
+
+    def test_two_families_rejected(self):
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [2, 1, 1])
+        families = (hensel_family(backend, g, 0), hensel_family(backend, g, 0))
+        with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
+            KeySequence(families, g, 2, backend)
+
+    def test_linear_key_after_a_family_rejected(self):
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [2, 1, 1])
+        with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
+            KeySequence((hensel_family(backend, g, 0), Poly.x(backend)), g, 2, backend)
+
+    def test_linear_g_after_a_family_rejected(self):
+        # g = x - 1/3 has the 2-adic root 1/3, and 1 is its residue root
+        backend = Backend("padic", 2)
+        g = Poly.make(backend, [backend.parse("-1/3"), backend.one()])
+        with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
+            KeySequence((hensel_family(backend, g, 1),), g, 2, backend)
+
+    def test_two_schedules_rejected(self):
+        with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
+            KeySequence((_schedule(3), _schedule(3)), None, 2)
+
+    def test_schedule_of_a_linear_g_rejected(self):
+        with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
+            KeySequence((_schedule(2),), None, 2)
+
+    def test_keys_before_or_of_larger_degree_accepted(self):
+        padic, hahn = Backend("padic", 2), Backend("hahn", 2)
+        g = Poly.from_ints(padic, [2, 1, 1])
+        lifts = hensel_family(padic, g, 0)
+        KeySequence((Poly.x(padic), lifts), g, 2, padic)
+        a = hahn.element_from_value(-1)
+        g_as = Poly.make(hahn, [-a, -hahn.one(), hahn.one()])
+        KeySequence((Poly.x(hahn), artin_schreier_family(hahn, a)), g_as, 2, hahn)
+        cubic = Poly.from_ints(padic, [1, 1, 0, 1])
+        KeySequence((lifts, Poly.from_ints(padic, [1, 1, 1])), cubic, 2, padic)
+        assert KeySequence((_schedule(3),), None, 2).g_degree == 2
 
 
 def normalize(ks, nu, terms_per_plateau=8):
