@@ -6,10 +6,15 @@ Two backends supply the base field (K, v) of a scenario:
 * ``hahn``  -- finite-support generalized power series over F_p with
                rational exponents, valued by the least exponent.
 
-A p-adic element's value is an `int` when it is integral and a `Fraction`
-otherwise, so the integral centers and coefficients of the lift families
-stay in integer arithmetic; division and negative powers go through
-`Fraction` and come back to the canonical form.
+A p-adic element is a slotted `PAdicRational` with a plain `__init__`,
+immutable by convention as `Fraction` is.  Its value is an `int` when it is
+integral and a `Fraction` otherwise, so the integral centers and
+coefficients of the lift families stay in integer arithmetic; division and
+negative powers go through `Fraction` and come back to the canonical form.
+Its order is the exponent of p in the numerator less that in the
+denominator, read without a division loop: the lowest set bit for p = 2,
+and for an odd prime one gcd with p**32, looked up in a per-prime table of
+powers built on first use (an order of 32 or more recurses on the quotient).
 
 A Hahn element stores its exponents as integer numerators over one
 denominator per element, kept minimal, so equal series compare and hash
@@ -44,20 +49,34 @@ from .groups import ExtValue, GroupElem, rat1
 _HAHN_DIV_BUDGET = 4096
 
 
+_SPAN = 32
+# Per odd prime, built on first use: (p**_SPAN, {p**k: k for k <= _SPAN}).
+_ORDER_TABLES: dict[int, tuple[int, dict[int, int]]] = {}
+
+
 def _p_power(n: int, p: int) -> int:
-    """The exponent of p in the nonzero integer n: p**4 per divmod, then p."""
-    k, p4 = 0, p**4
-    q, r = divmod(n, p4)
-    while not r:
-        n, k = q, k + 4
-        q, r = divmod(n, p4)
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
+    """The exponent of the prime p in the nonzero integer n.
+
+    For p = 2 it is the position of the lowest set bit.  For odd p,
+    gcd(n, p**_SPAN) is p**k with k = min(order, _SPAN); a table gives k.
+    A gcd that is no power of p shows that p is not prime.
+    """
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    table = _ORDER_TABLES.get(p)
+    if table is None:
+        top = p**_SPAN
+        table = _ORDER_TABLES[p] = (top, {p**k: k for k in range(_SPAN + 1)})
+    top, exponents = table
+    k = exponents.get(math.gcd(n, top))
+    if k is None:
+        raise ValkitError(f"the p-adic order needs a prime p, got {p}")
+    return k + _p_power(n // top, p) if k == _SPAN else k
 
 
 def _padic_order(x: int | Fraction, p: int) -> int:
+    if type(x) is int:
+        return _p_power(x, p)
     k = _p_power(x.numerator, p)
     return k if x.denominator == 1 else k - _p_power(x.denominator, p)
 
@@ -69,29 +88,45 @@ def _padic(value: int | Fraction, p: int) -> "PAdicRational":
     return PAdicRational(value, p)
 
 
-@dataclass(frozen=True)
 class PAdicRational:
     """An exact rational carrying the p-adic valuation.
 
     `value` is an `int` when the rational is integral and a `Fraction`
     otherwise (`_padic` builds every element), so sums, differences and
     products of integers never leave `int` arithmetic.  An `int` and the
-    equal `Fraction` compare, hash and print alike.
+    equal `Fraction` compare, hash and print alike.  Immutable by
+    convention, as `Fraction` is.
     """
 
-    value: int | Fraction
-    p: int
+    __slots__ = ("value", "p")
+
+    def __init__(self, value: int | Fraction, p: int):
+        self.value = value
+        self.p = p
+
+    def __eq__(self, other):
+        if type(other) is not PAdicRational:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
+
+    def __repr__(self):
+        return f"PAdicRational(value={self.value!r}, p={self.p!r})"
 
     def _coerce(self, other):
+        if type(other) is PAdicRational and other.p == self.p:
+            return other
         if isinstance(other, int):
-            other = PAdicRational(int(other), self.p)
-        if not isinstance(other, PAdicRational) or other.p != self.p:
-            raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
-        return other
+            return PAdicRational(int(other), self.p)
+        raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return _padic(self.value + other.value, self.p)
+        value = self.value + self._coerce(other).value
+        if type(value) is not int and value.denominator == 1:
+            value = value.numerator
+        return PAdicRational(value, self.p)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -101,8 +136,10 @@ class PAdicRational:
         return PAdicRational(-self.value, self.p)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return _padic(self.value * other.value, self.p)
+        value = self.value * self._coerce(other).value
+        if type(value) is not int and value.denominator == 1:
+            value = value.numerator
+        return PAdicRational(value, self.p)
 
     def __truediv__(self, other):
         other = self._coerce(other)

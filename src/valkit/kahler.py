@@ -441,8 +441,8 @@ def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem |
 # Criterion 2: case classification
 # ---------------------------------------------------------------------------
 
-def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
-    """The plateau, which generates an alpha segment without a minimum.
+def first_minimizing_plateau(stream: InvariantStream, alpha: CanonicalSegment) -> tuple[int, int]:
+    """The plateau, which generates `alpha`, the stream's alpha segment, without a minimum.
 
     An explicit key, an increasing or a constant tail generates a closed
     segment, so a segment without a minimum is the one plateau's, from a
@@ -452,10 +452,7 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
     column decreases strictly, the tail description guaranteeing
     continuation.
     """
-    canon = column_segment(stream, "alpha")
-    if canon is None:
-        raise InconclusiveError("alpha segment undecidable")
-    if canon.kind == "closed":
+    if alpha.kind == "closed":
         raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
     block = stream.plateau
     return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
@@ -549,7 +546,7 @@ def _classify_min_case(stream, canon, base) -> Verdict:
 
 
 def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
-    stage_pos, cert = first_minimizing_plateau(stream)
+    stage_pos, cert = first_minimizing_plateau(stream, canon)
     block = stream.blocks[stage_pos]
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.

@@ -113,7 +113,7 @@ class Poly:
         if not self.coeffs:
             return self.backend.zero()
         acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        for c in self.coeffs[-2::-1]:
             acc = acc * point + c
         return acc
 

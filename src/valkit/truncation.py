@@ -89,8 +89,9 @@ class NuOracle:
 
     def nu(self, f: Poly) -> ExtValue:
         """nu(f) = v(f mod g at eta); infinite exactly on multiples of g."""
-        if f in self._cache:
-            return self._cache[f]
+        cached = self._cache.get(f)
+        if cached is not None:
+            return cached
         f0 = f.divmod_monic(self.g)[1] if f.degree >= self.g.degree else f
         if f0.is_zero():
             result = ExtValue.infinity()
@@ -105,8 +106,9 @@ class NuOracle:
     def expand(self, f: Poly, q: Poly) -> QExpansion:
         """The q-expansion of f, computed once per (f, q) for this oracle."""
         key = (f, q)
-        if key in self._expansions:
-            return self._expansions[key]
+        cached = self._expansions.get(key)
+        if cached is not None:
+            return cached
         result = q_expand(f, q)
         with self._lock:
             return self._expansions.setdefault(key, result)

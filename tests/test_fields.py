@@ -6,8 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from valkit.cli import parse_config_dict
-from valkit.errors import BackendMismatchError, ConfigError, ValueNotRepresentableError
-from valkit.fields import Backend, HahnElem, PAdicRational, _padic_order, parse_hahn, valuation
+from valkit.errors import (
+    BackendMismatchError,
+    ConfigError,
+    ValkitError,
+    ValueNotRepresentableError,
+)
+from valkit.fields import (
+    _SPAN,
+    Backend,
+    HahnElem,
+    PAdicRational,
+    _p_power,
+    _padic,
+    _padic_order,
+    parse_hahn,
+    valuation,
+)
 from valkit.groups import ExtValue, rat1
 from valkit.keyseq import artin_schreier_family
 
@@ -547,8 +562,12 @@ def order_one_p_at_a_time(x: Fraction, p: int) -> int:
 
 @st.composite
 def rationals_of_order(draw):
-    """A nonzero int or Fraction, either sign, with p**k on one side, k <= 200."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    """A nonzero int or Fraction, either sign, with p**k on one side, k <= 200.
+
+    k reaches past 3 * _SPAN, so the order's recursion on n // p**_SPAN runs
+    several times, also for a prime whose powers are far wider than n.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 101, 2**61 - 1]))
     k = draw(st.integers(0, 200))
     num = draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, -1]))
     den = draw(st.integers(1, 10**6))
@@ -564,6 +583,20 @@ class TestOrders:
     def test_padic_order_matches_reference(self, case):
         p, x = case
         assert _padic_order(x, p) == order_one_p_at_a_time(Fraction(x), p)
+        for n in (x.numerator, x.denominator):
+            assert _p_power(n, p) == order_one_p_at_a_time(Fraction(n), p)
+
+    @pytest.mark.parametrize("p", [2, 3, 101])
+    def test_element_order_beyond_three_spans(self, p):
+        backend = Backend("padic", p)
+        big = backend.from_int(-7 * p ** (3 * _SPAN + 1))
+        assert big.order() == 3 * _SPAN + 1
+        assert (backend.one() / big).order() == -(3 * _SPAN + 1)
+
+    def test_composite_p_is_refused(self):
+        assert Backend("padic", 6).from_int(6).order() == 1
+        with pytest.raises(ValkitError, match="prime p, got 6"):
+            Backend("padic", 6).from_int(12).order()
 
     @given(padic_pairs())
     def test_padic_valuation_is_built_from_order(self, case):
@@ -584,3 +617,49 @@ class TestOrders:
         else:
             assert a.order() == min(ma)
             assert valuation(a) == ExtValue.of(rat1(a.order()))
+
+
+# ---------------------------------------------------------------------------
+# The p-adic element kernel: table-driven orders and the slotted element
+# ---------------------------------------------------------------------------
+
+
+class TestSlottedElement:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_int_and_equal_fraction_elements_agree(self, p):
+        backend = Backend("padic", p)
+        six = backend.from_int(6)
+        for other in (backend.parse("12/2"), _padic(Fraction(6), p), backend.parse("1/2") * 12):
+            assert type(other.value) is int
+            assert other == six and hash(other) == hash(six)
+            assert repr(other) == repr(six) == f"PAdicRational(value=6, p={p})"
+            assert str(other) == str(six) == "6"
+        # Built directly, a Fraction value still compares, hashes and prints alike.
+        raw = PAdicRational(Fraction(6), p)
+        assert raw == six and hash(raw) == hash(six) and str(raw) == "6"
+
+    def test_repr_and_foreign_equality_as_a_dataclass(self):
+        third = Backend("padic", 3).parse("1/3")
+        assert repr(third) == "PAdicRational(value=Fraction(1, 3), p=3)"
+        assert hash(third) == hash((Fraction(1, 3), 3))
+        assert third.__eq__(Fraction(1, 3)) is NotImplemented
+        assert third != Fraction(1, 3)
+        assert PAdicRational(1, 2) != PAdicRational(1, 3)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(Backend("padic", 2).one(), "__dict__")
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+    def test_mixing_primes_raises(self, op):
+        a, b = Backend("padic", 2).one(), Backend("padic", 3).one()
+        with pytest.raises(BackendMismatchError):
+            getattr(a, op)(b)
+        with pytest.raises(BackendMismatchError):
+            getattr(a, op)(hahn(2, ("0", 1)))
+        with pytest.raises(BackendMismatchError):
+            getattr(a, op)(Fraction(1))
+
+    def test_arithmetic_defined_in_the_class_body(self):
+        # The traced benchmark wraps each of these through the class __dict__.
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__"):
+            assert name in PAdicRational.__dict__

@@ -394,17 +394,17 @@ class TestClassifyMinCase:
 
 class TestFirstMinimizingPlateau:
     def test_artin_schreier_degree_one(self):
-        stage_pos, cert = first_minimizing_plateau(AS2)
+        stage_pos, cert = first_minimizing_plateau(AS2, column_segment(AS2, "alpha"))
         assert stage_pos == 0
         assert cert == 1  # strictly decreasing from the first record
 
     def test_hensel_degree_one(self):
-        stage_pos, _ = first_minimizing_plateau(HENSEL)
+        stage_pos, _ = first_minimizing_plateau(HENSEL, column_segment(HENSEL, "alpha"))
         assert stage_pos == 0
 
     def test_no_plateau_rejected(self):
         with pytest.raises(HypothesisViolatedError):
-            first_minimizing_plateau(UNRAMIFIED)
+            first_minimizing_plateau(UNRAMIFIED, column_segment(UNRAMIFIED, "alpha"))
 
 
 class TestBSet:
@@ -484,7 +484,7 @@ class TestCriterionAgreement:
 class TestMinimizingPlateauMonotonicity:
     @pytest.mark.parametrize("stream", [AS2, AS3, HENSEL])
     def test_alpha_strictly_decreasing_beyond_certificate(self, stream):
-        stage_pos, cert = first_minimizing_plateau(stream)
+        stage_pos, cert = first_minimizing_plateau(stream, column_segment(stream, "alpha"))
         block = stream.blocks[stage_pos]
         values = block.values("alpha")
         assert len(values) >= 8
