@@ -44,7 +44,6 @@ from .kahler import (
     InvariantStream,
     Verdict,
     VerdictKind,
-    alpha_beta_segments,
     b_set,
     classify,
     first_minimizing_plateau,

@@ -33,7 +33,6 @@ from .kahler import (
     BSetReport,
     InvariantStream,
     VerdictKind,
-    alpha_beta_segments,
     b_set,
     classify,
     ideal_inclusion_check,
@@ -458,7 +457,6 @@ def _reparsed(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def _analyze(stream: InvariantStream, report: dict) -> dict:
     ideal_inclusion_check(stream)
-    inclusion_ok = True
 
     report["nu_gprime"] = str(stream.nu_gprime)
     report["records"] = [
@@ -474,13 +472,10 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
         for name, tail in tails
     }
 
-    alpha_seg, beta_seg = alpha_beta_segments(stream)
+    alpha_seg = stream.alpha_segment
     report["alpha_segment"] = _segment_payload(alpha_seg)
-    report["beta_segment"] = _segment_payload(beta_seg)
-    if alpha_seg is not None:
-        report["delta_suffix_len"] = largest_delta(alpha_seg)
-    else:
-        report["delta_suffix_len"] = None
+    report["beta_segment"] = _segment_payload(stream.beta_segment)
+    report["delta_suffix_len"] = largest_delta(alpha_seg) if alpha_seg is not None else None
 
     v_segment = omega_verdict(stream)
     v_classify = classify(stream)
@@ -512,7 +507,7 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
     contradictory = {VerdictKind.OMEGA_ZERO, VerdictKind.OMEGA_NONZERO} <= kinds
     decisive = VerdictKind.INCONCLUSIVE not in kinds
     report["criteria_agree"] = not contradictory
-    report["inclusion_check"] = inclusion_ok
+    report["inclusion_check"] = True  # `ideal_inclusion_check` above raises on a failure
     if contradictory:
         report.update(status="violation", error="decisive criteria contradict", exit_code=3)
     elif decisive:
@@ -606,7 +601,10 @@ def main(argv=None) -> int:
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument("--instances", type=int, default=200)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a malformed command line is a bad config
+        return 0 if exc.code == 0 else 4
 
     if args.command == "selftest":
         from .selftest import run_selftest

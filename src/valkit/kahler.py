@@ -41,7 +41,8 @@ The three independent routes to the vanishing decision:
   `CanonicalSegment` of the negated nu_i(g) column.
 
 Every segment, the cut included, is a `CanonicalSegment` built by
-`canonicalize`, and every tail a `groups.Tail`.
+`canonicalize`, and every tail a `groups.Tail`.  The stream caches its alpha
+and beta segments (`alpha_segment`, `beta_segment`) for all their readers.
 
 Valid scenario data makes all three agree; structural violations raise
 `ScenarioDataError` instead of producing a verdict.
@@ -156,6 +157,14 @@ class InvariantStream:
     @functools.cached_property
     def records(self) -> tuple[InvariantRecord, ...]:
         return tuple(r for block in self.blocks for r in block.records)
+
+    @functools.cached_property
+    def alpha_segment(self) -> CanonicalSegment | None:
+        return column_segment(self, "alpha")
+
+    @functools.cached_property
+    def beta_segment(self) -> CanonicalSegment | None:
+        return column_segment(self, "beta")
 
     @property
     def plateau(self) -> Block | None:
@@ -359,13 +368,6 @@ def column_segment(stream: InvariantStream, name: str) -> CanonicalSegment | Non
     return segment_union(parts)
 
 
-def alpha_beta_segments(
-    stream: InvariantStream,
-) -> tuple[CanonicalSegment | None, CanonicalSegment | None]:
-    """The segments generated by the alpha and beta columns."""
-    return column_segment(stream, "alpha"), column_segment(stream, "beta")
-
-
 def ideal_inclusion_check(stream: InvariantStream) -> bool:
     """Verify the beta segment sits inside the alpha segment.
 
@@ -373,7 +375,7 @@ def ideal_inclusion_check(stream: InvariantStream) -> bool:
     beta_i >= beta_tilde_i >= alpha_{i'} for some i' <= i.  A failure is a
     hard scenario-data error, not a verdict.
     """
-    alpha_seg, beta_seg = alpha_beta_segments(stream)
+    alpha_seg, beta_seg = stream.alpha_segment, stream.beta_segment
     if alpha_seg is not None and beta_seg is not None:
         rel = segment_compare(beta_seg, alpha_seg)
         if rel not in (SegmentRelation.EQUAL, SegmentRelation.B_CONTAINS_A):
@@ -396,7 +398,7 @@ def ideal_inclusion_check(stream: InvariantStream) -> bool:
 
 def omega_verdict(stream: InvariantStream) -> Verdict:
     """Vanishing holds exactly when the alpha and beta segments coincide."""
-    alpha_seg, beta_seg = alpha_beta_segments(stream)
+    alpha_seg, beta_seg = stream.alpha_segment, stream.beta_segment
     if alpha_seg is None or beta_seg is None:
         return Verdict(
             VerdictKind.INCONCLUSIVE,
@@ -441,8 +443,8 @@ def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem |
 # Criterion 2: case classification
 # ---------------------------------------------------------------------------
 
-def first_minimizing_plateau(stream: InvariantStream, alpha: CanonicalSegment) -> tuple[int, int]:
-    """The plateau, which generates `alpha`, the stream's alpha segment, without a minimum.
+def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
+    """The plateau that generates the stream's alpha segment, which has no minimum.
 
     An explicit key, an increasing or a constant tail generates a closed
     segment, so a segment without a minimum is the one plateau's, from a
@@ -452,7 +454,9 @@ def first_minimizing_plateau(stream: InvariantStream, alpha: CanonicalSegment) -
     column decreases strictly, the tail description guaranteeing
     continuation.
     """
-    if alpha.kind == "closed":
+    if stream.alpha_segment is None:
+        raise InconclusiveError("alpha segment undecidable")
+    if stream.alpha_segment.kind == "closed":
         raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
     block = stream.plateau
     return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
@@ -480,18 +484,18 @@ def classify(stream: InvariantStream) -> Verdict:
     through its beta-tilde values and carry nu(g') as a weak limit of the
     truncated values relative to the largest invariant subgroup.
     """
-    canon = column_segment(stream, "alpha")
+    canon = stream.alpha_segment
     if canon is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="alpha column undecidable")
     delta = largest_delta(canon)
     base = {"delta_suffix_len": delta}
     if canon.kind == "closed":
-        return _classify_min_case(stream, canon, base)
+        return _classify_min_case(stream, base)
     return _classify_no_min_case(stream, canon, delta, base)
 
 
-def _classify_min_case(stream, canon, base) -> Verdict:
-    min_alpha = canon.point
+def _classify_min_case(stream, base) -> Verdict:
+    min_alpha = stream.alpha_segment.point
     if not stream.ks.istar_has_max():
         return Verdict(
             VerdictKind.OMEGA_NONZERO,
@@ -500,7 +504,7 @@ def _classify_min_case(stream, canon, base) -> Verdict:
         )
     rec = stream.records[-1]
 
-    beta_canon = column_segment(stream, "beta")
+    beta_canon = stream.beta_segment
     if beta_canon is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta column undecidable")
     if beta_canon.kind == "whole":
@@ -546,7 +550,7 @@ def _classify_min_case(stream, canon, base) -> Verdict:
 
 
 def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
-    stage_pos, cert = first_minimizing_plateau(stream, canon)
+    stage_pos, cert = first_minimizing_plateau(stream)
     block = stream.blocks[stage_pos]
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.

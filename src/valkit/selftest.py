@@ -35,7 +35,7 @@ from .groups import (
     rat1,
     segment_compare,
 )
-from .kahler import ideal_inclusion_check, alpha_beta_segments
+from .kahler import ideal_inclusion_check
 from .keyseq import NormalizedSequence
 from .poly import Poly, derivative, q_expand
 
@@ -355,8 +355,7 @@ def suite_beta_inclusion(rng, instances) -> SuiteResult:
         except Exception as exc:  # noqa: BLE001
             failures.append(f"#{k}: {type(exc).__name__}: {exc}")
             continue
-        alpha_seg, beta_seg = alpha_beta_segments(stream)
-        rel = segment_compare(beta_seg, alpha_seg)
+        rel = segment_compare(stream.beta_segment, stream.alpha_segment)
         if rel not in (SegmentRelation.EQUAL, SegmentRelation.B_CONTAINS_A):
             failures.append(f"#{k}: beta escapes alpha ({rel})")
     return SuiteResult("beta_inside_alpha", instances, failures)

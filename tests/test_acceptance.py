@@ -16,7 +16,6 @@ from valkit.errors import HypothesisViolatedError
 from valkit.groups import CanonicalSegment, rat1
 from valkit.kahler import (
     VerdictKind,
-    alpha_beta_segments,
     b_set,
     classify,
     omega_verdict,
@@ -112,7 +111,7 @@ def test_criterion_4_finite_cases_against_golden():
         assert v_cls.witness["min_alpha"] == "0/1"
         assert v_cls.witness["beta_tilde_i"] == "0/1"
         assert omega_verdict(stream).kind is VerdictKind.OMEGA_ZERO
-        alpha_seg, beta_seg = alpha_beta_segments(stream)
+        alpha_seg, beta_seg = stream.alpha_segment, stream.beta_segment
         assert alpha_seg == CanonicalSegment("closed", rat1(0)) == beta_seg
 
         # -- immediate Hensel x^2 + x + 2 over the 2-adics ------------------
@@ -122,7 +121,7 @@ def test_criterion_4_finite_cases_against_golden():
         assert [r.nu_key for r in stream.records] == [rat1(v) for _, v in golden]
         assert [r.alpha for r in stream.records] == [rat1(-v) for _, v in golden]
         assert [r.beta for r in stream.records] == [rat1(-v) for _, v in golden]
-        alpha_seg, beta_seg = alpha_beta_segments(stream)
+        alpha_seg, beta_seg = stream.alpha_segment, stream.beta_segment
         assert alpha_seg.kind == "whole" and beta_seg.kind == "whole"
         v_cls = classify(stream)
         assert v_cls.kind is VerdictKind.OMEGA_ZERO and v_cls.case == "ii"

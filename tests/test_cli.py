@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import valkit
 from valkit.cli import (
+    SCENARIOS,
     ScenarioConfig,
+    _ALLOWED_KEYS,
     emit_config,
     main,
     parse_config,
@@ -157,6 +159,33 @@ class TestReports:
         assert report["status"] == "decisive" and report["exit_code"] == 0
         assert report["verdicts"]["b1"]["b1"] is True
         assert report["laws"]["stage0.nu_key"]["ratio"] == 7
+
+    @pytest.mark.xfail(strict=True, reason="inclusion_check reports true whatever ran")
+    def test_undecided_segments_leave_the_inclusion_check_unconfirmed(self):
+        # Neither segment is decided, so the segment comparison never ran.
+        cfg = parse_config_dict({
+            "scenario": "kummer-schedule", "p": 3, "vp": "1",
+            "schedule": ["1/7", "1/5", "1/4", "3/10"], "format": "structured",
+        })
+        report = run(cfg)
+        assert report["exit_code"] == 2
+        assert report["alpha_segment"] == report["beta_segment"] == {"kind": "undecided"}
+        assert report["inclusion_check"] is not True
+
+    @pytest.mark.xfail(strict=True, reason="a law fitted on a finite schedule reports verified")
+    def test_finite_schedule_laws_are_not_verified_past_the_data(self):
+        # Eight listed values 1/6 - 7^-n: a law on them extrapolates an
+        # infinite tail the schedule does not contain.
+        schedule = [str(Fraction(1, 6) - Fraction(1, 7**n)) for n in range(1, 9)]
+        cfg = parse_config_dict(
+            {"scenario": "kummer-schedule", "p": 7, "vp": "1", "schedule": schedule}
+        )
+        report = run(cfg)
+        assert report["exit_code"] == 0
+        assert not any(
+            law.get("verified") is True and not law.get("extrapolated")
+            for law in report["laws"].values()
+        )
 
     def test_error_embedded_with_failure_status(self):
         cfg = ScenarioConfig(scenario="hensel-immediate", p=2, g=("1", "1", "1"), start=0)
@@ -557,6 +586,20 @@ class TestMain:
     def test_two_terms_decide(self, scenario, capsys):
         assert main(["scenario", scenario, "--terms", "2", "--window", "2"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv", [["scenario", "nope"], ["scenario", "unramified", "--p", "x"], []]
+    )
+    def test_malformed_command_line_exit_four(self, argv, capsys):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert "usage: valkit" in captured.err and "error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["scenario", "-h"]])
+    def test_help_exit_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage: valkit" in capsys.readouterr().out
+
     def test_selftest_subcommand(self, capsys):
         code = main(["selftest", "--instances", "5", "--seed", "1"])
         out = capsys.readouterr().out
@@ -742,3 +785,114 @@ class TestGeneratedConfigs:
             # A config the parser accepted never fails as a config later.
             report = json.loads(out.getvalue())
             assert "ConfigError" not in (report["error"] or "")
+
+
+# The front door over arbitrary input: command lines built from the real
+# flags, small integers and junk, and JSON documents of any shape whose
+# keys and leaves are often the config's own.  Integers stay small so that
+# every run is bounded.
+_plausible = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from(["-1", "1/2", "-1/2", "-1/3", "1/3", "structured", "text"]),
+)
+# Values each config key accepts, so that many documents reach a run.
+_VALID = {
+    "p": [2, 3, 5, 7], "terms": [2, 4, 8], "window": [2, 3], "budget": [16, 64],
+    "format": ["text", "structured"], "va": ["-1", "-1/2"], "vp": ["1", "1/2"],
+    "gamma": ["1/4", "1/3"], "scale": ["1", "2"], "g": [["2", "1", "1"], ["1", "1", "1"]],
+    "start": [0, 1], "schedule": [["1/7", "1/5", "1/4", "3/10"]], "backend": ["padic", "hahn"],
+    "stages": [[{"poly": ["0", "1"]}], [{"family": "hensel_lift"}]],
+    "oracle": ["resultant", "stabilization"],
+}
+_OPTIONS = ["p", "va", "vp", "gamma", "scale", "terms", "window", "budget", "g", "start", "format"]
+
+
+def _argv_value(flag):
+    valid = [",".join(v) if isinstance(v, list) else str(v) for v in _VALID[flag]]
+    return st.one_of(st.sampled_from(valid), _plausible.map(str)).map(
+        lambda value: f"--{flag}={value}"
+    )
+
+
+_argv_tokens = st.one_of(
+    st.sampled_from([
+        "run", "scenario", "selftest", *SCENARIOS, *(f"--{flag}" for flag in _OPTIONS),
+        "--seed", "--instances", "-h", "--help", "--", "2,1,1", "-1/3,1",
+    ]),
+    _plausible.map(str),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz-=,._ ", max_size=8),
+)
+_argvs = st.one_of(
+    st.lists(_argv_tokens, max_size=8),
+    st.sampled_from(SCENARIOS).flatmap(
+        lambda scenario: st.lists(
+            st.sampled_from([f for f in _OPTIONS if f in _ALLOWED_KEYS[scenario]]).flatmap(
+                _argv_value
+            ),
+            max_size=4,
+        ).map(lambda options: ["scenario", scenario, *options])
+    ),
+)
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    _plausible,
+    st.sampled_from([*SCENARIOS, "padic", "hahn", "hensel_lift", "artin_schreier", "1*t^(-1)"]),
+)
+_json_keys = st.one_of(st.sampled_from([*_VALID, "scenario", "poly", "family"]), st.text(max_size=4))
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_json_keys, children, max_size=6),
+    max_leaves=20,
+)
+# A scenario with some of its own keys, each holding a value the key
+# accepts or any document.
+_json_configs = st.sampled_from(SCENARIOS).flatmap(
+    lambda scenario: st.fixed_dictionaries(
+        {"scenario": st.just(scenario)},
+        optional={
+            key: st.one_of(st.sampled_from(_VALID[key]), _json_docs)
+            for key in sorted(_ALLOWED_KEYS[scenario] - {"scenario"})
+        },
+    )
+)
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFrontDoor:
+    @settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argvs)
+    def test_every_command_line_ends_in_an_exit_code(self, argv):
+        if "selftest" in argv:
+            argv = [*argv, "--instances", "2"]  # the default of 200 takes seconds
+        code, _, err = _main_output(argv)
+        assert code in (0, 2, 3, 4)
+        if not argv or (argv[0] not in ("run", "scenario", "selftest") and argv[0][:1] != "-"):
+            assert code == 4  # no subcommand
+        if "usage:" in err:
+            assert code == 4  # argparse rejected the command line
+        if code == 4:
+            assert "usage:" in err or "configuration error" in err
+
+    @settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(_json_docs, _json_configs))
+    def test_every_json_document_ends_in_an_exit_code(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code, _, err = _main_output(["run", path])
+        assert code in (0, 2, 3, 4)
+        if code == 4:
+            assert "configuration error" in err
+        else:
+            assert isinstance(doc, dict)

@@ -5,9 +5,11 @@ must regenerate these files; an unintentional byte difference is a
 regression.
 """
 import pathlib
+from collections import Counter
 
 import pytest
 
+from valkit import kahler
 from valkit.cli import parse_config_dict, render_structured, run
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -38,3 +40,19 @@ def test_golden_report(name):
     for law in report["laws"].values():
         if "ratio" in law:
             assert law["ratio"] == report["scenario"]["p"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_segments_computed_once_per_run(name, monkeypatch):
+    # The inclusion check, the criteria and the report share the stream's
+    # alpha and beta segments.
+    columns = Counter()
+    column_segment = kahler.column_segment
+
+    def counted(stream, column):
+        columns[column] += 1
+        return column_segment(stream, column)
+
+    monkeypatch.setattr(kahler, "column_segment", counted)
+    run(parse_config_dict(CASES[name]))
+    assert columns["alpha"] == columns["beta"] == 1

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from valkit import kahler
 from valkit.cli import parse_config_dict, build_stream
-from valkit.errors import HypothesisViolatedError, ScenarioDataError
+from valkit.errors import HypothesisViolatedError, InconclusiveError, ScenarioDataError
 from valkit.groups import (
     CanonicalSegment,
     ClosedForm,
@@ -37,7 +37,6 @@ from valkit.kahler import (
     _instability_cut,
     _least_line,
     _wlim_branch,
-    alpha_beta_segments,
     b_set,
     cut_contains_eventually,
     classify,
@@ -240,16 +239,16 @@ class TestSequenceChecks:
 
 class TestSegments:
     def test_artin_schreier_open_at_zero(self):
-        alpha_seg, beta_seg = alpha_beta_segments(AS2)
+        alpha_seg, beta_seg = AS2.alpha_segment, AS2.beta_segment
         assert alpha_seg.kind == "open" and alpha_seg.point == rat1(0)
         assert segment_compare(alpha_seg, beta_seg) is SegmentRelation.EQUAL
 
     def test_unramified_min_closed_zero(self):
-        alpha_seg, beta_seg = alpha_beta_segments(UNRAMIFIED)
+        alpha_seg, beta_seg = UNRAMIFIED.alpha_segment, UNRAMIFIED.beta_segment
         assert alpha_seg == CanonicalSegment("closed", rat1(0)) == beta_seg
 
     def test_hensel_whole_group(self):
-        alpha_seg, beta_seg = alpha_beta_segments(HENSEL)
+        alpha_seg, beta_seg = HENSEL.alpha_segment, HENSEL.beta_segment
         assert alpha_seg.kind == "whole"
         assert beta_seg.kind == "whole"
 
@@ -394,17 +393,27 @@ class TestClassifyMinCase:
 
 class TestFirstMinimizingPlateau:
     def test_artin_schreier_degree_one(self):
-        stage_pos, cert = first_minimizing_plateau(AS2, column_segment(AS2, "alpha"))
+        stage_pos, cert = first_minimizing_plateau(AS2)
         assert stage_pos == 0
         assert cert == 1  # strictly decreasing from the first record
 
     def test_hensel_degree_one(self):
-        stage_pos, _ = first_minimizing_plateau(HENSEL, column_segment(HENSEL, "alpha"))
+        stage_pos, _ = first_minimizing_plateau(HENSEL)
         assert stage_pos == 0
 
     def test_no_plateau_rejected(self):
         with pytest.raises(HypothesisViolatedError):
-            first_minimizing_plateau(UNRAMIFIED, column_segment(UNRAMIFIED, "alpha"))
+            first_minimizing_plateau(UNRAMIFIED)
+
+    def test_undecided_alpha_segment_is_inconclusive(self):
+        # four schedule values are too few for a law
+        cfg = parse_config_dict(
+            {"scenario": "kummer-schedule", "p": 3, "schedule": ["1/7", "1/5", "1/4", "3/10"]}
+        )
+        stream = build_stream(cfg)
+        assert stream.alpha_segment is None
+        with pytest.raises(InconclusiveError, match="alpha segment undecidable"):
+            first_minimizing_plateau(stream)
 
 
 class TestBSet:
@@ -484,7 +493,7 @@ class TestCriterionAgreement:
 class TestMinimizingPlateauMonotonicity:
     @pytest.mark.parametrize("stream", [AS2, AS3, HENSEL])
     def test_alpha_strictly_decreasing_beyond_certificate(self, stream):
-        stage_pos, cert = first_minimizing_plateau(stream, column_segment(stream, "alpha"))
+        stage_pos, cert = first_minimizing_plateau(stream)
         block = stream.blocks[stage_pos]
         values = block.values("alpha")
         assert len(values) >= 8
@@ -816,7 +825,7 @@ class TestCutContainsEventually:
 
 
 def _former_inclusion_check(stream):
-    alpha_seg, beta_seg = alpha_beta_segments(stream)
+    alpha_seg, beta_seg = stream.alpha_segment, stream.beta_segment
     if alpha_seg is not None and beta_seg is not None:
         rel = segment_compare(beta_seg, alpha_seg)
         if rel not in (SegmentRelation.EQUAL, SegmentRelation.B_CONTAINS_A):
