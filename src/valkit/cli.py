@@ -139,8 +139,9 @@ def _is_prime(n: int) -> bool:
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _coefficients(raw, field: str, backend: str, p: int) -> tuple[str, ...]:
-    """A coefficient list, constant first, every entry checked for its backend."""
+def _coefficients(raw, field: str, backend: str, p: int, what="the support polynomial"):
+    """A monic polynomial of degree >= 1 once trailing zeros are dropped,
+    constant first, every entry checked for its backend."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError("must be a nonempty JSON list of coefficients", field)
     for c in raw:
@@ -153,15 +154,21 @@ def _coefficients(raw, field: str, backend: str, p: int) -> tuple[str, ...]:
             parse_hahn(str(c), p)
         except ValkitError as exc:
             raise ConfigError(str(exc), field) from None
-    return tuple(str(c) for c in raw)
+    coeffs = tuple(str(c) for c in raw)
+    # A polynomial spelled with a top "1", the common case, needs no parse.
+    if coeffs[-1] != "1" or len(coeffs) < 2:
+        over = Backend(backend, p)
+        poly = Poly.make(over, [over.parse(c) for c in coeffs])
+        if poly.degree < 1 or not poly.is_monic():
+            raise ConfigError(f"{what} must be monic of degree >= 1", field)
+    return coeffs
 
 
 def _check_stage(st, backend: str, p: int) -> None:
     """A custom stage: exactly one of `poly` or a known `family`.
 
-    A `poly` is a key: monic of degree >= 1 once trailing zeros are dropped.
-    `va` goes only on an artin_schreier stage and `start` only on a
-    hensel_lift stage.
+    A `poly` is a key, monic of degree >= 1.  `va` goes only on an
+    artin_schreier stage and `start` only on a hensel_lift stage.
     """
     if not isinstance(st, dict) or set(st) - {"poly", "family", "va", "start"}:
         raise ConfigError("bad stage entry", "stages")
@@ -171,13 +178,7 @@ def _check_stage(st, backend: str, p: int) -> None:
     if "poly" not in st and not (isinstance(family, str) and family in _FAMILY_BACKEND):
         raise ConfigError("stage needs 'poly' or a known 'family'", "stages")
     if "poly" in st:
-        coeffs = _coefficients(st["poly"], "stages", backend, p)
-        # A key spelled with a top "1", the common case, needs no parse.
-        if coeffs[-1] != "1" or len(coeffs) < 2:
-            over = Backend(backend, p)
-            key = Poly.make(over, [over.parse(c) for c in coeffs])
-            if key.degree < 1 or not key.is_monic():
-                raise ConfigError("an explicit key must be monic of degree >= 1", "stages")
+        _coefficients(st["poly"], "stages", backend, p, "an explicit key")
     elif backend != _FAMILY_BACKEND[family]:
         raise ConfigError(f"family {family!r} needs backend {_FAMILY_BACKEND[family]!r}", "stages")
     if "va" in st:
@@ -204,8 +205,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     p = _int_at_least(data.get("p", _default_p(scenario)), "p", 2)
     if not (p < _PRIME_BOUND and _is_prime(p)):
         raise ConfigError(f"p must be prime and below {_PRIME_BOUND}", "p")
-    # One term or a window of one cannot tell a law or a stable value apart
-    # from a coincidence.
+    # One term cannot tell a law apart from a coincidence; `window` is
+    # validated and reported, and decides no value.
     cfg = ScenarioConfig(
         scenario=scenario,
         p=p,
@@ -214,7 +215,6 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         budget=_int_at_least(data.get("budget", 64), "budget", 1),
         fmt=data.get("format", "text"),
     )
-    # A window longer than the budget can never fill.
     if cfg.budget < cfg.window:
         raise ConfigError(f"must be at least the window ({cfg.window})", "budget")
     if cfg.fmt not in ("text", "structured"):
@@ -272,11 +272,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             stages=tuple(stages),
             oracle=data["oracle"],
         )
-    # The stabilization oracle values the n-th key x - a_n of its family by
-    # evaluating it at a_1, a_2, ...: the values at a_m for m < n increase
-    # strictly and a_n is a root, so the first window of equal values ends
-    # at a_(n + window).  Every materialized term must fit the budget, and
-    # with terms > budget - window one never can.
+    # The certified oracle values the n-th key of its family at member
+    # n + 1, and `window` decides no value.  The bound below is the former
+    # windowed rule's; it stays so that no input changes its exit code.
     stabilized = scenario in ("artin-schreier", "hensel-immediate") or cfg.oracle == "stabilization"
     if stabilized and cfg.terms > cfg.budget - cfg.window:
         raise ConfigError(
@@ -350,7 +348,7 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
     if cfg.oracle == "resultant" or family is None:
         nu = NuOracle.from_resultant(g)
     else:
-        nu = NuOracle.stabilization(g, family.center, window=cfg.window, budget=cfg.budget)
+        nu = NuOracle.stabilization(g, family, budget=cfg.budget)
     ks = KeySequence(tuple(stages), g, cfg.p, backend)
     return invariant_stream(ks, nu, cfg.terms)
 

@@ -26,7 +26,7 @@ class NonMonicBaseError(ValkitError):
 
 
 class StabilizationBudgetExceededError(ValkitError):
-    """The evaluation window never stabilized within the probe budget."""
+    """No family member up to the budget certified the value; `trace` has those evaluated."""
 
     def __init__(self, message, trace=()):
         super().__init__(message)

@@ -58,10 +58,11 @@ class PlateauFamily:
     `center_fn(n, prev)` builds center n from center n - 1 (`prev`, `None`
     for n = 1).  Centers are made in order and memoized here, the family's
     one memo, under a lock so concurrent first access yields identical
-    terms.  `divergence_bound` (optional) certifies, by
-    construction, that the key value at term n is at least `bound(n)` with
-    unbounded bounds; scenario builders set it only when the generator
-    really guarantees it.
+    terms.  Scenario builders set two certificates only when the generator
+    guarantees them: `precision(m)`, a lower bound on v(eta - center(m))
+    for the limit eta, read once center m is built (the stabilization
+    oracle needs it), and `divergence_bound(n)`, an unbounded lower bound
+    on the key value at term n.
     """
 
     degree = 1
@@ -70,11 +71,13 @@ class PlateauFamily:
         self,
         backend: Backend,
         center_fn: Callable[[int, FieldElem | None], FieldElem],
+        precision: Callable[[int], int | Fraction] | None = None,
         divergence_bound: Callable[[int], GroupElem] | None = None,
         budget: int = FAMILY_BUDGET,
     ):
         self.backend = backend
         self._center_fn = center_fn
+        self.precision = precision
         self.divergence_bound = divergence_bound
         self.budget = budget
         self._centers: list[FieldElem] = []
@@ -94,6 +97,10 @@ class PlateauFamily:
                 prev = centers[-1] if centers else None
                 centers.append(self._center_fn(len(centers) + 1, prev))
             return centers[n - 1]
+
+    @property
+    def materialized(self) -> int:  # centers built: the last costs no lift
+        return len(self._centers)
 
     def poly(self, n: int) -> Poly:
         c = self.center(n)
@@ -315,15 +322,18 @@ def artin_schreier_family(backend: Backend, a: HahnElem, budget: int = FAMILY_BU
     Term n = 1 is the key x itself (s_1 = 0).  Each center is the one before
     plus one root, s_n = s_{n-1} + a**(1/p**(n-1)), so a center costs one
     merge; the family memoizes them in order.  The n-th key value is
-    v(a)/p**n, read off later family members, never assumed.
+    v(a)/p**n, read off later family members, never assumed.  The limit
+    differs from s_m by sum_{i>=m} a**(1/p**i), whose first term has the
+    least value as v(a) < 0: v(eta - s_m) = v(a)/p**m exactly.
     """
+    va = Fraction(a.order())
 
     def center(n: int, prev: FieldElem | None) -> FieldElem:
         if n == 1:
             return backend.zero()
         return prev + a.frobenius_root(n - 1)
 
-    return PlateauFamily(backend, center, budget=budget)
+    return PlateauFamily(backend, center, precision=lambda m: va / backend.p**m, budget=budget)
 
 
 def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BUDGET) -> PlateauFamily:
@@ -337,7 +347,9 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     digit, so the value of g at the n-th center is at least n and strictly
     increasing.  A lift reads the previous center a from the family; with
     v = v(g(a)), g(a + t*p^v) = g(a) + g'(start)*t*p^v mod p^(v+1) fixes the
-    digit t, and one more Horner evaluation checks the gain.
+    digit t, and one more Horner evaluation checks the gain.  That value is
+    the precision certificate: g(a) = (a - eta) h(a) with h(a) = g'(start)
+    mod p a unit, so v(eta - a_m) = v(g(a_m)) exactly.
     """
     p = backend.p
     for c in g.coeffs:
@@ -350,7 +362,8 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
             raise ScenarioDataError("the family hit an exact rational root of g")
         return value, _padic_order(value, p)
 
-    if g_at(start)[1] < 1:
+    orders = [g_at(start)[1]]  # v(g(a_m)), appended as each center is built
+    if orders[0] < 1:
         raise ScenarioDataError("start is not a residue root")
     gp = derivative(g).eval(backend.from_int(start))
     if gp.is_zero() or _padic_order(gp.value, p) != 0:
@@ -363,12 +376,14 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
         value, va = g_at(a)
         u = Fraction(value, p**va) / gp.value  # a p-adic unit; the digit is -u mod p
         cand = a + (-u.numerator * pow(u.denominator, -1, p) % p) * p**va
-        if g_at(cand)[1] <= va:
+        vg = g_at(cand)[1]
+        if vg <= va:
             raise ScenarioDataError("lift step found no gaining digit")
+        orders.append(vg)
         return backend.from_int(cand)
 
     def bound(n: int) -> GroupElem:
         return rat1(n)
 
-    return PlateauFamily(backend, center, divergence_bound=bound, budget=budget)
+    return PlateauFamily(backend, center, lambda m: orders[m - 1], bound, budget)
 

@@ -7,14 +7,16 @@ polynomials of degree below deg(g), passed to the constructor as
 
 * `from_resultant` values f by the norm of f(eta), the determinant of
   multiplication by f modulo g (valid when the valuation extends uniquely);
-* `stabilization` evaluates f_0 along a pseudo-convergent approximation
-  family and returns the value once a window of consecutive evaluations
-  agrees.  For deg(f_0) < deg(g) the evaluations are eventually constant
-  because g has the least degree among unstable polynomials; the window
-  guards against accidental early agreement.  The loop compares raw orders
-  (`order()`) and builds one `ExtValue`, for the value it returns.  The
-  n-th plateau key x - a_n costs n + window family evaluations, so the keys
-  up to a budget cost quadratically many between them.
+* `stabilization` evaluates f_0 at the members a_m of a plateau family
+  converging to a root eta of g, and returns v(f_0(a_m)) at the first
+  member where a certificate proves it equals v(f_0(eta)).  By Taylor,
+  f_0(eta) = sum_i f_0[i](a_m) (eta - a_m)^i; with P_m the family's proven
+  lower bound on v(eta - a_m), the constant term decides once its value is
+  below every other term's lower bound (the ultrametric argument behind
+  Kaplansky's lemma on pseudo-Cauchy sequences).  Any first member is
+  sound, so the walk starts at the family's last built center: the key
+  x - a_n costs at most two evaluations, at a_n (an exact zero, skipped)
+  and a_(n+1).  The loop compares raw orders and builds one `ExtValue`.
 
 `term_values` is the one place that values the slots of a q-expansion,
 nu(f_j) + j * nu(q); `nu_q`, the truncation at a monic base q, is their
@@ -34,11 +36,10 @@ from .errors import (
     StabilizationBudgetExceededError,
     ValkitError,
 )
-from .fields import FieldElem, valuation
+from .fields import valuation
 from .groups import ExtValue, min_value, rat1
 from .poly import Poly, QExpansion, q_expand
 
-DEFAULT_WINDOW = 3
 DEFAULT_BUDGET = 64
 
 
@@ -76,14 +77,28 @@ class NuOracle:
         return NuOracle(g, fn)
 
     @staticmethod
-    def stabilization(
-        g: Poly,
-        family: Callable[[int], FieldElem],
-        window: int = DEFAULT_WINDOW,
-        budget: int = DEFAULT_BUDGET,
-    ) -> "NuOracle":
-        """Stabilization mode along the 1-based approximation family."""
-        return NuOracle(g, lambda f0: _stabilized_value(f0, family, window, budget))
+    def stabilization(g: Poly, family, budget: int = DEFAULT_BUDGET) -> "NuOracle":
+        """Certified stabilization along a `keyseq.PlateauFamily` whose
+        members converge to a root of g, up to member `budget`."""
+        if family.precision is None:
+            raise ValkitError("stabilization needs a family with a precision certificate")
+
+        def value(f0: Poly) -> ExtValue:
+            orders = [c.order() for c in f0.coeffs]
+            values = []
+            for m in range(min(max(family.materialized, 1), budget), budget + 1):
+                a = family.center(m)
+                values.append(f0.eval(a))
+                k = values[-1].order()
+                # An exact zero is transient: f0(eta) != 0 as deg f0 < deg g.
+                if k is not None and _certified(k, orders, a.order(), family.precision(m)):
+                    return ExtValue.of(rat1(k))
+            raise StabilizationBudgetExceededError(
+                f"no certified family member up to term {budget}",
+                trace=[valuation(v) for v in values],
+            )
+
+        return NuOracle(g, value)
 
     # -- the valuation ------------------------------------------------------
 
@@ -138,28 +153,17 @@ class NuOracle:
         return min_value(self.term_values(f, q).values())
 
 
-def _stabilized_value(
-    f0: Poly, family: Callable[[int], FieldElem], window: int, budget: int
-) -> ExtValue:
-    """v(f0(a_n)) once `window` consecutive family members agree on it."""
-    values: list[FieldElem] = []
-    run, run_len = None, 0
-    for n in range(1, budget + 1):
-        value = f0.eval(family(n))
-        values.append(value)
-        k = value.order()
-        if k is None:
-            # A transient exact zero (the family walked through a root of
-            # f0); it cannot persist since f0 is not a multiple of g.
-            run_len = 0
-            continue
-        if k == run:
-            run_len += 1
-        else:
-            run, run_len = k, 1
-        if run_len >= window:
-            return ExtValue.of(rat1(run))
-    raise StabilizationBudgetExceededError(
-        f"no stabilization window of {window} within {budget} terms",
-        trace=[valuation(v) for v in values],
-    )
+def _certified(k, orders: list, va, precision) -> bool:
+    """Whether k = v(f0(a)) is v(f0(eta)), given v(eta - a) >= precision.
+
+    `orders` are the coefficient orders of f0 and `va` that of a (None for
+    zero).  The i-th Taylor coefficient sum_{j>=i} binom(j, i) f_j a^(j-i)
+    has value at least min_j v(f_j) + (j - i) v(a), as binomials have value
+    >= 0; at a = 0 only j = i is left.  The bound is exact for linear f0.
+    """
+    for i in range(1, len(orders)):
+        slots = enumerate(orders[i:]) if va is not None else [(0, orders[i])]
+        bounds = [o + d * va if d else o for d, o in slots if o is not None]
+        if bounds and not k < min(bounds) + i * precision:
+            return False
+    return True

@@ -445,6 +445,29 @@ class TestMain:
         assert main(["run", str(path)]) == 4
         assert "an explicit key must be monic of degree >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "unramified", "--g", "1,2"],
+            ["scenario", "unramified", "--g", "5"],
+            ["scenario", "hensel-immediate", "--g", "2,1,3"],
+            ["scenario", "unramified", "--p", "3", "--g", "1,1,3"],
+        ],
+    )
+    def test_constant_or_non_monic_g_exit_four(self, argv, capsys):
+        assert main(argv) == 4
+        assert "g: the support polynomial must be monic of degree >= 1" in capsys.readouterr().err
+
+    def test_constant_or_non_monic_custom_g_exit_four(self, tmp_path, capsys):
+        for backend, p, g in (("padic", 2, ["1/2", "3"]), ("hahn", 3, ["1", "1", "2"])):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({
+                "scenario": "custom", "backend": backend, "p": p, "g": g,
+                "stages": [{"poly": ["0", "1"]}], "oracle": "resultant",
+            }))
+            assert main(["run", str(path)]) == 4
+            assert "g: the support polynomial must be monic" in capsys.readouterr().err
+
     def test_monic_stage_after_trailing_zeros_accepted(self):
         for backend, stage in (("padic", ["1", "1", "0"]), ("hahn", ["1", "1", "3"])):
             cfg = parse_config_dict({
@@ -635,6 +658,20 @@ class TestBudgetsBoundWork:
         wide = report(window)
         assert wide["exit_code"] == 0
         assert wide == report(3)
+
+    @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate"])
+    def test_window_decides_no_value(self, scenario):
+        # Close to the budget, where the fits reach the last family members
+        # a stabilization may use: the window is only reported.
+        def report(w):
+            data = {"scenario": scenario, "terms": 3, "budget": 9, "window": w}
+            out = run(parse_config_dict(data))
+            assert out["scenario"].pop("window") == w
+            return out
+
+        first = report(2)
+        assert first["exit_code"] == 0
+        assert all(report(w) == first for w in range(3, 7))
 
     @pytest.mark.parametrize("terms, budget", [(5200, None), (200, 16)])
     def test_closed_form_schedule_stops_at_the_budget(self, terms, budget):

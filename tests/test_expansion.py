@@ -34,7 +34,7 @@ def as_sequence(p):
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
     ks = KeySequence((family,), g, p, backend)
-    nu = NuOracle.stabilization(g, family.center)
+    nu = NuOracle.stabilization(g, family)
     return ks, nu
 
 

@@ -223,7 +223,7 @@ class TestSequenceChecks:
         lifts = hensel_family(backend, g, 0)
         stalling = PlateauFamily(backend, lambda n, prev: lifts.center(min(n, 6)))
         ks = KeySequence((stalling,), g, 2, backend)
-        nu = NuOracle.stabilization(g, lifts.center)
+        nu = NuOracle.stabilization(g, lifts)
         with pytest.raises(ScenarioDataError, match="plateau key values must increase strictly"):
             invariant_stream(ks, nu, terms=8)
 

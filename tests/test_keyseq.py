@@ -34,7 +34,7 @@ def as_sequence(p):
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
     ks = KeySequence((family,), g, p, backend)
-    nu = NuOracle.stabilization(g, family.center)
+    nu = NuOracle.stabilization(g, family)
     return ks, nu
 
 
@@ -51,7 +51,7 @@ def hensel_sequence():
     g = Poly.from_ints(backend, [2, 1, 1])
     family = hensel_family(backend, g, 0)
     ks = KeySequence((family,), g, 2, backend)
-    nu = NuOracle.stabilization(g, family.center)
+    nu = NuOracle.stabilization(g, family)
     return ks, nu
 
 

@@ -1,8 +1,11 @@
 """The support valuation and its truncations, in both oracle modes."""
+import importlib.util
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,9 +14,31 @@ from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
 from valkit.fields import Backend, PAdicRational, valuation
 from valkit.groups import ExtValue, rat1
-from valkit.keyseq import artin_schreier_family, hensel_family
+from valkit.keyseq import PlateauFamily, artin_schreier_family, hensel_family
 from valkit.poly import Poly, derivative, q_expand
 from valkit.truncation import NuOracle
+
+
+def windowed_value(f0, family, window, budget):
+    """The windowed rule the certified oracle replaced, kept as a reference:
+    v(f0(a_n)) once `window` consecutive family members agree on it, an
+    exact zero breaking the run.  No proof backs it."""
+    run, run_len = None, 0
+    for n in range(1, budget + 1):
+        k = f0.eval(family.center(n)).order()
+        if k is None:
+            run_len = 0
+        elif k == run:
+            run_len += 1
+        else:
+            run, run_len = k, 1
+        if run_len >= window:
+            return ExtValue.of(rat1(run))
+    raise StabilizationBudgetExceededError(f"no window of {window} within {budget} terms")
+
+
+def windowed_oracle(g, family, window=3, budget=64):
+    return NuOracle(g, lambda f0: windowed_value(f0, family, window, budget))
 
 
 def as_setup(p):
@@ -22,7 +47,7 @@ def as_setup(p):
     coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
-    nu = NuOracle.stabilization(g, family.center)
+    nu = NuOracle.stabilization(g, family)
     return backend, g, family, nu
 
 
@@ -43,28 +68,66 @@ class TestNu:
             q = family.poly(n)
             assert nu.nu(q) == ExtValue.of(rat1(Fraction(-1, p**n)))
 
-    def test_window_outlasts_early_agreement_and_transient_zero(self):
-        backend = Backend("padic", 3)
-        g = Poly.from_ints(backend, [-3, 0, 1])
-        # nu(x) along these points: two agreeing orders, an exact zero that
-        # breaks the run, then the stable order 4
-        orders = [1, 1, None, 1, 4, 4, 4]
-        points = [backend.zero() if k is None else backend.from_int(3**k) for k in orders]
-        nu = NuOracle.stabilization(g, lambda n: points[n - 1], window=3, budget=len(points))
-        assert nu.nu(Poly.x(backend)) == ExtValue.of(rat1(4))
+    def test_certificate_outlasts_early_agreement_and_transient_zero(self):
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [2, 1, 1])  # its root eta = 0 mod 2 has v(eta) = 1
+        # nu(x) along these points: the order 3, an exact zero, the order 3
+        # three times, then the true order 1.  Every point is even, so
+        # v(eta - a) = v(g(a)) is an honest precision certificate.
+        points = [backend.from_int(a) for a in (8, 0, 8, 8, 8, 2)]
+        family = PlateauFamily(
+            backend,
+            lambda n, prev: points[n - 1],
+            precision=lambda m: g.eval(points[m - 1]).order(),
+            budget=len(points),
+        )
+        x = Poly.x(backend)
+        with pytest.raises(StabilizationBudgetExceededError):
+            NuOracle.stabilization(g, family, budget=5).nu(x)
+        assert NuOracle.stabilization(g, family, budget=6).nu(x) == ExtValue.of(rat1(1))
+        # the windowed rule stops at the first three agreeing orders
+        assert windowed_oracle(g, family, window=3, budget=6).nu(x) == ExtValue.of(rat1(3))
 
-    def test_budget_exceeded_carries_trace(self):
+    def test_budget_exceeded_carries_the_warm_started_trace(self):
         backend, g, family, _ = as_setup(2)
-        f0 = family.poly(4)
-        for budget in (2, 5):
-            nu = NuOracle.stabilization(g, family.center, window=3, budget=budget)
-            with pytest.raises(StabilizationBudgetExceededError) as exc:
-                nu.nu(f0)
-            trace = list(exc.value.trace)
-            terms = range(1, budget + 1)
-            assert trace == [valuation(f0.eval(family.center(n))) for n in terms]
-            # the family passes through the root of f0 at its fourth term
-            assert [v.is_infinite for v in trace] == [n == 4 for n in terms]
+        # x - s_6, built on a second family: `family` has its first two centers
+        f0 = artin_schreier_family(backend, backend.element_from_value(-1)).poly(6)
+        family.center(2)
+        with pytest.raises(StabilizationBudgetExceededError) as exc:
+            NuOracle.stabilization(g, family, budget=6).nu(f0)
+        # The walk starts at the last built center, a_2; v(s_m - s_6) = -1/2**m
+        # equals the precision v(eta - s_m) until a_6, the root of f0.
+        trace = list(exc.value.trace)
+        assert trace == [valuation(f0.eval(family.center(m))) for m in range(2, 7)]
+        assert [v.is_infinite for v in trace] == [False] * 4 + [True]
+        # One member more certifies v(eta - s_6) = -1/2**6.
+        nu = NuOracle.stabilization(g, family, budget=7)
+        assert nu.nu(f0) == ExtValue.of(rat1(Fraction(-1, 64)))
+
+    def test_taylor_bound_counts_the_higher_coefficients(self):
+        # f = x^2 - 1 near eta = 33, over 2-adics: at a = 9, v(f(a)) = 4 lies
+        # below 2 * v(eta - a) = 6, yet f(eta) = 32 * 34 has value 6.  The
+        # first Taylor coefficient 2a has no x-slot of f, only the x^2 one
+        # (value v(a) = 0), and its bound 0 + 3 is what refuses a = 9.
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [-33, 1]) * Poly.from_ints(backend, [1, 1, 1])
+        points = [backend.from_int(a) for a in (9, 17, 97, 289)]
+        family = PlateauFamily(
+            backend,
+            lambda n, prev: points[n - 1],
+            precision=lambda m: (backend.from_int(33) - points[m - 1]).order(),
+            budget=len(points),
+        )
+        f = Poly.from_ints(backend, [-1, 0, 1])
+        assert [f.eval(a).order() for a in points] == [4, 5, 6, 6]
+        assert NuOracle.stabilization(g, family, budget=4).nu(f) == ExtValue.of(rat1(6))
+
+    def test_family_without_certificate_refused(self):
+        backend = Backend("padic", 2)
+        g = Poly.from_ints(backend, [2, 1, 1])
+        bare = PlateauFamily(backend, lambda n, prev: backend.from_int(2**n))
+        with pytest.raises(ValkitError, match="precision certificate"):
+            NuOracle.stabilization(g, bare)
 
 
 class TestNuQ:
@@ -106,7 +169,7 @@ def hensel_setup():
     backend = Backend("padic", 2)
     g = Poly.from_ints(backend, [2, 1, 1])
     family = hensel_family(backend, g, 0)
-    nu = NuOracle.stabilization(g, family.center)
+    nu = NuOracle.stabilization(g, family)
     return backend, g, family, nu
 
 
@@ -185,7 +248,7 @@ class TestEvaluationAgreement:
     def test_stabilization_matches_evaluation_on_hensel_setups(self, case):
         backend, g, start, f = case
         family = hensel_family(backend, g, start)
-        stabilized = NuOracle.stabilization(g, family.center)
+        stabilized = NuOracle.stabilization(g, family)
         evaluated = NuOracle(g, value_fn=lambda h: hensel_eval_value(backend, g, h, start))
         assert stabilized.nu(f) == evaluated.nu(f), str(f)
 
@@ -213,6 +276,145 @@ class TestEvaluationAgreement:
         v = nu.nu(q4)
         assert not v.is_infinite
         assert v == valuation(family.center(7) - family.center(4))
+
+
+def pool_prefix(workload, seed, count=26):
+    """The first configs of a benchmark workload pool (two cycles)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return [inst.config for inst in sys.modules[name].generate(workload, seed, count)]
+
+
+def certified_against_windowed(data) -> int:
+    """Runs a config and checks every value its certified oracle computed
+    against the windowed reference on a fresh family; returns how many."""
+    cfg = cli.parse_config_dict(data)
+    made = []  # (oracle, budget) of each stabilization oracle the run builds
+    real = NuOracle.stabilization
+
+    def capture(g, family, budget=64):
+        made.append((real(g, family, budget), budget))
+        return made[-1][0]
+
+    with mock.patch.object(NuOracle, "stabilization", staticmethod(capture)):
+        cli.run(cfg)
+    checked = 0
+    for nu, budget in made:
+        _, g, stages = cli._field_scenario(cfg)
+        family = next(s for s in stages if isinstance(s, PlateauFamily))
+        reference = windowed_oracle(g, family, cfg.window, budget)
+        for f, value in list(nu._cache.items()):
+            try:
+                expected = reference.nu(f)
+            except StabilizationBudgetExceededError:
+                continue  # the window needs members past the budget
+            assert value == expected, f"{data}: {f}"
+            checked += 1
+    return checked
+
+
+@st.composite
+def custom_configs(draw, backend):
+    """A custom config with an explicit linear key x - c before its family:
+    a hensel lift of a monic integral g of degree 2 or 3 with no rational
+    root, at a simple residue root, or an Artin-Schreier family with its
+    g = x^p - x - t^va."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    if backend == "padic":
+        start = draw(st.integers(0, p - 1))
+        upper = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=2)) + [1]
+        c0 = -sum(c * start ** (i + 1) for i, c in enumerate(upper)) + p * draw(st.integers(-4, 4))
+        g = [c0] + upper
+        assume(sum(i * c * start ** (i - 1) for i, c in enumerate(g) if i) % p)
+        # no rational root, which is an integer dividing c0 as g is monic
+        roots = range(-abs(c0), abs(c0) + 1)
+        assume(c0 != 0 and all(sum(c * r**i for i, c in enumerate(g)) for r in roots))
+        key = [str(-draw(st.integers(-2 * p, 2 * p))), "1"]
+        family = {"family": "hensel_lift", "start": start}
+        g = [str(c) for c in g]
+    else:
+        va = -Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+        g = [f"{p - 1}*t^({va})", str(p - 1)] + ["0"] * (p - 2) + ["1"]
+        shift = Fraction(draw(st.integers(-9, 3)), draw(st.integers(1, 4)))
+        key = [f"{draw(st.integers(0, p - 1))}*t^({shift})", "1"]
+        family = {"family": "artin_schreier", "va": str(va)}
+    return {
+        "scenario": "custom", "backend": backend, "p": p, "g": g,
+        "stages": [{"poly": key}, family], "oracle": "stabilization",
+        "terms": draw(st.sampled_from([4, 8])),
+    }
+
+
+class TestCertifiedAgainstWindowed:
+    """The certified value is proven; the windowed rule it replaced is a
+    heuristic that agrees with it wherever the window fits the budget."""
+
+    @pytest.mark.parametrize(
+        "workload, seed",
+        [(w, s) for w in ("hahn-plateau", "padic-lift") for s in (1, 2)],
+    )
+    def test_pool_prefixes(self, workload, seed):
+        for data in pool_prefix(workload, seed):
+            assert certified_against_windowed(data) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(custom_configs("padic"))
+    def test_hensel_configs_with_a_key_before_the_family(self, data):
+        assert certified_against_windowed(data) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(custom_configs("hahn"))
+    def test_artin_schreier_configs_with_a_key_before_the_family(self, data):
+        assert certified_against_windowed(data) > 0
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param({"scenario": "hensel-immediate"}, id="hensel_immediate"),
+            pytest.param({"scenario": "artin-schreier", "p": 2, "va": "-1"}, id="artin_schreier_p2"),
+        ],
+    )
+    def test_a_materialized_key_costs_at_most_two_evaluations(self, data):
+        """Evaluations of the key itself; a lift may evaluate g to build a center."""
+        evals = Counter()
+        real_eval = Poly.eval
+
+        def counted(f, point):
+            evals[f] += 1
+            return real_eval(f, point)
+
+        keys = []  # (evaluations of the key, whether a later center was built)
+        real = NuOracle.stabilization
+
+        def counting(g, family, budget=64):
+            nu = real(g, family, budget)
+            value_fn = nu._value_fn
+
+            def value(f0):
+                built = family.materialized
+                centers = [family.center(n) for n in range(1, built + 1)]
+                before = evals[f0]
+                result = value_fn(f0)
+                if f0.is_monic() and f0.degree == 1 and -f0.coeff(0) in centers:
+                    n = centers.index(-f0.coeff(0)) + 1
+                    keys.append((evals[f0] - before, n < built))
+                return result
+
+            nu._value_fn = value
+            return nu
+
+        cfg = cli.parse_config_dict(data)
+        with mock.patch.object(NuOracle, "stabilization", staticmethod(counting)):
+            with mock.patch.object(Poly, "eval", counted):
+                cli.run(cfg)
+        assert len(keys) >= cfg.terms
+        assert all(cost <= 2 for cost, _ in keys)
+        # with a later center already built, one evaluation certifies
+        assert all(cost == 1 for cost, ahead in keys if ahead)
 
 
 class TestConcurrency:
