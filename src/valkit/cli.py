@@ -393,7 +393,7 @@ def _kummer_stage(cfg: ScenarioConfig) -> ScheduleStage:
     if cfg.schedule is not None:
         key_values = FiniteList(tuple(rat1(x) for x in cfg.schedule))
     else:
-        key_values = ClosedForm(rat1(-cfg.scale), rat1(cfg.gamma), p)
+        key_values = ClosedForm(-rat1(cfg.scale), rat1(cfg.gamma), p)
     g_laws = [CoefValueLaw(zero, p)]
     g_laws += [CoefValueLaw(vp, b) for b in range(1, p)]
     g_laws.append(CoefValueLaw(zero, p))

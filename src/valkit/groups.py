@@ -2,7 +2,9 @@
 
 Every value group valkit meets has rank 1: the integers for the p-adic
 backend, the rationals for Hahn series and value schedules.  An element
-wraps one `fractions.Fraction`.  On top of the element arithmetic this
+is a reduced integer pair num/den, added, scaled and compared by integer
+cross-multiplication and one gcd; `Fraction` is only the cold conversion
+in and out (`GroupElem.value`).  On top of the element arithmetic this
 module decides, always exactly and never by floating point or truncation
 guesswork:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptySequenceError, ScenarioDataError
@@ -43,74 +46,148 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _value(other) -> Fraction:
-    if not isinstance(other, GroupElem):
-        raise TypeError(f"expected GroupElem, got {other!r}")
-    return other.value
+def _mismatch(other) -> TypeError:
+    return TypeError(f"expected GroupElem, got {other!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class GroupElem:
-    """An element of the rational value group.
+    """An element of the rational value group: the reduced pair num/den.
 
-    Arithmetic and order take group elements only, never bare numbers, so
-    every value stays exact and prints as ``n/d``.
+    `num` and `den` are coprime integers with den > 0, so equal elements
+    have equal pairs.  Arithmetic and order take group elements only,
+    never bare numbers, so every value stays exact and prints as ``n/d``.
+    Immutable by convention, as `Fraction` is; `value` is the equal
+    `Fraction`.
     """
 
-    value: Fraction
+    __slots__ = ("num", "den")
+
+    def __init__(self, value):
+        """The element of an exact rational: an int, a Fraction or its string."""
+        if type(value) is not int:
+            value = _frac(value)
+        self.num = value.numerator
+        self.den = value.denominator
 
     @staticmethod
     def zero() -> "GroupElem":
         return _ZERO
 
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    def __eq__(self, other):
+        if type(other) is not GroupElem:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"GroupElem(Fraction({self.num}, {self.den}))"
+
     def __add__(self, other):
-        return GroupElem(self.value + _value(other))
+        if type(other) is not GroupElem:
+            raise _mismatch(other)
+        b, d = self.den, other.den
+        if b == d:
+            return _make(self.num + other.num, b)
+        return _make(self.num * d + other.num * b, b * d)
 
     def __sub__(self, other):
-        return GroupElem(self.value - _value(other))
+        if type(other) is not GroupElem:
+            raise _mismatch(other)
+        b, d = self.den, other.den
+        if b == d:
+            return _make(self.num - other.num, b)
+        return _make(self.num * d - other.num * b, b * d)
 
     def __neg__(self):
-        return GroupElem(-self.value)
+        return _make(-self.num, self.den)
 
     def scale(self, r) -> "GroupElem":
-        return GroupElem(_frac(r) * self.value)
+        """This element times the exact rational `r`: an int, a Fraction or its string."""
+        if type(r) is not int:
+            r = _frac(r)
+        return _make(self.num * r.numerator, self.den * r.denominator)
 
+    # With positive denominators, a/b < c/d exactly when a*d < c*b.
     def __lt__(self, other):
-        return self.value < _value(other)
+        if type(other) is not GroupElem:
+            raise _mismatch(other)
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other):
-        return self.value <= _value(other)
+        if type(other) is not GroupElem:
+            raise _mismatch(other)
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other):
-        return self.value > _value(other)
+        if type(other) is not GroupElem:
+            raise _mismatch(other)
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other):
-        return self.value >= _value(other)
+        if type(other) is not GroupElem:
+            raise _mismatch(other)
+        return self.num * other.den >= other.num * self.den
 
     def is_zero(self) -> bool:
-        return not self.value
+        return not self.num
 
     def __str__(self):
-        return format_rational(self.value)
+        return f"{self.num}/{self.den}"
 
 
-_ZERO = GroupElem(Fraction(0))
+_new = object.__new__
+
+
+def _make(num: int, den: int) -> GroupElem:
+    """The element num/den for den > 0, reduced by one gcd."""
+    g = gcd(num, den)
+    elem = _new(GroupElem)
+    if g == 1:
+        elem.num, elem.den = num, den
+    else:
+        elem.num, elem.den = num // g, den // g
+    return elem
+
+
+_ZERO = _make(0, 1)
 
 
 def rat1(x) -> GroupElem:
-    """The group element of an exact rational."""
-    return GroupElem(_frac(x))
+    """The group element of an exact rational: an int, a Fraction or its string."""
+    return GroupElem(x)
 
 
 def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
 class ExtValue:
-    """A group element or +infinity (the value of 0 and of the support)."""
+    """A group element or +infinity (the value of 0 and of the support).
 
-    finite: GroupElem | None = None
+    `finite` is None for infinity.  Immutable by convention, as `GroupElem`.
+    """
+
+    __slots__ = ("finite",)
+
+    def __init__(self, finite: GroupElem | None = None):
+        self.finite = finite
+
+    def __eq__(self, other):
+        if type(other) is not ExtValue:
+            return NotImplemented
+        return self.finite == other.finite
+
+    def __hash__(self):
+        return hash(self.finite)
+
+    def __repr__(self):
+        return f"ExtValue({self.finite!r})"
 
     @staticmethod
     def of(elem: GroupElem) -> "ExtValue":
@@ -218,7 +295,8 @@ class ClosedForm:
             raise ValueError("ratio base must be >= 2")
 
     def term(self, n: int) -> GroupElem:
-        return GroupElem(self.c.value / self.p**n + self.d.value)
+        c, d, q = self.c, self.d, self.p**n
+        return _make(c.num * d.den + d.num * c.den * q, c.den * d.den * q)
 
 
 @dataclass(frozen=True)
@@ -293,7 +371,8 @@ def fit_closed_form(
         if t0 is None or t1 is None:
             return None
         # t0 - t1 = c (1 - 1/p) / p**0  =>  c = (t0 - t1) * p/(p-1)
-        c = (t0 - t1).scale(Fraction(p, p - 1))
+        diff = t0 - t1
+        c = _make(diff.num * p, diff.den * (p - 1))
         law = ClosedForm(c, t0 - c, p)
         ok = True
         for k in range(_FIT_TERMS + _VERIFY_TERMS):
@@ -435,4 +514,4 @@ def wlim(gamma: GroupElem, law: ClosedForm, delta: int) -> bool:
     subgroup the terms must stabilize at `gamma` (c = 0) or decrease to it
     (c > 0); increasing terms never return to their minimal first coset.
     """
-    return bool(delta) or (law.c.value >= 0 and gamma == law.d)
+    return bool(delta) or (law.c.num >= 0 and gamma == law.d)

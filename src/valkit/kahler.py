@@ -204,8 +204,8 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     Field-backed stages read their values off the oracle; a `ScheduleStage`
     synthesizes them from its value laws (linear keys, so nu(Q') = 0): each
     truncation of g or g' is the least of the stage's reduced slot lines at
-    the key value, in plain `Fraction` arithmetic.  A sequence of schedules
-    alone comes with ``nu=None`` and its own nu(g').
+    the key value, on the value group's integer pairs with no `Fraction`.
+    A sequence of schedules alone comes with ``nu=None`` and its own nu(g').
     Each field-backed row checks that g is monic over its key, and each
     plateau or schedule block that its key values increase strictly before
     any fit.  Tails are laws fitted and re-verified on further exact rows,
@@ -230,8 +230,8 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         if isinstance(stage, ScheduleStage):
             nu_key = stage.key_value(index.term)
             nu_key_deriv = GroupElem.zero()
-            nu_i_g = _least_line(stage.g_lines, nu_key.value)
-            nu_i_gp = _least_line(stage.gprime_lines, nu_key.value)
+            nu_i_g = _least_line(stage.g_lines, nu_key)
+            nu_i_gp = _least_line(stage.gprime_lines, nu_key)
         else:
             q = ks.key_poly(index)
             # Checked before any value; nu_q(g, q) reads this expansion back.
@@ -302,14 +302,14 @@ def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | No
     return fit_closed_form(values, p, extend=None if limit <= len(values) else extend)
 
 
-def _least_line(lines: tuple[tuple[Fraction, int], ...], x: Fraction) -> GroupElem:
+def _least_line(lines: tuple[tuple[GroupElem, int], ...], x: GroupElem) -> GroupElem:
     """Least ``const + mult * x`` over a schedule's `slot_lines`.
 
     With no line left every slot vanishes, and the truncation is infinite.
     """
     if not lines:
         return ExtValue.infinity().expect_finite()
-    return GroupElem(min(c + m * x for c, m in lines))
+    return min(c + x.scale(m) for c, m in lines)
 
 
 def _apply_divergence_cert(records, tails, bound) -> dict[str, Tail | None]:

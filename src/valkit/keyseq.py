@@ -118,7 +118,7 @@ class CoefValueLaw:
     mult: int
 
 
-def slot_lines(laws: Sequence[CoefValueLaw]) -> tuple[tuple[Fraction, int], ...]:
+def slot_lines(laws: Sequence[CoefValueLaw]) -> tuple[tuple[GroupElem, int], ...]:
     """The lines ``(const, mult)`` whose least ``const + mult * x`` is the
     least slot value of `laws` at every key value x.
 
@@ -127,11 +127,11 @@ def slot_lines(laws: Sequence[CoefValueLaw]) -> tuple[tuple[Fraction, int], ...]
     its minimum over any set of mults lies at one of the two.  No line is
     left when every slot vanishes.
     """
-    mults: dict[Fraction, tuple[int, int]] = {}
+    mults: dict[GroupElem, tuple[int, int]] = {}
     for law in laws:
         if law.const is not None:
-            lo, hi = mults.get(law.const.value, (law.mult, law.mult))
-            mults[law.const.value] = (min(lo, law.mult), max(hi, law.mult))
+            lo, hi = mults.get(law.const, (law.mult, law.mult))
+            mults[law.const] = (min(lo, law.mult), max(hi, law.mult))
     return tuple((c, m) for c, (lo, hi) in mults.items() for m in {lo, hi})
 
 
@@ -159,11 +159,11 @@ class ScheduleStage:
         return self.key_values.term(n - 1)
 
     @functools.cached_property
-    def g_lines(self) -> tuple[tuple[Fraction, int], ...]:
+    def g_lines(self) -> tuple[tuple[GroupElem, int], ...]:
         return slot_lines(self.g_coef_laws)
 
     @functools.cached_property
-    def gprime_lines(self) -> tuple[tuple[Fraction, int], ...]:
+    def gprime_lines(self) -> tuple[tuple[GroupElem, int], ...]:
         return slot_lines(self.gprime_coef_laws)
 
 KeyStage = Poly | PlateauFamily | ScheduleStage

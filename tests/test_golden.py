@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from valkit import kahler
-from valkit.cli import parse_config_dict, render_structured, run
+from valkit.cli import build_stream, parse_config_dict, render_structured, run
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -56,3 +56,13 @@ def test_segments_computed_once_per_run(name, monkeypatch):
     monkeypatch.setattr(kahler, "column_segment", counted)
     run(parse_config_dict(CASES[name]))
     assert columns["alpha"] == columns["beta"] == 1
+
+
+def test_schedule_stream_without_fraction_arithmetic(fraction_ops):
+    # Key values, slot lines, rows and fits of a value schedule run on the
+    # value group's integer pairs; `Fraction` only parses the config.
+    cfg = parse_config_dict(CASES["kummer_p3_threshold"])
+    fraction_ops.clear()
+    stream = build_stream(cfg)
+    assert fraction_ops == Counter()
+    assert all(tail is not None for tail in stream.plateau.tails.values())

@@ -1,12 +1,14 @@
 """Value-group arithmetic, segments, isolated subgroups, weak limits."""
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from valkit.errors import EmptySequenceError
 from valkit.groups import (
+    PROBE_BUDGET,
     CanonicalSegment,
     ClosedForm,
     Diverging,
@@ -29,6 +31,32 @@ rationals = st.fractions(
 
 def elems():
     return rationals.map(GroupElem)
+
+
+# Numerators and denominators up to about 10**30, each pair scaled by a
+# common factor so that unreduced input such as 2/4 is common.
+_BIG = 10**30
+wide_pairs = st.builds(
+    lambda n, d, k: (n * k, d * k),
+    st.integers(-_BIG, _BIG),
+    st.integers(1, _BIG),
+    st.integers(1, 12),
+)
+
+
+def _from_pair(pair):
+    """The element and the `Fraction` reference of an unreduced pair n/d."""
+    n, d = pair
+    return rat1(f"{n}/{d}"), Fraction(n, d)
+
+
+def _agrees(elem, ref):
+    """`elem` is `ref`: the reduced pair, the value and the printed form."""
+    return (
+        (elem.num, elem.den) == (ref.numerator, ref.denominator)
+        and elem.value == ref
+        and str(elem) == f"{ref.numerator}/{ref.denominator}"
+    )
 
 
 class TestGroupElem:
@@ -55,6 +83,45 @@ class TestGroupElem:
         with pytest.raises(TypeError):
             op(bare, rat1(1))
         assert rat1(3) != 3 and rat1(Fraction(1, 2)) != Fraction(1, 2)
+
+    @given(wide_pairs, wide_pairs, st.integers(-_BIG, _BIG), wide_pairs)
+    @example((2, 4), (-3, 6), 0, (4, 8))
+    @example((0, 5), (0, 1), -1, (-6, 4))
+    def test_kernel_matches_fraction(self, pa, pb, k, pr):
+        a, fa = _from_pair(pa)
+        b, fb = _from_pair(pb)
+        fr = Fraction(*pr)
+        assert _agrees(a, fa) and _agrees(b, fb)
+        assert _agrees(a + b, fa + fb)
+        assert _agrees(a - b, fa - fb)
+        assert _agrees(-a, -fa)
+        assert _agrees(a.scale(k), fa * k)
+        assert _agrees(a.scale(fr), fa * fr)
+        assert _agrees(a.scale(f"{pr[0]}/{pr[1]}"), fa * fr)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+            assert op(a, b) == op(fa, fb)
+            assert op(a, a) == op(fa, fa)
+        assert a.is_zero() == (fa == 0)
+
+    @given(wide_pairs, st.integers(1, 12))
+    def test_equal_values_compare_and_hash_equal(self, pair, m):
+        # Every way in to one value, and the arithmetic's own results, give
+        # one pair: a sum or difference is reduced like a parsed string.
+        x = Fraction(*pair)
+        built = [GroupElem(x), rat1(x), rat1(f"{pair[0]}/{pair[1]}")]
+        built.append(rat1(f"{x.numerator * m}/{x.denominator * m}"))
+        built.append(rat1(x + 1) - rat1(1))
+        built.append(rat1(x).scale(Fraction(m, 1)).scale(Fraction(1, m)))
+        if x.denominator == 1:
+            built += [rat1(x.numerator), GroupElem(x.numerator), rat1(str(x.numerator))]
+        assert all(e == built[0] and hash(e) == hash(built[0]) for e in built)
+
+    @given(wide_pairs, wide_pairs, st.integers(2, 7))
+    def test_closed_form_term_matches_fraction(self, pc, pd, p):
+        (c, fc), (d, fd) = _from_pair(pc), _from_pair(pd)
+        law = ClosedForm(c, d, p)
+        for n in range(PROBE_BUDGET + 1):
+            assert _agrees(law.term(n), fc / p**n + fd)
 
     def test_rat1_rejects_float(self):
         with pytest.raises(TypeError):
@@ -210,6 +277,13 @@ class TestFitClosedForm:
     def test_rejects_non_geometric(self):
         terms = [rat1(Fraction(1, n + 1)) for n in range(12)]
         assert fit_closed_form(terms, 2) is None
+
+    def test_no_fraction_arithmetic(self, fraction_ops):
+        # Terms and fit run on the elements' integer pairs alone.
+        law = ClosedForm(rat1(Fraction(-7, 3)), rat1(Fraction(5, 4)), 3)
+        terms = [law.term(n) for n in range(PROBE_BUDGET)]
+        assert fit_closed_form(terms, 3) == Tail(law, 0)
+        assert fraction_ops == Counter()
 
 
 class TestSegmentLawProperties:

@@ -564,21 +564,22 @@ class TestSlotLines:
             with pytest.raises(ScenarioDataError) as former:
                 former_least_slot_value(laws, rat1(x))
             with pytest.raises(ScenarioDataError) as reduced:
-                _least_line(lines, x)
+                _least_line(lines, rat1(x))
             assert str(reduced.value) == str(former.value)
             return
         # Key values below, at and above 0.
-        for key_value in (-abs(x), Fraction(0), abs(x)):
+        for key_value in map(rat1, (-abs(x), 0, abs(x))):
             least = _least_line(lines, key_value)
-            assert least == former_least_slot_value(laws, rat1(key_value))
+            assert least == former_least_slot_value(laws, key_value)
 
     def test_lines_are_derived_once_per_stage(self):
         (stage,) = KUMMER_AT.ks.stages
         assert stage.g_lines is stage.g_lines
         # g = x^3 - a at p = 3: the outer slots share const 0 and mult 3,
         # the inner two const 1 with mults 1 and 2; g' has const 1, mults 0..2.
-        assert sorted(stage.g_lines) == [(0, 3), (1, 1), (1, 2)]
-        assert sorted(stage.gprime_lines) == [(1, 0), (1, 2)]
+        zero, one = rat1(0), rat1(1)
+        assert sorted(stage.g_lines) == [(zero, 3), (one, 1), (one, 2)]
+        assert sorted(stage.gprime_lines) == [(one, 0), (one, 2)]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     @pytest.mark.parametrize("terms", [8, 16, 32])
