@@ -15,7 +15,6 @@ from .errors import (
     HypothesisViolatedError,
     InconclusiveError,
     LawMismatchError,
-    NegativeValueInputError,
     NoWitnessError,
     NonMonicBaseError,
     ScenarioDataError,

@@ -595,30 +595,10 @@ def main(argv=None) -> int:
     p_sc.add_argument("--start", type=int)
     p_sc.add_argument("--format", choices=("text", "structured"), default="text")
 
-    p_self = sub.add_parser("selftest", help="run the invariant suites")
-    p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--instances", type=int, default=200)
-
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; a malformed command line is a bad config
         return 0 if exc.code == 0 else 4
-
-    if args.command == "selftest":
-        from .selftest import run_selftest
-
-        if args.instances < 1:
-            print("configuration error: instances: must be at least 1", file=sys.stderr)
-            return 4
-        results = run_selftest(seed=args.seed, instances=args.instances)
-        failed = 0
-        for res in results:
-            status = "pass" if not res.failures else "FAIL"
-            print(f"{status}  {res.name}  ({res.runs} instances)")
-            for note in res.failures[:5]:
-                print(f"      {note}")
-            failed += bool(res.failures)
-        return 0 if failed == 0 else 3
 
     try:
         if args.command == "run":

@@ -37,10 +37,6 @@ class NoWitnessError(ValkitError):
     """No key of admissible degree attains the full value within budget."""
 
 
-class NegativeValueInputError(ValkitError):
-    """An operation restricted to nonnegative-value input got a negative one."""
-
-
 class ValueNotRepresentableError(ValkitError):
     """No field element with the requested valuation exists in this backend."""
 

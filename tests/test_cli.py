@@ -610,7 +610,14 @@ class TestMain:
         assert main(["scenario", scenario, "--terms", "2", "--window", "2"]) == 0
 
     @pytest.mark.parametrize(
-        "argv", [["scenario", "nope"], ["scenario", "unramified", "--p", "x"], []]
+        "argv",
+        [
+            ["scenario", "nope"],
+            ["scenario", "unramified", "--p", "x"],
+            [],
+            ["selftest"],
+            ["selftest", "--seed", "1"],
+        ],
     )
     def test_malformed_command_line_exit_four(self, argv, capsys):
         assert main(argv) == 4
@@ -622,18 +629,6 @@ class TestMain:
     def test_help_exit_zero(self, argv, capsys):
         assert main(argv) == 0
         assert "usage: valkit" in capsys.readouterr().out
-
-    def test_selftest_subcommand(self, capsys):
-        code = main(["selftest", "--instances", "5", "--seed", "1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("pass") == 10
-
-    @pytest.mark.parametrize("instances", ["0", "-3"])
-    def test_selftest_without_instances_exit_four(self, instances, capsys):
-        assert main(["selftest", "--instances", instances]) == 4
-        captured = capsys.readouterr()
-        assert "instances: must be at least 1" in captured.err and "pass" not in captured.out
 
     def test_kummer_flags(self, capsys):
         code = main(
@@ -909,11 +904,9 @@ class TestFrontDoor:
     @settings(max_examples=200, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
     @given(_argvs)
     def test_every_command_line_ends_in_an_exit_code(self, argv):
-        if "selftest" in argv:
-            argv = [*argv, "--instances", "2"]  # the default of 200 takes seconds
         code, _, err = _main_output(argv)
         assert code in (0, 2, 3, 4)
-        if not argv or (argv[0] not in ("run", "scenario", "selftest") and argv[0][:1] != "-"):
+        if not argv or (argv[0] not in ("run", "scenario") and argv[0][:1] != "-"):
             assert code == 4  # no subcommand
         if "usage:" in err:
             assert code == 4  # argparse rejected the command line

@@ -1,29 +1,26 @@
-"""Full expansions, slot sets, derivative drops, generator rewriting."""
+"""Full expansions, and the lemma checkers over them: slot sets, derivative
+drops, generator rewriting."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from valkit.errors import NegativeValueInputError, NoWitnessError, ScenarioDataError
-from valkit.expansion import (
+from lemmas import (
+    NegativeValueInputError,
+    NormalizedSequence,
+    context,
     derivative_drop,
     expansion_min_value,
-    full_expansion,
-    i0_set,
+    reconstruct,
     rewrite_in_generators,
     s_set,
 )
+from valkit.errors import NoWitnessError, ScenarioDataError
+from valkit.expansion import full_expansion, i0_set
 from valkit.fields import Backend, HahnElem, _padic
 from valkit.groups import ExtValue, rat1
-from valkit.keyseq import (
-    KeyIndex,
-    KeySequence,
-    NormalizedSequence,
-    artin_schreier_family,
-    find_witness,
-)
+from valkit.keyseq import KeyIndex, KeySequence, artin_schreier_family, find_witness
 from valkit.poly import Poly, q_expand
-from valkit.selftest import _context
 from valkit.truncation import NuOracle
 
 
@@ -58,7 +55,7 @@ class TestFullExpansion:
         ks, nu = as_sequence(2)
         i = KeyIndex(0, 3)
         exp = full_expansion(ks.g, i, ks, nu)
-        assert exp.reconstruct(ks) == ks.g
+        assert reconstruct(exp, ks) == ks.g
         exponents = sorted(dict(t.exponents).get(i, 0) for t in exp.terms)
         assert exponents == [0, 1, 2]
         assert i0_set(ks.g, i, ks, nu) == {i}
@@ -80,7 +77,7 @@ class TestFullExpansion:
         i = KeyIndex(0, 2)
         f = ks.g * Poly.x(ks.backend) + Poly.from_ints(ks.backend, [0, 2, 1])
         exp = full_expansion(f, i, ks, nu)
-        assert exp.reconstruct(ks) == f
+        assert reconstruct(exp, ks) == f
         assert expansion_min_value(exp, ks, nu) == nu.nu_q(f, ks.key_poly(i))
 
 
@@ -242,7 +239,7 @@ def elements(draw, backend):
 def context_polys(draw, max_degree=None):
     """(context name, nonzero f) with deg f <= max_degree, else deg f < deg g."""
     name = draw(st.sampled_from(CONTEXTS))
-    ks = _context(name)[0]
+    ks = context(name)[0]
     top = ks.g_degree - 1 if max_degree is None else max_degree
     coeffs = [draw(elements(ks.backend)) for _ in range(draw(st.integers(0, top)) + 1)]
     f = Poly.make(ks.backend, coeffs)
@@ -255,7 +252,7 @@ class TestOneExpansionWalk:
     @given(context_polys(), st.integers(0, 2))
     def test_rewrite_matches_the_reference_walk(self, case, shift):
         name, f = case
-        ks, nu, _ = _context(name)
+        ks, nu, _ = context(name)
         # Scale f to nu(f) = shift >= 0.
         f = f.scale(ks.backend.element_from_value(rat1(shift) - nu.nu(f).expect_finite()))
         normalized = NormalizedSequence(ks, nu)
@@ -272,7 +269,7 @@ class TestOneExpansionWalk:
     @given(context_polys(max_degree=4), st.integers(0, 4))
     def test_nu_q_and_s_set_read_term_values(self, case, pos):
         name, f = case
-        ks, nu, _ = _context(name)
+        ks, nu, _ = context(name)
         indices = ks.indices(5)
         i = indices[pos % len(indices)]
         q = ks.key_poly(i)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lemmas import NormalizedSequence
 from valkit.errors import HypothesisViolatedError, ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
 from valkit.groups import ClosedForm, ExtValue, FiniteList, rat1
@@ -15,7 +16,6 @@ from valkit.keyseq import (
     CoefValueLaw,
     KeyIndex,
     KeySequence,
-    NormalizedSequence,
     ScheduleStage,
     artin_schreier_family,
     find_witness,

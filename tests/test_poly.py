@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valkit import kahler, poly, selftest, truncation
+from valkit import kahler, poly, truncation
 from valkit.cli import parse_config_dict, render_structured, run
 from valkit.errors import NonMonicBaseError, ValueNotRepresentableError
 from valkit.fields import Backend, HahnElem
@@ -73,22 +73,6 @@ class TestDerivative:
         assert derivative(Poly.from_ints(B2, [7])).is_zero()
 
 
-class TestQMonic:
-    def test_monic_quadratic_over_linear(self):
-        f = Poly.from_ints(B2, [2, 1, 1])
-        assert q_expand(f, Poly.from_ints(B2, [-1, 1])).is_monic()
-
-    def test_non_monic(self):
-        f = Poly.from_ints(B2, [0, 0, 2])
-        assert not q_expand(f, Poly.x(B2)).is_monic()
-
-    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(-9, 9))
-    def test_monic_over_any_linear_base(self, lower, shift):
-        f = Poly.from_ints(B2, lower + [1])
-        q = Poly.from_ints(B2, [shift, 1])
-        assert q_expand(f, q).is_monic()
-
-
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 
 
@@ -107,6 +91,22 @@ def poly_and_monic_base(draw, max_base_degree):
     f = Poly.make(backend, draw(st.lists(elem, max_size=5)))
     lower = draw(st.lists(elem, min_size=1, max_size=max_base_degree))
     return f, Poly.make(backend, lower + [backend.one()])
+
+
+class TestQMonic:
+    def test_monic_quadratic_over_linear(self):
+        f = Poly.from_ints(B2, [2, 1, 1])
+        assert q_expand(f, Poly.from_ints(B2, [-1, 1])).is_monic()
+
+    def test_non_monic(self):
+        f = Poly.from_ints(B2, [0, 0, 2])
+        assert not q_expand(f, Poly.x(B2)).is_monic()
+
+    @given(poly_and_monic_base(max_base_degree=1))
+    def test_monic_over_any_linear_base(self, case):
+        f, q = case
+        monic = Poly.make(f.backend, [*f.coeffs, f.backend.one()])
+        assert q_expand(monic, q).is_monic()
 
 
 class TestAlgebraProperties:
@@ -379,7 +379,7 @@ class TestRadixConversion:
             calls.append(q)
             return repeated_division(f, q)
 
-        for module in (poly, truncation, kahler, selftest):
+        for module in (poly, truncation, kahler):
             monkeypatch.setattr(module, "q_expand", reference)
         assert render_structured(run(cfg)) == fast
         assert calls
