@@ -3,9 +3,13 @@
 Configurations are JSON objects with exact rational fields; unknown keys
 are rejected (exact arithmetic has no tolerance knobs).  Reports come in a
 human-readable text form and a structured form: a single self-describing
-JSON tree with version field "valkit-report/1", sorted keys and canonical
+JSON tree with version field "valkit-report/2", sorted keys and canonical
 "num/den" rationals, byte-identical across runs and thread counts for
 identical inputs.
+
+`budget` is the one work bound: a plateau family and a closed-form schedule
+stop at it, and the stabilization oracle, which certifies the n-th key at
+member n + 1 at the latest, serves at most budget - 1 terms.
 
 Exit codes: 0 for a decisive, agreeing run; 2 for an inconclusive run;
 3 for invariant violations or computation failures; 4 for bad configs.
@@ -40,6 +44,7 @@ from .kahler import (
     omega_verdict,
 )
 from .keyseq import (
+    FAMILY_BUDGET,
     CoefValueLaw,
     KeySequence,
     KeyStage,
@@ -51,11 +56,11 @@ from .keyseq import (
 from .poly import Poly
 from .truncation import NuOracle
 
-REPORT_VERSION = "valkit-report/1"
+REPORT_VERSION = "valkit-report/2"
 
 SCENARIOS = ("artin-schreier", "kummer-schedule", "hensel-immediate", "unramified", "custom")
 
-_COMMON_KEYS = {"scenario", "p", "terms", "window", "budget", "format"}
+_COMMON_KEYS = {"scenario", "p", "terms", "budget", "format"}
 _ALLOWED_KEYS = {
     "artin-schreier": _COMMON_KEYS | {"va"},
     "kummer-schedule": _COMMON_KEYS | {"vp", "gamma", "scale", "schedule"},
@@ -72,8 +77,7 @@ class ScenarioConfig:
     scenario: str
     p: int
     terms: int = 8
-    window: int = 3
-    budget: int = 64
+    budget: int = FAMILY_BUDGET
     fmt: str = "text"
     va: Fraction | None = None
     vp: Fraction | None = None
@@ -205,18 +209,14 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     p = _int_at_least(data.get("p", _default_p(scenario)), "p", 2)
     if not (p < _PRIME_BOUND and _is_prime(p)):
         raise ConfigError(f"p must be prime and below {_PRIME_BOUND}", "p")
-    # One term cannot tell a law apart from a coincidence; `window` is
-    # validated and reported, and decides no value.
+    # One term cannot tell a law apart from a coincidence.
     cfg = ScenarioConfig(
         scenario=scenario,
         p=p,
-        terms=_int_at_least(data.get("terms", 8), "terms", 2),
-        window=_int_at_least(data.get("window", 3), "window", 2),
-        budget=_int_at_least(data.get("budget", 64), "budget", 1),
-        fmt=data.get("format", "text"),
+        terms=_int_at_least(data.get("terms", ScenarioConfig.terms), "terms", 2),
+        budget=_int_at_least(data.get("budget", ScenarioConfig.budget), "budget", 1),
+        fmt=data.get("format", ScenarioConfig.fmt),
     )
-    if cfg.budget < cfg.window:
-        raise ConfigError(f"must be at least the window ({cfg.window})", "budget")
     if cfg.fmt not in ("text", "structured"):
         raise ConfigError("format must be 'text' or 'structured'", "format")
 
@@ -273,13 +273,11 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             oracle=data["oracle"],
         )
     # The certified oracle values the n-th key of its family at member
-    # n + 1, and `window` decides no value.  The bound below is the former
-    # windowed rule's; it stays so that no input changes its exit code.
+    # n + 1 at the latest.
     stabilized = scenario in ("artin-schreier", "hensel-immediate") or cfg.oracle == "stabilization"
-    if stabilized and cfg.terms > cfg.budget - cfg.window:
+    if stabilized and cfg.terms > cfg.budget - 1:
         raise ConfigError(
-            f"must be at most budget - window ({cfg.budget - cfg.window}) "
-            "for the stabilization oracle",
+            f"must be at most budget - 1 ({cfg.budget - 1}) for the stabilization oracle",
             "terms",
         )
     object.__setattr__(cfg, "parsed", True)
@@ -302,7 +300,6 @@ def emit_config(cfg: ScenarioConfig) -> dict:
         "scenario": cfg.scenario,
         "p": cfg.p,
         "terms": cfg.terms,
-        "window": cfg.window,
         "budget": cfg.budget,
         "format": cfg.fmt,
     }
@@ -348,7 +345,7 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
     if cfg.oracle == "resultant" or family is None:
         nu = NuOracle.from_resultant(g)
     else:
-        nu = NuOracle.stabilization(g, family, budget=cfg.budget)
+        nu = NuOracle.stabilization(g, family)
     ks = KeySequence(tuple(stages), g, cfg.p, backend)
     return invariant_stream(ks, nu, cfg.terms)
 
@@ -454,7 +451,7 @@ def _reparsed(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def _analyze(stream: InvariantStream, report: dict) -> dict:
-    ideal_inclusion_check(stream)
+    inclusion_checks = ideal_inclusion_check(stream)
 
     report["nu_gprime"] = str(stream.nu_gprime)
     report["records"] = [
@@ -505,7 +502,7 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
     contradictory = {VerdictKind.OMEGA_ZERO, VerdictKind.OMEGA_NONZERO} <= kinds
     decisive = VerdictKind.INCONCLUSIVE not in kinds
     report["criteria_agree"] = not contradictory
-    report["inclusion_check"] = True  # `ideal_inclusion_check` above raises on a failure
+    report["inclusion_check"] = list(inclusion_checks)  # each one passed, or it raised
     if contradictory:
         report.update(status="violation", error="decisive criteria contradict", exit_code=3)
     elif decisive:
@@ -563,11 +560,10 @@ def render(report: dict, fmt: str) -> str:
 
 def _scenario_config_from_args(args) -> ScenarioConfig:
     data: dict = {"scenario": args.id}
-    for key in ("p", "va", "vp", "gamma", "scale", "terms", "window", "budget", "g", "start"):
+    for key in ("p", "va", "vp", "gamma", "scale", "terms", "budget", "g", "start", "format"):
         value = getattr(args, key)
         if value is not None:
             data[key] = value.split(",") if key == "g" else value
-    data["format"] = args.format
     return parse_config_dict(data)
 
 
@@ -589,11 +585,10 @@ def main(argv=None) -> int:
     p_sc.add_argument("--gamma")
     p_sc.add_argument("--scale")
     p_sc.add_argument("--terms", type=int)
-    p_sc.add_argument("--window", type=int)
     p_sc.add_argument("--budget", type=int)
     p_sc.add_argument("--g", help="comma-separated coefficient list, constant first")
     p_sc.add_argument("--start", type=int)
-    p_sc.add_argument("--format", choices=("text", "structured"), default="text")
+    p_sc.add_argument("--format", choices=("text", "structured"))
 
     try:
         args = parser.parse_args(argv)

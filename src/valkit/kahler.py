@@ -369,18 +369,22 @@ def column_segment(stream: InvariantStream, name: str) -> CanonicalSegment | Non
     return segment_union(parts)
 
 
-def ideal_inclusion_check(stream: InvariantStream) -> bool:
-    """Verify the beta segment sits inside the alpha segment.
+def ideal_inclusion_check(stream: InvariantStream) -> tuple[str, ...]:
+    """Verify the beta segment sits inside the alpha segment; returns the
+    names of the checks that ran.
 
-    Checks the segment comparison and, record by record, the witness chain
-    beta_i >= beta_tilde_i >= alpha_{i'} for some i' <= i.  A failure is a
+    Record by record it checks the witness chain beta_i >= beta_tilde_i >=
+    alpha_{i'} for some i' <= i ("record_chain"), and when both segments
+    are decided it compares them ("segment_comparison").  A failure is a
     hard scenario-data error, not a verdict.
     """
+    checks = ("record_chain",)
     alpha_seg, beta_seg = stream.alpha_segment, stream.beta_segment
     if alpha_seg is not None and beta_seg is not None:
         rel = segment_compare(beta_seg, alpha_seg)
         if rel not in (SegmentRelation.EQUAL, SegmentRelation.B_CONTAINS_A):
             raise ScenarioDataError("beta segment escapes the alpha segment")
+        checks += ("segment_comparison",)
     # In a total order some alpha_{i'} (i' <= i) lies below beta_tilde_i
     # exactly when the least of them does.
     least_alpha = None
@@ -390,7 +394,7 @@ def ideal_inclusion_check(stream: InvariantStream) -> bool:
             raise ScenarioDataError("beta < beta_tilde at a record")
         if not rec.beta_tilde >= least_alpha:
             raise ScenarioDataError("no earlier alpha witnesses beta_tilde")
-    return True
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ from .fields import valuation
 from .groups import ExtValue, min_value, rat1
 from .poly import Poly, QExpansion, q_expand
 
-DEFAULT_BUDGET = 64
-
 
 class NuOracle:
     """Exact oracle for the valuation with support at g."""
@@ -77,15 +75,16 @@ class NuOracle:
         return NuOracle(g, fn)
 
     @staticmethod
-    def stabilization(g: Poly, family, budget: int = DEFAULT_BUDGET) -> "NuOracle":
+    def stabilization(g: Poly, family) -> "NuOracle":
         """Certified stabilization along a `keyseq.PlateauFamily` whose
-        members converge to a root of g, up to member `budget`."""
+        members converge to a root of g, up to the family's budget."""
         if family.precision is None:
             raise ValkitError("stabilization needs a family with a precision certificate")
 
         def value(f0: Poly) -> ExtValue:
             orders = [c.order() for c in f0.coeffs]
             values = []
+            budget = family.budget
             for m in range(min(max(family.materialized, 1), budget), budget + 1):
                 a = family.center(m)
                 values.append(f0.eval(a))

@@ -27,13 +27,22 @@ from valkit.cli import (
     run,
 )
 from valkit.errors import ConfigError
+from valkit.keyseq import FAMILY_BUDGET
 
 
 class TestParseConfig:
     def test_minimal_artin_schreier_defaults(self):
         cfg = parse_config('{"scenario": "artin-schreier"}')
         assert cfg.p == 2 and str(cfg.va) == "-1"
-        assert cfg.terms == 8 and cfg.window == 3 and cfg.budget == 64
+        # The budget default is the one a family or a schedule takes.
+        assert cfg.terms == 8 and cfg.budget == FAMILY_BUDGET == 64
+
+    def test_window_key_rejected(self, tmp_path, capsys):
+        # `budget` is the one work bound; a window decides no value.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "hensel-immediate", "window": 3}))
+        assert main(["run", str(path)]) == 4
+        assert "window: unknown key 'window'" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,9 +124,10 @@ class TestReports:
     def test_structured_report_shape(self):
         cfg = parse_config_dict({"scenario": "artin-schreier", "format": "structured"})
         report = run(cfg)
-        assert report["version"] == "valkit-report/1"
+        assert report["version"] == "valkit-report/2"
         assert report["status"] == "decisive" and report["exit_code"] == 0
         assert report["criteria_agree"] is True
+        assert report["inclusion_check"] == ["record_chain", "segment_comparison"]
         assert len(report["records"]) == 8
         assert report["records"][0]["alpha"] == "1/2"
         parsed = json.loads(render_structured(report))
@@ -160,7 +170,6 @@ class TestReports:
         assert report["verdicts"]["b1"]["b1"] is True
         assert report["laws"]["stage0.nu_key"]["ratio"] == 7
 
-    @pytest.mark.xfail(strict=True, reason="inclusion_check reports true whatever ran")
     def test_undecided_segments_leave_the_inclusion_check_unconfirmed(self):
         # Neither segment is decided, so the segment comparison never ran.
         cfg = parse_config_dict({
@@ -171,6 +180,7 @@ class TestReports:
         assert report["exit_code"] == 2
         assert report["alpha_segment"] == report["beta_segment"] == {"kind": "undecided"}
         assert report["inclusion_check"] is not True
+        assert report["inclusion_check"] == ["record_chain"]
 
     @pytest.mark.xfail(strict=True, reason="a law fitted on a finite schedule reports verified")
     def test_finite_schedule_laws_are_not_verified_past_the_data(self):
@@ -529,17 +539,13 @@ class TestMain:
         ],
     )
     def test_terms_or_window_below_two_exit_four(self, argv, capsys):
+        # No window is left to set: the flag itself is unrecognized.
         assert main(argv) == 4
-        assert "must be an integer >= 2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate"])
-    def test_budget_below_window_exit_four(self, scenario, capsys):
-        assert main(["scenario", scenario, "--budget", "2"]) == 4
-        assert "budget: must be at least the window (3)" in capsys.readouterr().err
-
-    def test_budget_equal_to_window_accepted(self):
-        cfg = parse_config_dict({"scenario": "unramified", "window": 3, "budget": 3})
-        assert cfg.budget == cfg.window == 3
+        err = capsys.readouterr().err
+        if "--window" in argv:
+            assert "unrecognized arguments: --window" in err
+        else:
+            assert "must be an integer >= 2" in err
 
     _CUSTOM_STABILIZED = {
         "scenario": "custom", "backend": "padic", "p": 2, "g": ["2", "1", "1"],
@@ -549,27 +555,28 @@ class TestMain:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["scenario", "artin-schreier", "--p", "2", "--terms", "62"],
-            ["scenario", "hensel-immediate", "--terms", "62"],
-            ["scenario", "artin-schreier", "--p", "3", "--budget", "20", "--terms", "18"],
-            ["scenario", "hensel-immediate", "--budget", "16", "--window", "7", "--terms", "10"],
+            ["scenario", "artin-schreier", "--p", "2", "--terms", "64"],
+            ["scenario", "hensel-immediate", "--terms", "64"],
+            ["scenario", "artin-schreier", "--p", "3", "--budget", "20", "--terms", "20"],
+            ["scenario", "hensel-immediate", "--budget", "16", "--terms", "16"],
             # Too small a budget for the default eight terms.
             ["scenario", "artin-schreier", "--budget", "4"],
             ["scenario", "hensel-immediate", "--budget", "8"],
-            ["scenario", "artin-schreier", "--window", "3", "--budget", "3"],
+            ["scenario", "artin-schreier", "--budget", "3", "--terms", "3"],
+            ["scenario", "hensel-immediate", "--budget", "20", "--terms", "20"],
         ],
     )
     def test_terms_no_stabilization_serves_exit_four(self, argv, capsys):
         assert main(argv) == 4
-        assert "terms: must be at most budget - window" in capsys.readouterr().err
+        assert "terms: must be at most budget - 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget, window", [(64, 3), (20, 3), (16, 7)])
-    def test_custom_stabilization_bound(self, budget, window, capsys):
-        data = {**self._CUSTOM_STABILIZED, "budget": budget, "window": window}
-        with pytest.raises(ConfigError, match="terms: must be at most budget - window"):
-            parse_config_dict({**data, "terms": budget - window + 1})
+    @pytest.mark.parametrize("budget", [64, 20, 16])
+    def test_custom_stabilization_bound(self, budget, capsys):
+        data = {**self._CUSTOM_STABILIZED, "budget": budget}
+        with pytest.raises(ConfigError, match="terms: must be at most budget - 1"):
+            parse_config_dict({**data, "terms": budget})
         # At the bound the last term still stabilizes within the budget.
-        report = run(parse_config_dict({**data, "terms": budget - window}))
+        report = run(parse_config_dict({**data, "terms": budget - 1}))
         assert report["exit_code"] == 0 and report["status"] == "decisive"
 
     @pytest.mark.parametrize(
@@ -591,9 +598,15 @@ class TestMain:
         assert main(["scenario", "hensel-immediate", "--g=-1/3,1", "--start", "1"]) == 3
         assert "HypothesisViolatedError: every key after a plateau" in capsys.readouterr().out
 
+    # The n-th key certifies at family member n + 1, so budget - 1 terms
+    # decide.
     @pytest.mark.parametrize("argv", [
-        ["scenario", "artin-schreier", "--budget", "20", "--terms", "17"],
-        ["scenario", "hensel-immediate", "--budget", "16", "--window", "7", "--terms", "9"],
+        ["scenario", "artin-schreier", "--budget", "20", "--terms", "19"],
+        ["scenario", "hensel-immediate", "--budget", "20", "--terms", "19"],
+        ["scenario", "artin-schreier", "--terms", "63"],
+        ["scenario", "hensel-immediate", "--terms", "63"],
+        ["scenario", "artin-schreier", "--p", "7", "--budget", "20", "--terms", "19"],
+        ["scenario", "hensel-immediate", "--p", "7", "--g=5,1,1", "--start", "1", "--terms", "63"],
     ])
     def test_terms_at_the_stabilization_bound_decide(self, argv, capsys):
         assert main(argv) == 0
@@ -607,7 +620,7 @@ class TestMain:
 
     @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate", "kummer-schedule"])
     def test_two_terms_decide(self, scenario, capsys):
-        assert main(["scenario", scenario, "--terms", "2", "--window", "2"]) == 0
+        assert main(["scenario", scenario, "--terms", "2"]) == 0
 
     @pytest.mark.parametrize(
         "argv",
@@ -617,6 +630,7 @@ class TestMain:
             [],
             ["selftest"],
             ["selftest", "--seed", "1"],
+            ["scenario", "hensel-immediate", "--window", "3"],
         ],
     )
     def test_malformed_command_line_exit_four(self, argv, capsys):
@@ -641,32 +655,17 @@ class TestMain:
 
 
 class TestBudgetsBoundWork:
-    """A window or a budget bounds work and never changes a decisive answer."""
+    """A budget bounds work and never changes a decisive answer."""
 
-    @pytest.mark.parametrize("window", [6, 10])
-    def test_wider_window_keeps_the_hensel_report(self, window):
-        def report(w):
-            out = run(parse_config_dict({"scenario": "hensel-immediate", "window": w}))
-            assert out["scenario"].pop("window") == w
-            return out
+    def test_budget_one_without_a_family_decides(self, capsys):
+        # Explicit keys and the resultant oracle build no family members.
+        assert main(["scenario", "unramified", "--budget", "1"]) == 0
 
-        wide = report(window)
-        assert wide["exit_code"] == 0
-        assert wide == report(3)
-
-    @pytest.mark.parametrize("scenario", ["artin-schreier", "hensel-immediate"])
-    def test_window_decides_no_value(self, scenario):
-        # Close to the budget, where the fits reach the last family members
-        # a stabilization may use: the window is only reported.
-        def report(w):
-            data = {"scenario": scenario, "terms": 3, "budget": 9, "window": w}
-            out = run(parse_config_dict(data))
-            assert out["scenario"].pop("window") == w
-            return out
-
-        first = report(2)
-        assert first["exit_code"] == 0
-        assert all(report(w) == first for w in range(3, 7))
+    @pytest.mark.parametrize("budget", range(2, 9))
+    def test_small_schedule_budget_is_inconclusive(self, budget, capsys):
+        # Too few schedule terms for a law: exit 2, as at every budget below
+        # what a fit needs.
+        assert main(["scenario", "kummer-schedule", "--budget", str(budget)]) == 2
 
     @pytest.mark.parametrize("terms, budget", [(5200, None), (200, 16)])
     def test_closed_form_schedule_stops_at_the_budget(self, terms, budget):
@@ -761,7 +760,6 @@ _starts = st.sampled_from([0, 1, 2, 3, -1, True, "1"])
 _sizes = st.fixed_dictionaries({
     "p": st.sampled_from([2, 3]),
     "terms": st.integers(2, 4),
-    "window": st.integers(2, 3),
     "budget": st.integers(3, 8),
 })
 
@@ -829,14 +827,14 @@ _plausible = st.one_of(
 )
 # Values each config key accepts, so that many documents reach a run.
 _VALID = {
-    "p": [2, 3, 5, 7], "terms": [2, 4, 8], "window": [2, 3], "budget": [16, 64],
+    "p": [2, 3, 5, 7], "terms": [2, 4, 8], "budget": [16, 64],
     "format": ["text", "structured"], "va": ["-1", "-1/2"], "vp": ["1", "1/2"],
     "gamma": ["1/4", "1/3"], "scale": ["1", "2"], "g": [["2", "1", "1"], ["1", "1", "1"]],
     "start": [0, 1], "schedule": [["1/7", "1/5", "1/4", "3/10"]], "backend": ["padic", "hahn"],
     "stages": [[{"poly": ["0", "1"]}], [{"family": "hensel_lift"}]],
     "oracle": ["resultant", "stabilization"],
 }
-_OPTIONS = ["p", "va", "vp", "gamma", "scale", "terms", "window", "budget", "g", "start", "format"]
+_OPTIONS = ["p", "va", "vp", "gamma", "scale", "terms", "budget", "g", "start", "format"]
 
 
 def _argv_value(flag):

@@ -254,7 +254,7 @@ class TestSegments:
 
     def test_inclusion_check_all_builtins(self):
         for stream in (AS2, AS3, UNRAMIFIED, HENSEL, KUMMER_AT, KUMMER_BELOW):
-            assert ideal_inclusion_check(stream)
+            assert ideal_inclusion_check(stream) == ("record_chain", "segment_comparison")
 
 
 class TestOmegaVerdict:
@@ -852,10 +852,12 @@ def _hand_built(rows):
 
 
 def _outcome(check, stream):
+    """The failure message of an inclusion check, or None when it passes."""
     try:
-        return check(stream)
+        check(stream)
     except ScenarioDataError as exc:
         return str(exc)
+    return None
 
 
 class TestInclusionChain:
@@ -878,4 +880,4 @@ class TestInclusionChain:
             ideal_inclusion_check(_hand_built(rows))
 
     def test_an_earlier_alpha_witnesses_a_later_beta_tilde(self):
-        assert ideal_inclusion_check(_hand_built([(0, 0, 0), (5, 3, 3)]))
+        assert "record_chain" in ideal_inclusion_check(_hand_built([(0, 0, 0), (5, 3, 3)]))

@@ -75,33 +75,38 @@ class TestNu:
         # three times, then the true order 1.  Every point is even, so
         # v(eta - a) = v(g(a)) is an honest precision certificate.
         points = [backend.from_int(a) for a in (8, 0, 8, 8, 8, 2)]
-        family = PlateauFamily(
-            backend,
-            lambda n, prev: points[n - 1],
-            precision=lambda m: g.eval(points[m - 1]).order(),
-            budget=len(points),
-        )
+
+        def family(budget):
+            return PlateauFamily(
+                backend,
+                lambda n, prev: points[n - 1],
+                precision=lambda m: g.eval(points[m - 1]).order(),
+                budget=budget,
+            )
+
         x = Poly.x(backend)
         with pytest.raises(StabilizationBudgetExceededError):
-            NuOracle.stabilization(g, family, budget=5).nu(x)
-        assert NuOracle.stabilization(g, family, budget=6).nu(x) == ExtValue.of(rat1(1))
+            NuOracle.stabilization(g, family(5)).nu(x)
+        assert NuOracle.stabilization(g, family(6)).nu(x) == ExtValue.of(rat1(1))
         # the windowed rule stops at the first three agreeing orders
-        assert windowed_oracle(g, family, window=3, budget=6).nu(x) == ExtValue.of(rat1(3))
+        assert windowed_oracle(g, family(6), window=3, budget=6).nu(x) == ExtValue.of(rat1(3))
 
     def test_budget_exceeded_carries_the_warm_started_trace(self):
-        backend, g, family, _ = as_setup(2)
+        backend, g, _, _ = as_setup(2)
+        a = backend.element_from_value(-1)
         # x - s_6, built on a second family: `family` has its first two centers
-        f0 = artin_schreier_family(backend, backend.element_from_value(-1)).poly(6)
+        f0 = artin_schreier_family(backend, a).poly(6)
+        family = artin_schreier_family(backend, a, budget=6)
         family.center(2)
         with pytest.raises(StabilizationBudgetExceededError) as exc:
-            NuOracle.stabilization(g, family, budget=6).nu(f0)
+            NuOracle.stabilization(g, family).nu(f0)
         # The walk starts at the last built center, a_2; v(s_m - s_6) = -1/2**m
         # equals the precision v(eta - s_m) until a_6, the root of f0.
         trace = list(exc.value.trace)
         assert trace == [valuation(f0.eval(family.center(m))) for m in range(2, 7)]
         assert [v.is_infinite for v in trace] == [False] * 4 + [True]
         # One member more certifies v(eta - s_6) = -1/2**6.
-        nu = NuOracle.stabilization(g, family, budget=7)
+        nu = NuOracle.stabilization(g, artin_schreier_family(backend, a, budget=7))
         assert nu.nu(f0) == ExtValue.of(rat1(Fraction(-1, 64)))
 
     def test_taylor_bound_counts_the_higher_coefficients(self):
@@ -120,7 +125,7 @@ class TestNu:
         )
         f = Poly.from_ints(backend, [-1, 0, 1])
         assert [f.eval(a).order() for a in points] == [4, 5, 6, 6]
-        assert NuOracle.stabilization(g, family, budget=4).nu(f) == ExtValue.of(rat1(6))
+        assert NuOracle.stabilization(g, family).nu(f) == ExtValue.of(rat1(6))
 
     def test_family_without_certificate_refused(self):
         backend = Backend("padic", 2)
@@ -296,8 +301,8 @@ def certified_against_windowed(data) -> int:
     made = []  # (oracle, budget) of each stabilization oracle the run builds
     real = NuOracle.stabilization
 
-    def capture(g, family, budget=64):
-        made.append((real(g, family, budget), budget))
+    def capture(g, family):
+        made.append((real(g, family), family.budget))
         return made[-1][0]
 
     with mock.patch.object(NuOracle, "stabilization", staticmethod(capture)):
@@ -306,7 +311,7 @@ def certified_against_windowed(data) -> int:
     for nu, budget in made:
         _, g, stages = cli._field_scenario(cfg)
         family = next(s for s in stages if isinstance(s, PlateauFamily))
-        reference = windowed_oracle(g, family, cfg.window, budget)
+        reference = windowed_oracle(g, family, 3, budget)
         for f, value in list(nu._cache.items()):
             try:
                 expected = reference.nu(f)
@@ -390,8 +395,8 @@ class TestCertifiedAgainstWindowed:
         keys = []  # (evaluations of the key, whether a later center was built)
         real = NuOracle.stabilization
 
-        def counting(g, family, budget=64):
-            nu = real(g, family, budget)
+        def counting(g, family):
+            nu = real(g, family)
             value_fn = nu._value_fn
 
             def value(f0):
