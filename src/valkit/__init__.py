@@ -27,7 +27,6 @@ from .groups import (
     CanonicalSegment,
     ClosedForm,
     Diverging,
-    ExtValue,
     FiniteList,
     GroupElem,
     SegmentRelation,

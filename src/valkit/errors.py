@@ -26,7 +26,8 @@ class NonMonicBaseError(ValkitError):
 
 
 class StabilizationBudgetExceededError(ValkitError):
-    """No family member up to the budget certified the value; `trace` has those evaluated."""
+    """No family member up to the budget certified the value; `trace` has the
+    values at those evaluated, None at an exact zero."""
 
     def __init__(self, message, trace=()):
         super().__init__(message)

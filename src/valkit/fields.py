@@ -27,8 +27,9 @@ other products accumulate in a dict and sort once.  `frobenius(k)` and
 `frobenius_root(k)` scale every exponent by p**k and p**-k.
 
 Each element's `order()` is its least exponent, an `int` or a `Fraction`,
-or `None` for zero.  `valuation(a)`, the only valuation, builds the
-`ExtValue` from it; loops that only compare values compare raw orders.
+or `None` for zero.  `valuation(a)`, the only valuation, turns it into a
+`GroupElem`, and zero's infinite value into `None`; loops that only
+compare values compare raw orders.
 
 All arithmetic is exact.  Elements are immutable and hashable; mixing
 backends (or primes) raises `BackendMismatchError`.  Division is exact
@@ -44,7 +45,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import BackendMismatchError, ValkitError, ValueNotRepresentableError
-from .groups import ExtValue, GroupElem, rat1
+from .groups import GroupElem, rat1
 
 _HAHN_DIV_BUDGET = 4096
 
@@ -384,8 +385,6 @@ class Backend:
 
     def element_from_value(self, value) -> FieldElem:
         """Some element with the requested valuation (a uniformizer power)."""
-        if isinstance(value, ExtValue):
-            value = value.expect_finite()
         if isinstance(value, GroupElem):
             value = value.value
         value = Fraction(value)
@@ -423,8 +422,8 @@ def parse_hahn(text: str, p: int) -> HahnElem:
     return HahnElem.make(terms, p)
 
 
-def valuation(a: FieldElem) -> ExtValue:
-    """The backend's valuation, built from `a.order()`; infinity on zero."""
+def valuation(a: FieldElem) -> GroupElem | None:
+    """The backend's valuation, built from `a.order()`; None (infinity) on zero."""
     k = a.order()
-    return ExtValue.infinity() if k is None else ExtValue.of(rat1(k))
+    return None if k is None else rat1(k)
 

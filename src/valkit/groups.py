@@ -4,9 +4,12 @@ Every value group valkit meets has rank 1: the integers for the p-adic
 backend, the rationals for Hahn series and value schedules.  An element
 is a reduced integer pair num/den, added, scaled and compared by integer
 cross-multiplication and one gcd; `Fraction` is only the cold conversion
-in and out (`GroupElem.value`).  On top of the element arithmetic this
-module decides, always exactly and never by floating point or truncation
-guesswork:
+in and out (`GroupElem.value`).  Infinity, the value of 0 and of the
+multiples of the support polynomial, is `None`: no arithmetic takes it,
+and `expect_finite` turns it into the error a run reports for it.
+
+On top of the element arithmetic this module decides, always exactly and
+never by floating point or truncation guesswork:
 
 * which final segment (upward-closed set) a column of values generates,
 * containment and equality of such segments,
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptySequenceError, ScenarioDataError
 
@@ -167,101 +170,17 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class ExtValue:
-    """A group element or +infinity (the value of 0 and of the support).
+def expect_finite(value: GroupElem | None) -> GroupElem:
+    """`value` itself, where None (infinity) raises.
 
-    `finite` is None for infinity.  Immutable by convention, as `GroupElem`.
+    Below an irreducible, separable g every nonzero polynomial has a finite
+    value; an infinite one means g is neither.
     """
-
-    __slots__ = ("finite",)
-
-    def __init__(self, finite: GroupElem | None = None):
-        self.finite = finite
-
-    def __eq__(self, other):
-        if type(other) is not ExtValue:
-            return NotImplemented
-        return self.finite == other.finite
-
-    def __hash__(self):
-        return hash(self.finite)
-
-    def __repr__(self):
-        return f"ExtValue({self.finite!r})"
-
-    @staticmethod
-    def of(elem: GroupElem) -> "ExtValue":
-        return ExtValue(elem)
-
-    @staticmethod
-    def infinity() -> "ExtValue":
-        return ExtValue(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.finite is None
-
-    def expect_finite(self) -> GroupElem:
-        if self.finite is None:
-            # Below an irreducible, separable g every nonzero polynomial has
-            # a finite value; an infinite one means g is neither.
-            raise ScenarioDataError(
-                "unexpected infinite value: g is reducible or has a repeated root"
-            )
-        return self.finite
-
-    def __add__(self, other):
-        if isinstance(other, GroupElem):
-            other = ExtValue(other)
-        if self.is_infinite or other.is_infinite:
-            return ExtValue(None)
-        return ExtValue(self.finite + other.finite)
-
-    def __sub__(self, other):
-        if isinstance(other, GroupElem):
-            other = ExtValue(other)
-        if other.is_infinite:
-            raise ValueError("cannot subtract an infinite value")
-        if self.is_infinite:
-            return ExtValue(None)
-        return ExtValue(self.finite - other.finite)
-
-    def _key(self, other):
-        if not isinstance(other, ExtValue):
-            other = ExtValue(other)
-        return other
-
-    def __lt__(self, other):
-        other = self._key(other)
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        return self.finite < other.finite
-
-    def __le__(self, other):
-        other = self._key(other)
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return self._key(other) < self
-
-    def __ge__(self, other):
-        other = self._key(other)
-        return self == other or other < self
-
-    def __str__(self):
-        return "inf" if self.is_infinite else str(self.finite)
-
-
-def min_value(values: Iterable[ExtValue]) -> ExtValue:
-    best: ExtValue | None = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise EmptySequenceError("minimum of an empty family")
-    return best
+    if value is None:
+        raise ScenarioDataError(
+            "unexpected infinite value: g is reducible or has a repeated root"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -67,11 +67,11 @@ from .groups import (
     CanonicalSegment,
     ClosedForm,
     Diverging,
-    ExtValue,
     GroupElem,
     SegmentRelation,
     Tail,
     canonicalize,
+    expect_finite,
     fit_closed_form,
     largest_delta,
     rat1,
@@ -222,7 +222,7 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         gp = derivative(g)
         if gp.is_zero():
             raise ScenarioDataError("the support polynomial must be separable")
-        nu_gprime = nu.nu(gp).expect_finite()
+        nu_gprime = expect_finite(nu.nu(gp))
 
     @functools.cache
     def row(index: KeyIndex) -> InvariantRecord:
@@ -238,10 +238,10 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             if not nu.expand(g, q).is_monic():
                 kind = "an explicit" if isinstance(stage, Poly) else "a plateau"
                 raise ScenarioDataError(f"g is not monic over {kind} key")
-            nu_key = nu.nu(q).expect_finite()
-            nu_key_deriv = nu.nu(derivative(q)).expect_finite()
-            nu_i_g = nu.nu_q(g, q).expect_finite()
-            nu_i_gp = nu.nu_q(gp, q).expect_finite()
+            nu_key = expect_finite(nu.nu(q))
+            nu_key_deriv = expect_finite(nu.nu(derivative(q)))
+            nu_i_g = expect_finite(nu.nu_q(g, q))
+            nu_i_gp = expect_finite(nu.nu_q(gp, q))
         return InvariantRecord(
             index=index,
             degree=stage.degree,
@@ -308,9 +308,7 @@ def _least_line(lines: tuple[tuple[GroupElem, int], ...], x: GroupElem) -> Group
 
     With no line left every slot vanishes, and the truncation is infinite.
     """
-    if not lines:
-        return ExtValue.infinity().expect_finite()
-    return min(c + x.scale(m) for c, m in lines)
+    return expect_finite(min((c + x.scale(m) for c, m in lines), default=None))
 
 
 def _apply_divergence_cert(records, tails, bound) -> dict[str, Tail | None]:
@@ -457,26 +455,16 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
     Returns (stage position of the plateau, certificate index): the
     certificate is the 1-based materialized term from which the alpha
     column decreases strictly, the tail description guaranteeing
-    continuation.
+    continuation.  It is always 1: a plateau key Q_n is linear, so
+    nu(Q_n') = 0 and alpha_n = -nu(Q_n), and the stream has checked that
+    the key values increase strictly.
     """
     if stream.alpha_segment is None:
         raise InconclusiveError("alpha segment undecidable")
     if stream.alpha_segment.kind == "closed":
         raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
     block = stream.plateau
-    return block.stage_pos, _strictly_decreasing_from(block.values("alpha"))
-
-
-def _strictly_decreasing_from(values: Sequence[GroupElem]) -> int:
-    cert = len(values)
-    for k in range(len(values) - 1, 0, -1):
-        if values[k - 1] > values[k]:
-            cert = k
-        else:
-            break
-    if cert >= len(values):
-        raise ScenarioDataError("alpha column never starts decreasing")
-    return cert
+    return stream.plateau.stage_pos, 1
 
 
 def classify(stream: InvariantStream) -> Verdict:
@@ -777,7 +765,7 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
         if coeff.is_zero():
             return None
         nu = stream.nu
-        return (nu.nu(coeff) + nu.nu(exp.base).expect_finite().scale(b)).expect_finite()
+        return expect_finite(nu.nu(coeff)) + expect_finite(nu.nu(exp.base)).scale(b)
 
     vals = [v for v in map(slot_value, range(1, len(block.records) + 1)) if v is not None]
     if not vals:

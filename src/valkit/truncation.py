@@ -16,14 +16,15 @@ polynomials of degree below deg(g), passed to the constructor as
   Kaplansky's lemma on pseudo-Cauchy sequences).  Any first member is
   sound, so the walk starts at the family's last built center: the key
   x - a_n costs at most two evaluations, at a_n (an exact zero, skipped)
-  and a_(n+1).  The loop compares raw orders and builds one `ExtValue`.
+  and a_(n+1).  The loop compares raw orders and builds one `GroupElem`.
 
-`term_values` is the one place that values the slots of a q-expansion,
-nu(f_j) + j * nu(q); `nu_q`, the truncation at a monic base q, is their
-least value.  The oracle owns the q-expansions of its run: `expand`
-computes each (f, q) pair once and every consumer holding the oracle reads
-it from there: truncations, the invariant stream's check that g is monic
-over each key, `b_set`'s slot values and full expansions.
+A value is a `GroupElem`, or None for the infinite value of the
+multiples of g.  `term_values` is the one place that values the slots of
+a q-expansion, nu(f_j) + j * nu(q); `nu_q`, the truncation at a monic
+base q, is their least value.  The oracle owns the q-expansions of its
+run: `expand` computes each (f, q) pair once and every consumer holding
+the oracle reads it from there: truncations, the invariant stream's check
+that g is monic over each key, `b_set`'s slot values and full expansions.
 """
 from __future__ import annotations
 
@@ -37,19 +38,19 @@ from .errors import (
     ValkitError,
 )
 from .fields import valuation
-from .groups import ExtValue, min_value, rat1
+from .groups import GroupElem, rat1
 from .poly import Poly, QExpansion, q_expand
 
 
 class NuOracle:
     """Exact oracle for the valuation with support at g."""
 
-    def __init__(self, g: Poly, value_fn: Callable[[Poly], ExtValue]):
+    def __init__(self, g: Poly, value_fn: Callable[[Poly], GroupElem | None]):
         if not g.is_monic() or g.degree < 1:
             raise ValkitError("the support polynomial must be monic of degree >= 1")
         self.g = g
         self._value_fn = value_fn
-        self._cache: dict[Poly, ExtValue] = {}
+        self._cache: dict[Poly, GroupElem | None] = {}
         self._expansions: dict[tuple[Poly, Poly], QExpansion] = {}
         self._lock = threading.Lock()
 
@@ -64,13 +65,11 @@ class NuOracle:
         K[x]/(g), so that all conjugates of f(eta) share one value.
         """
 
-        def fn(f: Poly) -> ExtValue:
+        def fn(f: Poly) -> GroupElem | None:
             from .poly import resultant
 
             v = valuation(resultant(g, f))
-            if v.is_infinite:
-                return v
-            return ExtValue.of(v.expect_finite().scale(Fraction(1, g.degree)))
+            return None if v is None else v.scale(Fraction(1, g.degree))
 
         return NuOracle(g, fn)
 
@@ -81,7 +80,7 @@ class NuOracle:
         if family.precision is None:
             raise ValkitError("stabilization needs a family with a precision certificate")
 
-        def value(f0: Poly) -> ExtValue:
+        def value(f0: Poly) -> GroupElem:
             orders = [c.order() for c in f0.coeffs]
             values = []
             budget = family.budget
@@ -91,7 +90,7 @@ class NuOracle:
                 k = values[-1].order()
                 # An exact zero is transient: f0(eta) != 0 as deg f0 < deg g.
                 if k is not None and _certified(k, orders, a.order(), family.precision(m)):
-                    return ExtValue.of(rat1(k))
+                    return rat1(k)
             raise StabilizationBudgetExceededError(
                 f"no certified family member up to term {budget}",
                 trace=[valuation(v) for v in values],
@@ -101,14 +100,14 @@ class NuOracle:
 
     # -- the valuation ------------------------------------------------------
 
-    def nu(self, f: Poly) -> ExtValue:
-        """nu(f) = v(f mod g at eta); infinite exactly on multiples of g."""
-        cached = self._cache.get(f)
-        if cached is not None:
+    def nu(self, f: Poly) -> GroupElem | None:
+        """nu(f) = v(f mod g at eta); None (infinite) exactly on multiples of g."""
+        cached = self._cache.get(f, _MISS)
+        if cached is not _MISS:
             return cached
         f0 = f.divmod_monic(self.g)[1] if f.degree >= self.g.degree else f
         if f0.is_zero():
-            result = ExtValue.infinity()
+            result = None
         elif f0.degree == 0:
             result = valuation(f0.coeff(0))
         else:
@@ -127,29 +126,33 @@ class NuOracle:
         with self._lock:
             return self._expansions.setdefault(key, result)
 
-    def term_values(self, f: Poly, q: Poly) -> dict[int, ExtValue]:
-        """nu(f_j) + j * nu(q) for each nonzero slot j of the q-expansion of f."""
-        vq = self.nu(q)
-        if vq.is_infinite:
+    def term_values(self, f: Poly, q: Poly) -> dict[int, GroupElem | None]:
+        """nu(f_j) + j * nu(q) for each nonzero slot j of the q-expansion of f
+        (None where nu(f_j) is infinite)."""
+        step = self.nu(q)
+        if step is None:
             raise ValkitError(
                 "expansion base has infinite value (only g may, as a truncation base)"
             )
-        step = vq.expect_finite()
-        return {
-            j: self.nu(c) + step.scale(j)
-            for j, c in enumerate(self.expand(f, q).coeffs)
-            if not c.is_zero()
-        }
+        values = {}
+        for j, c in enumerate(self.expand(f, q).coeffs):
+            if not c.is_zero():
+                v = self.nu(c)
+                values[j] = None if v is None else v + step.scale(j)
+        return values
 
-    def nu_q(self, f: Poly, q: Poly) -> ExtValue:
-        """Truncation at monic q: min over i of nu(f_i) + i * nu(q)."""
+    def nu_q(self, f: Poly, q: Poly) -> GroupElem | None:
+        """Truncation at monic q: min over i of nu(f_i) + i * nu(q), None for infinity."""
         if not q.is_monic() or q.degree < 1:
             raise NonMonicBaseError("truncation base must be monic of degree >= 1")
         if f.degree < q.degree or q == self.g:
             # One slot, or the support polynomial as base (every higher slot
             # is infinite): the constant slot carries the value.
             return self.nu(self.expand(f, q).coeff(0))
-        return min_value(self.term_values(f, q).values())
+        return min((v for v in self.term_values(f, q).values() if v is not None), default=None)
+
+
+_MISS = object()  # the memo's miss; None is the cached infinite value
 
 
 def _certified(k, orders: list, va, precision) -> bool:

@@ -6,7 +6,8 @@ the min-value law of an expansion, the minimizing-slot set of a base-q
 expansion (the argmin of `NuOracle.term_values`), the derivative drop with
 its equality test, and the monomial rewriting of nonnegative-value
 polynomials over the keys normalized to value zero, which is the full
-expansion at f's witness with its coefficients rescaled.
+expansion at f's witness with its coefficients rescaled.  A value is a
+`GroupElem`, or None for infinity, as everywhere in valkit.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from valkit.errors import (
 )
 from valkit.expansion import FullExpansion, MonomialTerm, full_expansion
 from valkit.fields import Backend, FieldElem, valuation
-from valkit.groups import ExtValue, GroupElem, min_value
+from valkit.groups import GroupElem, expect_finite
 from valkit.keyseq import KeyIndex, KeySequence, find_witness
 from valkit.poly import Poly, derivative
 from valkit.truncation import NuOracle
@@ -72,6 +73,11 @@ def random_schedule_config(rng: random.Random) -> ScenarioConfig:
 # Expansions
 # ---------------------------------------------------------------------------
 
+def least(values) -> GroupElem | None:
+    """The least of `values`, with None as infinity; None when all are."""
+    return min((v for v in values if v is not None), default=None)
+
+
 def monomial_sum(backend: Backend, terms, key_poly: Callable[[KeyIndex], Poly]) -> Poly:
     """The polynomial  sum b * prod key_poly(k) ** e  over the terms."""
     acc = Poly(backend, ())
@@ -87,16 +93,22 @@ def reconstruct(exp: FullExpansion, ks: KeySequence) -> Poly:
     return monomial_sum(ks.backend, exp.terms, ks.key_poly)
 
 
-def expansion_min_value(exp: FullExpansion, ks: KeySequence, nu: NuOracle) -> ExtValue:
-    """Minimum of the term values; equals the truncation at the anchor."""
+def expansion_min_value(
+    exp: FullExpansion, ks: KeySequence, nu: NuOracle
+) -> GroupElem | None:
+    """Minimum of the term values; equals the truncation at the anchor.
 
-    def value(term: MonomialTerm) -> ExtValue:
+    Every term has a nonzero coefficient, so only the empty expansion of 0
+    has the infinite value.
+    """
+
+    def value(term: MonomialTerm) -> GroupElem:
         total = valuation(term.coefficient)
         for k, e in term.exponents:
-            total = total + nu.nu(ks.key_poly(k)).expect_finite().scale(e)
+            total = total + expect_finite(nu.nu(ks.key_poly(k))).scale(e)
         return total
 
-    return min_value(value(term) for term in exp.terms)
+    return least(value(term) for term in exp.terms)
 
 
 def s_set(f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle) -> set[int]:
@@ -104,8 +116,8 @@ def s_set(f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle) -> set[int]:
     values = nu.term_values(f, ks.key_poly(i))
     if not values:
         return set()
-    least = min_value(values.values())
-    return {j for j, v in values.items() if v == least}
+    low = least(values.values())
+    return {j for j, v in values.items() if v == low}
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +126,9 @@ def s_set(f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle) -> set[int]:
 
 @dataclass(frozen=True)
 class DerivativeDrop:
-    drop: ExtValue | None  # nu_i(f') - nu_i(f); None when nu_i(f) is infinite
+    # nu_i(f') - nu_i(f): None when nu_i(f) is infinite, and also (the
+    # drop is then infinite) when f' is zero or of infinite truncation.
+    drop: GroupElem | None
     alpha_i: GroupElem
     equals_alpha_i: bool
     hypothesis_ok: bool
@@ -138,27 +152,27 @@ def derivative_drop(
     here and a violation raises, since it would mean corrupt scenario data.
     """
     q = ks.key_poly(i)
-    alpha_i = (nu.nu(derivative(q)) - nu.nu(q)).expect_finite()
+    alpha_i = expect_finite(nu.nu(derivative(q))) - expect_finite(nu.nu(q))
 
     earlier = [j for j in ks.indices(terms_per_plateau) if j < i]
     hypothesis_ok = True
     for j in earlier:
         qj = ks.key_poly(j)
-        alpha_j = (nu.nu(derivative(qj)) - nu.nu(qj)).expect_finite()
+        alpha_j = expect_finite(nu.nu(derivative(qj))) - expect_finite(nu.nu(qj))
         if not alpha_j > alpha_i:
             hypothesis_ok = False
             break
 
     nu_i_f = nu.nu_q(f, q)
     fp = derivative(f)
-    nu_i_fp = nu.nu_q(fp, q) if not fp.is_zero() else ExtValue.infinity()
-    drop = None if nu_i_f.is_infinite else nu_i_fp - nu_i_f
+    nu_i_fp = nu.nu_q(fp, q) if not fp.is_zero() else None
+    drop = None if nu_i_f is None or nu_i_fp is None else nu_i_fp - nu_i_f
 
     s_f = frozenset(s_set(f, i, ks, nu))
-    equals = drop == ExtValue.of(alpha_i) if drop is not None else False
+    equals = drop == alpha_i
 
     s_fp: frozenset[int] | None = None
-    if hypothesis_ok and drop is not None:
+    if hypothesis_ok and nu_i_f is not None:
         unit_slot = any(_slot_is_unit(ks, j) for j in s_f)
         if unit_slot != equals:
             raise LawMismatchError(
@@ -178,7 +192,7 @@ def _slot_is_unit(ks: KeySequence, j: int) -> bool:
     """Whether the slot number j is a unit of the base field (j >= 1, v(j) = 0)."""
     if j < 1:
         return False
-    return valuation(ks.backend.from_int(j)) == ExtValue.of(GroupElem.zero())
+    return valuation(ks.backend.from_int(j)) == GroupElem.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +223,7 @@ class NormalizedSequence:
             return hit
         q = self.ks.key_poly(index)
         value = self.nu.nu(q)
-        if value.is_infinite:
+        if value is None:
             raise ValueNotRepresentableError(
                 "the support polynomial has no finite value to normalize by"
             )
@@ -250,7 +264,7 @@ def rewrite_in_generators(
     if f.degree >= ks.g_degree:
         raise ScenarioDataError("rewriting applies below the degree of g")
     v_f = nu.nu(f)
-    zero = ExtValue.of(GroupElem.zero())
+    zero = GroupElem.zero()
     if not f.is_zero() and v_f < zero:
         raise NegativeValueInputError(f"nu(f) = {v_f} is negative")
 
@@ -266,6 +280,6 @@ def rewrite_in_generators(
         raise ScenarioDataError("rewriting produced a scalar outside O_K")
     if monomial_sum(ks.backend, terms, lambda k: normalized.at(k).normalized) != f:
         raise ScenarioDataError("rewriting identity failed to re-evaluate")
-    if terms and min_value(values) != v_f:
+    if terms and least(values) != v_f:
         raise ScenarioDataError("rewriting lost the minimal-value law")
     return terms

@@ -203,6 +203,26 @@ class TestReports:
         assert report["status"] == "error" and report["exit_code"] == 3
         assert "residue root" in report["error"]
 
+    def test_infinite_value_below_g_is_reported(self):
+        # g = x^2 has a repeated root: nu(g') = nu(2x) is infinite.
+        report = run(parse_config_dict({"scenario": "unramified", "g": ["0", "0", "1"]}))
+        assert report["status"] == "error" and report["exit_code"] == 3
+        assert report["error"] == (
+            "ScenarioDataError: unexpected infinite value: g is reducible or has a repeated root"
+        )
+
+    def test_b1_with_a_key_of_the_degree_of_g_after_the_plateau(self):
+        # Only keys of degree strictly between the plateau's and g's make
+        # the b1 criterion inapplicable; x^2 + x + 4 has the degree of g.
+        report = run(parse_config_dict({
+            "scenario": "custom", "backend": "padic", "p": 7, "g": ["5", "1", "1"],
+            "stages": [{"family": "hensel_lift", "start": 1}, {"poly": ["4", "1", "1"]}],
+            "oracle": "stabilization",
+        }))
+        assert report["status"] == "decisive" and report["exit_code"] == 0
+        b1 = report["verdicts"]["b1"]
+        assert b1["applicable"] is True and b1["b1"] is True
+
     def test_hand_built_config_without_va_is_a_config_error(self):
         report = run(ScenarioConfig(scenario="artin-schreier", p=2))
         assert report["status"] == "error" and report["exit_code"] == 4

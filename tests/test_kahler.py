@@ -8,6 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lemmas import least
 from valkit import kahler
 from valkit.cli import parse_config_dict, build_stream
 from valkit.errors import HypothesisViolatedError, InconclusiveError, ScenarioDataError
@@ -15,13 +16,12 @@ from valkit.groups import (
     CanonicalSegment,
     ClosedForm,
     Diverging,
-    ExtValue,
     FiniteList,
     GroupElem,
     SegmentRelation,
     Tail,
+    expect_finite,
     fit_closed_form,
-    min_value,
     rat1,
     segment_compare,
     wlim,
@@ -180,8 +180,8 @@ def reference_tails(stream, block):
     @functools.cache
     def row(n):
         q = ks.key_poly(KeyIndex(block.stage_pos, n))
-        nu_key, nu_key_deriv = nu.nu(q).expect_finite(), nu.nu(derivative(q)).expect_finite()
-        nu_i_g, nu_i_gp = nu.nu_q(ks.g, q).expect_finite(), nu.nu_q(gp, q).expect_finite()
+        nu_key, nu_key_deriv = nu.nu(q), nu.nu(derivative(q))
+        nu_i_g, nu_i_gp = nu.nu_q(ks.g, q), nu.nu_q(gp, q)
         return {
             "nu_key": nu_key, "nu_key_deriv": nu_key_deriv, "alpha": nu_key_deriv - nu_key,
             "beta": stream.nu_gprime - nu_i_g, "beta_tilde": nu_i_gp - nu_i_g,
@@ -212,6 +212,17 @@ class TestCertificateFirst:
         assert {k: t and t.describe() for k, t in block.tails.items()} == {
             k: expected[k] and expected[k].describe() for k in COLUMNS
         }
+
+
+class TestFit:
+    def test_extension_reaches_the_term_at_the_limit(self):
+        # Seven records of 1 + 3^-(n-1); the eighth term, at the limit,
+        # completes the four fitted and four verified terms.
+        law = ClosedForm(rat1(1), rat1(1), 3)
+        values = [law.term(n - 1) for n in range(1, 8)]
+        tail = kahler._fit(values, 3, lambda n: law.term(n - 1), limit=8)
+        assert tail == Tail(law, 0)
+        assert kahler._fit(values, 3, lambda n: law.term(n - 1), limit=7) is None
 
 
 class TestSequenceChecks:
@@ -538,15 +549,15 @@ class TestScheduleValidation:
 
 def former_least_slot_value(laws, key_value):
     """Least term value ``const + mult * key_value`` over the nonzero slots."""
-    return min_value(
-        ExtValue.infinity()
-        if law.const is None
-        else ExtValue.of(law.const + key_value.scale(law.mult))
-        for law in laws
-    ).expect_finite()
+    return expect_finite(
+        least(
+            None if law.const is None else law.const + key_value.scale(law.mult)
+            for law in laws
+        )
+    )
 
 
-_consts = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_consts = st.fractions(-6, 6, max_denominator=4)
 slot_laws = st.lists(
     st.builds(CoefValueLaw, st.one_of(st.none(), _consts.map(rat1)), st.integers(0, 9)),
     min_size=1, max_size=10,
@@ -569,8 +580,7 @@ class TestSlotLines:
             return
         # Key values below, at and above 0.
         for key_value in map(rat1, (-abs(x), 0, abs(x))):
-            least = _least_line(lines, key_value)
-            assert least == former_least_slot_value(laws, key_value)
+            assert _least_line(lines, key_value) == former_least_slot_value(laws, key_value)
 
     def test_lines_are_derived_once_per_stage(self):
         (stage,) = KUMMER_AT.ks.stages
@@ -611,7 +621,7 @@ class TestSlotLines:
 # cut, and a rescan of all earlier alphas for the inclusion chain.
 # ---------------------------------------------------------------------------
 
-small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small = st.fractions(-6, 6, max_denominator=4)
 
 
 def elems():

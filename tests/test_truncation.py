@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
 from valkit.fields import Backend, PAdicRational, valuation
-from valkit.groups import ExtValue, rat1
+from valkit.groups import rat1
 from valkit.keyseq import PlateauFamily, artin_schreier_family, hensel_family
 from valkit.poly import Poly, derivative, q_expand
 from valkit.truncation import NuOracle
@@ -33,7 +33,7 @@ def windowed_value(f0, family, window, budget):
         else:
             run, run_len = k, 1
         if run_len >= window:
-            return ExtValue.of(rat1(run))
+            return rat1(run)
     raise StabilizationBudgetExceededError(f"no window of {window} within {budget} terms")
 
 
@@ -54,19 +54,28 @@ def as_setup(p):
 class TestNu:
     def test_support_is_infinite(self):
         _, g, _, nu = as_setup(2)
-        assert nu.nu(g).is_infinite
-        assert nu.nu(g * g).is_infinite
+        assert nu.nu(g) is None
+        assert nu.nu(g * g) is None
 
     def test_constant_one(self):
         backend, g, _, nu = as_setup(2)
-        assert nu.nu(Poly.from_ints(backend, [1])) == ExtValue.of(rat1(0))
+        assert nu.nu(Poly.from_ints(backend, [1])) == rat1(0)
+
+    def test_infinite_value_is_memoized(self):
+        # None is a cached value, not a miss: the value function runs once.
+        backend, g, _, _ = as_setup(2)
+        calls = []
+        nu = NuOracle(g, lambda f0: calls.append(f0))
+        x = Poly.x(backend)
+        assert nu.nu(x) is None and nu.nu(x) is None
+        assert calls == [x]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_key_values_from_later_partial_sums(self, p):
         backend, g, family, nu = as_setup(p)
         for n in range(1, 7):
             q = family.poly(n)
-            assert nu.nu(q) == ExtValue.of(rat1(Fraction(-1, p**n)))
+            assert nu.nu(q) == rat1(Fraction(-1, p**n))
 
     def test_certificate_outlasts_early_agreement_and_transient_zero(self):
         backend = Backend("padic", 2)
@@ -87,9 +96,9 @@ class TestNu:
         x = Poly.x(backend)
         with pytest.raises(StabilizationBudgetExceededError):
             NuOracle.stabilization(g, family(5)).nu(x)
-        assert NuOracle.stabilization(g, family(6)).nu(x) == ExtValue.of(rat1(1))
+        assert NuOracle.stabilization(g, family(6)).nu(x) == rat1(1)
         # the windowed rule stops at the first three agreeing orders
-        assert windowed_oracle(g, family(6), window=3, budget=6).nu(x) == ExtValue.of(rat1(3))
+        assert windowed_oracle(g, family(6), window=3, budget=6).nu(x) == rat1(3)
 
     def test_budget_exceeded_carries_the_warm_started_trace(self):
         backend, g, _, _ = as_setup(2)
@@ -104,10 +113,10 @@ class TestNu:
         # equals the precision v(eta - s_m) until a_6, the root of f0.
         trace = list(exc.value.trace)
         assert trace == [valuation(f0.eval(family.center(m))) for m in range(2, 7)]
-        assert [v.is_infinite for v in trace] == [False] * 4 + [True]
+        assert [v is None for v in trace] == [False] * 4 + [True]
         # One member more certifies v(eta - s_6) = -1/2**6.
         nu = NuOracle.stabilization(g, artin_schreier_family(backend, a, budget=7))
-        assert nu.nu(f0) == ExtValue.of(rat1(Fraction(-1, 64)))
+        assert nu.nu(f0) == rat1(Fraction(-1, 64))
 
     def test_taylor_bound_counts_the_higher_coefficients(self):
         # f = x^2 - 1 near eta = 33, over 2-adics: at a = 9, v(f(a)) = 4 lies
@@ -125,7 +134,7 @@ class TestNu:
         )
         f = Poly.from_ints(backend, [-1, 0, 1])
         assert [f.eval(a).order() for a in points] == [4, 5, 6, 6]
-        assert NuOracle.stabilization(g, family).nu(f) == ExtValue.of(rat1(6))
+        assert NuOracle.stabilization(g, family).nu(f) == rat1(6)
 
     def test_family_without_certificate_refused(self):
         backend = Backend("padic", 2)
@@ -147,19 +156,19 @@ class TestNuQ:
         backend, g, family, nu = as_setup(p)
         for n in range(1, 7):
             q = family.poly(n)
-            assert nu.nu_q(g, q) == ExtValue.of(rat1(Fraction(-1, p ** (n - 1))))
+            assert nu.nu_q(g, q) == rat1(Fraction(-1, p ** (n - 1)))
 
     def test_square_of_base(self):
         backend, g, family, nu = as_setup(2)
         q = family.poly(3)
-        vq = nu.nu(q).expect_finite()
-        assert nu.nu_q(q * q, q) == ExtValue.of(vq.scale(2))
+        vq = nu.nu(q)
+        assert nu.nu_q(q * q, q) == vq.scale(2)
 
     def test_truncation_at_support_equals_nu(self):
         backend, g, family, nu = as_setup(2)
         f = g * Poly.x(backend) + Poly.from_ints(backend, [1])
         assert nu.nu_q(f, g) == nu.nu(f)
-        assert nu.nu_q(g, g).is_infinite
+        assert nu.nu_q(g, g) is None
 
     def test_infinite_base_other_than_support_rejected(self):
         backend, g, family, nu = as_setup(2)
@@ -200,7 +209,7 @@ def hensel_eval_value(backend, g, f, start=0):
         return Fraction(k)
 
     if f.is_zero():
-        return ExtValue.infinity()
+        return None
     if f.degree == 0:
         return valuation(f.coeff(0))
     b = f.coeff(1)
@@ -261,25 +270,25 @@ class TestEvaluationAgreement:
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [-5, 1])  # eta = 5 inside K itself
         nu = NuOracle(g, value_fn=lambda f: valuation(f.eval(backend.from_int(5))))
-        assert nu.nu(Poly.from_ints(backend, [-3, 1])) == ExtValue.of(rat1(1))
-        assert nu.nu(Poly.from_ints(backend, [-5, 1])).is_infinite
-        assert nu.nu(Poly.from_ints(backend, [3])) == ExtValue.of(rat1(0))
+        assert nu.nu(Poly.from_ints(backend, [-3, 1])) == rat1(1)
+        assert nu.nu(Poly.from_ints(backend, [-5, 1])) is None
+        assert nu.nu(Poly.from_ints(backend, [3])) == rat1(0)
 
     def test_resultant_oracle_on_unramified(self):
         backend = Backend("padic", 2)
         g = Poly.from_ints(backend, [1, 1, 1])
         nu = NuOracle.from_resultant(g)
-        assert nu.nu(Poly.x(backend)) == ExtValue.of(rat1(0))
-        assert nu.nu(derivative(g)) == ExtValue.of(rat1(0))
-        assert nu.nu(g).is_infinite
+        assert nu.nu(Poly.x(backend)) == rat1(0)
+        assert nu.nu(derivative(g)) == rat1(0)
+        assert nu.nu(g) is None
         # v(eta - 1): norm of (1 - eta) is g(1) = 3, a unit
-        assert nu.nu(Poly.from_ints(backend, [-1, 1])) == ExtValue.of(rat1(0))
+        assert nu.nu(Poly.from_ints(backend, [-1, 1])) == rat1(0)
 
     def test_transient_zero_along_family_is_skipped(self):
         backend, g, family, nu = hensel_setup()
         q4 = family.poly(4)
         v = nu.nu(q4)
-        assert not v.is_infinite
+        assert not v is None
         assert v == valuation(family.center(7) - family.center(4))
 
 
