@@ -74,10 +74,6 @@ def full_expansion(
                 )
         return out
 
-    if f.is_zero():
-        return FullExpansion(i, ())
-    if f.degree == 0:
-        return FullExpansion(i, (MonomialTerm(f.coeff(0), ()),))
     return FullExpansion(i, tuple(expand(f, i, ks.key_poly(i))))
 
 

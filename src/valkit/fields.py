@@ -19,7 +19,7 @@ powers built on first use (an order of 32 or more recurses on the quotient).
 A Hahn element stores its exponents as integer numerators over one
 denominator per element, kept minimal, so equal series compare and hash
 equal without `Fraction` arithmetic; `Fraction` appears only where
-exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`order`, `str`).
+exponents enter (`HahnElem.make`, `parse_hahn`) and leave (`order`).
 Sums and differences are one linear merge of the two sorted supports
 (`HahnElem._merge`), which reduces the denominator only after a term
 cancels; a product with a one-term factor shifts the other support, and
@@ -95,8 +95,8 @@ class PAdicRational:
     `value` is an `int` when the rational is integral and a `Fraction`
     otherwise (`_padic` builds every element), so sums, differences and
     products of integers never leave `int` arithmetic.  An `int` and the
-    equal `Fraction` compare, hash and print alike.  Immutable by
-    convention, as `Fraction` is.
+    equal `Fraction` compare and hash alike.  Immutable by convention, as
+    `Fraction` is.
     """
 
     __slots__ = ("value", "p")
@@ -159,9 +159,6 @@ class PAdicRational:
 
     def order(self) -> int | None:
         return None if self.value == 0 else _padic_order(self.value, self.p)
-
-    def __str__(self):
-        return str(self.value)
 
 
 def _hahn(acc: dict[int, int], den: int, p: int) -> "HahnElem":
@@ -345,11 +342,6 @@ class HahnElem:
         scale = self.p**k // g
         return HahnElem(tuple((n * scale, c) for n, c in self.terms), self.den // g, self.p)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return "+".join(f"{c}*t^({Fraction(n, self.den)})" for n, c in self.terms)
-
 
 FieldElem = Union[PAdicRational, HahnElem]
 
@@ -384,9 +376,8 @@ class Backend:
         return _hahn({0: n}, 1, self.p)
 
     def element_from_value(self, value) -> FieldElem:
-        """Some element with the requested valuation (a uniformizer power)."""
-        if isinstance(value, GroupElem):
-            value = value.value
+        """Some element of valuation `value` (an int, a Fraction or its string):
+        a uniformizer power."""
         value = Fraction(value)
         if self.kind == "hahn":
             return HahnElem.make({value: 1}, self.p)

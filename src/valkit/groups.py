@@ -3,8 +3,8 @@
 Every value group valkit meets has rank 1: the integers for the p-adic
 backend, the rationals for Hahn series and value schedules.  An element
 is a reduced integer pair num/den, added, scaled and compared by integer
-cross-multiplication and one gcd; `Fraction` is only the cold conversion
-in and out (`GroupElem.value`).  Infinity, the value of 0 and of the
+cross-multiplication and one gcd; `Fraction` is only a cold way in
+(`GroupElem(x)`, `scale`).  Infinity, the value of 0 and of the
 multiples of the support polynomial, is `None`: no arithmetic takes it,
 and `expect_finite` turns it into the error a run reports for it.
 
@@ -59,8 +59,8 @@ class GroupElem:
     `num` and `den` are coprime integers with den > 0, so equal elements
     have equal pairs.  Arithmetic and order take group elements only,
     never bare numbers, so every value stays exact and prints as ``n/d``.
-    Immutable by convention, as `Fraction` is; `value` is the equal
-    `Fraction`.
+    Immutable by convention, as `Fraction` is; ``Fraction(e.num, e.den)``
+    is the equal `Fraction`.
     """
 
     __slots__ = ("num", "den")
@@ -75,10 +75,6 @@ class GroupElem:
     @staticmethod
     def zero() -> "GroupElem":
         return _ZERO
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __eq__(self, other):
         if type(other) is not GroupElem:
@@ -240,6 +236,17 @@ class Tail:
 
     law: ClosedForm | Diverging
     offset: int = 0
+
+    def affine(self, m: int, shift: GroupElem) -> "Tail":
+        """The tail of the column ``shift + m * x``, x this tail's column, m != 0.
+
+        A law maps term by term at the same offset; a divergence keeps its
+        direction for m > 0 and flips it for m < 0.
+        """
+        law = self.law
+        if isinstance(law, Diverging):
+            return Tail(Diverging(law.increasing == (m > 0)))
+        return Tail(ClosedForm(law.c.scale(m), shift + law.d.scale(m), law.p), self.offset)
 
     def describe(self) -> dict:
         if isinstance(self.law, Diverging):

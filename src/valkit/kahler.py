@@ -19,13 +19,16 @@ schedule block that its key values increase strictly, before any fit.
 Plateau columns carry a `groups.Tail`: an exact geometric law
 ``c * p**-n + d`` with the scenario's own ``p``, fitted on four
 consecutive computed terms and verified on four more, or a divergence
-certificate inherited from the family's construction.  Where a family has
-a certificate it decides first: only the two columns it reads (nu(Q_n')
-and nu_n(g')) and the columns it leaves open are fitted, so no fit probes
-rows for the columns the certificate proves unbounded.  Segments
-(`CanonicalSegment`), verdicts and the expansion-slot criterion are decided
-from those tails; a column without one (data following another ratio, for
-instance) yields an inconclusive outcome, never a guess.
+certificate inherited from the family's construction.  alpha and beta are
+never fitted: a plateau key is linear, so nu(Q_n') is constant, and their
+tails are the nu(Q_n) and nu_n(g) tails mapped by `Tail.affine`.  Where a
+family has a certificate it decides first: nu(Q_n) and nu_n(g) diverge
+without a fit, and only nu(Q_n'), nu_n(g') and an open beta-tilde are
+fitted, so no fit probes rows for the columns the certificate proves
+unbounded.  Segments (`CanonicalSegment`), verdicts and the
+expansion-slot criterion are decided from those tails; a column without
+one (data following another ratio, for instance) yields an inconclusive
+outcome, never a guess.
 
 The three independent routes to the vanishing decision:
 
@@ -98,8 +101,6 @@ COLUMNS = (
     "nu_i_g",
     "nu_i_gprime",
 )
-# The columns `_apply_divergence_cert` reads to decide the others.
-_CERT_PARTNERS = ("nu_key_deriv", "nu_i_gprime")
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     plateau or schedule block that its key values increase strictly before
     any fit.  Tails are laws fitted and re-verified on further exact rows,
     or the family's divergence certificate, which decides its columns
-    before any fit runs.
+    before any fit runs; alpha and beta map the nu_key and nu_i_g tails.
     """
     if (nu is None) != (ks.g is None):
         raise ScenarioDataError("a sequence takes an oracle exactly when it carries g")
@@ -271,14 +272,21 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             values = [r.column(name) for r in records]
             return _fit(values, ks.p, lambda n: row(KeyIndex(pos, n)).column(name), limit)
 
-        # A certificate decides the diverging columns before any fit probes
-        # them; only the partners it needs and what it leaves open are fitted.
-        tails = {name: fit(name) for name in _CERT_PARTNERS}
+        # A certificate decides the diverging columns before any fit probes them.
+        tails = {name: fit(name) for name in ("nu_key_deriv", "nu_i_gprime")}
         cert = stage.divergence_bound if isinstance(stage, PlateauFamily) else None
-        if cert is not None:
-            tails = _apply_divergence_cert(records, tails, cert)
-        tails = {name: tails[name] if name in tails else fit(name) for name in COLUMNS}
-        blocks.append(Block(pos, stage.degree, records, tails))
+        if cert is None:
+            tails.update((name, fit(name)) for name in ("nu_key", "nu_i_g", "beta_tilde"))
+        else:
+            _check_divergence_cert(records, cert)
+            tails["nu_key"] = tails["nu_i_g"] = Tail(Diverging(increasing=True))
+            down = Tail(Diverging(increasing=False))
+            tails["beta_tilde"] = down if _is_constant(tails["nu_i_gprime"]) else fit("beta_tilde")
+        key, deriv, g_tail = tails["nu_key"], tails["nu_key_deriv"], tails["nu_i_g"]
+        # A linear key has constant nu(Q'): alpha = nu(Q') - nu_key, beta = nu(g') - nu_i_g.
+        tails["alpha"] = key.affine(-1, deriv.law.d) if key and _is_constant(deriv) else None
+        tails["beta"] = g_tail.affine(-1, nu_gprime) if g_tail else None
+        blocks.append(Block(pos, stage.degree, records, {n: tails[n] for n in COLUMNS}))
 
     return InvariantStream(tuple(blocks), nu_gprime, ks, nu, terms=terms)
 
@@ -311,16 +319,13 @@ def _least_line(lines: tuple[tuple[GroupElem, int], ...], x: GroupElem) -> Group
     return expect_finite(min((c + x.scale(m) for c, m in lines), default=None))
 
 
-def _apply_divergence_cert(records, tails, bound) -> dict[str, Tail | None]:
-    """Upgrade unknown columns using the family's construction certificate.
+def _check_divergence_cert(records, bound) -> None:
+    """Validate the materialized prefix against the family's certificate.
 
-    The certificate guarantees nu(Q_n) >= bound(n) -> infinity; the
-    materialized prefix is validated against it, as is domination of the
-    truncated values of g (every expansion slot of g carries nonnegative
-    coefficient value for an integral family, so nu_n(g) >= nu(Q_n)).
-    Columns paired with an eventually constant partner then diverge with
-    the key value.  A column missing from `tails` counts as unknown, so
-    the fits of `_CERT_PARTNERS` are all the certificate needs.
+    The certificate guarantees nu(Q_n) >= bound(n) -> infinity, so the key
+    values and the truncated values of g diverge upwards (every expansion
+    slot of g carries nonnegative coefficient value for an integral family,
+    so nu_n(g) >= nu(Q_n)); both are checked on every record.
     """
     for n, rec in enumerate(records, start=1):
         if not rec.nu_key >= bound(n):
@@ -329,21 +334,6 @@ def _apply_divergence_cert(records, tails, bound) -> dict[str, Tail | None]:
             raise LawMismatchError(
                 "truncated values of g do not dominate the certificate bound"
             )
-    out = dict(tails)
-    up = Tail(Diverging(increasing=True))
-    down = Tail(Diverging(increasing=False))
-    if out.get("nu_key") is None:
-        out["nu_key"] = up
-    if out.get("nu_i_g") is None:
-        out["nu_i_g"] = up
-    g_diverges = isinstance(out["nu_i_g"].law, Diverging)
-    if _is_constant(out["nu_key_deriv"]) and out.get("alpha") is None:
-        out["alpha"] = down
-    if g_diverges and out.get("beta") is None:
-        out["beta"] = down
-    if _is_constant(out["nu_i_gprime"]) and g_diverges and out.get("beta_tilde") is None:
-        out["beta_tilde"] = down
-    return out
 
 
 def _is_constant(tail: Tail | None) -> bool:
@@ -463,7 +453,6 @@ def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
         raise InconclusiveError("alpha segment undecidable")
     if stream.alpha_segment.kind == "closed":
         raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
-    block = stream.plateau
     return stream.plateau.stage_pos, 1
 
 
@@ -628,12 +617,7 @@ def _instability_cut(values: Sequence[GroupElem], tail: Tail) -> CanonicalSegmen
 
     It is kept as the final segment that the negated column generates.
     """
-    law = tail.law
-    if isinstance(law, Diverging):
-        negated = Tail(Diverging(not law.increasing))
-    else:
-        negated = Tail(ClosedForm(-law.c, -law.d, law.p), tail.offset)
-    return canonicalize([-v for v in values], negated)
+    return canonicalize([-v for v in values], tail.affine(-1, GroupElem.zero()))
 
 
 def cut_contains_eventually(cut: CanonicalSegment, tail: Tail | None) -> bool | None:
@@ -753,11 +737,7 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
             return "zero", None
         # The slot value is const + mult * key value: map the key-value tail.
         key_tail = block.tails["nu_key"]
-        if key_tail is None:
-            return "values", None
-        kv = key_tail.law
-        slot_law = ClosedForm(kv.c.scale(law.mult), law.const + kv.d.scale(law.mult), kv.p)
-        return "values", Tail(slot_law, key_tail.offset)
+        return "values", None if key_tail is None else key_tail.affine(law.mult, law.const)
 
     def slot_value(n: int) -> GroupElem | None:
         exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(block.stage_pos, n)))

@@ -11,7 +11,7 @@ f modulo g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NonMonicBaseError
 from .fields import Backend, FieldElem
@@ -30,14 +30,6 @@ class Poly:
         while cs and cs[-1].is_zero():
             cs.pop()
         return Poly(backend, tuple(cs))
-
-    @staticmethod
-    def from_ints(backend: Backend, ints: Sequence[int]) -> "Poly":
-        return Poly.make(backend, [backend.from_int(n) for n in ints])
-
-    @staticmethod
-    def constant(backend: Backend, c: FieldElem) -> "Poly":
-        return Poly.make(backend, [c])
 
     @staticmethod
     def x(backend: Backend) -> "Poly":
@@ -93,9 +85,6 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly.make(self.backend, out)
 
-    def scale(self, c: FieldElem) -> "Poly":
-        return Poly.make(self.backend, [a * c for a in self.coeffs])
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
@@ -140,22 +129,6 @@ class Poly:
                 rem[shift + i] = rem[shift + i] - qc * c
         return Poly.make(self.backend, quot), Poly.make(self.backend, rem[:dq])
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c.is_zero():
-                continue
-            if i == 0:
-                parts.append(f"({c})")
-            elif i == 1:
-                parts.append(f"({c})*x")
-            else:
-                parts.append(f"({c})*x^{i}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class QExpansion:
@@ -164,21 +137,10 @@ class QExpansion:
     base: Poly
     coeffs: tuple[Poly, ...]
 
-    def to_poly(self) -> Poly:
-        acc = Poly(self.base.backend, ())
-        power = Poly.make(self.base.backend, [self.base.backend.one()])
-        for c in self.coeffs:
-            acc = acc + c * power
-            power = power * self.base
-        return acc
-
     def coeff(self, i: int) -> Poly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Poly(self.base.backend, ())
-
-    def __len__(self):
-        return len(self.coeffs)
 
     def is_monic(self) -> bool:
         """True when the top coefficient is the constant 1."""

@@ -15,7 +15,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from valkit.cli import ScenarioConfig, build_stream, parse_config_dict
 from valkit.errors import (
@@ -29,7 +29,7 @@ from valkit.expansion import FullExpansion, MonomialTerm, full_expansion
 from valkit.fields import Backend, FieldElem, valuation
 from valkit.groups import GroupElem, expect_finite
 from valkit.keyseq import KeyIndex, KeySequence, find_witness
-from valkit.poly import Poly, derivative
+from valkit.poly import Poly, QExpansion, derivative
 from valkit.truncation import NuOracle
 
 
@@ -48,6 +48,18 @@ def context(name: str):
     }
     stream = build_stream(parse_config_dict(cfgs[name]))
     return stream.ks, stream.nu, stream
+
+
+# A genuine e = 1 key sequence whose full expansion searches for a witness.
+# With Q = x^2 + x + 1, g = Q^2 + 2Q + 4x and nu(Q) = 1; the residual
+# polynomial y^2 + y + w (w a root of x^2 + x + 1) is irreducible over F_4,
+# so g is irreducible over Q_2 with e = 1 and f = 4, and (x, Q) is a key
+# sequence for it.  {x} alone is not complete: g = Q^2 mod 2.  The slot
+# coefficient 4x of g over Q is the one coefficient that is not a constant.
+WITNESS_CONFIG = {
+    "scenario": "custom", "backend": "padic", "p": 2, "g": ["3", "8", "5", "2", "1"],
+    "stages": [{"poly": ["0", "1"]}, {"poly": ["1", "1", "1"]}], "oracle": "resultant",
+}
 
 
 def random_schedule_config(rng: random.Random) -> ScenarioConfig:
@@ -70,6 +82,26 @@ def random_schedule_config(rng: random.Random) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
+# Polynomials
+# ---------------------------------------------------------------------------
+
+def from_ints(backend: Backend, ints: Sequence[int]) -> Poly:
+    """The polynomial with integer coefficients `ints`, lowest first."""
+    return Poly.make(backend, [backend.from_int(n) for n in ints])
+
+
+def to_poly(exp: QExpansion) -> Poly:
+    """The polynomial sum f_i q^i that a base-q expansion rewrites."""
+    backend = exp.base.backend
+    acc = Poly(backend, ())
+    power = Poly.make(backend, [backend.one()])
+    for c in exp.coeffs:
+        acc = acc + c * power
+        power = power * exp.base
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Expansions
 # ---------------------------------------------------------------------------
 
@@ -82,7 +114,7 @@ def monomial_sum(backend: Backend, terms, key_poly: Callable[[KeyIndex], Poly]) 
     """The polynomial  sum b * prod key_poly(k) ** e  over the terms."""
     acc = Poly(backend, ())
     for term in terms:
-        part = Poly.constant(backend, term.coefficient)
+        part = Poly.make(backend, [term.coefficient])
         for index, e in term.exponents:
             part = part * key_poly(index) ** e
         acc = acc + part
@@ -227,8 +259,8 @@ class NormalizedSequence:
             raise ValueNotRepresentableError(
                 "the support polynomial has no finite value to normalize by"
             )
-        scalar = self.ks.backend.element_from_value(value)
-        normalized = q.scale(self.ks.backend.one() / scalar)
+        scalar = self.ks.backend.element_from_value(Fraction(value.num, value.den))
+        normalized = q * Poly.make(q.backend, [self.ks.backend.one() / scalar])
         return self._cache.setdefault(index, NormalizedKey(index, q, scalar, normalized))
 
 

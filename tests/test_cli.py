@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lemmas import WITNESS_CONFIG, from_ints
 import valkit
+from valkit import expansion
 from valkit.cli import (
     SCENARIOS,
     ScenarioConfig,
@@ -765,6 +767,26 @@ class TestCustomScenario:
     def test_custom_requires_all_fields(self):
         with pytest.raises(ConfigError):
             parse_config_dict({"scenario": "custom", "backend": "padic"})
+
+    def test_witness_search_from_the_front_door(self, monkeypatch):
+        found = []
+        find_witness = expansion.find_witness
+
+        def counted(ks, nu, f, candidates):
+            index = find_witness(ks, nu, f, candidates)
+            found.append((f, index))
+            return index
+
+        monkeypatch.setattr(expansion, "find_witness", counted)
+        report = run(parse_config_dict(WITNESS_CONFIG))
+        assert (report["status"], report["exit_code"], report["nu_gprime"]) == ("decisive", 0, "1/1")
+        classification = report["verdicts"]["classification"]
+        assert (classification["kind"], classification["case"]) == ("omega_zero", "i")
+        witness = classification["witness"]
+        assert (witness["i"], witness["ell"], witness["min_alpha"]) == ("1.0", "1.0", "-1/1")
+        # One search, for the slot coefficient 4x of g over x^2 + x + 1: the key x.
+        ((f, index),) = found
+        assert f == from_ints(f.backend, [0, 4]) and index.label() == "0.0"
 
 
 # Generated configs: small valid sizes, and mostly valid values with some

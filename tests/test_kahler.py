@@ -3,15 +3,20 @@ import dataclasses
 import functools
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import inf, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import least
+from lemmas import from_ints, least
 from valkit import kahler
 from valkit.cli import parse_config_dict, build_stream
-from valkit.errors import HypothesisViolatedError, InconclusiveError, ScenarioDataError
+from valkit.errors import (
+    HypothesisViolatedError,
+    InconclusiveError,
+    ScenarioDataError,
+    StabilizationBudgetExceededError,
+)
 from valkit.groups import (
     CanonicalSegment,
     ClosedForm,
@@ -33,7 +38,6 @@ from valkit.kahler import (
     InvariantRecord,
     InvariantStream,
     VerdictKind,
-    _apply_divergence_cert,
     _instability_cut,
     _least_line,
     _wlim_branch,
@@ -55,6 +59,7 @@ from valkit.keyseq import (
     ScheduleStage,
     hensel_family,
     slot_lines,
+    stage_terms,
 )
 from valkit.poly import Poly, derivative
 from valkit.truncation import NuOracle
@@ -171,17 +176,54 @@ def hensel_configs(draw):
     }
 
 
+@st.composite
+def artin_schreier_configs(draw):
+    p = draw(st.sampled_from([2, 3]))
+    va = -Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    return {
+        "scenario": "artin-schreier", "p": p, "terms": draw(st.integers(2, 12)),
+        "va": f"{va.numerator}/{va.denominator}",
+    }
+
+
+@st.composite
+def kummer_configs(draw):
+    """A closed-form value schedule at or below the threshold gamma = vp/(p-1)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    vp = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4)))
+    gamma = vp / (p - 1) - Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 5)))
+    scale = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    return {
+        "scenario": "kummer-schedule", "p": p, "terms": draw(st.integers(2, 16)),
+        "vp": str(vp), "gamma": str(gamma), "scale": str(scale),
+    }
+
+
 def reference_tails(stream, block):
-    """Every column fitted with extension to the budget, then the certificate."""
+    """Every column fitted with extension to the stage's limit, then the
+    family's certificate rules, written out here.
+
+    The rows are recomputed: from the oracle for a family, and from the
+    full minimum over the slot laws for a value schedule.  Under a
+    certificate the key values and the truncations of g diverge upwards
+    where no law fits them, and alpha, beta and beta_tilde diverge
+    downwards where no law fits them and their partner column (nu(Q'),
+    none, nu(g')) is constant.
+    """
     ks, nu = stream.ks, stream.nu
-    family = ks.stages[block.stage_pos]
-    gp = derivative(ks.g)
+    stage = ks.stages[block.stage_pos]
+    limit = stage_terms(stage, inf)
 
     @functools.cache
     def row(n):
-        q = ks.key_poly(KeyIndex(block.stage_pos, n))
-        nu_key, nu_key_deriv = nu.nu(q), nu.nu(derivative(q))
-        nu_i_g, nu_i_gp = nu.nu_q(ks.g, q), nu.nu_q(gp, q)
+        if isinstance(stage, ScheduleStage):
+            nu_key, nu_key_deriv = stage.key_value(n), GroupElem.zero()
+            nu_i_g = former_least_slot_value(stage.g_coef_laws, nu_key)
+            nu_i_gp = former_least_slot_value(stage.gprime_coef_laws, nu_key)
+        else:
+            q = ks.key_poly(KeyIndex(block.stage_pos, n))
+            nu_key, nu_key_deriv = nu.nu(q), nu.nu(derivative(q))
+            nu_i_g, nu_i_gp = nu.nu_q(ks.g, q), nu.nu_q(derivative(ks.g), q)
         return {
             "nu_key": nu_key, "nu_key_deriv": nu_key_deriv, "alpha": nu_key_deriv - nu_key,
             "beta": stream.nu_gprime - nu_i_g, "beta_tilde": nu_i_gp - nu_i_g,
@@ -189,29 +231,67 @@ def reference_tails(stream, block):
         }
 
     def extender(name):
-        return lambda k: None if k + 1 > family.budget else row(k + 1)[name]
+        def extend(k):
+            if k + 1 > limit:
+                return None
+            try:
+                return row(k + 1)[name]
+            except StabilizationBudgetExceededError:
+                return None
+        return extend
 
     tails = {
         name: fit_closed_form(
             block.values(name),
             ks.p,
-            extend=None if family.budget == len(block.records) else extender(name),
+            extend=None if limit == len(block.records) else extender(name),
         )
         for name in COLUMNS
     }
-    return _apply_divergence_cert(block.records, tails, family.divergence_bound)
+    if getattr(stage, "divergence_bound", None) is None:
+        return tails
+
+    def constant(tail):
+        return tail is not None and isinstance(tail.law, ClosedForm) and tail.law.c.is_zero()
+
+    up, down = Tail(Diverging(increasing=True)), Tail(Diverging(increasing=False))
+    tails["nu_key"] = tails["nu_key"] or up
+    tails["nu_i_g"] = tails["nu_i_g"] or up
+    g_diverges = isinstance(tails["nu_i_g"].law, Diverging)
+    if constant(tails["nu_key_deriv"]):
+        tails["alpha"] = tails["alpha"] or down
+    if g_diverges:
+        tails["beta"] = tails["beta"] or down
+    if constant(tails["nu_i_gprime"]) and g_diverges:
+        tails["beta_tilde"] = tails["beta_tilde"] or down
+    return tails
+
+
+def assert_reference_tails(stream):
+    block = stream.plateau
+    expected = reference_tails(stream, block)
+    assert {k: t and t.describe() for k, t in block.tails.items()} == {
+        k: expected[k] and expected[k].describe() for k in COLUMNS
+    }
 
 
 class TestCertificateFirst:
+    """The stream's tails equal fitting every column, certificate or not."""
+
     @settings(max_examples=30, deadline=None)
     @given(hensel_configs())
     def test_tails_equal_fitting_every_column(self, data):
-        stream = stream_for(data)
-        block = stream.plateau
-        expected = reference_tails(stream, block)
-        assert {k: t and t.describe() for k, t in block.tails.items()} == {
-            k: expected[k] and expected[k].describe() for k in COLUMNS
-        }
+        assert_reference_tails(stream_for(data))
+
+    @settings(max_examples=15, deadline=None)
+    @given(artin_schreier_configs())
+    def test_artin_schreier_tails_equal_fitting_every_column(self, data):
+        assert_reference_tails(stream_for(data))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kummer_configs())
+    def test_kummer_tails_equal_fitting_every_column(self, data):
+        assert_reference_tails(stream_for(data))
 
 
 class TestFit:
@@ -230,7 +310,7 @@ class TestSequenceChecks:
         # the key values rise for six terms and then repeat; the stream
         # checks every materialized term, not a shorter prefix
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [2, 1, 1])
+        g = from_ints(backend, [2, 1, 1])
         lifts = hensel_family(backend, g, 0)
         stalling = PlateauFamily(backend, lambda n, prev: lifts.center(min(n, 6)))
         ks = KeySequence((stalling,), g, 2, backend)
@@ -241,8 +321,8 @@ class TestSequenceChecks:
     def test_g_not_monic_over_explicit_key_rejected(self):
         # x^3 + x + 1 = (x - 1)(x^2 + x + 1) + (x + 2): the top slot is x - 1
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [1, 1, 0, 1])
-        key = Poly.from_ints(backend, [1, 1, 1])
+        g = from_ints(backend, [1, 1, 0, 1])
+        key = from_ints(backend, [1, 1, 1])
         ks = KeySequence((key,), g, 2, backend)
         with pytest.raises(ScenarioDataError, match="g is not monic over an explicit key"):
             invariant_stream(ks, NuOracle.from_resultant(g))
@@ -321,17 +401,17 @@ class TestClassify:
 _PADIC2 = Backend("padic", 2)
 # Keys x and x^2 + x + 1 below g = x^2 + x + 3; the full expansion of g at
 # the quadratic key has support {1.0}.
-_G = Poly.from_ints(_PADIC2, [3, 1, 1])
+_G = from_ints(_PADIC2, [3, 1, 1])
 _EXPLICIT_KS = KeySequence(
-    (Poly.x(_PADIC2), Poly.from_ints(_PADIC2, [1, 1, 1])), _G, 2, _PADIC2
+    (Poly.x(_PADIC2), from_ints(_PADIC2, [1, 1, 1])), _G, 2, _PADIC2
 )
 # A plateau (its centers are never built) below a quadratic key and a cubic g.
 _PLATEAU_KS = KeySequence(
     (
         PlateauFamily(_PADIC2, lambda n, prev: _PADIC2.zero()),
-        Poly.from_ints(_PADIC2, [1, 1, 1]),
+        from_ints(_PADIC2, [1, 1, 1]),
     ),
-    Poly.from_ints(_PADIC2, [1, 1, 0, 1]),
+    from_ints(_PADIC2, [1, 1, 0, 1]),
     2,
     _PADIC2,
 )
@@ -630,7 +710,7 @@ def elems():
 
 def _coset_key(x, delta):
     """The coset of `x` modulo the whole group (delta 1) or the trivial one."""
-    return () if delta else (x.value,)
+    return () if delta else (Fraction(x.num, x.den),)
 
 
 def _former_stabilized_wlim(gamma, prefix, tail, delta):
@@ -795,7 +875,8 @@ def _rank_r_cut_contains_eventually(cut, tail):
     law = tail.law
     if isinstance(law, Diverging):
         return not law.increasing
-    point, limit, c = (cut.point.value,), (-law.d.value,), (law.c.value,)
+    point = (Fraction(cut.point.num, cut.point.den),)
+    limit, c = (Fraction(-law.d.num, law.d.den),), (Fraction(law.c.num, law.c.den),)
     depth = 1 if cut.kind == "open" else len(point)
     j = next((k for k, x in enumerate(c, start=1) if x), None)
     if j is None or (cut.kind == "open" and j > depth):

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemmas import from_ints, to_poly
 from valkit import kahler, poly, truncation
 from valkit.cli import parse_config_dict, render_structured, run
 from valkit.errors import NonMonicBaseError, ValueNotRepresentableError
@@ -21,12 +22,12 @@ def hahn(p, *terms):
 
 class TestQExpand:
     def test_base_x(self):
-        f = Poly.from_ints(B2, [2, 1, 1])  # x^2 + x + 2
+        f = from_ints(B2, [2, 1, 1])  # x^2 + x + 2
         exp = q_expand(f, Poly.x(B2))
         assert [c.coeff(0).value for c in exp.coeffs] == [2, 1, 1]
 
     def test_identity_case(self):
-        q = Poly.from_ints(B2, [3, 1])
+        q = from_ints(B2, [3, 1])
         exp = q_expand(q, q)
         assert exp.coeffs[0].is_zero()
         assert exp.coeffs[1].coeff(0).value == 1
@@ -40,15 +41,15 @@ class TestQExpand:
         f = Poly.make(H2, [-a, -H2.one(), H2.one()])
         q = Poly.make(H2, [-s, H2.one()])
         exp = q_expand(f, q)
-        assert exp.coeffs[0] == Poly.constant(H2, hahn(2, ("-1/2", 1)))
-        assert exp.coeffs[1] == Poly.constant(H2, H2.one())
-        assert exp.coeffs[2] == Poly.constant(H2, H2.one())
-        assert exp.to_poly() == f
+        assert exp.coeffs[0] == Poly.make(H2, [hahn(2, ("-1/2", 1))])
+        assert exp.coeffs[1] == Poly.make(H2, [H2.one()])
+        assert exp.coeffs[2] == Poly.make(H2, [H2.one()])
+        assert to_poly(exp) == f
 
     def test_non_monic_base_rejected(self):
-        f = Poly.from_ints(B2, [1, 1])
+        f = from_ints(B2, [1, 1])
         with pytest.raises(NonMonicBaseError):
-            q_expand(f, Poly.from_ints(B2, [0, 2]))
+            q_expand(f, from_ints(B2, [0, 2]))
 
 
 class TestDerivative:
@@ -57,20 +58,20 @@ class TestDerivative:
         a = hahn(2, ("-1", 1))
         g = Poly.make(H2, [-a, -H2.one(), H2.one()])
         d = derivative(g)
-        assert d == Poly.constant(H2, H2.one())  # -1 == 1 in F_2
+        assert d == Poly.make(H2, [H2.one()])  # -1 == 1 in F_2
 
         H3 = Backend("hahn", 3)
         a3 = hahn(3, ("-1", 1))
         g3 = Poly.make(H3, [-a3, -H3.one(), H3.zero(), H3.one()])
-        assert derivative(g3) == Poly.constant(H3, H3.from_int(-1))
+        assert derivative(g3) == Poly.make(H3, [H3.from_int(-1)])
 
     def test_char_zero_keeps_p(self):
         # x^2 - a over the 2-adics differentiates to 2x
-        g = Poly.from_ints(B2, [-3, 0, 1])
-        assert derivative(g) == Poly.from_ints(B2, [0, 2])
+        g = from_ints(B2, [-3, 0, 1])
+        assert derivative(g) == from_ints(B2, [0, 2])
 
     def test_constant(self):
-        assert derivative(Poly.from_ints(B2, [7])).is_zero()
+        assert derivative(from_ints(B2, [7])).is_zero()
 
 
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
@@ -81,9 +82,9 @@ def poly_and_monic_base(draw, max_base_degree):
     """(f, q) over the 2-adics (small integers) or over Hahn series with
     fractional exponents (p in {2, 3}); q is monic of degree >= 1."""
     if draw(st.booleans()):
-        f = Poly.from_ints(B2, draw(coeffs))
+        f = from_ints(B2, draw(coeffs))
         lower = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=max_base_degree))
-        return f, Poly.from_ints(B2, lower + [1])
+        return f, from_ints(B2, lower + [1])
     p = draw(st.sampled_from([2, 3]))
     backend = Backend("hahn", p)
     term = st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(1, p - 1))
@@ -95,11 +96,11 @@ def poly_and_monic_base(draw, max_base_degree):
 
 class TestQMonic:
     def test_monic_quadratic_over_linear(self):
-        f = Poly.from_ints(B2, [2, 1, 1])
-        assert q_expand(f, Poly.from_ints(B2, [-1, 1])).is_monic()
+        f = from_ints(B2, [2, 1, 1])
+        assert q_expand(f, from_ints(B2, [-1, 1])).is_monic()
 
     def test_non_monic(self):
-        f = Poly.from_ints(B2, [0, 0, 2])
+        f = from_ints(B2, [0, 0, 2])
         assert not q_expand(f, Poly.x(B2)).is_monic()
 
     @given(poly_and_monic_base(max_base_degree=1))
@@ -114,19 +115,19 @@ class TestAlgebraProperties:
     def test_reconstruction(self, case):
         f, q = case
         exp = q_expand(f, q)
-        assert exp.to_poly() == f
+        assert to_poly(exp) == f
         assert all(c.degree < q.degree for c in exp.coeffs)
 
     @given(coeffs, coeffs)
     def test_leibniz(self, fc, gc):
-        f, g = Poly.from_ints(B2, fc), Poly.from_ints(B2, gc)
+        f, g = from_ints(B2, fc), from_ints(B2, gc)
         assert derivative(f * g) == derivative(f) * g + f * derivative(g)
 
     @given(coeffs, coeffs, st.integers(-5, 5))
     def test_derivative_linear(self, fc, gc, k):
-        f, g = Poly.from_ints(B2, fc), Poly.from_ints(B2, gc)
-        scale = B2.from_int(k)
-        assert derivative(f + g.scale(scale)) == derivative(f) + derivative(g).scale(scale)
+        f, g = from_ints(B2, fc), from_ints(B2, gc)
+        scale = Poly.make(B2, [B2.from_int(k)])
+        assert derivative(f + g * scale) == derivative(f) + derivative(g) * scale
 
     @given(poly_and_monic_base(max_base_degree=3))
     def test_divmod_identity(self, case):
@@ -237,26 +238,26 @@ def resultant_pairs(draw):
 class TestResultant:
     def test_resultant_is_product_of_evaluations(self):
         # res(g, f) for monic g = (x-1)(x-3) equals f(1) * f(3)
-        g = Poly.from_ints(B2, [3, -4, 1])
-        f = Poly.from_ints(B2, [2, 5, 1])
+        g = from_ints(B2, [3, -4, 1])
+        f = from_ints(B2, [2, 5, 1])
         expected = f.eval(B2.from_int(1)) * f.eval(B2.from_int(3))
         assert resultant(g, f) == expected
 
     def test_resultant_with_constant(self):
-        g = Poly.from_ints(B2, [1, 1, 1])
-        c = Poly.from_ints(B2, [5])
+        g = from_ints(B2, [1, 1, 1])
+        c = from_ints(B2, [5])
         assert resultant(g, c).value == Fraction(25)
 
     def test_resultant_with_zero_and_with_a_multiple_of_g(self):
-        g = Poly.from_ints(B2, [1, 1, 1])
+        g = from_ints(B2, [1, 1, 1])
         assert resultant(g, Poly(B2, ())).is_zero()
-        assert resultant(g, g * Poly.from_ints(B2, [3, 1])).is_zero()
+        assert resultant(g, g * from_ints(B2, [3, 1])).is_zero()
 
     def test_non_monic_g_rejected(self):
         with pytest.raises(NonMonicBaseError):
-            resultant(Poly.from_ints(B2, [1, 2]), Poly.from_ints(B2, [1, 1]))
+            resultant(from_ints(B2, [1, 2]), from_ints(B2, [1, 1]))
         with pytest.raises(NonMonicBaseError):
-            resultant(Poly.from_ints(B2, [1, 1, 2]), Poly.from_ints(B2, [1, 1]))
+            resultant(from_ints(B2, [1, 1, 2]), from_ints(B2, [1, 1]))
 
     def test_reduced_f_is_not_divided(self, monkeypatch):
         # The oracle reduces f below deg g before it asks for the norm, so
@@ -264,11 +265,11 @@ class TestResultant:
         calls = []
         divide = Poly.divmod_monic
         monkeypatch.setattr(Poly, "divmod_monic", lambda f, q: calls.append(f) or divide(f, q))
-        g = Poly.from_ints(B2, [3, -4, 1])
-        f = Poly.from_ints(B2, [2, 5])
+        g = from_ints(B2, [3, -4, 1])
+        f = from_ints(B2, [2, 5])
         assert resultant(g, f) == f.eval(B2.from_int(1)) * f.eval(B2.from_int(3))
         assert calls == []
-        f2 = Poly.from_ints(B2, [2, 5, 1])
+        f2 = from_ints(B2, [2, 5, 1])
         assert resultant(g, f2) == f2.eval(B2.from_int(1)) * f2.eval(B2.from_int(3))
         assert calls == [f2]
 
@@ -346,7 +347,7 @@ class TestRadixConversion:
         f, q = case
         exp = q_expand(f, q)
         assert exp == repeated_division(f, q)
-        assert exp.to_poly() == f
+        assert to_poly(exp) == f
 
     @pytest.mark.parametrize(
         "p, degree", [(p, d) for p in (2, 3, 5, 7) for d in p_power_degrees(p)]
@@ -366,8 +367,8 @@ class TestRadixConversion:
         for power in (p, p * p):
             f = Poly.make(backend, [backend.zero()] * power + [backend.one()])
             zero = Poly(backend, ())
-            expected = [Poly.constant(backend, a**power)] + [zero] * (power - 1)
-            assert list(q_expand(f, q).coeffs) == expected + [Poly.constant(backend, backend.one())]
+            expected = [Poly.make(backend, [a**power])] + [zero] * (power - 1)
+            assert list(q_expand(f, q).coeffs) == expected + [Poly.make(backend, [backend.one()])]
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_reports_match_the_repeated_division(self, p, monkeypatch):

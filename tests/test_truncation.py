@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lemmas import from_ints
 from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
 from valkit.fields import Backend, PAdicRational, valuation
@@ -59,7 +60,7 @@ class TestNu:
 
     def test_constant_one(self):
         backend, g, _, nu = as_setup(2)
-        assert nu.nu(Poly.from_ints(backend, [1])) == rat1(0)
+        assert nu.nu(from_ints(backend, [1])) == rat1(0)
 
     def test_infinite_value_is_memoized(self):
         # None is a cached value, not a miss: the value function runs once.
@@ -79,7 +80,7 @@ class TestNu:
 
     def test_certificate_outlasts_early_agreement_and_transient_zero(self):
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [2, 1, 1])  # its root eta = 0 mod 2 has v(eta) = 1
+        g = from_ints(backend, [2, 1, 1])  # its root eta = 0 mod 2 has v(eta) = 1
         # nu(x) along these points: the order 3, an exact zero, the order 3
         # three times, then the true order 1.  Every point is even, so
         # v(eta - a) = v(g(a)) is an honest precision certificate.
@@ -124,7 +125,7 @@ class TestNu:
         # first Taylor coefficient 2a has no x-slot of f, only the x^2 one
         # (value v(a) = 0), and its bound 0 + 3 is what refuses a = 9.
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [-33, 1]) * Poly.from_ints(backend, [1, 1, 1])
+        g = from_ints(backend, [-33, 1]) * from_ints(backend, [1, 1, 1])
         points = [backend.from_int(a) for a in (9, 17, 97, 289)]
         family = PlateauFamily(
             backend,
@@ -132,13 +133,13 @@ class TestNu:
             precision=lambda m: (backend.from_int(33) - points[m - 1]).order(),
             budget=len(points),
         )
-        f = Poly.from_ints(backend, [-1, 0, 1])
+        f = from_ints(backend, [-1, 0, 1])
         assert [f.eval(a).order() for a in points] == [4, 5, 6, 6]
         assert NuOracle.stabilization(g, family).nu(f) == rat1(6)
 
     def test_family_without_certificate_refused(self):
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [2, 1, 1])
+        g = from_ints(backend, [2, 1, 1])
         bare = PlateauFamily(backend, lambda n, prev: backend.from_int(2**n))
         with pytest.raises(ValkitError, match="precision certificate"):
             NuOracle.stabilization(g, bare)
@@ -166,7 +167,7 @@ class TestNuQ:
 
     def test_truncation_at_support_equals_nu(self):
         backend, g, family, nu = as_setup(2)
-        f = g * Poly.x(backend) + Poly.from_ints(backend, [1])
+        f = g * Poly.x(backend) + from_ints(backend, [1])
         assert nu.nu_q(f, g) == nu.nu(f)
         assert nu.nu_q(g, g) is None
 
@@ -174,14 +175,14 @@ class TestNuQ:
         backend, g, family, nu = as_setup(2)
         # a monic multiple of g of higher degree has infinite value but is
         # not the support polynomial itself
-        gg = g * Poly.from_ints(backend, [0, 1])
+        gg = g * from_ints(backend, [0, 1])
         with pytest.raises(ValkitError):
             nu.nu_q(gg * Poly.x(backend), gg)
 
 
 def hensel_setup():
     backend = Backend("padic", 2)
-    g = Poly.from_ints(backend, [2, 1, 1])
+    g = from_ints(backend, [2, 1, 1])
     family = hensel_family(backend, g, 0)
     nu = NuOracle.stabilization(g, family)
     return backend, g, family, nu
@@ -234,7 +235,7 @@ def hensel_cases(draw):
     disc = (start + other) ** 2 - 4 * c
     assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
     backend = Backend("padic", p)
-    g = Poly.from_ints(backend, [c, -(start + other), 1])
+    g = from_ints(backend, [c, -(start + other), 1])
     rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 50))
     b = draw(rationals.filter(bool))
     coeffs = [b] if draw(st.booleans()) else [-b * draw(rationals), b]
@@ -245,7 +246,7 @@ class TestEvaluationAgreement:
     def test_stabilization_matches_independent_evaluation(self):
         backend, g, family, nu = hensel_setup()
         probes = [
-            Poly.from_ints(backend, [c0, c1])
+            from_ints(backend, [c0, c1])
             for c0 in range(-6, 7)
             for c1 in (1, 2, 3, -1)
         ]
@@ -255,7 +256,7 @@ class TestEvaluationAgreement:
         ]
         eval_nu = NuOracle(g, value_fn=lambda f: hensel_eval_value(backend, g, f))
         for f in probes:
-            assert nu.nu(f) == eval_nu.nu(f), str(f)
+            assert nu.nu(f) == eval_nu.nu(f), f
 
     @settings(max_examples=60, deadline=None)
     @given(hensel_cases())
@@ -264,25 +265,25 @@ class TestEvaluationAgreement:
         family = hensel_family(backend, g, start)
         stabilized = NuOracle.stabilization(g, family)
         evaluated = NuOracle(g, value_fn=lambda h: hensel_eval_value(backend, g, h, start))
-        assert stabilized.nu(f) == evaluated.nu(f), str(f)
+        assert stabilized.nu(f) == evaluated.nu(f), f
 
     def test_eta_image_oracle(self):
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [-5, 1])  # eta = 5 inside K itself
+        g = from_ints(backend, [-5, 1])  # eta = 5 inside K itself
         nu = NuOracle(g, value_fn=lambda f: valuation(f.eval(backend.from_int(5))))
-        assert nu.nu(Poly.from_ints(backend, [-3, 1])) == rat1(1)
-        assert nu.nu(Poly.from_ints(backend, [-5, 1])) is None
-        assert nu.nu(Poly.from_ints(backend, [3])) == rat1(0)
+        assert nu.nu(from_ints(backend, [-3, 1])) == rat1(1)
+        assert nu.nu(from_ints(backend, [-5, 1])) is None
+        assert nu.nu(from_ints(backend, [3])) == rat1(0)
 
     def test_resultant_oracle_on_unramified(self):
         backend = Backend("padic", 2)
-        g = Poly.from_ints(backend, [1, 1, 1])
+        g = from_ints(backend, [1, 1, 1])
         nu = NuOracle.from_resultant(g)
         assert nu.nu(Poly.x(backend)) == rat1(0)
         assert nu.nu(derivative(g)) == rat1(0)
         assert nu.nu(g) is None
         # v(eta - 1): norm of (1 - eta) is g(1) = 3, a unit
-        assert nu.nu(Poly.from_ints(backend, [-1, 1])) == rat1(0)
+        assert nu.nu(from_ints(backend, [-1, 1])) == rat1(0)
 
     def test_transient_zero_along_family_is_skipped(self):
         backend, g, family, nu = hensel_setup()
