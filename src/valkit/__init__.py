@@ -44,7 +44,6 @@ from .kahler import (
     VerdictKind,
     b_set,
     classify,
-    first_minimizing_plateau,
     ideal_inclusion_check,
     invariant_stream,
     omega_verdict,

@@ -346,7 +346,7 @@ def build_stream(cfg: ScenarioConfig) -> InvariantStream:
         nu = NuOracle.from_resultant(g)
     else:
         nu = NuOracle.stabilization(g, family)
-    ks = KeySequence(tuple(stages), g, cfg.p, backend)
+    ks = KeySequence(tuple(stages), g, cfg.p)
     return invariant_stream(ks, nu, cfg.terms)
 
 

@@ -19,16 +19,16 @@ schedule block that its key values increase strictly, before any fit.
 Plateau columns carry a `groups.Tail`: an exact geometric law
 ``c * p**-n + d`` with the scenario's own ``p``, fitted on four
 consecutive computed terms and verified on four more, or a divergence
-certificate inherited from the family's construction.  alpha and beta are
-never fitted: a plateau key is linear, so nu(Q_n') is constant, and their
-tails are the nu(Q_n) and nu_n(g) tails mapped by `Tail.affine`.  Where a
-family has a certificate it decides first: nu(Q_n) and nu_n(g) diverge
-without a fit, and only nu(Q_n'), nu_n(g') and an open beta-tilde are
-fitted, so no fit probes rows for the columns the certificate proves
-unbounded.  Segments (`CanonicalSegment`), verdicts and the
-expansion-slot criterion are decided from those tails; a column without
-one (data following another ratio, for instance) yields an inconclusive
-outcome, never a guess.
+certificate inherited from the family's construction.  A plateau key is
+linear and monic, so Q_n' = 1: nu(Q_n') = 0 on every term and in its tail
+without an oracle call or a fit, and the alpha and beta tails are the
+nu(Q_n) and nu_n(g) tails mapped by `Tail.affine`.  Where a family has a
+certificate it decides first: nu(Q_n) and nu_n(g) diverge without a fit,
+and only nu_n(g') and an open beta-tilde are fitted, so no fit probes
+rows for the columns the certificate proves unbounded.  Segments
+(`CanonicalSegment`), verdicts and the expansion-slot criterion are
+decided from those tails; a column without one (data following another
+ratio, for instance) yields an inconclusive outcome, never a guess.
 
 The three independent routes to the vanishing decision:
 
@@ -77,7 +77,6 @@ from .groups import (
     expect_finite,
     fit_closed_form,
     largest_delta,
-    rat1,
     segment_compare,
     segment_union,
     wlim,
@@ -202,16 +201,18 @@ class Verdict:
 def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> InvariantStream:
     """One block per stage, from one memoized row per key index.
 
-    Field-backed stages read their values off the oracle; a `ScheduleStage`
-    synthesizes them from its value laws (linear keys, so nu(Q') = 0): each
-    truncation of g or g' is the least of the stage's reduced slot lines at
-    the key value, on the value group's integer pairs with no `Fraction`.
-    A sequence of schedules alone comes with ``nu=None`` and its own nu(g').
-    Each field-backed row checks that g is monic over its key, and each
-    plateau or schedule block that its key values increase strictly before
-    any fit.  Tails are laws fitted and re-verified on further exact rows,
-    or the family's divergence certificate, which decides its columns
-    before any fit runs; alpha and beta map the nu_key and nu_i_g tails.
+    Field-backed stages read their values off the oracle, except nu(Q') of
+    a linear key, which is 0; a `ScheduleStage` synthesizes them from its
+    value laws (linear keys too): each truncation of g or g' is the least of
+    the stage's reduced slot lines at the key value, on the value group's
+    integer pairs with no `Fraction`.  A sequence of schedules alone comes
+    with ``nu=None`` and its own nu(g').  Each field-backed row checks that
+    g is monic over its key, and each plateau or schedule block that its key
+    values increase strictly before any fit.  The nu(Q') tail is the
+    constant 0; the other tails are laws fitted and re-verified on further
+    exact rows, or the family's divergence certificate, which decides its
+    columns before any fit runs; alpha and beta map the nu_key and nu_i_g
+    tails.
     """
     if (nu is None) != (ks.g is None):
         raise ScenarioDataError("a sequence takes an oracle exactly when it carries g")
@@ -240,7 +241,9 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
                 kind = "an explicit" if isinstance(stage, Poly) else "a plateau"
                 raise ScenarioDataError(f"g is not monic over {kind} key")
             nu_key = expect_finite(nu.nu(q))
-            nu_key_deriv = expect_finite(nu.nu(derivative(q)))
+            # The expansion just checked q monic: a linear key has Q' = 1.
+            deriv = GroupElem.zero() if q.degree == 1 else nu.nu(derivative(q))
+            nu_key_deriv = expect_finite(deriv)
             nu_i_g = expect_finite(nu.nu_q(g, q))
             nu_i_gp = expect_finite(nu.nu_q(gp, q))
         return InvariantRecord(
@@ -272,8 +275,11 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             values = [r.column(name) for r in records]
             return _fit(values, ks.p, lambda n: row(KeyIndex(pos, n)).column(name), limit)
 
-        # A certificate decides the diverging columns before any fit probes them.
-        tails = {name: fit(name) for name in ("nu_key_deriv", "nu_i_gprime")}
+        # Plateau and schedule keys are linear, so nu(Q') = 0 on every term;
+        # a certificate decides the diverging columns before any fit probes them.
+        zero = GroupElem.zero()
+        tails = {"nu_key_deriv": Tail(ClosedForm(zero, zero, ks.p))}
+        tails["nu_i_gprime"] = fit("nu_i_gprime")
         cert = stage.divergence_bound if isinstance(stage, PlateauFamily) else None
         if cert is None:
             tails.update((name, fit(name)) for name in ("nu_key", "nu_i_g", "beta_tilde"))
@@ -282,9 +288,9 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
             tails["nu_key"] = tails["nu_i_g"] = Tail(Diverging(increasing=True))
             down = Tail(Diverging(increasing=False))
             tails["beta_tilde"] = down if _is_constant(tails["nu_i_gprime"]) else fit("beta_tilde")
-        key, deriv, g_tail = tails["nu_key"], tails["nu_key_deriv"], tails["nu_i_g"]
-        # A linear key has constant nu(Q'): alpha = nu(Q') - nu_key, beta = nu(g') - nu_i_g.
-        tails["alpha"] = key.affine(-1, deriv.law.d) if key and _is_constant(deriv) else None
+        key, g_tail = tails["nu_key"], tails["nu_i_g"]
+        # alpha = 0 - nu_key and beta = nu(g') - nu_i_g, term by term.
+        tails["alpha"] = key.affine(-1, zero) if key else None
         tails["beta"] = g_tail.affine(-1, nu_gprime) if g_tail else None
         blocks.append(Block(pos, stage.degree, records, {n: tails[n] for n in COLUMNS}))
 
@@ -405,9 +411,7 @@ def omega_verdict(stream: InvariantStream) -> Verdict:
     if rel is SegmentRelation.B_CONTAINS_A:
         raise ScenarioDataError("beta segment strictly contains alpha segment")
     witness = {"alpha_segment": _canon_str(alpha_seg), "beta_segment": _canon_str(beta_seg)}
-    sep = _separating_value(alpha_seg, beta_seg)
-    if sep is not None:
-        witness["separating_value"] = str(sep)
+    witness["separating_value"] = str(_separating_value(alpha_seg, beta_seg))
     return Verdict(VerdictKind.OMEGA_NONZERO, witness=witness)
 
 
@@ -419,14 +423,12 @@ def _canon_str(canon: CanonicalSegment) -> str:
     return f"({canon.point}, inf) depth 1"
 
 
-def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem | None:
-    """Some element of the larger segment missing from the smaller."""
-    if ca.kind == "whole":
-        if cb.kind == "closed":
-            return cb.point - rat1(1)
-        if cb.kind == "open":
-            return cb.point
-        return None
+def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem:
+    """Some element of `ca` missing from `cb`, a final segment strictly inside it.
+
+    `ca` is never whole: only a divergence certificate makes the alpha
+    segment whole, and it makes the beta segment whole too.
+    """
     if ca.kind == "closed":
         return ca.point
     return (ca.point + cb.point).scale(Fraction(1, 2))
@@ -435,26 +437,6 @@ def _separating_value(ca: CanonicalSegment, cb: CanonicalSegment) -> GroupElem |
 # ---------------------------------------------------------------------------
 # Criterion 2: case classification
 # ---------------------------------------------------------------------------
-
-def first_minimizing_plateau(stream: InvariantStream) -> tuple[int, int]:
-    """The plateau that generates the stream's alpha segment, which has no minimum.
-
-    An explicit key, an increasing or a constant tail generates a closed
-    segment, so a segment without a minimum is the one plateau's, from a
-    decreasing alpha tail, and degree 1 is the smallest that generates it.
-    Returns (stage position of the plateau, certificate index): the
-    certificate is the 1-based materialized term from which the alpha
-    column decreases strictly, the tail description guaranteeing
-    continuation.  It is always 1: a plateau key Q_n is linear, so
-    nu(Q_n') = 0 and alpha_n = -nu(Q_n), and the stream has checked that
-    the key values increase strictly.
-    """
-    if stream.alpha_segment is None:
-        raise InconclusiveError("alpha segment undecidable")
-    if stream.alpha_segment.kind == "closed":
-        raise HypothesisViolatedError("alpha attains a minimum; no plateau is involved")
-    return stream.plateau.stage_pos, 1
-
 
 def classify(stream: InvariantStream) -> Verdict:
     """Case analysis for the vanishing decision.
@@ -532,8 +514,8 @@ def _classify_min_case(stream, base) -> Verdict:
 
 
 def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
-    stage_pos, cert = first_minimizing_plateau(stream)
-    block = stream.blocks[stage_pos]
+    # Only a plateau's decreasing tail generates a segment without a minimum.
+    block = stream.plateau
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.
     # Dropping the prefix makes the generated segment invariant under all
@@ -586,9 +568,10 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
         case="ii",
         witness={
             **base,
-            "plateau_stage": stage_pos,
+            "plateau_stage": block.stage_pos,
             "plateau_degree": block.degree,
-            "certificate_index": cert,
+            # alpha_n = -nu(Q_n) decreases strictly from the first term.
+            "certificate_index": 1,
             "wlim_branch": branch,
         },
     )
@@ -620,14 +603,12 @@ def _instability_cut(values: Sequence[GroupElem], tail: Tail) -> CanonicalSegmen
     return canonicalize([-v for v in values], tail.affine(-1, GroupElem.zero()))
 
 
-def cut_contains_eventually(cut: CanonicalSegment, tail: Tail | None) -> bool | None:
+def cut_contains_eventually(cut: CanonicalSegment, tail: Tail) -> bool:
     """Whether a slot-value stream lies in the cut for all large terms.
 
     `cut` comes from `_instability_cut`, so a value v lies in the cut when
     -v lies in `cut`.
     """
-    if tail is None:
-        return None
     if cut.kind == "whole":
         return True
     law = tail.law
@@ -718,8 +699,6 @@ def b_set(stream: InvariantStream) -> BSetReport:
         reports.append(SlotReport(b, member))
         if member:
             members.add(b)
-        elif member is None:
-            undecided.add(b)
     b1 = True if 1 in members else (None if 1 in undecided else False)
     return BSetReport(cut, tuple(reports), frozenset(members), b1)
 

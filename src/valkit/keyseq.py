@@ -195,7 +195,6 @@ class KeySequence:
     stages: tuple[KeyStage, ...]
     g: Poly | None
     p: int
-    backend: Backend | None = None
 
     def __post_init__(self):
         if self.g is None and not (

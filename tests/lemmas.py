@@ -122,7 +122,7 @@ def monomial_sum(backend: Backend, terms, key_poly: Callable[[KeyIndex], Poly]) 
 
 
 def reconstruct(exp: FullExpansion, ks: KeySequence) -> Poly:
-    return monomial_sum(ks.backend, exp.terms, ks.key_poly)
+    return monomial_sum(ks.g.backend, exp.terms, ks.key_poly)
 
 
 def expansion_min_value(
@@ -224,7 +224,7 @@ def _slot_is_unit(ks: KeySequence, j: int) -> bool:
     """Whether the slot number j is a unit of the base field (j >= 1, v(j) = 0)."""
     if j < 1:
         return False
-    return valuation(ks.backend.from_int(j)) == GroupElem.zero()
+    return valuation(ks.g.backend.from_int(j)) == GroupElem.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ class NormalizedSequence:
     """Keys rescaled to value zero: Q~ = Q / a with v(a) = nu(Q)."""
 
     def __init__(self, ks: KeySequence, nu: NuOracle):
-        if ks.backend is None:
+        if ks.g is None:
             raise ScenarioDataError("normalization needs a field backend")
         self.ks = ks
         self.nu = nu
@@ -259,8 +259,8 @@ class NormalizedSequence:
             raise ValueNotRepresentableError(
                 "the support polynomial has no finite value to normalize by"
             )
-        scalar = self.ks.backend.element_from_value(Fraction(value.num, value.den))
-        normalized = q * Poly.make(q.backend, [self.ks.backend.one() / scalar])
+        scalar = self.ks.g.backend.element_from_value(Fraction(value.num, value.den))
+        normalized = q * Poly.make(q.backend, [self.ks.g.backend.one() / scalar])
         return self._cache.setdefault(index, NormalizedKey(index, q, scalar, normalized))
 
 
@@ -310,7 +310,7 @@ def rewrite_in_generators(
     values = [valuation(t.coefficient) for t in terms]
     if any(v < zero for v in values):
         raise ScenarioDataError("rewriting produced a scalar outside O_K")
-    if monomial_sum(ks.backend, terms, lambda k: normalized.at(k).normalized) != f:
+    if monomial_sum(ks.g.backend, terms, lambda k: normalized.at(k).normalized) != f:
         raise ScenarioDataError("rewriting identity failed to re-evaluate")
     if terms and least(values) != v_f:
         raise ScenarioDataError("rewriting lost the minimal-value law")

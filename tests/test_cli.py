@@ -689,6 +689,25 @@ class TestBudgetsBoundWork:
         # what a fit needs.
         assert main(["scenario", "kummer-schedule", "--budget", str(budget)]) == 2
 
+    def test_linear_keys_fix_alpha_below_a_fit(self, capsys):
+        # Three terms within a budget of four are too few for a fit, but a
+        # plateau key is linear: nu(Q') = 0, and alpha is nu(Q) negated,
+        # which the family's certificate makes diverge.
+        argv = ["scenario", "hensel-immediate", "--budget", "4", "--terms", "3"]
+        assert main([*argv, "--format", "structured"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        laws = report["laws"]
+        assert laws["stage0.nu_key_deriv"] == {
+            "kind": "law", "scale": "0/1", "limit": "0/1", "ratio": 2, "offset": 0,
+            "verified": True,
+        }
+        assert laws["stage0.alpha"] == {"kind": "diverging", "increasing": False}
+        assert report["alpha_segment"] == {"kind": "whole", "rank": 1}
+        assert report["verdicts"]["segment"]["kind"] == "omega_zero"
+        # beta-tilde has no tail, so the classification stays undecided.
+        assert laws["stage0.beta_tilde"] == {"kind": "unknown"}
+        assert report["verdicts"]["classification"]["kind"] == "inconclusive"
+
     @pytest.mark.parametrize("terms, budget", [(5200, None), (200, 16)])
     def test_closed_form_schedule_stops_at_the_budget(self, terms, budget):
         data = {"scenario": "kummer-schedule", "p": 7, "vp": "1", "terms": terms}

@@ -31,7 +31,7 @@ def as_sequence(p):
     coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
-    ks = KeySequence((family,), g, p, backend)
+    ks = KeySequence((family,), g, p)
     nu = NuOracle.stabilization(g, family)
     return ks, nu
 
@@ -39,7 +39,7 @@ def as_sequence(p):
 def unramified_sequence():
     backend = Backend("padic", 2)
     g = from_ints(backend, [1, 1, 1])
-    ks = KeySequence((Poly.x(backend),), g, 2, backend)
+    ks = KeySequence((Poly.x(backend),), g, 2)
     nu = NuOracle.from_resultant(g)
     return ks, nu
 
@@ -47,7 +47,7 @@ def unramified_sequence():
 class TestFullExpansion:
     def test_constant(self):
         ks, nu = as_sequence(2)
-        f = from_ints(ks.backend, [5])
+        f = from_ints(ks.g.backend, [5])
         exp = full_expansion(f, KeyIndex(0, 3), ks, nu)
         assert len(exp.terms) == 1 and exp.terms[0].exponents == ()
 
@@ -71,12 +71,12 @@ class TestFullExpansion:
 
     def test_constant_support_empty(self):
         ks, nu = as_sequence(2)
-        assert i0_set(from_ints(ks.backend, [7]), KeyIndex(0, 2), ks, nu) == set()
+        assert i0_set(from_ints(ks.g.backend, [7]), KeyIndex(0, 2), ks, nu) == set()
 
     def test_min_value_equals_truncation(self):
         ks, nu = as_sequence(3)
         i = KeyIndex(0, 2)
-        f = ks.g * Poly.x(ks.backend) + from_ints(ks.backend, [0, 2, 1])
+        f = ks.g * Poly.x(ks.g.backend) + from_ints(ks.g.backend, [0, 2, 1])
         exp = full_expansion(f, i, ks, nu)
         assert reconstruct(exp, ks) == f
         assert expansion_min_value(exp, ks, nu) == nu.nu_q(f, ks.key_poly(i))
@@ -95,7 +95,7 @@ class TestSSet:
 
     def test_constant(self):
         ks, nu = as_sequence(2)
-        assert s_set(from_ints(ks.backend, [3]), KeyIndex(0, 2), ks, nu) == {0}
+        assert s_set(from_ints(ks.g.backend, [3]), KeyIndex(0, 2), ks, nu) == {0}
 
     def test_g_ties_outer_slots(self):
         # both the constant slot and the top slot of g attain the minimum
@@ -125,7 +125,7 @@ class TestDerivativeDrop:
 
     def test_constant_drop_infinite(self):
         ks, nu = as_sequence(2)
-        result = derivative_drop(from_ints(ks.backend, [3]), KeyIndex(0, 2), ks, nu)
+        result = derivative_drop(from_ints(ks.g.backend, [3]), KeyIndex(0, 2), ks, nu)
         assert result.drop is None
         assert not result.equals_alpha_i
 
@@ -153,13 +153,13 @@ class TestRewrite:
     def test_one(self):
         ks, nu = as_sequence(2)
         view = NormalizedSequence(ks, nu)
-        terms = rewrite_in_generators(from_ints(ks.backend, [1]), view, nu)
+        terms = rewrite_in_generators(from_ints(ks.g.backend, [1]), view, nu)
         assert len(terms) == 1 and terms[0].exponents == ()
 
     def test_four_times_normalized_key(self):
         ks, nu = unramified_sequence()
         view = NormalizedSequence(ks, nu)
-        f = from_ints(ks.backend, [0, 4])  # 4 * x, and x is normalized
+        f = from_ints(ks.g.backend, [0, 4])  # 4 * x, and x is normalized
         terms = rewrite_in_generators(f, view, nu)
         assert len(terms) == 1
         assert terms[0].coefficient.value == Fraction(4)
@@ -170,21 +170,21 @@ class TestRewrite:
         ks, nu = as_sequence(2)
         view = NormalizedSequence(ks, nu)
         with pytest.raises(NegativeValueInputError):
-            rewrite_in_generators(Poly.x(ks.backend), view, nu)  # nu(x) = -1/2
+            rewrite_in_generators(Poly.x(ks.g.backend), view, nu)  # nu(x) = -1/2
 
     def test_degree_of_g_rejected(self):
         # rewriting applies below deg(g); the generation statement passes
         # through residues f(eta) with deg f < deg g
         ks, nu = unramified_sequence()
         view = NormalizedSequence(ks, nu)
-        f = from_ints(ks.backend, [3, 1, 1])  # g + 2
+        f = from_ints(ks.g.backend, [3, 1, 1])  # g + 2
         with pytest.raises(ScenarioDataError):
             rewrite_in_generators(f, view, nu)
 
     def test_min_value_law_on_mixed_input(self):
         ks, nu = unramified_sequence()
         view = NormalizedSequence(ks, nu)
-        f = from_ints(ks.backend, [6, 4])  # values 1 and 2, nu(f) = 1
+        f = from_ints(ks.g.backend, [6, 4])  # values 1 and 2, nu(f) = 1
         terms = rewrite_in_generators(f, view, nu)
         values = sorted(str(t.coefficient.value) for t in terms)
         assert nu.nu(f) == rat1(1)
@@ -242,8 +242,8 @@ def context_polys(draw, max_degree=None):
     name = draw(st.sampled_from(CONTEXTS))
     ks = context(name)[0]
     top = ks.g_degree - 1 if max_degree is None else max_degree
-    coeffs = [draw(elements(ks.backend)) for _ in range(draw(st.integers(0, top)) + 1)]
-    f = Poly.make(ks.backend, coeffs)
+    coeffs = [draw(elements(ks.g.backend)) for _ in range(draw(st.integers(0, top)) + 1)]
+    f = Poly.make(ks.g.backend, coeffs)
     assume(not f.is_zero())
     return name, f
 
@@ -256,8 +256,8 @@ class TestOneExpansionWalk:
         ks, nu, _ = context(name)
         # Scale f to nu(f) = shift >= 0.
         v = nu.nu(f)
-        a = ks.backend.element_from_value(shift - Fraction(v.num, v.den))
-        f = f * Poly.make(ks.backend, [a])
+        a = ks.g.backend.element_from_value(shift - Fraction(v.num, v.den))
+        f = f * Poly.make(ks.g.backend, [a])
         normalized = NormalizedSequence(ks, nu)
         try:
             want = reference_rewrite(f, normalized, nu)

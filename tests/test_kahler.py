@@ -13,7 +13,6 @@ from valkit import kahler
 from valkit.cli import parse_config_dict, build_stream
 from valkit.errors import (
     HypothesisViolatedError,
-    InconclusiveError,
     ScenarioDataError,
     StabilizationBudgetExceededError,
 )
@@ -40,12 +39,12 @@ from valkit.kahler import (
     VerdictKind,
     _instability_cut,
     _least_line,
+    _separating_value,
     _wlim_branch,
     b_set,
     cut_contains_eventually,
     classify,
     column_segment,
-    first_minimizing_plateau,
     ideal_inclusion_check,
     invariant_stream,
     omega_verdict,
@@ -313,7 +312,7 @@ class TestSequenceChecks:
         g = from_ints(backend, [2, 1, 1])
         lifts = hensel_family(backend, g, 0)
         stalling = PlateauFamily(backend, lambda n, prev: lifts.center(min(n, 6)))
-        ks = KeySequence((stalling,), g, 2, backend)
+        ks = KeySequence((stalling,), g, 2)
         nu = NuOracle.stabilization(g, lifts)
         with pytest.raises(ScenarioDataError, match="plateau key values must increase strictly"):
             invariant_stream(ks, nu, terms=8)
@@ -323,7 +322,7 @@ class TestSequenceChecks:
         backend = Backend("padic", 2)
         g = from_ints(backend, [1, 1, 0, 1])
         key = from_ints(backend, [1, 1, 1])
-        ks = KeySequence((key,), g, 2, backend)
+        ks = KeySequence((key,), g, 2)
         with pytest.raises(ScenarioDataError, match="g is not monic over an explicit key"):
             invariant_stream(ks, NuOracle.from_resultant(g))
 
@@ -402,9 +401,7 @@ _PADIC2 = Backend("padic", 2)
 # Keys x and x^2 + x + 1 below g = x^2 + x + 3; the full expansion of g at
 # the quadratic key has support {1.0}.
 _G = from_ints(_PADIC2, [3, 1, 1])
-_EXPLICIT_KS = KeySequence(
-    (Poly.x(_PADIC2), from_ints(_PADIC2, [1, 1, 1])), _G, 2, _PADIC2
-)
+_EXPLICIT_KS = KeySequence((Poly.x(_PADIC2), from_ints(_PADIC2, [1, 1, 1])), _G, 2)
 # A plateau (its centers are never built) below a quadratic key and a cubic g.
 _PLATEAU_KS = KeySequence(
     (
@@ -413,7 +410,6 @@ _PLATEAU_KS = KeySequence(
     ),
     from_ints(_PADIC2, [1, 1, 0, 1]),
     2,
-    _PADIC2,
 )
 _CONSTANT = Tail(ClosedForm(rat1(0), rat1(0), 2))
 
@@ -441,7 +437,7 @@ def plateau_stream(beta_tail, last_row=None):
         blocks.append(Block(1, 2, (hand_record(KeyIndex(1, 0), 2, *last_row),), None))
         ks = _PLATEAU_KS
     else:
-        ks = KeySequence(_PLATEAU_KS.stages[:1], _G, 2, _PADIC2)
+        ks = KeySequence(_PLATEAU_KS.stages[:1], _G, 2)
     return InvariantStream(tuple(blocks), rat1(0), ks)
 
 
@@ -480,31 +476,6 @@ class TestClassifyMinCase:
     def test_beta_column_undecidable(self):
         v = classify(plateau_stream(None, last_row=(1, 1, 1)))
         assert v.kind is VerdictKind.INCONCLUSIVE and v.reason == "beta column undecidable"
-
-
-class TestFirstMinimizingPlateau:
-    def test_artin_schreier_degree_one(self):
-        stage_pos, cert = first_minimizing_plateau(AS2)
-        assert stage_pos == 0
-        assert cert == 1  # strictly decreasing from the first record
-
-    def test_hensel_degree_one(self):
-        stage_pos, _ = first_minimizing_plateau(HENSEL)
-        assert stage_pos == 0
-
-    def test_no_plateau_rejected(self):
-        with pytest.raises(HypothesisViolatedError):
-            first_minimizing_plateau(UNRAMIFIED)
-
-    def test_undecided_alpha_segment_is_inconclusive(self):
-        # four schedule values are too few for a law
-        cfg = parse_config_dict(
-            {"scenario": "kummer-schedule", "p": 3, "schedule": ["1/7", "1/5", "1/4", "3/10"]}
-        )
-        stream = build_stream(cfg)
-        assert stream.alpha_segment is None
-        with pytest.raises(InconclusiveError, match="alpha segment undecidable"):
-            first_minimizing_plateau(stream)
 
 
 class TestBSet:
@@ -584,12 +555,11 @@ class TestCriterionAgreement:
 class TestMinimizingPlateauMonotonicity:
     @pytest.mark.parametrize("stream", [AS2, AS3, HENSEL])
     def test_alpha_strictly_decreasing_beyond_certificate(self, stream):
-        stage_pos, cert = first_minimizing_plateau(stream)
-        block = stream.blocks[stage_pos]
+        # The plateau that `classify` names, from certificate index 1.
+        block = stream.plateau
         values = block.values("alpha")
         assert len(values) >= 8
-        tail_values = values[cert - 1 :]
-        assert all(b < a for a, b in zip(tail_values, tail_values[1:]))
+        assert all(b < a for a, b in zip(values, values[1:]))
         law = block.tails["alpha"].law
         if isinstance(law, ClosedForm):
             assert law.c > rat1(0)  # keeps decreasing forever
@@ -614,7 +584,9 @@ class TestScheduleValidation:
         )
         stream = invariant_stream(KeySequence((stage,), None, 3), None)
         assert omega_verdict(stream).kind is VerdictKind.INCONCLUSIVE
-        assert classify(stream).kind is VerdictKind.INCONCLUSIVE
+        verdict = classify(stream)
+        assert verdict.kind is VerdictKind.INCONCLUSIVE
+        assert verdict.reason == "alpha column undecidable"
 
     def test_stream_without_oracle_needs_schedules(self):
         with pytest.raises(ScenarioDataError):
@@ -766,6 +738,26 @@ class TestWlimBranch:
         assert _wlim_branch(rat1(3), Diverging(increasing=False), delta) is None
 
 
+@st.composite
+def nested_segments(draw):
+    """A closed or open final segment and one strictly inside it."""
+    kinds = st.sampled_from(("closed", "open"))
+    outer = CanonicalSegment(draw(kinds), draw(elems()))
+    shift = draw(st.fractions(0, 6, max_denominator=4).map(GroupElem))
+    inner = CanonicalSegment(draw(kinds), outer.point + shift)
+    assume(segment_compare(outer, inner) is SegmentRelation.A_CONTAINS_B)
+    return outer, inner
+
+
+class TestSeparatingValue:
+    @settings(max_examples=300, deadline=None)
+    @given(nested_segments())
+    def test_value_lies_in_the_larger_segment_only(self, pair):
+        outer, inner = pair
+        value = _separating_value(outer, inner)
+        assert outer.contains(value) and not inner.contains(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class _FormerCut:
     kind: str  # "whole" | "closed_below" | "open_below"
@@ -797,8 +789,6 @@ def _former_cut_from_column(tail, values):
 
 
 def _former_cut_contains_eventually(cut, tail):
-    if tail is None:
-        return None
     if cut.kind == "whole":
         return True
     law = tail.law
@@ -835,10 +825,8 @@ class TestInstabilityCut:
         former = _former_cut_from_column(tail, values)
         assert BSetReport(cut, (), frozenset(), None).describe()["cut"] == former.describe()
 
-        slot_kind = data.draw(st.sampled_from(("none", "up", "down", "law")))
-        if slot_kind == "none":
-            slot = None
-        elif slot_kind != "law":
+        slot_kind = data.draw(st.sampled_from(("up", "down", "law")))
+        if slot_kind != "law":
             slot = Tail(Diverging(slot_kind == "up"))
         else:
             # A limit at, just above or just below a value of the column.
@@ -868,8 +856,6 @@ def _late_term_in_cut(cut, law):
 def _rank_r_cut_contains_eventually(cut, tail):
     """The lexicographic rank-r `cut_contains_eventually` that the rank-1
     code replaced, on coordinate tuples; an open cut has depth 1."""
-    if tail is None:
-        return None
     if cut.kind == "whole":
         return True
     law = tail.law

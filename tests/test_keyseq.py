@@ -33,7 +33,7 @@ def as_sequence(p):
     coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
     g = Poly.make(backend, coeffs)
     family = artin_schreier_family(backend, a)
-    ks = KeySequence((family,), g, p, backend)
+    ks = KeySequence((family,), g, p)
     nu = NuOracle.stabilization(g, family)
     return ks, nu
 
@@ -41,7 +41,7 @@ def as_sequence(p):
 def unramified_sequence():
     backend = Backend("padic", 2)
     g = from_ints(backend, [1, 1, 1])
-    ks = KeySequence((Poly.x(backend),), g, 2, backend)
+    ks = KeySequence((Poly.x(backend),), g, 2)
     nu = NuOracle.from_resultant(g)
     return ks, nu
 
@@ -50,7 +50,7 @@ def hensel_sequence():
     backend = Backend("padic", 2)
     g = from_ints(backend, [2, 1, 1])
     family = hensel_family(backend, g, 0)
-    ks = KeySequence((family,), g, 2, backend)
+    ks = KeySequence((family,), g, 2)
     nu = NuOracle.stabilization(g, family)
     return ks, nu
 
@@ -66,7 +66,7 @@ class TestStructure:
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 1, 1])
         family = hensel_family(backend, g, 0, budget=10)
-        ks = KeySequence((family,), g, 2, backend)
+        ks = KeySequence((family,), g, 2)
         idx = ks.indices(12)
         assert idx == [KeyIndex(0, n) for n in range(1, 11)]
         assert all(ks.key_poly(i).degree == 1 for i in idx)
@@ -93,7 +93,7 @@ class TestStructure:
     def test_only_schedules_omit_g(self):
         backend = Backend("padic", 2)
         with pytest.raises(ScenarioDataError, match="only a sequence of value schedules"):
-            KeySequence((Poly.x(backend),), None, 2, backend)
+            KeySequence((Poly.x(backend),), None, 2)
 
     def test_degrees_must_not_decrease(self):
         backend = Backend("padic", 2)
@@ -101,7 +101,7 @@ class TestStructure:
         quad = from_ints(backend, [1, 0, 1])
         lin = Poly.x(backend)
         with pytest.raises(ScenarioDataError):
-            KeySequence((quad, lin), g * g, 2, backend)
+            KeySequence((quad, lin), g * g, 2)
 
     def test_plateau_report(self):
         # the degree-1 keys have no last element; g is the last element
@@ -142,20 +142,20 @@ class TestOnePlateau:
         g = from_ints(backend, [2, 1, 1])
         families = (hensel_family(backend, g, 0), hensel_family(backend, g, 0))
         with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
-            KeySequence(families, g, 2, backend)
+            KeySequence(families, g, 2)
 
     def test_linear_key_after_a_family_rejected(self):
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 1, 1])
         with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
-            KeySequence((hensel_family(backend, g, 0), Poly.x(backend)), g, 2, backend)
+            KeySequence((hensel_family(backend, g, 0), Poly.x(backend)), g, 2)
 
     def test_linear_g_after_a_family_rejected(self):
         # g = x - 1/3 has the 2-adic root 1/3, and 1 is its residue root
         backend = Backend("padic", 2)
         g = Poly.make(backend, [backend.parse("-1/3"), backend.one()])
         with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
-            KeySequence((hensel_family(backend, g, 1),), g, 2, backend)
+            KeySequence((hensel_family(backend, g, 1),), g, 2)
 
     def test_two_schedules_rejected(self):
         with pytest.raises(HypothesisViolatedError, match=_AFTER_PLATEAU):
@@ -169,12 +169,12 @@ class TestOnePlateau:
         padic, hahn = Backend("padic", 2), Backend("hahn", 2)
         g = from_ints(padic, [2, 1, 1])
         lifts = hensel_family(padic, g, 0)
-        KeySequence((Poly.x(padic), lifts), g, 2, padic)
+        KeySequence((Poly.x(padic), lifts), g, 2)
         a = hahn.element_from_value(-1)
         g_as = Poly.make(hahn, [-a, -hahn.one(), hahn.one()])
-        KeySequence((Poly.x(hahn), artin_schreier_family(hahn, a)), g_as, 2, hahn)
+        KeySequence((Poly.x(hahn), artin_schreier_family(hahn, a)), g_as, 2)
         cubic = from_ints(padic, [1, 1, 0, 1])
-        KeySequence((lifts, from_ints(padic, [1, 1, 1])), cubic, 2, padic)
+        KeySequence((lifts, from_ints(padic, [1, 1, 1])), cubic, 2)
         assert KeySequence((_schedule(3),), None, 2).g_degree == 2
 
 
@@ -199,15 +199,13 @@ class TestNormalize:
     def test_zero_value_key_unchanged(self):
         ks, nu = unramified_sequence()
         nk = normalize(ks, nu)[0]
-        assert nk.normalized == nk.original == Poly.x(ks.backend)
+        assert nk.normalized == nk.original == Poly.x(ks.g.backend)
 
     def test_unrepresentable_value_raises(self):
         # a p-adic backend cannot realize fractional values
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 0, 1])  # x^2 - 2 would force value 1/2
-        ks = KeySequence(
-            (Poly.x(backend),), g, 2, backend
-        )
+        ks = KeySequence((Poly.x(backend),), g, 2)
         nu = NuOracle.from_resultant(g)
         index = KeyIndex(0, 0)
         view = NormalizedSequence(ks, nu)
@@ -223,11 +221,11 @@ def witness(ks, nu, f):
 class TestCompletenessProbe:
     def test_constant_witnessed_trivially(self):
         ks, nu = as_sequence(2)
-        assert witness(ks, nu, from_ints(ks.backend, [3])) is not None
+        assert witness(ks, nu, from_ints(ks.g.backend, [3])) is not None
 
     def test_x_witnessed_at_first_key(self):
         ks, nu = as_sequence(2)
-        x = Poly.x(ks.backend)
+        x = Poly.x(ks.g.backend)
         assert witness(ks, nu, x) == KeyIndex(0, 1)
         assert nu.nu(x) == rat1(Fraction(-1, 2))
 
@@ -253,7 +251,7 @@ class TestCompletenessProbe:
         from valkit.poly import q_expand
 
         ks, nu = as_sequence(2)
-        fs = [Poly.x(ks.backend), ks.key_poly(KeyIndex(0, 2)), ks.g]
+        fs = [Poly.x(ks.g.backend), ks.key_poly(KeyIndex(0, 2)), ks.g]
         by_index = {nk.index: nk for nk in normalize(ks, nu, terms_per_plateau=8)}
         for f in fs:
             w = witness(ks, nu, f)

@@ -90,8 +90,8 @@ def test_truncation_ultrametric_product(seed):
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
         q = ks.key_poly(rng.choice(ks.indices(4)))
-        f = random_nonzero_poly(rng, ks.backend, 3)
-        h = random_nonzero_poly(rng, ks.backend, 3)
+        f = random_nonzero_poly(rng, ks.g.backend, 3)
+        h = random_nonzero_poly(rng, ks.g.backend, 3)
         vf, vh = nu.nu_q(f, q), nu.nu_q(h, q)
         vs = nu.nu_q(f + h, q) if not (f + h).is_zero() else None
         assert vs is None or vs >= min(vf, vh), f"#{k}: ultrametric failed"
@@ -108,7 +108,7 @@ def test_truncation_monotonicity(seed):
         ks, nu, _ = contexts[k % len(contexts)]
         indices = ks.indices(5)
         i, j = sorted(rng.sample(range(len(indices)), 2))
-        f = random_nonzero_poly(rng, ks.backend, 3)
+        f = random_nonzero_poly(rng, ks.g.backend, 3)
         vi = nu.nu_q(f, ks.key_poly(indices[i]))
         vj = nu.nu_q(f, ks.key_poly(indices[j]))
         vf = nu.nu(f)
@@ -123,7 +123,7 @@ def test_full_expansion_min_value(seed):
         ks, nu, _ = contexts[k % len(contexts)]
         indices = ks.indices(5)
         i = indices[rng.randint(1, len(indices) - 1)]
-        f = random_nonzero_poly(rng, ks.backend, 4)
+        f = random_nonzero_poly(rng, ks.g.backend, 4)
         exp = full_expansion(f, i, ks, nu)
         truncation = nu.nu_q(f, ks.key_poly(i))
         assert reconstruct(exp, ks) == f, f"#{k}: reconstruction failed"
@@ -146,7 +146,7 @@ def test_derivative_lower_bound(seed):
         ks, nu, _ = contexts[k % len(contexts)]
         indices = ks.indices(5)
         i = indices[rng.randint(1, len(indices) - 1)]
-        f = random_nonzero_poly(rng, ks.backend, 4)
+        f = random_nonzero_poly(rng, ks.g.backend, 4)
         if f.degree < 1:
             continue
         support = i0_set(f, i, ks, nu)
@@ -169,7 +169,7 @@ def test_derivative_drop_iff_shift(seed):
         ks, nu, _ = contexts[k % len(contexts)]
         indices = ks.indices(4)
         i = indices[rng.randint(0, len(indices) - 1)]
-        f = random_nonzero_poly(rng, ks.backend, 4)
+        f = random_nonzero_poly(rng, ks.g.backend, 4)
         if f.degree < 1:
             continue
         # derivative_drop raises LawMismatchError when either law fails.
@@ -182,10 +182,10 @@ def test_generator_rewriting(seed):
     contexts = [context("as2"), context("as3"), context("unramified")]
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
-        f = random_nonzero_poly(rng, ks.backend, ks.g_degree - 1)
+        f = random_nonzero_poly(rng, ks.g.backend, ks.g_degree - 1)
         v = nu.nu(f)
-        scalar = ks.backend.element_from_value(Fraction(-v.num, v.den))
-        f = f * Poly.make(ks.backend, [scalar])  # nu(f) = 0
+        scalar = ks.g.backend.element_from_value(Fraction(-v.num, v.den))
+        f = f * Poly.make(ks.g.backend, [scalar])  # nu(f) = 0
         # rewrite_in_generators raises when the identity or the min law fails.
         assert rewrite_in_generators(f, NormalizedSequence(ks, nu), nu), (
             f"#{k}: empty rewriting for nonzero f"
