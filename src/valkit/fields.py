@@ -251,11 +251,7 @@ class HahnElem:
                 i, j = i + 1, j + 1
         out += a[i:]
         out += [(n, p - c) for n, c in b[j:]] if negate else b[j:]
-        g = math.gcd(den, *(n for n, _ in out)) if cancelled else 1
-        if g > 1:
-            den //= g
-            out = [(n // g, c) for n, c in out]
-        return HahnElem(tuple(out), den, p)
+        return _reduced(out, den, p) if cancelled else HahnElem(tuple(out), den, p)
 
     def __add__(self, other):
         return self._merge(other, False)

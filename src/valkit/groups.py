@@ -37,8 +37,8 @@ from typing import Callable, Sequence
 from .errors import EmptySequenceError, ScenarioDataError
 
 PROBE_BUDGET = 64
-_FIT_TERMS = 4
-_VERIFY_TERMS = 4
+# A law is fixed by two consecutive terms and checked on this many.
+_WINDOW = 8
 
 
 def _frac(x) -> Fraction:
@@ -269,12 +269,12 @@ def fit_closed_form(
     """Recognize a law ``c * p**-n + d`` on a tail of `terms`.
 
     Returns the tail whose law reproduces ``terms[offset + k]`` at index
-    ``k``, fitted on four consecutive terms and verified on four further
-    ones (drawn from `extend` when the list is too short; its first None
-    ends the list).  Returns None when no offset admits a law with ratio
-    `p`.  With an extension the offset search reaches beyond the supplied
-    prefix, up to the probe budget, so laws that only set in after a late
-    slope change are still recognized.
+    ``k``, fixed by two consecutive terms and checked on eight (drawn
+    from `extend` when the list is too short; its first None ends the
+    list).  Returns None when no offset admits a law with ratio `p`.  With
+    an extension the offset search reaches beyond the supplied prefix, up
+    to the probe budget, so laws that only set in after a late slope
+    change are still recognized.
     """
     terms = list(terms)
 
@@ -288,9 +288,9 @@ def fit_closed_form(
             terms.append(more)
         return terms[n]
 
-    max_offset = max(0, len(terms) - _FIT_TERMS)
+    max_offset = max(0, len(terms) - _WINDOW)
     if extend is not None:
-        max_offset = max(max_offset, PROBE_BUDGET - _FIT_TERMS - _VERIFY_TERMS)
+        max_offset = max(max_offset, PROBE_BUDGET - _WINDOW)
     for offset in range(max_offset + 1):
         t0 = term_at(offset)
         t1 = term_at(offset + 1)
@@ -301,7 +301,7 @@ def fit_closed_form(
         c = _make(diff.num * p, diff.den * (p - 1))
         law = ClosedForm(c, t0 - c, p)
         ok = True
-        for k in range(_FIT_TERMS + _VERIFY_TERMS):
+        for k in range(_WINDOW):
             t = term_at(offset + k)
             if t is None or t != law.term(k):
                 ok = False

@@ -17,8 +17,8 @@ Each field-backed row checks that g is monic over its key on the expansion
 its truncation of g then reads from the oracle, and each plateau or
 schedule block that its key values increase strictly, before any fit.
 Plateau columns carry a `groups.Tail`: an exact geometric law
-``c * p**-n + d`` with the scenario's own ``p``, fitted on four
-consecutive computed terms and verified on four more, or a divergence
+``c * p**-n + d`` with the scenario's own ``p``, fixed by two
+consecutive computed terms and checked on eight, or a divergence
 certificate inherited from the family's construction.  A plateau key is
 linear and monic, so Q_n' = 1: nu(Q_n') = 0 on every term and in its tail
 without an oracle call or a fit, and the alpha and beta tails are the
@@ -527,24 +527,25 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
     if tail_only is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta_tilde tail unrecognized")
     if segment_compare(tail_only, canon) is not SegmentRelation.EQUAL:
+        # The plateau's tail exists (checked above) and explicit blocks
+        # always have a segment, so the full column has one.
         full_bt = column_segment(stream, "beta_tilde")
-        if full_bt is not None:
-            rel_full = segment_compare(full_bt, canon)
-            if rel_full is SegmentRelation.A_CONTAINS_B:
-                raise ScenarioDataError("beta_tilde values escape the alpha segment")
-            if rel_full is not SegmentRelation.EQUAL:
-                # No index subset can regenerate alpha: its beta-tilde values
-                # generate at most the full beta-tilde segment.
-                return Verdict(
-                    VerdictKind.OMEGA_NONZERO,
-                    case="ii",
-                    witness={
-                        **base,
-                        "failed": "beta_tilde_cannot_regenerate_alpha",
-                        "alpha_segment": _canon_str(canon),
-                        "beta_tilde_segment": _canon_str(full_bt),
-                    },
-                )
+        rel_full = segment_compare(full_bt, canon)
+        if rel_full is SegmentRelation.A_CONTAINS_B:
+            raise ScenarioDataError("beta_tilde values escape the alpha segment")
+        if rel_full is not SegmentRelation.EQUAL:
+            # No index subset can regenerate alpha: its beta-tilde values
+            # generate at most the full beta-tilde segment.
+            return Verdict(
+                VerdictKind.OMEGA_NONZERO,
+                case="ii",
+                witness={
+                    **base,
+                    "failed": "beta_tilde_cannot_regenerate_alpha",
+                    "alpha_segment": _canon_str(canon),
+                    "beta_tilde_segment": _canon_str(full_bt),
+                },
+            )
         return Verdict(
             VerdictKind.INCONCLUSIVE,
             reason="plateau beta_tilde tail does not regenerate alpha; "
@@ -720,7 +721,7 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
 
     def slot_value(n: int) -> GroupElem | None:
         exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(block.stage_pos, n)))
-        coeff = exp.coeff(b)
+        coeff = exp.coeffs[b]
         if coeff.is_zero():
             return None
         nu = stream.nu
@@ -735,10 +736,11 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
     fitted = _fit(vals, stream.ks.p, slot_value, len(vals) if gap else stage.budget)
     if fitted is not None:
         return "values", fitted
-    cert = stage.divergence_bound
-    if cert is not None and all(y > x for x, y in zip(vals, vals[1:])):
+    if stage.divergence_bound is not None:
         # Slot value >= b * nu(Q_n) plus a nonnegative coefficient value,
-        # already validated against the certificate for the g column.
+        # already validated against the certificate for the g column.  The
+        # certificate also makes nu_n(g) diverge, so the cut is the whole
+        # group and contains any slot tail.
         return "values", Tail(Diverging(increasing=True))
     return "values", None
 

@@ -137,11 +137,6 @@ class QExpansion:
     base: Poly
     coeffs: tuple[Poly, ...]
 
-    def coeff(self, i: int) -> Poly:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Poly(self.base.backend, ())
-
     def is_monic(self) -> bool:
         """True when the top coefficient is the constant 1."""
         top = self.coeffs[-1]

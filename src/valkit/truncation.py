@@ -32,11 +32,7 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-from .errors import (
-    NonMonicBaseError,
-    StabilizationBudgetExceededError,
-    ValkitError,
-)
+from .errors import StabilizationBudgetExceededError, ValkitError
 from .fields import valuation
 from .groups import GroupElem, rat1
 from .poly import Poly, QExpansion, q_expand
@@ -142,13 +138,14 @@ class NuOracle:
         return values
 
     def nu_q(self, f: Poly, q: Poly) -> GroupElem | None:
-        """Truncation at monic q: min over i of nu(f_i) + i * nu(q), None for infinity."""
-        if not q.is_monic() or q.degree < 1:
-            raise NonMonicBaseError("truncation base must be monic of degree >= 1")
+        """Truncation at monic q: min over i of nu(f_i) + i * nu(q), None for infinity.
+
+        The expansion rejects any other base (`NonMonicBaseError`).
+        """
         if f.degree < q.degree or q == self.g:
             # One slot, or the support polynomial as base (every higher slot
             # is infinite): the constant slot carries the value.
-            return self.nu(self.expand(f, q).coeff(0))
+            return self.nu(self.expand(f, q).coeffs[0])
         return min((v for v in self.term_values(f, q).values() if v is not None), default=None)
 
 

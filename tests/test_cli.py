@@ -32,6 +32,15 @@ from valkit.errors import ConfigError
 from valkit.keyseq import FAMILY_BUDGET
 
 
+# A Hahn g outside the paper's hypotheses below the key x, on which exactly
+# two criteria decide and disagree.
+CONTRADICTING_HAHN = {
+    "scenario": "custom", "backend": "hahn", "p": 2,
+    "g": ["1*t^(0)+1*t^(-2)+1*t^(-1)", "1*t^(3/2)+1*t^(-2)", "0", "1"],
+    "stages": [{"poly": ["0", "1"]}], "oracle": "resultant",
+}
+
+
 class TestParseConfig:
     def test_minimal_artin_schreier_defaults(self):
         cfg = parse_config('{"scenario": "artin-schreier"}')
@@ -59,6 +68,11 @@ class TestParseConfig:
     def test_gamma_above_bound_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_dict({"scenario": "kummer-schedule", "p": 3, "gamma": "2"})
+
+    @pytest.mark.parametrize("key", ["vp", "scale"])
+    def test_zero_vp_or_scale_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            parse_config_dict({"scenario": "kummer-schedule", key: "0"})
 
     def test_nonnegative_va_rejected(self):
         with pytest.raises(ConfigError):
@@ -198,6 +212,33 @@ class TestReports:
             law.get("verified") is True and not law.get("extrapolated")
             for law in report["laws"].values()
         )
+
+    # The g' truncation vp + (p-1) * min(0, x_n) of a schedule with scale p^7
+    # leaves its pre-switch law only at row 9, so the eight rows fit that
+    # law, reported as verified with limit 2 while the rows reach 1.
+    @pytest.mark.xfail(strict=True, reason="a late line switch is fitted as a verified law")
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_threshold_schedule_at_a_large_scale_decides_as_at_scale_one(self, p):
+        report = run(parse_config_dict(
+            {"scenario": "kummer-schedule", "p": p, "vp": "1", "scale": str(p**7)}
+        ))
+        assert report["status"] == "decisive" and report["exit_code"] == 0
+        verdicts = report["verdicts"]
+        assert verdicts["segment"]["kind"] == verdicts["classification"]["kind"] == "omega_zero"
+        assert verdicts["b1"]["b1"] is True
+        assert report["laws"]["stage0.nu_i_gprime"]["limit"] == "1/1"
+
+    def test_two_decisive_criteria_that_disagree_contradict(self):
+        # No plateau, so b1 does not apply; the segment comparison says
+        # omega_nonzero and the classification omega_zero.
+        report = run(parse_config_dict(CONTRADICTING_HAHN))
+        verdicts = report["verdicts"]
+        assert verdicts["segment"]["kind"] == "omega_nonzero"
+        assert verdicts["classification"]["kind"] == "omega_zero"
+        assert verdicts["b1"]["applicable"] is False
+        assert report["criteria_agree"] is False
+        assert report["status"] == "violation" and report["exit_code"] == 3
+        assert report["error"] == "decisive criteria contradict"
 
     def test_error_embedded_with_failure_status(self):
         cfg = ScenarioConfig(scenario="hensel-immediate", p=2, g=("1", "1", "1"), start=0)

@@ -115,6 +115,20 @@ class TestInvariantStream:
         assert set(plateau.tails) == set(COLUMNS) and stream.plateau is plateau
         assert stream.records == explicit.records + plateau.records
 
+    def test_nu_key_deriv_of_a_quadratic_key(self):
+        # Only a linear key has nu(Q') = 0 by construction: Q = x^2 - 2x + 3
+        # below g = Q^2 + 2 has Q' = 2x - 2 and nu(Q') = 5/4.  This g has
+        # e != 1, so no verdict is asserted.
+        stream = stream_for({
+            "scenario": "custom", "backend": "padic", "p": 2,
+            "g": ["11", "-12", "10", "-4", "1"],
+            "stages": [{"poly": ["0", "1"]}, {"poly": ["3", "-2", "1"]}],
+            "oracle": "resultant",
+        })
+        linear, quadratic = stream.records
+        assert linear.nu_key_deriv == rat1(0)
+        assert (quadratic.degree, quadratic.nu_key_deriv) == (2, rat1(Fraction(5, 4)))
+
     def test_kummer_records(self):
         # nu(x - a_n) = 1/2 - 3^-n, alpha_n its negative, beta via p * kv
         rec2 = KUMMER_AT.records[1]

@@ -244,6 +244,18 @@ class TestCompletenessProbe:
         ks, nu = as_sequence(2)
         assert find_witness(ks, nu, ks.g, ks.indices(8)) is None
 
+    def test_no_key_above_the_degree_of_a_linear_f(self):
+        # Below g = x^2 - 2x + 3 over Q_2, f = x - 1 has nu_x(f) = 0 < nu(f)
+        # = 1/2; only the key x^2 + 1 attains nu(f), and its degree is
+        # larger than that of f.
+        backend = Backend("padic", 2)
+        x, q = Poly.x(backend), from_ints(backend, [1, 0, 1])
+        ks = KeySequence((x, q), from_ints(backend, [3, -2, 1]), 2)
+        nu = NuOracle.from_resultant(ks.g)
+        f = from_ints(backend, [-1, 1])
+        assert nu.nu_q(f, x) == rat1(0) and nu.nu(f) == nu.nu_q(f, q) == rat1(Fraction(1, 2))
+        assert find_witness(ks, nu, f, ks.indices(8)) is None
+
     def test_normalization_preserves_witnesses(self):
         # the truncation at the rescaled key a*Q~ = Q has expansion
         # coefficients f_i * a^i against Q~, so its value min is unchanged
@@ -326,6 +338,16 @@ class TestFamilies:
         family = artin_schreier_family(backend, a)
         assert family.center(1).is_zero()
         assert valuation(family.center(2)) == rat1(Fraction(-1, 2))
+
+    def test_terms_are_numbered_from_one(self):
+        backend = Backend("hahn", 2)
+        family = artin_schreier_family(backend, backend.element_from_value(-1))
+        for built in (0, 3):
+            if built:
+                family.center(built)
+            for n in (0, -1):
+                with pytest.raises(ValueError, match="numbered from 1"):
+                    family.center(n)
 
     def test_family_degree_is_the_key_degree(self):
         hahn, padic = Backend("hahn", 3), Backend("padic", 2)

@@ -129,6 +129,16 @@ class TestAlgebraProperties:
         scale = Poly.make(B2, [B2.from_int(k)])
         assert derivative(f + g * scale) == derivative(f) + derivative(g) * scale
 
+    @given(coeffs, st.integers(0, 3))
+    def test_power_is_repeated_product(self, fc, k):
+        f = from_ints(B2, fc)
+        one = Poly.make(B2, [B2.one()])
+        assert f ** 0 == one
+        product = one
+        for _ in range(k):
+            product = product * f
+        assert f ** k == product
+
     @given(poly_and_monic_base(max_base_degree=3))
     def test_divmod_identity(self, case):
         f, q = case
