@@ -3,9 +3,11 @@
 Configurations are JSON objects with exact rational fields; unknown keys
 are rejected (exact arithmetic has no tolerance knobs).  Reports come in a
 human-readable text form and a structured form: a single self-describing
-JSON tree with version field "valkit-report/2", sorted keys and canonical
-"num/den" rationals, byte-identical across runs and thread counts for
-identical inputs.
+JSON tree with version field "valkit-report/2" and canonical "num/den"
+rationals, byte-identical across runs and thread counts for identical
+inputs.  Its bytes are `json.dumps(report, sort_keys=True, indent=2)` plus
+a newline (ASCII escapes, no floats); a value of any type but dict (str
+keys), list, tuple, str, int, bool or None raises TypeError.
 
 `budget` is the one work bound: a plateau family and a closed-form schedule
 stop at it, and the stabilization oracle, which certifies the n-th key at
@@ -22,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 
 from .errors import (
     ConfigError,
@@ -517,7 +520,35 @@ def _segment_payload(seg) -> dict:
 
 
 def render_structured(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The structured report; the module docstring gives its bytes."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(x, nl: str, out: list) -> None:
+    t = type(x)
+    if t is str:
+        out.append(_escape(x))
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif x is None or t is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    elif t is dict or t is list or t is tuple:
+        inner, (left, right) = nl + "  ", "{}" if t is dict else "[]"
+        sep = left + inner
+        for item in sorted(x) if t is dict else x:
+            out.append(sep)
+            sep = "," + inner
+            if t is dict:
+                if type(item) is not str:
+                    raise TypeError(f"a report key must be a str, not {type(item).__name__}")
+                out.append(_escape(item) + ": ")
+                item = x[item]
+            _write(item, inner, out)
+        out.append(nl + right if x else left + right)
+    else:
+        raise TypeError(f"a report holds no {t.__name__}")
 
 
 def render_text(report: dict) -> str:
@@ -532,9 +563,12 @@ def render_text(report: dict) -> str:
     widths = [max(len(row[k]) for row in rows) for k in range(len(header))]
     for row in rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    lines.append(f"alpha segment: {report['alpha_segment']}")
-    lines.append(f"beta segment:  {report['beta_segment']}")
-    lines.append(f"delta suffix length: {report['delta_suffix_len']}")
+    for name in ("alpha", "beta"):
+        seg = report[f"{name}_segment"]
+        bracket = "[" if seg["kind"] == "closed" else "("
+        shown = f"{bracket}{seg['point']}, inf)" if "point" in seg else seg["kind"]
+        lines.append(f"{name} segment:".ljust(15) + shown)
+    lines.append(f"delta suffix length: {str(report['delta_suffix_len']).lower()}")
     verdicts = report["verdicts"]
     lines.append(f"segment verdict: {verdicts['segment']['kind']}")
     cls = verdicts["classification"]
@@ -542,10 +576,10 @@ def render_text(report: dict) -> str:
     lines.append(f"classification: {cls['kind']}{case}")
     b1 = verdicts["b1"]
     if b1.get("applicable"):
-        lines.append(f"b1 criterion: 1 in B_1 = {b1['b1']}  (B = {b1['b_set']})")
+        lines.append(f"b1 criterion: 1 in B_1 = {str(b1['b1']).lower()}  (B = {b1['b_set']})")
     else:
         lines.append(f"b1 criterion: not applicable ({b1.get('why')})")
-    lines.append(f"criteria agree: {report['criteria_agree']}")
+    lines.append(f"criteria agree: {str(report['criteria_agree']).lower()}")
     lines.append(f"status: {report['status']}")
     return "\n".join(lines) + "\n"
 

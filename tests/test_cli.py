@@ -29,6 +29,8 @@ from valkit.cli import (
     run,
 )
 from valkit.errors import ConfigError
+from valkit.groups import rat1
+from valkit.kahler import VerdictKind
 from valkit.keyseq import FAMILY_BUDGET
 
 
@@ -136,6 +138,48 @@ class TestDeterminism:
         assert render_all(1) == render_all(4)
 
 
+# Arbitrary JSON trees: ints of any size and sign, and text with non-ASCII
+# and control characters and lone surrogates, in keys as in values.
+_any_text = st.text(st.characters(exclude_categories=()))
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _any_text,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(_any_text, children)
+    ),
+    max_leaves=40,
+)
+
+
+class TestRenderStructured:
+    """The report writer against `json.dumps(sort_keys=True, indent=2)`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees)
+    def test_matches_json_dumps_byte_for_byte(self, tree):
+        assert render_structured(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    def test_a_bool_is_not_an_int(self):
+        assert render_structured({"a": [True, False, 1, 0]}) == (
+            '{\n  "a": [\n    true,\n    false,\n    1,\n    0\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.5, Fraction(1, 3), rat1(Fraction(1, 3)), VerdictKind.OMEGA_ZERO, {"x"}],
+        ids=["float", "Fraction", "GroupElem", "Enum", "set"],
+    )
+    def test_a_value_json_lacks_raises(self, value):
+        with pytest.raises(TypeError):
+            render_structured({"records": [{"index": value}]})
+
+    @pytest.mark.parametrize("key", [1, None], ids=["int", "None"])
+    def test_a_key_that_is_not_a_str_raises(self, key):
+        with pytest.raises(TypeError):
+            render_structured({"laws": {key: "0/1"}})
+
+
 class TestReports:
     def test_structured_report_shape(self):
         cfg = parse_config_dict({"scenario": "artin-schreier", "format": "structured"})
@@ -153,6 +197,14 @@ class TestReports:
         cfg = parse_config_dict({"scenario": "unramified"})
         text = render(run(cfg), "text")
         assert "omega_zero" in text and "case (i)" in text
+
+    def test_text_report_of_an_undecided_run_spells_its_scalars(self):
+        # Three terms under budget 3: no segment is decided and there is no
+        # delta suffix.
+        cfg = parse_config_dict({"scenario": "artin-schreier", "budget": 3, "terms": 2})
+        lines = render(run(cfg), "text").splitlines()
+        assert "alpha segment: undecided" in lines and "beta segment:  undecided" in lines
+        assert "delta suffix length: none" in lines and "criteria agree: true" in lines
 
     def test_inconclusive_schedule_exit_two(self):
         cfg = parse_config_dict(
@@ -917,6 +969,8 @@ class TestGeneratedConfigs:
             # A config the parser accepted never fails as a config later.
             report = json.loads(out.getvalue())
             assert "ConfigError" not in (report["error"] or "")
+            # Error and violation reports cross-check the writer too.
+            assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # The front door over arbitrary input: command lines built from the real

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from valkit import kahler
-from valkit.cli import build_stream, parse_config_dict, render_structured, run
+from valkit.cli import build_stream, parse_config_dict, render_structured, render_text, run
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -40,6 +40,29 @@ def test_golden_report(name):
     for law in report["laws"].values():
         if "ratio" in law:
             assert law["ratio"] == report["scenario"]["p"]
+
+
+# The alpha and beta segments of each golden, as its text report writes them.
+TEXT_SEGMENTS = {
+    "artin_schreier_p2": ("(0/1, inf)", "(0/1, inf)"),
+    "artin_schreier_p3": ("(0/1, inf)", "(0/1, inf)"),
+    "kummer_p3_threshold": ("(-1/2, inf)", "(-1/2, inf)"),
+    "kummer_p3_below": ("(-1/3, inf)", "(0/1, inf)"),
+    "hensel_immediate": ("whole", "whole"),
+    "unramified": ("[0/1, inf)", "[0/1, inf)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_text_report_prints_no_python_reprs(name):
+    text = render_text(run(parse_config_dict({**CASES[name], "format": "text"})))
+    # ASCII prints under any stdout encoding.
+    assert text.isascii()
+    for repr_only in ("{'", "None", "True", "False"):
+        assert repr_only not in text
+    alpha, beta = TEXT_SEGMENTS[name]
+    lines = text.splitlines()
+    assert f"alpha segment: {alpha}" in lines and f"beta segment:  {beta}" in lines
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
