@@ -54,6 +54,7 @@ from .keyseq import (
     PlateauFamily,
     ScheduleStage,
     artin_schreier_family,
+    artin_schreier_poly,
     find_witness,
     hensel_family,
 )

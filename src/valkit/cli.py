@@ -54,6 +54,7 @@ from .keyseq import (
     PlateauFamily,
     ScheduleStage,
     artin_schreier_family,
+    artin_schreier_poly,
     hensel_family,
 )
 from .poly import Poly
@@ -117,13 +118,6 @@ def _start(raw, field: str) -> int:
     return raw
 
 
-def _negative_va(raw, field: str) -> Fraction:
-    va = _rational(raw, field)
-    if not va < 0:
-        raise ConfigError("va must be negative (approximation regime)", field)
-    return va
-
-
 # The least composite that passes Miller-Rabin over the first twelve prime
 # bases: below it `_is_prime` is exact.
 _PRIME_BOUND = 318665857834031151167461
@@ -174,10 +168,10 @@ def _coefficients(raw, field: str, backend: str, p: int, what="the support polyn
 def _check_stage(st, backend: str, p: int) -> None:
     """A custom stage: exactly one of `poly` or a known `family`.
 
-    A `poly` is a key, monic of degree >= 1.  `va` goes only on an
-    artin_schreier stage and `start` only on a hensel_lift stage.
+    A `poly` is a key, monic of degree >= 1.  `start` goes only on a
+    hensel_lift stage; an artin_schreier stage reads its data off g.
     """
-    if not isinstance(st, dict) or set(st) - {"poly", "family", "va", "start"}:
+    if not isinstance(st, dict) or set(st) - {"poly", "family", "start"}:
         raise ConfigError("bad stage entry", "stages")
     family = st.get("family")
     if "poly" in st and "family" in st:
@@ -188,10 +182,6 @@ def _check_stage(st, backend: str, p: int) -> None:
         _coefficients(st["poly"], "stages", backend, p, "an explicit key")
     elif backend != _FAMILY_BACKEND[family]:
         raise ConfigError(f"family {family!r} needs backend {_FAMILY_BACKEND[family]!r}", "stages")
-    if "va" in st:
-        if family != "artin_schreier":
-            raise ConfigError("va goes only on an artin_schreier stage", "stages")
-        _negative_va(st["va"], "stages")
     if "start" in st:
         if family != "hensel_lift":
             raise ConfigError("start goes only on a hensel_lift stage", "stages")
@@ -224,7 +214,10 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         raise ConfigError("format must be 'text' or 'structured'", "format")
 
     if scenario == "artin-schreier":
-        cfg = replace(cfg, va=_negative_va(data.get("va", "-1"), "va"))
+        va = _rational(data.get("va", "-1"), "va")
+        if not va < 0:
+            raise ConfigError("va must be negative (approximation regime)", "va")
+        cfg = replace(cfg, va=va)
     elif scenario == "kummer-schedule":
         vp = _rational(data.get("vp", "1"), "vp")
         if not vp > 0:
@@ -332,11 +325,6 @@ def _default_p(scenario: str) -> int:
 # Scenario construction
 # ---------------------------------------------------------------------------
 
-def _artin_schreier_g(backend: Backend, a) -> Poly:
-    coeffs = [-a, -backend.one()] + [backend.zero()] * (backend.p - 2) + [backend.one()]
-    return Poly.make(backend, coeffs)
-
-
 def build_stream(cfg: ScenarioConfig) -> InvariantStream:
     if cfg.scenario == "kummer-schedule":
         ks = KeySequence((_kummer_stage(cfg),), None, cfg.p)
@@ -357,9 +345,8 @@ def _field_scenario(cfg: ScenarioConfig) -> tuple[Backend, Poly, list[KeyStage]]
     """The backend, the support polynomial g and the key stages of a scenario."""
     if cfg.scenario == "artin-schreier":
         backend = Backend("hahn", cfg.p)
-        a = backend.element_from_value(cfg.va)
-        family = artin_schreier_family(backend, a, budget=cfg.budget)
-        return backend, _artin_schreier_g(backend, a), [family]
+        g = artin_schreier_poly(backend, backend.element_from_value(cfg.va))
+        return backend, g, [artin_schreier_family(backend, g, budget=cfg.budget)]
     # hensel-immediate and unramified are p-adic; custom names its backend.
     backend = Backend(cfg.backend or "padic", cfg.p)
     g = Poly.make(backend, [backend.parse(c) for c in cfg.g])
@@ -375,8 +362,7 @@ def _custom_stage(backend: Backend, g: Poly, st: dict, budget: int) -> KeyStage:
     if "poly" in st:
         return Poly.make(backend, [backend.parse(str(c)) for c in st["poly"]])
     if st["family"] == "artin_schreier":
-        a = backend.element_from_value(Fraction(str(st.get("va", "-1"))))
-        return artin_schreier_family(backend, a, budget=budget)
+        return artin_schreier_family(backend, g, budget=budget)
     return hensel_family(backend, g, st.get("start", 0), budget=budget)
 
 

@@ -15,20 +15,18 @@ plateau or schedule; segments are unions of block segments.
 
 Each field-backed row checks that g is monic over its key on the expansion
 its truncation of g then reads from the oracle, and each plateau or
-schedule block that its key values increase strictly, before any fit.
-Plateau columns carry a `groups.Tail`: an exact geometric law
-``c * p**-n + d`` with the scenario's own ``p``, fixed by two
-consecutive computed terms and checked on eight, or a divergence
-certificate inherited from the family's construction.  A plateau key is
-linear and monic, so Q_n' = 1: nu(Q_n') = 0 on every term and in its tail
-without an oracle call or a fit, and the alpha and beta tails are the
-nu(Q_n) and nu_n(g) tails mapped by `Tail.affine`.  Where a family has a
-certificate it decides first: nu(Q_n) and nu_n(g) diverge without a fit,
-and only nu_n(g') and an open beta-tilde are fitted, so no fit probes
-rows for the columns the certificate proves unbounded.  Segments
-(`CanonicalSegment`), verdicts and the expansion-slot criterion are
-decided from those tails; a column without one (data following another
-ratio, for instance) yields an inconclusive outcome, never a guess.
+schedule block that its key values increase strictly.  Plateau columns
+carry a `groups.Tail`: an exact law ``c * p**-n + d`` with the scenario's
+own ``p``, or a divergence.  A plateau family states the tails of
+nu(Q_n), nu_n(g), nu_n(g') and beta-tilde, checked on every record; only
+a `ScheduleStage` has them fitted, each law fixed by two consecutive
+computed terms and checked on eight.  A plateau key is linear and monic,
+so nu(Q_n') = 0 on every term and in its tail without an oracle call, and
+the alpha and beta tails are the nu(Q_n) and nu_n(g) tails mapped by
+`Tail.affine`.  Segments (`CanonicalSegment`), verdicts and the
+expansion-slot criterion are decided from those tails; a column without
+one (schedule data following another ratio, for instance) yields an
+inconclusive outcome, never a guess.
 
 The three independent routes to the vanishing decision:
 
@@ -208,11 +206,10 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     integer pairs with no `Fraction`.  A sequence of schedules alone comes
     with ``nu=None`` and its own nu(g').  Each field-backed row checks that
     g is monic over its key, and each plateau or schedule block that its key
-    values increase strictly before any fit.  The nu(Q') tail is the
-    constant 0; the other tails are laws fitted and re-verified on further
-    exact rows, or the family's divergence certificate, which decides its
-    columns before any fit runs; alpha and beta map the nu_key and nu_i_g
-    tails.
+    values increase strictly.  The nu(Q') tail is the constant 0.  A
+    family's other tails are the ones it states, checked on every record
+    (`_check_stated_tails`); a schedule's are laws fitted and re-verified on
+    further exact rows.  alpha and beta map the nu_key and nu_i_g tails.
     """
     if (nu is None) != (ks.g is None):
         raise ScenarioDataError("a sequence takes an oracle exactly when it carries g")
@@ -263,31 +260,22 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         if isinstance(stage, Poly):
             blocks.append(Block(pos, stage.degree, (row(KeyIndex(pos, 0)),), None))
             continue
-        # A fit may probe past the records up to the most terms the stage
-        # gives: a family's budget, a finite schedule's list, or without end.
-        count, limit = stage_terms(stage, terms), stage_terms(stage, math.inf)
         subject = "schedule values" if isinstance(stage, ScheduleStage) else "plateau key values"
-        records = tuple(row(KeyIndex(pos, n)) for n in range(1, count + 1))
+        records = tuple(row(KeyIndex(pos, n)) for n in range(1, stage_terms(stage, terms) + 1))
         if any(not a.nu_key < b.nu_key for a, b in zip(records, records[1:])):
             raise ScenarioDataError(f"{subject} must increase strictly")
-
-        def fit(name: str, pos=pos, records=records, limit=limit) -> Tail | None:
-            values = [r.column(name) for r in records]
-            return _fit(values, ks.p, lambda n: row(KeyIndex(pos, n)).column(name), limit)
-
-        # Plateau and schedule keys are linear, so nu(Q') = 0 on every term;
-        # a certificate decides the diverging columns before any fit probes them.
+        # Plateau and schedule keys are linear, so nu(Q') = 0 on every term.
         zero = GroupElem.zero()
         tails = {"nu_key_deriv": Tail(ClosedForm(zero, zero, ks.p))}
-        tails["nu_i_gprime"] = fit("nu_i_gprime")
-        cert = stage.divergence_bound if isinstance(stage, PlateauFamily) else None
-        if cert is None:
-            tails.update((name, fit(name)) for name in ("nu_key", "nu_i_g", "beta_tilde"))
+        if isinstance(stage, PlateauFamily):
+            _check_stated_tails(stage, records)
+            tails.update(stage.tails)
         else:
-            _check_divergence_cert(records, cert)
-            tails["nu_key"] = tails["nu_i_g"] = Tail(Diverging(increasing=True))
-            down = Tail(Diverging(increasing=False))
-            tails["beta_tilde"] = down if _is_constant(tails["nu_i_gprime"]) else fit("beta_tilde")
+            # A fit may probe past the records, to the end of a finite list.
+            limit = stage_terms(stage, math.inf)
+            for c in ("nu_key", "nu_i_g", "nu_i_gprime", "beta_tilde"):
+                values = [r.column(c) for r in records]
+                tails[c] = _fit(values, ks.p, lambda n, c=c: row(KeyIndex(pos, n)).column(c), limit)
         key, g_tail = tails["nu_key"], tails["nu_i_g"]
         # alpha = 0 - nu_key and beta = nu(g') - nu_i_g, term by term.
         tails["alpha"] = key.affine(-1, zero) if key else None
@@ -301,9 +289,8 @@ def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | No
     """`fit_closed_form` on `values`, extended by ``term(n)`` up to term `limit`.
 
     A term the stabilization oracle cannot value within its budget ends the
-    extension as the limit does: `limit`, the stage's term budget, bounds
-    how far a fit reaches, and an oracle budget never turns a column the
-    certificate decides into an error.
+    extension as the limit does, so an oracle budget never turns a slot
+    the certificate decides into an error.
     """
 
     def extend(k: int) -> GroupElem | None:
@@ -325,25 +312,22 @@ def _least_line(lines: tuple[tuple[GroupElem, int], ...], x: GroupElem) -> Group
     return expect_finite(min((c + x.scale(m) for c, m in lines), default=None))
 
 
-def _check_divergence_cert(records, bound) -> None:
-    """Validate the materialized prefix against the family's certificate.
+def _check_stated_tails(family: PlateauFamily, records) -> None:
+    """Every materialized record against the tails its family states.
 
-    The certificate guarantees nu(Q_n) >= bound(n) -> infinity, so the key
-    values and the truncated values of g diverge upwards (every expansion
-    slot of g carries nonnegative coefficient value for an integral family,
-    so nu_n(g) >= nu(Q_n)); both are checked on every record.
+    A law is compared term by term, record n with term n - 1; a divergence
+    with the family's bound at n, the values negated for a decreasing one.
     """
-    for n, rec in enumerate(records, start=1):
-        if not rec.nu_key >= bound(n):
-            raise LawMismatchError("divergence certificate fails on the prefix")
-        if not rec.nu_i_g >= bound(n):
-            raise LawMismatchError(
-                "truncated values of g do not dominate the certificate bound"
-            )
-
-
-def _is_constant(tail: Tail | None) -> bool:
-    return tail is not None and isinstance(tail.law, ClosedForm) and tail.law.c.is_zero()
+    for name, tail in family.tails.items():
+        law = tail.law
+        for n, rec in enumerate(records, start=1):
+            value = rec.column(name)
+            if isinstance(law, ClosedForm):
+                holds = value == law.term(n - 1)
+            else:
+                holds = (value if law.increasing else -value) >= family.divergence_bound(n)
+            if not holds:
+                raise LawMismatchError(f"record {n} breaks the stated {name} tail")
 
 
 # ---------------------------------------------------------------------------

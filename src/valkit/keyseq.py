@@ -8,11 +8,11 @@ thread-safe generator up to its budget -- or a `ScheduleStage`.  Every
 plateau has degree 1 and every key after it, g included, larger degree.
 `stage_terms` is the one rule for how many terms a stage gives.
 
-Built-in plateau families:
+Built-in plateau families read their data off g and state their tails:
 
 * `artin_schreier_family` -- keys x - s_n over a Hahn backend, where s_n
-  sums the first n - 1 iterated p-th roots of a, each center built from the
-  one before by adding one root;
+  sums the first n - 1 iterated p-th roots of a = -g(0), each center built
+  from the one before by adding one root;
 * `hensel_family` -- keys x - a_n over p-adic rationals, a_n the successive
   lifts of a simple residue root of g, with a construction certificate that
   the key values exceed the term index (hence diverge);
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .errors import HypothesisViolatedError, ScenarioDataError, ValkitError
 from .fields import Backend, FieldElem, HahnElem, _padic_order
-from .groups import ClosedForm, FiniteList, GroupElem, rat1
+from .groups import ClosedForm, Diverging, FiniteList, GroupElem, Tail, rat1
 from .poly import Poly, derivative
 from .truncation import NuOracle
 
@@ -58,11 +58,13 @@ class PlateauFamily:
     `center_fn(n, prev)` builds center n from center n - 1 (`prev`, `None`
     for n = 1).  Centers are made in order and memoized here, the family's
     one memo, under a lock so concurrent first access yields identical
-    terms.  Scenario builders set two certificates only when the generator
-    guarantees them: `precision(m)`, a lower bound on v(eta - center(m))
-    for the limit eta, read once center m is built (the stabilization
-    oracle needs it), and `divergence_bound(n)`, an unbounded lower bound
-    on the key value at term n.
+    terms.  `tails` gives the columns nu_key, nu_i_g, nu_i_gprime and
+    beta_tilde the tails the construction proves, at offset 0.  Scenario
+    builders set two certificates only when the generator guarantees them:
+    `precision(m)`, a lower bound on v(eta - center(m)) for the limit eta,
+    read once center m is built (the stabilization oracle needs it), and
+    `divergence_bound(n)`, an unbounded lower bound on the key value at
+    term n.
     """
 
     degree = 1
@@ -71,12 +73,14 @@ class PlateauFamily:
         self,
         backend: Backend,
         center_fn: Callable[[int, FieldElem | None], FieldElem],
+        tails: dict[str, Tail],
         precision: Callable[[int], int | Fraction] | None = None,
         divergence_bound: Callable[[int], GroupElem] | None = None,
         budget: int = FAMILY_BUDGET,
     ):
         self.backend = backend
         self._center_fn = center_fn
+        self.tails = tails
         self.precision = precision
         self.divergence_bound = divergence_bound
         self.budget = budget
@@ -273,24 +277,50 @@ def find_witness(
 # Built-in plateau families
 # ---------------------------------------------------------------------------
 
-def artin_schreier_family(backend: Backend, a: HahnElem, budget: int = FAMILY_BUDGET) -> PlateauFamily:
+def artin_schreier_poly(backend: Backend, a: HahnElem) -> Poly:
+    """g = x^p - x - a over the Hahn backend of characteristic p."""
+    zeros = [backend.zero()] * (backend.p - 2)
+    return Poly.make(backend, [-a, -backend.one(), *zeros, backend.one()])
+
+
+def artin_schreier_family(backend: Backend, g: Poly, budget: int = FAMILY_BUDGET) -> PlateauFamily:
     """Keys x - s_n with s_n = sum_{i=1..n-1} a**(1/p**i), iterated p-th roots.
 
-    Term n = 1 is the key x itself (s_1 = 0).  Each center is the one before
-    plus one root, s_n = s_{n-1} + a**(1/p**(n-1)), so a center costs one
-    merge; the family memoizes them in order.  The n-th key value is
-    v(a)/p**n, read off later family members, never assumed.  The limit
-    differs from s_m by sum_{i>=m} a**(1/p**i), whose first term has the
-    least value as v(a) < 0: v(eta - s_m) = v(a)/p**m exactly.
+    g must be `artin_schreier_poly` of a = -g(0), with a outside
+    P(K) + O_K, P(b) = b^p - b: P(c*t^e) = c*t^(pe) - c*t^e keeps each class
+    {e*p^k} of negative exponents at coefficient sum 0 mod p, so some class
+    of a must not be (then va = v(a) < 0).  s_1 = 0, and s_n = s_{n-1} +
+    a**(1/p**(n-1)) costs one merge.  The limit differs from s_m by
+    sum_{i>=m} a**(1/p**i), whose first term has the least value, so
+    nu(x - s_m) = v(eta - s_m) = va/p**m, the precision certificate.  As
+    P(s_n) = a - a**(1/p**(n-1)), g = Q^p - Q - a**(1/p**(n-1)) over
+    Q = x - s_n: nu_i_g = va/p**(n-1), nu_i_gprime = 0 and beta_tilde
+    = -va/p**(n-1).
     """
-    va = Fraction(a.order())
+    p = backend.p
+    a = -g.coeff(0)
+    if g != artin_schreier_poly(backend, a):
+        raise HypothesisViolatedError("the artin_schreier family needs g = x^p - x - a")
+    classes: dict[Fraction, int] = {}
+    for n, c in a.terms:
+        if n < 0:
+            e = Fraction(n, a.den)
+            key = e / Fraction(p) ** _padic_order(e, p)
+            classes[key] = classes.get(key, 0) + c
+    if not any(total % p for total in classes.values()):
+        raise HypothesisViolatedError(
+            "the artin_schreier family needs a = -g(0) outside {b^p - b : b in K} + O_K"
+        )
+    va, zero = Fraction(a.order()), GroupElem.zero()
+    laws = {"nu_key": va / p, "nu_i_g": va, "nu_i_gprime": 0, "beta_tilde": -va}
+    tails = {name: Tail(ClosedForm(rat1(c), zero, p)) for name, c in laws.items()}
 
     def center(n: int, prev: FieldElem | None) -> FieldElem:
         if n == 1:
             return backend.zero()
         return prev + a.frobenius_root(n - 1)
 
-    return PlateauFamily(backend, center, precision=lambda m: va / backend.p**m, budget=budget)
+    return PlateauFamily(backend, center, tails, lambda m: va / p**m, budget=budget)
 
 
 def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BUDGET) -> PlateauFamily:
@@ -308,7 +338,8 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     digit always gains (Hensel's lemma); one more Horner evaluation reads
     the new value.  That value is the precision certificate: g(a) =
     (a - eta) h(a) with h(a) = g'(start) mod p a unit, so v(eta - a_m) =
-    v(g(a_m)) exactly.
+    v(g(a_m)) exactly.  The stated tails follow: g'(a_n) is a unit and every
+    other slot of g' has value at least nu(Q_n) >= 1, so nu_i_gprime = 0.
     """
     p = backend.p
     for c in g.coeffs:
@@ -341,5 +372,8 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     def bound(n: int) -> GroupElem:
         return rat1(n)
 
-    return PlateauFamily(backend, center, lambda m: orders[m - 1], bound, budget)
+    zero, up = GroupElem.zero(), Tail(Diverging(increasing=True))
+    tails = {"nu_key": up, "nu_i_g": up, "nu_i_gprime": Tail(ClosedForm(zero, zero, p))}
+    tails["beta_tilde"] = Tail(Diverging(increasing=False))
+    return PlateauFamily(backend, center, tails, lambda m: orders[m - 1], bound, budget)
 

@@ -1,4 +1,4 @@
-"""Lemma checkers over full expansions, and shared scenario contexts.
+"""Lemma checkers over full expansions and reports, and shared scenario contexts.
 
 The verdict path reads only the index support of a full expansion.  The
 checkers here state the rest of the lemmas around it as executable code:
@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from hypothesis import strategies as st
 
 from valkit.cli import ScenarioConfig, build_stream, parse_config_dict
 from valkit.errors import (
@@ -60,6 +62,47 @@ WITNESS_CONFIG = {
     "scenario": "custom", "backend": "padic", "p": 2, "g": ["3", "8", "5", "2", "1"],
     "stages": [{"poly": ["0", "1"]}, {"poly": ["1", "1", "1"]}], "oracle": "resultant",
 }
+
+
+@st.composite
+def artin_schreier_customs(draw) -> dict:
+    """A custom Hahn config for g = x^p - x - a with a drawn freely.
+
+    a has 1 to 3 terms with exponent denominators 1, p, p^2 and 5, some
+    exponents >= 0, and coefficients 1..p-1; the artin_schreier stage comes
+    after an explicit linear key about half the time.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    exponents = st.builds(Fraction, st.integers(-9, 3), st.sampled_from([1, p, p * p, 5]))
+    terms = draw(st.lists(st.tuples(exponents, st.integers(1, p - 1)), min_size=1, max_size=3))
+    minus_a = "+".join(f"{p - c}*t^({e})" for e, c in terms)
+    stages = [{"family": "artin_schreier"}]
+    if draw(st.booleans()):
+        shift = Fraction(draw(st.integers(-9, 3)), draw(st.integers(1, 4)))
+        stages.insert(0, {"poly": [f"{draw(st.integers(0, p - 1))}*t^({shift})", "1"]})
+    return {
+        "scenario": "custom", "backend": "hahn", "p": p,
+        "g": [minus_a, str(p - 1)] + ["0"] * (p - 2) + ["1"],
+        "stages": stages, "oracle": "stabilization", "terms": draw(st.sampled_from([4, 8])),
+    }
+
+
+def check_printed_laws(report: dict) -> None:
+    """Every law a report marks verified holds on every record it prints.
+
+    The law of `stageS.column` gives record S.n, for n past its offset,
+    the value limit + scale * ratio**-(n - 1 - offset) in that column.
+    """
+    for key, law in report.get("laws", {}).items():
+        if not law.get("verified"):
+            continue
+        stage, column = key.removeprefix("stage").split(".")
+        scale, limit, offset = Fraction(law["scale"]), Fraction(law["limit"]), law["offset"]
+        for rec in report["records"]:
+            pos, n = rec["index"].split(".")
+            if pos == stage and int(n) > offset:
+                want = limit + scale / Fraction(law["ratio"]) ** (int(n) - 1 - offset)
+                assert Fraction(rec[column]) == want, f"{key} breaks record {rec['index']}"
 
 
 def random_schedule_config(rng: random.Random) -> ScenarioConfig:

@@ -20,17 +20,21 @@ from valkit.errors import NoWitnessError, ScenarioDataError
 from valkit.expansion import full_expansion, i0_set
 from valkit.fields import Backend, HahnElem, _padic
 from valkit.groups import rat1
-from valkit.keyseq import KeyIndex, KeySequence, artin_schreier_family, find_witness
+from valkit.keyseq import (
+    KeyIndex,
+    KeySequence,
+    artin_schreier_family,
+    artin_schreier_poly,
+    find_witness,
+)
 from valkit.poly import Poly, q_expand
 from valkit.truncation import NuOracle
 
 
 def as_sequence(p):
     backend = Backend("hahn", p)
-    a = backend.element_from_value(-1)
-    coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
-    g = Poly.make(backend, coeffs)
-    family = artin_schreier_family(backend, a)
+    g = artin_schreier_poly(backend, backend.element_from_value(-1))
+    family = artin_schreier_family(backend, g)
     ks = KeySequence((family,), g, p)
     nu = NuOracle.stabilization(g, family)
     return ks, nu

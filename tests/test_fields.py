@@ -3,13 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from lemmas import least
-from valkit.cli import parse_config_dict
+from valkit.cli import parse_config_dict, run
 from valkit.errors import (
     BackendMismatchError,
     ConfigError,
+    HypothesisViolatedError,
     ValkitError,
     ValueNotRepresentableError,
 )
@@ -25,7 +26,7 @@ from valkit.fields import (
     valuation,
 )
 from valkit.groups import rat1
-from valkit.keyseq import artin_schreier_family
+from valkit.keyseq import artin_schreier_family, artin_schreier_poly
 
 
 def hahn(p, *terms):
@@ -122,35 +123,55 @@ def root_sum(a: HahnElem, n: int) -> HahnElem:
     return acc
 
 
+def family_of(a: HahnElem):
+    """The Artin-Schreier family of g = x^p - x - a."""
+    backend = Backend("hahn", a.p)
+    return artin_schreier_family(backend, artin_schreier_poly(backend, a))
+
+
+def outside_wp_plus_integers(a: HahnElem) -> bool:
+    """Whether a lies outside {b^p - b} + O_K, by pairs of exponents.
+
+    Two negative exponents e and f share a class when f/e is a power of p
+    (k in Z); a lies outside exactly when some class sums to a nonzero
+    coefficient mod p.
+    """
+
+    def p_power(r: Fraction) -> bool:
+        n = r.numerator * r.denominator
+        while n % a.p == 0:
+            n //= a.p
+        return r > 0 and n == 1
+
+    negative = [(e, c) for e, c in model_of(a).items() if e < 0]
+    return any(sum(c for f, c in negative if p_power(f / e)) % a.p for e, _ in negative)
+
+
 class TestPartialSums:
     """The Artin-Schreier family's centers s_n = sum_{i=1..n-1} a**(1/p**i)."""
 
     def test_literal_sum_p2(self):
-        a = hahn(2, ("-1", 1))
-        s3 = artin_schreier_family(Backend("hahn", 2), a).center(3)
+        s3 = family_of(hahn(2, ("-1", 1))).center(3)
         assert s3 == hahn(2, ("-1/2", 1), ("-1/4", 1))
 
     def test_literal_sum_p3(self):
-        a = hahn(3, ("-1", 1))
-        s2 = artin_schreier_family(Backend("hahn", 3), a).center(2)
+        s2 = family_of(hahn(3, ("-1", 1))).center(2)
         assert s2 == hahn(3, ("-1/3", 1))
 
     def test_first_center_is_zero(self):
-        a = hahn(2, ("-1", 1))
-        assert artin_schreier_family(Backend("hahn", 2), a).center(1).is_zero()
+        assert family_of(hahn(2, ("-1", 1))).center(1).is_zero()
 
     def test_nonnegative_valuation_rejected_at_parse(self):
-        stage = {"family": "artin_schreier", "va": "1"}
-        for data in (
-            {"scenario": "artin-schreier", "va": "0"},
-            {"scenario": "artin-schreier", "va": "1/2"},
-            {
-                "scenario": "custom", "backend": "hahn", "p": 2, "g": ["1*t^(1)", "1", "1"],
-                "stages": [stage], "oracle": "stabilization",
-            },
-        ):
+        for va in ("0", "1/2"):
             with pytest.raises(ConfigError, match="va must be negative"):
-                parse_config_dict(data)
+                parse_config_dict({"scenario": "artin-schreier", "va": va})
+        # A custom stage reads a = t off g = x^2 + x + t: a lies in O_K.
+        report = run(parse_config_dict({
+            "scenario": "custom", "backend": "hahn", "p": 2, "g": ["1*t^(1)", "1", "1"],
+            "stages": [{"family": "artin_schreier"}], "oracle": "stabilization",
+        }))
+        assert report["exit_code"] == 3
+        assert report["error"].startswith("HypothesisViolatedError: the artin_schreier family")
 
     @given(
         st.sampled_from([2, 3, 5]),
@@ -162,7 +183,8 @@ class TestPartialSums:
     )
     def test_centers_equal_root_sums_in_any_order(self, p, terms, order):
         a = HahnElem.make({e: c % p or 1 for e, c in terms}, p)
-        family = artin_schreier_family(Backend("hahn", p), a)
+        assume(outside_wp_plus_integers(a))
+        family = family_of(a)
         for n in order:
             center = family.center(n)
             assert_canonical(center)
@@ -171,9 +193,24 @@ class TestPartialSums:
 
     def test_late_center_first(self):
         a = hahn(3, ("-2/3", 2), ("1", 1))
-        family = artin_schreier_family(Backend("hahn", 3), a)
+        family = family_of(a)
         assert family.center(7) == root_sum(a, 6)
         assert family.center(3) == root_sum(a, 2)
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def test_the_family_takes_exactly_a_outside_wp_plus_integers(self, p, data):
+        a = data.draw(hahn_elems(p))
+        try:
+            family_of(a)
+        except HypothesisViolatedError:
+            assert not outside_wp_plus_integers(a)
+        else:
+            assert outside_wp_plus_integers(a)
+        # b^p - b + c with v(c) >= 0 is always refused.
+        b, c = data.draw(hahn_elems(p)), data.draw(hahn_elems(p))
+        c = HahnElem.make({e: k for e, k in model_of(c).items() if e >= 0}, p)
+        with pytest.raises(HypothesisViolatedError, match="outside"):
+            family_of(b.frobenius() - b + c)
 
 
 class TestValueLawOracle:

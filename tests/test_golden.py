@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from lemmas import check_printed_laws
 from valkit import kahler
 from valkit.cli import build_stream, parse_config_dict, render_structured, render_text, run
 
@@ -36,10 +37,12 @@ def test_golden_report(name):
     report = run(parse_config_dict(CASES[name]))
     got = render_structured(report).encode("utf-8")
     assert got == expected
-    # every fitted law carries the scenario's own ratio, never a guessed one
+    # every law carries the scenario's own ratio, never a guessed one, and
+    # holds on every record the report prints
     for law in report["laws"].values():
         if "ratio" in law:
             assert law["ratio"] == report["scenario"]["p"]
+    check_printed_laws(report)
 
 
 # The alpha and beta segments of each golden, as its text report writes them.

@@ -18,6 +18,7 @@ from valkit.keyseq import (
     KeySequence,
     ScheduleStage,
     artin_schreier_family,
+    artin_schreier_poly,
     find_witness,
     hensel_family,
     stage_terms,
@@ -29,10 +30,8 @@ from valkit.truncation import NuOracle
 
 def as_sequence(p):
     backend = Backend("hahn", p)
-    a = backend.element_from_value(-1)
-    coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
-    g = Poly.make(backend, coeffs)
-    family = artin_schreier_family(backend, a)
+    g = artin_schreier_poly(backend, backend.element_from_value(-1))
+    family = artin_schreier_family(backend, g)
     ks = KeySequence((family,), g, p)
     nu = NuOracle.stabilization(g, family)
     return ks, nu
@@ -170,9 +169,8 @@ class TestOnePlateau:
         g = from_ints(padic, [2, 1, 1])
         lifts = hensel_family(padic, g, 0)
         KeySequence((Poly.x(padic), lifts), g, 2)
-        a = hahn.element_from_value(-1)
-        g_as = Poly.make(hahn, [-a, -hahn.one(), hahn.one()])
-        KeySequence((Poly.x(hahn), artin_schreier_family(hahn, a)), g_as, 2)
+        g_as = artin_schreier_poly(hahn, hahn.element_from_value(-1))
+        KeySequence((Poly.x(hahn), artin_schreier_family(hahn, g_as)), g_as, 2)
         cubic = from_ints(padic, [1, 1, 0, 1])
         KeySequence((lifts, from_ints(padic, [1, 1, 1])), cubic, 2)
         assert KeySequence((_schedule(3),), None, 2).g_degree == 2
@@ -335,13 +333,15 @@ class TestFamilies:
     def test_artin_schreier_centers(self):
         backend = Backend("hahn", 2)
         a = backend.element_from_value(-1)
-        family = artin_schreier_family(backend, a)
+        family = artin_schreier_family(backend, artin_schreier_poly(backend, a))
         assert family.center(1).is_zero()
         assert valuation(family.center(2)) == rat1(Fraction(-1, 2))
 
     def test_terms_are_numbered_from_one(self):
         backend = Backend("hahn", 2)
-        family = artin_schreier_family(backend, backend.element_from_value(-1))
+        family = artin_schreier_family(
+            backend, artin_schreier_poly(backend, backend.element_from_value(-1))
+        )
         for built in (0, 3):
             if built:
                 family.center(built)
@@ -352,7 +352,7 @@ class TestFamilies:
     def test_family_degree_is_the_key_degree(self):
         hahn, padic = Backend("hahn", 3), Backend("padic", 2)
         families = (
-            artin_schreier_family(hahn, hahn.element_from_value(-1)),
+            artin_schreier_family(hahn, artin_schreier_poly(hahn, hahn.element_from_value(-1))),
             hensel_family(padic, from_ints(padic, [2, 1, 1]), 0),
         )
         for family in families:
@@ -397,14 +397,14 @@ class TestFamilies:
     def test_concurrent_materialization_is_idempotent(self):
         backend = Backend("hahn", 2)
         a = backend.element_from_value(-1)
-        family = artin_schreier_family(backend, a)
+        family = artin_schreier_family(backend, artin_schreier_poly(backend, a))
 
         def grab(n):
             return family.center(1 + n % 10)
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(grab, range(64)))
-        fresh = artin_schreier_family(backend, a)
+        fresh = artin_schreier_family(backend, artin_schreier_poly(backend, a))
         for n, got in enumerate(results):
             assert got == fresh.center(1 + n % 10)
 
@@ -416,7 +416,9 @@ class TestFamilies:
         g = from_ints(padic, [1, 1, 1])  # root 2 mod 7, g'(2) = 5
         hahn = Backend("hahn", 3)
         builders = [
-            lambda: artin_schreier_family(hahn, hahn.element_from_value(Fraction(-2, 3))),
+            lambda: artin_schreier_family(
+                hahn, artin_schreier_poly(hahn, hahn.element_from_value(Fraction(-2, 3)))
+            ),
             lambda: hensel_family(padic, g, 2),
         ]
         shared = [build() for build in builders]
@@ -441,6 +443,6 @@ class TestFamilies:
     def test_budget_enforced(self):
         backend = Backend("hahn", 2)
         a = backend.element_from_value(-1)
-        family = artin_schreier_family(backend, a, budget=4)
+        family = artin_schreier_family(backend, artin_schreier_poly(backend, a), budget=4)
         with pytest.raises(Exception):
             family.center(5)

@@ -15,7 +15,12 @@ from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
 from valkit.fields import Backend, PAdicRational, valuation
 from valkit.groups import rat1
-from valkit.keyseq import PlateauFamily, artin_schreier_family, hensel_family
+from valkit.keyseq import (
+    PlateauFamily,
+    artin_schreier_family,
+    artin_schreier_poly,
+    hensel_family,
+)
 from valkit.poly import Poly, derivative, q_expand
 from valkit.truncation import NuOracle
 
@@ -44,10 +49,8 @@ def windowed_oracle(g, family, window=3, budget=64):
 
 def as_setup(p):
     backend = Backend("hahn", p)
-    a = backend.element_from_value(-1)
-    coeffs = [-a, -backend.one()] + [backend.zero()] * (p - 2) + [backend.one()]
-    g = Poly.make(backend, coeffs)
-    family = artin_schreier_family(backend, a)
+    g = artin_schreier_poly(backend, backend.element_from_value(-1))
+    family = artin_schreier_family(backend, g)
     nu = NuOracle.stabilization(g, family)
     return backend, g, family, nu
 
@@ -90,6 +93,7 @@ class TestNu:
             return PlateauFamily(
                 backend,
                 lambda n, prev: points[n - 1],
+                {},
                 precision=lambda m: g.eval(points[m - 1]).order(),
                 budget=budget,
             )
@@ -103,10 +107,9 @@ class TestNu:
 
     def test_budget_exceeded_carries_the_warm_started_trace(self):
         backend, g, _, _ = as_setup(2)
-        a = backend.element_from_value(-1)
         # x - s_6, built on a second family: `family` has its first two centers
-        f0 = artin_schreier_family(backend, a).poly(6)
-        family = artin_schreier_family(backend, a, budget=6)
+        f0 = artin_schreier_family(backend, g).poly(6)
+        family = artin_schreier_family(backend, g, budget=6)
         family.center(2)
         with pytest.raises(StabilizationBudgetExceededError) as exc:
             NuOracle.stabilization(g, family).nu(f0)
@@ -116,7 +119,7 @@ class TestNu:
         assert trace == [valuation(f0.eval(family.center(m))) for m in range(2, 7)]
         assert [v is None for v in trace] == [False] * 4 + [True]
         # One member more certifies v(eta - s_6) = -1/2**6.
-        nu = NuOracle.stabilization(g, artin_schreier_family(backend, a, budget=7))
+        nu = NuOracle.stabilization(g, artin_schreier_family(backend, g, budget=7))
         assert nu.nu(f0) == rat1(Fraction(-1, 64))
 
     def test_taylor_bound_counts_the_higher_coefficients(self):
@@ -130,6 +133,7 @@ class TestNu:
         family = PlateauFamily(
             backend,
             lambda n, prev: points[n - 1],
+            {},
             precision=lambda m: (backend.from_int(33) - points[m - 1]).order(),
             budget=len(points),
         )
@@ -140,7 +144,7 @@ class TestNu:
     def test_family_without_certificate_refused(self):
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 1, 1])
-        bare = PlateauFamily(backend, lambda n, prev: backend.from_int(2**n))
+        bare = PlateauFamily(backend, lambda n, prev: backend.from_int(2**n), {})
         with pytest.raises(ValkitError, match="precision certificate"):
             NuOracle.stabilization(g, bare)
 
@@ -336,8 +340,8 @@ def certified_against_windowed(data) -> int:
 def custom_configs(draw, backend):
     """A custom config with an explicit linear key x - c before its family:
     a hensel lift of a monic integral g of degree 2 or 3 with no rational
-    root, at a simple residue root, or an Artin-Schreier family with its
-    g = x^p - x - t^va."""
+    root, at a simple residue root, or an Artin-Schreier family, which reads
+    a = t^va off its g = x^p - x - t^va."""
     p = draw(st.sampled_from([2, 3, 5]))
     if backend == "padic":
         start = draw(st.integers(0, p - 1))
@@ -356,7 +360,7 @@ def custom_configs(draw, backend):
         g = [f"{p - 1}*t^({va})", str(p - 1)] + ["0"] * (p - 2) + ["1"]
         shift = Fraction(draw(st.integers(-9, 3)), draw(st.integers(1, 4)))
         key = [f"{draw(st.integers(0, p - 1))}*t^({shift})", "1"]
-        family = {"family": "artin_schreier", "va": str(va)}
+        family = {"family": "artin_schreier"}
     return {
         "scenario": "custom", "backend": backend, "p": p, "g": g,
         "stages": [{"poly": key}, family], "oracle": "stabilization",
