@@ -229,8 +229,12 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         if isinstance(stage, ScheduleStage):
             nu_key = stage.key_value(index.term)
             nu_key_deriv = GroupElem.zero()
-            nu_i_g = _least_line(stage.g_lines, nu_key)
-            nu_i_gp = _least_line(stage.gprime_lines, nu_key)
+            if isinstance(stage.key_values, ClosedForm):
+                nu_i_g = _least_law(stage.g_laws, index.term - 1)
+                nu_i_gp = _least_law(stage.gprime_laws, index.term - 1)
+            else:
+                nu_i_g = _least_line(stage.g_lines, nu_key)
+                nu_i_gp = _least_line(stage.gprime_lines, nu_key)
         else:
             q = ks.key_poly(index)
             # Checked before any value; nu_q(g, q) reads this expansion back.
@@ -310,6 +314,15 @@ def _least_line(lines: tuple[tuple[GroupElem, int], ...], x: GroupElem) -> Group
     With no line left every slot vanishes, and the truncation is infinite.
     """
     return expect_finite(min((c + x.scale(m) for c, m in lines), default=None))
+
+
+def _least_law(envelope: tuple[tuple[ClosedForm, ...], int], k: int) -> GroupElem:
+    """Term k of the least of a closed-form schedule's `keyseq.line_laws`:
+    the first law's from the switch on, the least of all before it."""
+    laws, switch = envelope
+    if laws and k >= switch:
+        return laws[0].term(k)
+    return expect_finite(min((law.term(k) for law in laws), default=None))
 
 
 def _check_stated_tails(family: PlateauFamily, records) -> None:

@@ -139,6 +139,22 @@ def slot_lines(laws: Sequence[CoefValueLaw]) -> tuple[tuple[GroupElem, int], ...
     return tuple((c, m) for c, (lo, hi) in mults.items() for m in {lo, hi})
 
 
+def line_laws(lines, key: ClosedForm, budget: int) -> tuple[tuple[ClosedForm, ...], int]:
+    """`slot_lines` at the key law ``c * p**-k + d`` as laws in the term index k,
+    least first, and the switch: the least k < `budget` from which that law
+    is <= every other at every later term (`budget` if none).  Line
+    (const, m) reads ``ClosedForm(m * c, const + m * d, p)``; the first law
+    has the least limit, and on a tied limit the least scale, so its excess
+    ``(d_0 - d_j) + (c_0 - c_j) * p**-k`` over another stays <= 0 once it is.
+    """
+    laws = sorted(
+        (ClosedForm(key.c.scale(m), const + key.d.scale(m), key.p) for const, m in lines),
+        key=lambda law: (law.d, law.c),
+    )
+    least_from = (k for k in range(budget) if all(laws[0].term(k) <= law.term(k) for law in laws[1:]))
+    return tuple(laws), next(least_from, budget)
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduleStage:
     """Degree-1 plateau given purely by value data.
@@ -148,7 +164,8 @@ class ScheduleStage:
     A closed-form schedule gives at most `budget` terms, like a family.
     `g_lines` and `gprime_lines` are the laws reduced to `slot_lines`,
     derived once per stage: a truncation value nu_n(g) or nu_n(g') is the
-    least of its lines at the n-th key value.
+    least of its lines at the n-th key value; for closed-form key values,
+    `g_laws` and `gprime_laws` are those lines as `line_laws`.
     """
 
     key_values: FiniteList | ClosedForm
@@ -169,6 +186,14 @@ class ScheduleStage:
     @functools.cached_property
     def gprime_lines(self) -> tuple[tuple[GroupElem, int], ...]:
         return slot_lines(self.gprime_coef_laws)
+
+    @functools.cached_property
+    def g_laws(self) -> tuple[tuple[ClosedForm, ...], int]:
+        return line_laws(self.g_lines, self.key_values, self.budget)
+
+    @functools.cached_property
+    def gprime_laws(self) -> tuple[tuple[ClosedForm, ...], int]:
+        return line_laws(self.gprime_lines, self.key_values, self.budget)
 
 KeyStage = Poly | PlateauFamily | ScheduleStage
 
@@ -335,10 +360,10 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     increasing.  A lift reads the previous center a from the family; with
     v = v(g(a)), g(a + t*p^v) = g(a) + g'(start)*t*p^v mod p^(v+1) fixes the
     digit t.  Every center is start mod p, so g'(a) is a unit and that
-    digit always gains (Hensel's lemma); one more Horner evaluation reads
-    the new value.  That value is the precision certificate: g(a) =
-    (a - eta) h(a) with h(a) = g'(start) mod p a unit, so v(eta - a_m) =
-    v(g(a_m)) exactly.  The stated tails follow: g'(a_n) is a unit and every
+    digit always gains (Hensel's lemma); one Horner evaluation reads the
+    new value, kept for the next lift.  That value is the precision
+    certificate: g(a) = (a - eta) h(a) with h(a) = g'(start) mod p a unit,
+    so v(eta - a_m) = v(g(a_m)) exactly.  The stated tails follow: g'(a_n) is a unit and every
     other slot of g' has value at least nu(Q_n) >= 1, so nu_i_gprime = 0.
     """
     p = backend.p
@@ -352,8 +377,8 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
             raise ScenarioDataError("the family hit an exact rational root of g")
         return value, _padic_order(value, p)
 
-    orders = [g_at(start)[1]]  # v(g(a_m)), appended as each center is built
-    if orders[0] < 1:
+    lifts = [g_at(start)]  # (g(a_m), v(g(a_m))), appended as each center is built
+    if lifts[0][1] < 1:
         raise ScenarioDataError("start is not a residue root")
     gp = derivative(g).eval(backend.from_int(start))
     if gp.is_zero() or _padic_order(gp.value, p) != 0:
@@ -362,11 +387,10 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     def center(n: int, prev: FieldElem | None) -> FieldElem:
         if n == 1:
             return backend.from_int(start)
-        a = prev.value
-        value, va = g_at(a)
+        value, va = lifts[n - 2]  # at prev, built just before
         u = Fraction(value, p**va) / gp.value  # a p-adic unit; the digit is -u mod p
-        cand = a + (-u.numerator * pow(u.denominator, -1, p) % p) * p**va
-        orders.append(g_at(cand)[1])
+        cand = prev.value + (-u.numerator * pow(u.denominator, -1, p) % p) * p**va
+        lifts.append(g_at(cand))
         return backend.from_int(cand)
 
     def bound(n: int) -> GroupElem:
@@ -375,5 +399,5 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     zero, up = GroupElem.zero(), Tail(Diverging(increasing=True))
     tails = {"nu_key": up, "nu_i_g": up, "nu_i_gprime": Tail(ClosedForm(zero, zero, p))}
     tails["beta_tilde"] = Tail(Diverging(increasing=False))
-    return PlateauFamily(backend, center, tails, lambda m: orders[m - 1], bound, budget)
+    return PlateauFamily(backend, center, tails, lambda m: lifts[m - 1][1], bound, budget)
 

@@ -218,7 +218,7 @@ def resultant(g: Poly, f: Poly) -> FieldElem:
         if not top.is_zero():
             row = [a - top * c for a, c in zip(row, g.coeffs)]
         rows.append(row)
-    sign, prev = 1, g.backend.one()
+    sign, prev = 1, None
     for k in range(n):
         pivot = next((r for r in range(k, n) if not rows[r][k].is_zero()), None)
         if pivot is None:
@@ -230,6 +230,7 @@ def resultant(g: Poly, f: Poly) -> FieldElem:
         for i in range(k + 1, n):
             ri = rows[i]
             for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk[k] - ri[k] * pk[j]) / prev
+                x = ri[j] * pk[k] - ri[k] * pk[j]
+                ri[j] = x / prev if k else x  # step 0's divisor is the empty minor, 1
         prev = pk[k]
     return prev if sign > 0 else -prev

@@ -60,12 +60,13 @@ class NuOracle:
         by f on K[x]/(g).  Valid when the valuation extends uniquely to
         K[x]/(g), so that all conjugates of f(eta) share one value.
         """
+        inverse_degree = Fraction(1, g.degree)
 
         def fn(f: Poly) -> GroupElem | None:
             from .poly import resultant
 
             v = valuation(resultant(g, f))
-            return None if v is None else v.scale(Fraction(1, g.degree))
+            return None if v is None else v.scale(inverse_degree)
 
         return NuOracle(g, fn)
 

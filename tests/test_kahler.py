@@ -58,6 +58,7 @@ from valkit.keyseq import (
     PlateauFamily,
     ScheduleStage,
     hensel_family,
+    line_laws,
     slot_lines,
     stage_terms,
 )
@@ -650,6 +651,37 @@ slot_laws = st.lists(
 )
 
 
+def assert_least_switch(envelope, budget):
+    """The switch is the least term index below `budget` from which the
+    first law is the least at every term (at some later ones checked), and
+    `budget` when no index below it is."""
+    laws, switch = envelope
+    assert 0 <= switch <= budget
+
+    def first_is_least(k):
+        return laws[0].term(k) == min(law.term(k) for law in laws)
+
+    if switch < budget:
+        assert all(first_is_least(k) for k in (*range(switch, budget), budget + 10, budget + 100))
+    if switch > 0:
+        assert not first_is_least(switch - 1)
+
+
+@st.composite
+def kummer_closed_forms(draw):
+    """Closed-form Kummer schedules at and below the threshold vp/(p-1),
+    with scale up to p^9, over budgets 2-64 (every term taken)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    vp = draw(st.fractions(Fraction(1, 4), 6, max_denominator=4))
+    below = draw(st.one_of(st.just(Fraction(0)), st.fractions(Fraction(1, 8), 3, max_denominator=8)))
+    scale = draw(st.fractions(Fraction(1, 4), p**9, max_denominator=4))
+    budget = draw(st.integers(2, 64))
+    return {
+        "scenario": "kummer-schedule", "p": p, "vp": str(vp), "gamma": str(vp / (p - 1) - below),
+        "scale": str(scale), "budget": budget, "terms": budget,
+    }
+
+
 class TestSlotLines:
     @settings(max_examples=300, deadline=None)
     @given(slot_laws, _consts)
@@ -698,6 +730,62 @@ class TestSlotLines:
         for rec in built:
             assert rec.nu_i_g == former_least_slot_value(stage.g_coef_laws, rec.nu_key)
             assert rec.nu_i_gprime == former_least_slot_value(stage.gprime_coef_laws, rec.nu_key)
+
+    # A switch index k is the record k + 1 from which one line law is the
+    # truncation.  At scale p^7, g' switches at record 9, past the eight-term
+    # window a fit checks: the mechanism behind the strict xfails of
+    # `test_verified_laws_hold_on_every_printed_row_at_a_large_scale`.
+    @pytest.mark.parametrize("p,extra,gprime_record", [
+        (2, {"scale": "128"}, 8),
+        (3, {"scale": str(3**7)}, 9),
+        (5, {"scale": str(5**7)}, 9),
+        (7, {"scale": str(7**7)}, 9),
+        (5, {"gamma": "1/8"}, 3),
+        (3, {}, 2),
+        (5, {}, 2),
+        (7, {}, 2),
+    ])
+    def test_kummer_switch_records(self, p, extra, gprime_record):
+        (stage,) = stream_for({"scenario": "kummer-schedule", "p": p, "vp": "1", **extra}).ks.stages
+        assert stage.g_laws[1] + 1 == 1
+        assert stage.gprime_laws[1] + 1 == gprime_record
+
+    @settings(max_examples=150, deadline=None)
+    @given(kummer_closed_forms())
+    def test_rows_read_the_least_law_from_its_switch(self, data):
+        stream = stream_for(data)
+        (stage,) = stream.ks.stages
+        budget = data["budget"]
+        assert len(stream.records) == budget
+        for rec in stream.records:
+            assert rec.nu_i_g == _least_line(stage.g_lines, rec.nu_key)
+            assert rec.nu_i_gprime == _least_line(stage.gprime_lines, rec.nu_key)
+        for envelope in (stage.g_laws, stage.gprime_laws):
+            assert_least_switch(envelope, budget)
+
+    @settings(max_examples=300, deadline=None)
+    @given(slot_laws, _consts, _consts, st.sampled_from([2, 3, 5, 7]), st.integers(2, 64))
+    def test_switch_of_any_lines_is_the_least(self, laws, c, d, p, budget):
+        lines = slot_lines(laws)
+        assume(lines)
+        key = ClosedForm(rat1(c), rat1(d), p)
+        envelope = line_laws(lines, key, budget)
+        for k in (0, budget - 1):
+            assert min(law.term(k) for law in envelope[0]) == _least_line(lines, key.term(k))
+        assert_least_switch(envelope, budget)
+
+    def test_a_closed_form_stage_without_lines_keeps_the_error(self):
+        stage = ScheduleStage(
+            key_values=ClosedForm(rat1(-1), rat1(0), 3),
+            g_coef_laws=(CoefValueLaw(None, 0),) * 3,
+            gprime_coef_laws=(CoefValueLaw(rat1(0), 0),),
+            nu_gprime=rat1(0),
+        )
+        with pytest.raises(ScenarioDataError) as lines:
+            _least_line((), rat1(0))
+        with pytest.raises(ScenarioDataError) as laws:
+            invariant_stream(KeySequence((stage,), None, 3), None)
+        assert str(laws.value) == str(lines.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Key sequences: stages, plateau families, normalization, witness search."""
 import concurrent.futures
 import sys
+from collections import Counter
 import threading
 from fractions import Fraction
 
@@ -369,6 +370,23 @@ class TestFamilies:
             values.append(gval)
             assert gval >= family.divergence_bound(n)
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_hensel_evaluates_g_once_per_center(self, monkeypatch):
+        # A lift reads g at the previous center from the step that built it.
+        backend = Backend("padic", 2)
+        g = from_ints(backend, [2, 1, 1])
+        points = Counter()
+        evaluate = Poly.eval
+
+        def counted(f, a):
+            if f == g:
+                points[a.value] += 1
+            return evaluate(f, a)
+
+        monkeypatch.setattr(Poly, "eval", counted)
+        family = hensel_family(backend, g, 0)
+        centers = [family.center(n).value for n in range(1, 13)]
+        assert points == Counter(centers)
 
     @settings(max_examples=60, deadline=None)
     @given(hensel_inputs())

@@ -283,6 +283,19 @@ class TestResultant:
         assert resultant(g, f2) == f2.eval(B2.from_int(1)) * f2.eval(B2.from_int(3))
         assert calls == [f2]
 
+    @pytest.mark.parametrize("degree,divisions", [(2, 0), (3, 1), (4, 5)])
+    def test_bareiss_divides_from_its_second_step(self, degree, divisions, monkeypatch):
+        # Step k divides (n - 1 - k)^2 entries by the previous pivot; step 0's
+        # divisor is the empty minor, 1.  For g = x^n - 3 and f = x + 1 the
+        # norm prod (eta + 1) = 1 - 3 (-1)^n is nonzero.
+        calls = []
+        divide = type(B2.one()).__truediv__
+        monkeypatch.setattr(type(B2.one()), "__truediv__", lambda a, b: calls.append(b) or divide(a, b))
+        g = from_ints(B2, [-3] + [0] * (degree - 1) + [1])
+        f = from_ints(B2, [1, 1])
+        assert not resultant(g, f).is_zero()
+        assert len(calls) == divisions
+
     @settings(max_examples=300, deadline=None)
     @given(resultant_pairs())
     def test_matches_the_sylvester_determinant(self, pair):

@@ -55,7 +55,7 @@ ARGV = [
     (["scenario", "artin-schreier", "--budget", "3", "--terms", "2"], 2),  # oracle budget
 ]
 
-# Exit code per config beyond the command lines: CI's two-family and Hahn
+# Exit code per config beyond the command lines: CI's two-family and two Hahn
 # resultant configs, a key sequence that searches for a witness, and a
 # finite value schedule.
 CONFIGS = [
@@ -76,6 +76,16 @@ CONFIGS = [
         0,
     ),
     (WITNESS_CONFIG, 0),
+    # A cubic g: the determinant divides only from its second elimination
+    # step on, so a quadratic's resultant never divides Hahn series.
+    (
+        {
+            "scenario": "custom", "backend": "hahn", "p": 2,
+            "g": ["1+1*t^(1/2)", "1", "0", "1"], "stages": [{"poly": ["0", "1"]}],
+            "oracle": "resultant",
+        },
+        0,
+    ),
     ({"scenario": "kummer-schedule", "p": 7, "schedule": ["1/42", "5/42", "1/7"]}, 2),
 ]
 
