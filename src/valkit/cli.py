@@ -33,7 +33,7 @@ from .errors import (
     ScenarioDataError,
     ValkitError,
 )
-from .fields import Backend, parse_hahn
+from .fields import Backend, HahnElem, parse_hahn
 from .groups import ClosedForm, FiniteList, GroupElem, format_rational, largest_delta, rat1
 from .kahler import (
     COLUMNS,
@@ -48,7 +48,6 @@ from .kahler import (
 )
 from .keyseq import (
     FAMILY_BUDGET,
-    CoefValueLaw,
     KeySequence,
     KeyStage,
     PlateauFamily,
@@ -345,7 +344,7 @@ def _field_scenario(cfg: ScenarioConfig) -> tuple[Backend, Poly, list[KeyStage]]
     """The backend, the support polynomial g and the key stages of a scenario."""
     if cfg.scenario == "artin-schreier":
         backend = Backend("hahn", cfg.p)
-        g = artin_schreier_poly(backend, backend.element_from_value(cfg.va))
+        g = artin_schreier_poly(backend, HahnElem.make({cfg.va: 1}, cfg.p))
         return backend, g, [artin_schreier_family(backend, g, budget=cfg.budget)]
     # hensel-immediate and unramified are p-adic; custom names its backend.
     backend = Backend(cfg.backend or "padic", cfg.p)
@@ -380,10 +379,8 @@ def _kummer_stage(cfg: ScenarioConfig) -> ScheduleStage:
         key_values = FiniteList(tuple(rat1(x) for x in cfg.schedule))
     else:
         key_values = ClosedForm(-rat1(cfg.scale), rat1(cfg.gamma), p)
-    g_laws = [CoefValueLaw(zero, p)]
-    g_laws += [CoefValueLaw(vp, b) for b in range(1, p)]
-    g_laws.append(CoefValueLaw(zero, p))
-    gp_laws = [CoefValueLaw(vp, b) for b in range(0, p)]
+    g_laws = [(zero, p), *((vp, b) for b in range(1, p)), (zero, p)]
+    gp_laws = [(vp, b) for b in range(0, p)]
     return ScheduleStage(
         key_values=key_values,
         g_coef_laws=tuple(g_laws),

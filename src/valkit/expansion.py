@@ -3,13 +3,15 @@
 The full expansion of f anchored at index i rewrites f as a combination of
 monomials in the keys at indices <= i with coefficients in K: expand in the
 anchor key, then recursively expand every non-constant coefficient at the
-smallest earlier witness index computing its full value.  The term values
-of the result compute the truncation at the anchor exactly.  Its index
-support, `i0_set`, is what classification case (i) reads.
+smallest earlier witness index computing its full value.  The caller names
+the earlier indices; classification case (i) passes the invariant stream's
+records below its last one and reads the index support, `i0_set`.  The term
+values of the result compute the truncation at the anchor exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import NoWitnessError
 from .fields import FieldElem
@@ -45,14 +47,10 @@ def _merge(exponents: tuple[tuple[KeyIndex, int], ...], index: KeyIndex, e: int)
 
 
 def full_expansion(
-    f: Poly,
-    i: KeyIndex,
-    ks: KeySequence,
-    nu: NuOracle,
-    terms_per_plateau: int = 8,
+    f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle, earlier: Sequence[KeyIndex]
 ) -> FullExpansion:
-    """Rewrite f over key monomials at indices <= i; exact identity."""
-    candidates = [j for j in ks.indices(terms_per_plateau) if j < i]
+    """Rewrite f over key monomials at i and the `earlier` indices, which
+    lie below i in order; exact identity."""
 
     def expand(c: Poly, base_index: KeyIndex, base_poly: Poly) -> list[MonomialTerm]:
         out: list[MonomialTerm] = []
@@ -62,7 +60,7 @@ def full_expansion(
             if cj.degree == 0:
                 subterms = [MonomialTerm(cj.coeff(0), ())]
             else:
-                w = find_witness(ks, nu, cj, candidates)
+                w = find_witness(ks, nu, cj, earlier)
                 if w is None:
                     raise NoWitnessError(
                         f"no earlier key of degree <= {cj.degree} attains nu within budget"
@@ -78,7 +76,7 @@ def full_expansion(
 
 
 def i0_set(
-    f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle, terms_per_plateau: int = 8
+    f: Poly, i: KeyIndex, ks: KeySequence, nu: NuOracle, earlier: Sequence[KeyIndex]
 ) -> set[KeyIndex]:
     """Indices whose key appears with nonzero exponent in the full expansion."""
-    return full_expansion(f, i, ks, nu, terms_per_plateau).support()
+    return full_expansion(f, i, ks, nu, earlier).support()

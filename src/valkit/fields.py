@@ -119,8 +119,6 @@ class PAdicRational:
     def _coerce(self, other):
         if type(other) is PAdicRational and other.p == self.p:
             return other
-        if isinstance(other, int):
-            return PAdicRational(int(other), self.p)
         raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
 
     def __add__(self, other):
@@ -204,8 +202,6 @@ class HahnElem:
         return _hahn(acc, den, p)
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            other = _hahn({0: other}, 1, self.p)
         if not isinstance(other, HahnElem) or other.p != self.p:
             raise BackendMismatchError(f"cannot combine {self!r} with {other!r}")
         return other
@@ -370,18 +366,6 @@ class Backend:
         if self.kind == "padic":
             return _padic(n, self.p)
         return _hahn({0: n}, 1, self.p)
-
-    def element_from_value(self, value) -> FieldElem:
-        """Some element of valuation `value` (an int, a Fraction or its string):
-        a uniformizer power."""
-        value = Fraction(value)
-        if self.kind == "hahn":
-            return HahnElem.make({value: 1}, self.p)
-        if value.denominator != 1:
-            raise ValueNotRepresentableError(
-                f"{self.kind} backend has integer value group; got {value}"
-            )
-        return _padic(Fraction(self.p) ** value.numerator, self.p)
 
     def parse(self, text: str) -> FieldElem:
         if self.kind == "padic":

@@ -44,8 +44,6 @@ _WINDOW = 8
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -66,7 +64,7 @@ class GroupElem:
     __slots__ = ("num", "den")
 
     def __init__(self, value):
-        """The element of an exact rational: an int, a Fraction or its string."""
+        """The element of an exact rational: an int or a Fraction."""
         if type(value) is not int:
             value = _frac(value)
         self.num = value.numerator
@@ -107,7 +105,7 @@ class GroupElem:
         return _make(-self.num, self.den)
 
     def scale(self, r) -> "GroupElem":
-        """This element times the exact rational `r`: an int, a Fraction or its string."""
+        """This element times the exact rational `r`: an int or a Fraction."""
         if type(r) is not int:
             r = _frac(r)
         return _make(self.num * r.numerator, self.den * r.denominator)
@@ -158,7 +156,7 @@ _ZERO = _make(0, 1)
 
 
 def rat1(x) -> GroupElem:
-    """The group element of an exact rational: an int, a Fraction or its string."""
+    """The group element of an exact rational: an int or a Fraction."""
     return GroupElem(x)
 
 

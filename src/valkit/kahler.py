@@ -14,19 +14,21 @@ records of as many terms as `keyseq.stage_terms` gives, and tails for a
 plateau or schedule; segments are unions of block segments.
 
 Each field-backed row checks that g is monic over its key on the expansion
-its truncation of g then reads from the oracle, and each plateau or
-schedule block that its key values increase strictly.  Plateau columns
-carry a `groups.Tail`: an exact law ``c * p**-n + d`` with the scenario's
-own ``p``, or a divergence.  A plateau family states the tails of
-nu(Q_n), nu_n(g), nu_n(g') and beta-tilde, checked on every record; only
-a `ScheduleStage` has them fitted, each law fixed by two consecutive
-computed terms and checked on eight.  A plateau key is linear and monic,
-so nu(Q_n') = 0 on every term and in its tail without an oracle call, and
-the alpha and beta tails are the nu(Q_n) and nu_n(g) tails mapped by
-`Tail.affine`.  Segments (`CanonicalSegment`), verdicts and the
-expansion-slot criterion are decided from those tails; a column without
-one (schedule data following another ratio, for instance) yields an
-inconclusive outcome, never a guess.
+its truncation of g then reads from the oracle, each plateau or schedule
+block that its key values increase strictly, and each block that its first
+key has no lower value than the key before it of the same degree
+(`HypothesisViolatedError`).  Plateau columns carry a `groups.Tail`: an
+exact law ``c * p**-n + d`` with the scenario's own ``p``, or a
+divergence.  A plateau family states the tails of nu(Q_n), nu_n(g),
+nu_n(g') and beta-tilde, checked on every record; only a `ScheduleStage`
+has them fitted, each law fixed by two consecutive computed terms and
+checked on eight.  A plateau key is linear and monic, so nu(Q_n') = 0 on
+every term and in its tail without an oracle call, and the alpha and beta
+tails are the nu(Q_n) and nu_n(g) tails mapped by `Tail.affine`.  Segments
+(`CanonicalSegment`), verdicts and the expansion-slot criterion are
+decided from those tails; a column without one (schedule data following
+another ratio, for instance) yields an inconclusive outcome, never a
+guess.
 
 The three independent routes to the vanishing decision:
 
@@ -150,7 +152,6 @@ class InvariantStream:
     nu_gprime: GroupElem
     ks: KeySequence
     nu: NuOracle | None = None  # None for a value schedule
-    terms: int = 8
 
     @functools.cached_property
     def records(self) -> tuple[InvariantRecord, ...]:
@@ -204,10 +205,9 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     value laws (linear keys too): each truncation of g or g' is the least of
     the stage's reduced slot lines at the key value, on the value group's
     integer pairs with no `Fraction`.  A sequence of schedules alone comes
-    with ``nu=None`` and its own nu(g').  Each field-backed row checks that
-    g is monic over its key, and each plateau or schedule block that its key
-    values increase strictly.  The nu(Q') tail is the constant 0.  A
-    family's other tails are the ones it states, checked on every record
+    with ``nu=None`` and its own nu(g').  Rows and blocks are checked as the
+    module docstring says.  The nu(Q') tail is the constant 0.  A family's
+    other tails are the ones it states, checked on every record
     (`_check_stated_tails`); a schedule's are laws fitted and re-verified on
     further exact rows.  alpha and beta map the nu_key and nu_i_g tails.
     """
@@ -262,10 +262,19 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
     blocks: list[Block] = []
     for pos, stage in enumerate(ks.stages):
         if isinstance(stage, Poly):
-            blocks.append(Block(pos, stage.degree, (row(KeyIndex(pos, 0)),), None))
+            records = (row(KeyIndex(pos, 0)),)
+        else:
+            records = tuple(row(KeyIndex(pos, n)) for n in range(1, stage_terms(stage, terms) + 1))
+        # Keys of one degree are ordered by value, across stages too.
+        before = blocks[-1].records[-1] if blocks else records[0]
+        if before.degree == stage.degree and records[0].nu_key < before.nu_key:
+            raise HypothesisViolatedError(
+                f"key {records[0].index.label()} has a lower value than the key before it"
+            )
+        if isinstance(stage, Poly):
+            blocks.append(Block(pos, stage.degree, records, None))
             continue
         subject = "schedule values" if isinstance(stage, ScheduleStage) else "plateau key values"
-        records = tuple(row(KeyIndex(pos, n)) for n in range(1, stage_terms(stage, terms) + 1))
         if any(not a.nu_key < b.nu_key for a, b in zip(records, records[1:])):
             raise ScenarioDataError(f"{subject} must increase strictly")
         # Plateau and schedule keys are linear, so nu(Q') = 0 on every term.
@@ -286,7 +295,7 @@ def invariant_stream(ks: KeySequence, nu: NuOracle | None, terms: int = 8) -> In
         tails["beta"] = g_tail.affine(-1, nu_gprime) if g_tail else None
         blocks.append(Block(pos, stage.degree, records, {n: tails[n] for n in COLUMNS}))
 
-    return InvariantStream(tuple(blocks), nu_gprime, ks, nu, terms=terms)
+    return InvariantStream(tuple(blocks), nu_gprime, ks, nu)
 
 
 def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | None:
@@ -309,20 +318,17 @@ def _fit(values: list[GroupElem], p: int, term, limit: int | float) -> Tail | No
 
 
 def _least_line(lines: tuple[tuple[GroupElem, int], ...], x: GroupElem) -> GroupElem:
-    """Least ``const + mult * x`` over a schedule's `slot_lines`.
-
-    With no line left every slot vanishes, and the truncation is infinite.
-    """
-    return expect_finite(min((c + x.scale(m) for c, m in lines), default=None))
+    """Least ``const + mult * x`` over a schedule's `slot_lines`."""
+    return min(c + x.scale(m) for c, m in lines)
 
 
 def _least_law(envelope: tuple[tuple[ClosedForm, ...], int], k: int) -> GroupElem:
     """Term k of the least of a closed-form schedule's `keyseq.line_laws`:
     the first law's from the switch on, the least of all before it."""
     laws, switch = envelope
-    if laws and k >= switch:
+    if k >= switch:
         return laws[0].term(k)
-    return expect_finite(min((law.term(k) for law in laws), default=None))
+    return min(law.term(k) for law in laws)
 
 
 def _check_stated_tails(family: PlateauFamily, records) -> None:
@@ -487,7 +493,8 @@ def _classify_min_case(stream, base) -> Verdict:
         )
     from .expansion import i0_set
 
-    support = i0_set(stream.ks.g, rec.index, stream.ks, stream.nu, stream.terms)
+    earlier = [r.index for r in stream.records[:-1]]
+    support = i0_set(stream.ks.g, rec.index, stream.ks, stream.nu, earlier)
     by_index = {r.index: r for r in stream.records}
     for ell in sorted(support):
         rec_ell = by_index.get(ell)
@@ -709,12 +716,10 @@ def _slot_tail(stream: InvariantStream, block: Block, b: int):
     """
     stage = stream.ks.stages[block.stage_pos]
     if isinstance(stage, ScheduleStage):
-        law = stage.g_coef_laws[b]
-        if law.const is None:
-            return "zero", None
+        const, mult = stage.g_coef_laws[b]
         # The slot value is const + mult * key value: map the key-value tail.
         key_tail = block.tails["nu_key"]
-        return "values", None if key_tail is None else key_tail.affine(law.mult, law.const)
+        return "values", None if key_tail is None else key_tail.affine(mult, const)
 
     def slot_value(n: int) -> GroupElem | None:
         exp = stream.nu.expand(stream.ks.g, stream.ks.key_poly(KeyIndex(block.stage_pos, n)))

@@ -6,7 +6,8 @@ a `PlateauFamily` -- an infinite family of same-degree keys with strictly
 increasing values and no last element, materialized lazily through a
 thread-safe generator up to its budget -- or a `ScheduleStage`.  Every
 plateau has degree 1 and every key after it, g included, larger degree.
-`stage_terms` is the one rule for how many terms a stage gives.
+`stage_terms` is the one rule for how many terms a plateau gives; an
+explicit key gives one.  `key_poly` reads the key at an index below g.
 
 Built-in plateau families read their data off g and state their tails:
 
@@ -17,9 +18,13 @@ Built-in plateau families read their data off g and state their tails:
   lifts of a simple residue root of g, with a construction certificate that
   the key values exceed the term index (hence diverge);
 * `ScheduleStage` -- value data only (no field arithmetic): an explicit or
-  closed-form law for the key values plus term-value laws for the base-q
-  expansion coefficients of g and g'.  A sequence of one schedule carries
-  no polynomial for g, whose degree is one less than the number of its laws.
+  closed-form law for the key values plus, per base-q expansion slot of g
+  and of g', a pair (const, mult) giving the slot's term value
+  const + mult * key value.  A sequence of one schedule carries no
+  polynomial for g, whose degree is one less than the number of its slots.
+
+`find_witness` searches the indices it is handed, in order; a full
+expansion hands it the stream's records below its anchor.
 """
 from __future__ import annotations
 
@@ -111,31 +116,18 @@ class PlateauFamily:
         return Poly.make(self.backend, [-c, self.backend.one()])
 
 
-@dataclass(frozen=True)
-class CoefValueLaw:
-    """Term-value law  n -> const + mult * key_value(n)  for one expansion slot.
-
-    `const` None marks an identically-zero coefficient (value infinity).
-    """
-
-    const: GroupElem | None
-    mult: int
-
-
-def slot_lines(laws: Sequence[CoefValueLaw]) -> tuple[tuple[GroupElem, int], ...]:
+def slot_lines(slots: Sequence[tuple[GroupElem, int]]) -> tuple[tuple[GroupElem, int], ...]:
     """The lines ``(const, mult)`` whose least ``const + mult * x`` is the
-    least slot value of `laws` at every key value x.
+    least slot value at every key value x, of the slots ``(const, mult)``.
 
-    Vanishing slots drop out, and of the laws sharing one const only the
-    least and the greatest mult stay: ``const + m * x`` is linear in m, so
-    its minimum over any set of mults lies at one of the two.  No line is
-    left when every slot vanishes.
+    Of the slots sharing one const only the least and the greatest mult
+    stay: ``const + m * x`` is linear in m, so its minimum over any set of
+    mults lies at one of the two.
     """
     mults: dict[GroupElem, tuple[int, int]] = {}
-    for law in laws:
-        if law.const is not None:
-            lo, hi = mults.get(law.const, (law.mult, law.mult))
-            mults[law.const] = (min(lo, law.mult), max(hi, law.mult))
+    for const, mult in slots:
+        lo, hi = mults.get(const, (mult, mult))
+        mults[const] = (min(lo, mult), max(hi, mult))
     return tuple((c, m) for c, (lo, hi) in mults.items() for m in {lo, hi})
 
 
@@ -159,8 +151,9 @@ def line_laws(lines, key: ClosedForm, budget: int) -> tuple[tuple[ClosedForm, ..
 class ScheduleStage:
     """Degree-1 plateau given purely by value data.
 
-    `key_values` lists (or gives in closed form) the key values; the laws
-    describe the base-q expansion term values of g and g' at the n-th key.
+    `key_values` lists (or gives in closed form) the key values; the slot
+    laws ``(const, mult)`` give the base-q expansion term values of g and g'
+    at the n-th key, ``const + mult * key_value(n)``.
     A closed-form schedule gives at most `budget` terms, like a family.
     `g_lines` and `gprime_lines` are the laws reduced to `slot_lines`,
     derived once per stage: a truncation value nu_n(g) or nu_n(g') is the
@@ -169,8 +162,8 @@ class ScheduleStage:
     """
 
     key_values: FiniteList | ClosedForm
-    g_coef_laws: tuple[CoefValueLaw, ...]
-    gprime_coef_laws: tuple[CoefValueLaw, ...]
+    g_coef_laws: tuple[tuple[GroupElem, int], ...]
+    gprime_coef_laws: tuple[tuple[GroupElem, int], ...]
     nu_gprime: GroupElem
     budget: int = FAMILY_BUDGET
 
@@ -198,14 +191,12 @@ class ScheduleStage:
 KeyStage = Poly | PlateauFamily | ScheduleStage
 
 
-def stage_terms(stage: KeyStage, terms: int | float) -> int | float:
-    """How many terms of a stage to take when a plateau may give `terms`.
+def stage_terms(stage: PlateauFamily | ScheduleStage, terms: int | float) -> int | float:
+    """How many terms of a plateau to take when it may give `terms`.
 
-    One for an explicit key, every listed value of a finite schedule, and
-    at most the budget of a family or a closed-form schedule.
+    Every listed value of a finite schedule, and at most the budget of a
+    family or a closed-form schedule.
     """
-    if isinstance(stage, Poly):
-        return 1
     if isinstance(stage, ScheduleStage) and isinstance(stage.key_values, FiniteList):
         return len(stage.key_values.values)
     return min(terms, stage.budget)
@@ -246,13 +237,7 @@ class KeySequence:
             return len(self.stages[-1].g_coef_laws) - 1
         return self.g.degree
 
-    @property
-    def final_index(self) -> KeyIndex:
-        return KeyIndex(len(self.stages), 0)
-
     def key_poly(self, index: KeyIndex) -> Poly:
-        if index == self.final_index:
-            return self.g
         stage = self.stages[index.stage]
         if isinstance(stage, Poly):
             if index.term != 0:
@@ -261,17 +246,6 @@ class KeySequence:
         if isinstance(stage, PlateauFamily):
             return stage.poly(index.term)
         raise ScenarioDataError("schedule stages carry no polynomials")
-
-    def indices(self, terms_per_plateau: int) -> list[KeyIndex]:
-        """Materialized view of I* (the final index excluded)."""
-        out: list[KeyIndex] = []
-        for pos, stage in enumerate(self.stages):
-            if isinstance(stage, Poly):
-                out.append(KeyIndex(pos, 0))
-            else:
-                count = stage_terms(stage, terms_per_plateau)
-                out.extend(KeyIndex(pos, n) for n in range(1, count + 1))
-        return out
 
     def istar_has_max(self) -> bool:
         """Whether the index set below g has a maximal element."""

@@ -48,13 +48,8 @@ class Poly:
             return self.coeffs[i]
         return self.backend.zero()
 
-    def leading(self) -> FieldElem:
-        if self.is_zero():
-            return self.backend.zero()
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == self.backend.one()
+        return not self.is_zero() and self.coeffs[-1] == self.backend.one()
 
     def _check(self, other: "Poly") -> None:
         if other.backend != self.backend:

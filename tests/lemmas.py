@@ -28,9 +28,9 @@ from valkit.errors import (
     ValueNotRepresentableError,
 )
 from valkit.expansion import FullExpansion, MonomialTerm, full_expansion
-from valkit.fields import Backend, FieldElem, valuation
+from valkit.fields import Backend, FieldElem, HahnElem, valuation
 from valkit.groups import GroupElem, expect_finite
-from valkit.keyseq import KeyIndex, KeySequence, find_witness
+from valkit.keyseq import KeyIndex, KeySequence, find_witness, stage_terms
 from valkit.poly import Poly, QExpansion, derivative
 from valkit.truncation import NuOracle
 
@@ -127,6 +127,35 @@ def random_schedule_config(rng: random.Random) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Polynomials
 # ---------------------------------------------------------------------------
+
+def uniformizer_power(backend: Backend, value) -> FieldElem:
+    """Some element of valuation `value` (an int or a Fraction): t**value
+    over Hahn series, p**value over the p-adic rationals."""
+    value = Fraction(value)
+    if backend.kind == "hahn":
+        return HahnElem.make({value: 1}, backend.p)
+    if value.denominator != 1:
+        raise ValueNotRepresentableError(f"the p-adic value group is Z; got {value}")
+    return backend.parse(str(Fraction(backend.p) ** value.numerator))
+
+
+def key_indices(ks: KeySequence, terms: int = 8) -> list[KeyIndex]:
+    """The indices below g in order, `keyseq.stage_terms` of them per plateau
+    when it may give `terms`: the indices of the stream's records."""
+    out: list[KeyIndex] = []
+    for pos, stage in enumerate(ks.stages):
+        if isinstance(stage, Poly):
+            out.append(KeyIndex(pos, 0))
+        else:
+            out.extend(KeyIndex(pos, n) for n in range(1, stage_terms(stage, terms) + 1))
+    return out
+
+
+def indices_below(ks: KeySequence, i: KeyIndex, terms: int = 8) -> list[KeyIndex]:
+    """The indices of `key_indices` below i: where a full expansion at i
+    searches for witnesses."""
+    return [j for j in key_indices(ks, terms) if j < i]
+
 
 def from_ints(backend: Backend, ints: Sequence[int]) -> Poly:
     """The polynomial with integer coefficients `ints`, lowest first."""
@@ -229,7 +258,7 @@ def derivative_drop(
     q = ks.key_poly(i)
     alpha_i = expect_finite(nu.nu(derivative(q))) - expect_finite(nu.nu(q))
 
-    earlier = [j for j in ks.indices(terms_per_plateau) if j < i]
+    earlier = indices_below(ks, i, terms_per_plateau)
     hypothesis_ok = True
     for j in earlier:
         qj = ks.key_poly(j)
@@ -302,7 +331,7 @@ class NormalizedSequence:
             raise ValueNotRepresentableError(
                 "the support polynomial has no finite value to normalize by"
             )
-        scalar = self.ks.g.backend.element_from_value(Fraction(value.num, value.den))
+        scalar = uniformizer_power(self.ks.g.backend, Fraction(value.num, value.den))
         normalized = q * Poly.make(q.backend, [self.ks.g.backend.one() / scalar])
         return self._cache.setdefault(index, NormalizedKey(index, q, scalar, normalized))
 
@@ -343,12 +372,14 @@ def rewrite_in_generators(
     if not f.is_zero() and v_f < zero:
         raise NegativeValueInputError(f"nu(f) = {v_f} is negative")
 
-    anchor = ks.final_index  # a constant is its own expansion at any anchor
+    indices = key_indices(ks, terms_per_plateau)
+    anchor = indices[0]  # a constant is its own expansion at any anchor
     if f.degree >= 1:
-        anchor = find_witness(ks, nu, f, ks.indices(terms_per_plateau))
+        anchor = find_witness(ks, nu, f, indices)
         if anchor is None:
             raise NoWitnessError(f"no key of degree <= {f.degree} attains nu within budget")
-    terms = normalized_terms(full_expansion(f, anchor, ks, nu, terms_per_plateau), normalized)
+    earlier = [j for j in indices if j < anchor]
+    terms = normalized_terms(full_expansion(f, anchor, ks, nu, earlier), normalized)
 
     values = [valuation(t.coefficient) for t in terms]
     if any(v < zero for v in values):

@@ -12,9 +12,12 @@ from lemmas import (
     derivative_drop,
     expansion_min_value,
     from_ints,
+    indices_below,
+    key_indices,
     reconstruct,
     rewrite_in_generators,
     s_set,
+    uniformizer_power,
 )
 from valkit.errors import NoWitnessError, ScenarioDataError
 from valkit.expansion import full_expansion, i0_set
@@ -33,7 +36,7 @@ from valkit.truncation import NuOracle
 
 def as_sequence(p):
     backend = Backend("hahn", p)
-    g = artin_schreier_poly(backend, backend.element_from_value(-1))
+    g = artin_schreier_poly(backend, uniformizer_power(backend, -1))
     family = artin_schreier_family(backend, g)
     ks = KeySequence((family,), g, p)
     nu = NuOracle.stabilization(g, family)
@@ -52,36 +55,36 @@ class TestFullExpansion:
     def test_constant(self):
         ks, nu = as_sequence(2)
         f = from_ints(ks.g.backend, [5])
-        exp = full_expansion(f, KeyIndex(0, 3), ks, nu)
+        exp = full_expansion(f, KeyIndex(0, 3), ks, nu, [])
         assert len(exp.terms) == 1 and exp.terms[0].exponents == ()
 
     def test_g_at_plateau_term(self):
         # g = (x - a_n)^2 + (x - a_n) + g(a_n) in characteristic 2
         ks, nu = as_sequence(2)
         i = KeyIndex(0, 3)
-        exp = full_expansion(ks.g, i, ks, nu)
+        exp = full_expansion(ks.g, i, ks, nu, indices_below(ks, i))
         assert reconstruct(exp, ks) == ks.g
         exponents = sorted(dict(t.exponents).get(i, 0) for t in exp.terms)
         assert exponents == [0, 1, 2]
-        assert i0_set(ks.g, i, ks, nu) == {i}
+        assert i0_set(ks.g, i, ks, nu, indices_below(ks, i)) == {i}
 
     def test_key_itself(self):
         ks, nu = as_sequence(2)
         i = KeyIndex(0, 2)
-        exp = full_expansion(ks.key_poly(i), i, ks, nu)
+        exp = full_expansion(ks.key_poly(i), i, ks, nu, indices_below(ks, i))
         assert len(exp.terms) == 1
         assert exp.terms[0].exponents == ((i, 1),)
-        assert i0_set(ks.key_poly(i), i, ks, nu) == {i}
+        assert i0_set(ks.key_poly(i), i, ks, nu, indices_below(ks, i)) == {i}
 
     def test_constant_support_empty(self):
         ks, nu = as_sequence(2)
-        assert i0_set(from_ints(ks.g.backend, [7]), KeyIndex(0, 2), ks, nu) == set()
+        assert i0_set(from_ints(ks.g.backend, [7]), KeyIndex(0, 2), ks, nu, []) == set()
 
     def test_min_value_equals_truncation(self):
         ks, nu = as_sequence(3)
         i = KeyIndex(0, 2)
         f = ks.g * Poly.x(ks.g.backend) + from_ints(ks.g.backend, [0, 2, 1])
-        exp = full_expansion(f, i, ks, nu)
+        exp = full_expansion(f, i, ks, nu, indices_below(ks, i))
         assert reconstruct(exp, ks) == f
         assert expansion_min_value(exp, ks, nu) == nu.nu_q(f, ks.key_poly(i))
 
@@ -150,7 +153,7 @@ class TestRemark18:
             ks, nu = as_sequence(p)
             for n in range(1, 7):
                 i = KeyIndex(0, n)
-                assert i0_set(ks.g, i, ks, nu) == {i}
+                assert i0_set(ks.g, i, ks, nu, indices_below(ks, i)) == {i}
 
 
 class TestRewrite:
@@ -202,7 +205,7 @@ def reference_rewrite(f, normalized, nu, terms_per_plateau=8):
     coefficient.  Returns (scalar, exponents) pairs in walk order.
     """
     ks = normalized.ks
-    candidates = ks.indices(terms_per_plateau)
+    candidates = key_indices(ks, terms_per_plateau)
 
     def rec(c):
         if c.is_zero():
@@ -260,7 +263,7 @@ class TestOneExpansionWalk:
         ks, nu, _ = context(name)
         # Scale f to nu(f) = shift >= 0.
         v = nu.nu(f)
-        a = ks.g.backend.element_from_value(shift - Fraction(v.num, v.den))
+        a = uniformizer_power(ks.g.backend, shift - Fraction(v.num, v.den))
         f = f * Poly.make(ks.g.backend, [a])
         normalized = NormalizedSequence(ks, nu)
         try:
@@ -277,7 +280,7 @@ class TestOneExpansionWalk:
     def test_nu_q_and_s_set_read_term_values(self, case, pos):
         name, f = case
         ks, nu, _ = context(name)
-        indices = ks.indices(5)
+        indices = key_indices(ks, 5)
         i = indices[pos % len(indices)]
         q = ks.key_poly(i)
         vq = nu.nu(q)

@@ -44,7 +44,7 @@ wide_pairs = st.builds(
 def _from_pair(pair):
     """The element and the `Fraction` reference of an unreduced pair n/d."""
     n, d = pair
-    return rat1(f"{n}/{d}"), Fraction(n, d)
+    return rat1(Fraction(n, d)), Fraction(n, d)
 
 
 def _agrees(elem, ref):
@@ -94,7 +94,6 @@ class TestGroupElem:
         assert _agrees(-a, -fa)
         assert _agrees(a.scale(k), fa * k)
         assert _agrees(a.scale(fr), fa * fr)
-        assert _agrees(a.scale(f"{pr[0]}/{pr[1]}"), fa * fr)
         for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
             assert op(a, b) == op(fa, fb)
             assert op(a, a) == op(fa, fa)
@@ -105,12 +104,11 @@ class TestGroupElem:
         # Every way in to one value, and the arithmetic's own results, give
         # one pair: a sum or difference is reduced like a parsed string.
         x = Fraction(*pair)
-        built = [GroupElem(x), rat1(x), rat1(f"{pair[0]}/{pair[1]}")]
-        built.append(rat1(f"{x.numerator * m}/{x.denominator * m}"))
+        built = [GroupElem(x), rat1(x)]
         built.append(rat1(x + 1) - rat1(1))
         built.append(rat1(x).scale(Fraction(m, 1)).scale(Fraction(1, m)))
         if x.denominator == 1:
-            built += [rat1(x.numerator), GroupElem(x.numerator), rat1(str(x.numerator))]
+            built += [rat1(x.numerator), GroupElem(x.numerator)]
         assert all(e == built[0] and hash(e) == hash(built[0]) for e in built)
 
     @given(wide_pairs, wide_pairs, st.integers(2, 7))
@@ -123,6 +121,8 @@ class TestGroupElem:
     def test_rat1_rejects_float(self):
         with pytest.raises(TypeError):
             rat1(0.5)
+        with pytest.raises(TypeError):
+            rat1("1/2")
 
 
 def law_segment(c, d, p):

@@ -8,9 +8,9 @@ from math import inf, isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import artin_schreier_customs, from_ints, least
+from lemmas import artin_schreier_customs, from_ints
 from valkit import kahler
-from valkit.cli import parse_config_dict, build_stream
+from valkit.cli import build_stream, parse_config_dict, run
 from valkit.errors import (
     HypothesisViolatedError,
     LawMismatchError,
@@ -25,7 +25,6 @@ from valkit.groups import (
     GroupElem,
     SegmentRelation,
     Tail,
-    expect_finite,
     fit_closed_form,
     rat1,
     segment_compare,
@@ -52,7 +51,6 @@ from valkit.kahler import (
 )
 from valkit.fields import Backend
 from valkit.keyseq import (
-    CoefValueLaw,
     KeyIndex,
     KeySequence,
     PlateauFamily,
@@ -113,7 +111,7 @@ class TestInvariantStream:
         })
         explicit, plateau = stream.blocks
         assert (explicit.stage_pos, len(explicit.records), explicit.tails) == (0, 1, None)
-        assert (plateau.stage_pos, len(plateau.records)) == (1, stream.terms)
+        assert (plateau.stage_pos, len(plateau.records)) == (1, 8)
         assert set(plateau.tails) == set(COLUMNS) and stream.plateau is plateau
         assert stream.records == explicit.records + plateau.records
 
@@ -154,7 +152,7 @@ class TestRowMemo:
         monkeypatch.setattr(NuOracle, "nu_q", counted)
         stream = stream_for({"scenario": "hensel-immediate"})
         # the certificate decides the columns whose fits probed further rows
-        assert len(bases) == len(stream.records) == stream.terms == 8
+        assert len(bases) == len(stream.records) == 8
         assert set(bases.values()) == {2}
 
     def test_b_set_expands_g_once_per_term(self, expansions):
@@ -361,6 +359,30 @@ class TestSequenceChecks:
         with pytest.raises(ScenarioDataError, match="g is not monic over an explicit key"):
             invariant_stream(ks, NuOracle.from_resultant(g))
 
+    @staticmethod
+    def _before_the_family(key: str, oracle: str) -> dict:
+        """g = x^2 + x + t^-1 at p = 2 with one explicit key before its family."""
+        return run(parse_config_dict({
+            "scenario": "custom", "backend": "hahn", "p": 2, "g": ["1*t^(-1)", "1", "1"],
+            "stages": [{"poly": [key, "1"]}, {"family": "artin_schreier"}], "oracle": oracle,
+        }))
+
+    @pytest.mark.parametrize("oracle", ["stabilization", "resultant"])
+    def test_a_key_may_not_drop_in_value_at_a_stage_boundary(self, oracle):
+        # nu(x - t^(-1/2)) = -1/4, and the family's first key x has value -1/2.
+        report = self._before_the_family("1*t^(-1/2)", oracle)
+        assert report["exit_code"] == 3
+        assert report["error"] == (
+            "HypothesisViolatedError: key 1.1 has a lower value than the key before it"
+        )
+
+    @pytest.mark.parametrize("oracle", ["stabilization", "resultant"])
+    def test_a_key_may_repeat_the_value_before_it(self, oracle):
+        # The family's first key is x itself, of value -1/2 as the key before it.
+        report = self._before_the_family("0", oracle)
+        assert (report["exit_code"], report["records"][0]["nu_key"]) == (0, "-1/2")
+        assert report["records"][1]["nu_key"] == "-1/2"
+
 
 class TestSegments:
     def test_artin_schreier_open_at_zero(self):
@@ -555,8 +577,8 @@ class TestBSet:
         # rejected before b_set could look at its empty slot range
         stage = ScheduleStage(
             key_values=ClosedForm(rat1(-1), rat1(0), 2),
-            g_coef_laws=(CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1)),
-            gprime_coef_laws=(CoefValueLaw(rat1(0), 0),),
+            g_coef_laws=((rat1(0), 1), (rat1(0), 1)),
+            gprime_coef_laws=((rat1(0), 0),),
             nu_gprime=rat1(0),
         )
         with pytest.raises(HypothesisViolatedError, match="larger degree than the plateau"):
@@ -609,12 +631,12 @@ class TestScheduleValidation:
         stage = ScheduleStage(
             key_values=FiniteList(values),
             g_coef_laws=(
-                CoefValueLaw(rat1(0), 3),
-                CoefValueLaw(rat1(1), 1),
-                CoefValueLaw(rat1(1), 2),
-                CoefValueLaw(rat1(0), 3),
+                (rat1(0), 3),
+                (rat1(1), 1),
+                (rat1(1), 2),
+                (rat1(0), 3),
             ),
-            gprime_coef_laws=(CoefValueLaw(rat1(1), 0), CoefValueLaw(rat1(1), 1), CoefValueLaw(rat1(1), 2)),
+            gprime_coef_laws=((rat1(1), 0), (rat1(1), 1), (rat1(1), 2)),
             nu_gprime=rat1(1),
         )
         stream = invariant_stream(KeySequence((stage,), None, 3), None)
@@ -635,18 +657,13 @@ class TestScheduleValidation:
 # ---------------------------------------------------------------------------
 
 def former_least_slot_value(laws, key_value):
-    """Least term value ``const + mult * key_value`` over the nonzero slots."""
-    return expect_finite(
-        least(
-            None if law.const is None else law.const + key_value.scale(law.mult)
-            for law in laws
-        )
-    )
+    """Least term value ``const + mult * key_value`` over the slots."""
+    return min(const + key_value.scale(mult) for const, mult in laws)
 
 
 _consts = st.fractions(-6, 6, max_denominator=4)
 slot_laws = st.lists(
-    st.builds(CoefValueLaw, st.one_of(st.none(), _consts.map(rat1)), st.integers(0, 9)),
+    st.tuples(_consts.map(rat1), st.integers(0, 9)),
     min_size=1, max_size=10,
 )
 
@@ -687,15 +704,7 @@ class TestSlotLines:
     @given(slot_laws, _consts)
     def test_least_line_is_the_least_slot_value(self, laws, x):
         lines = slot_lines(laws)
-        consts = {law.const for law in laws if law.const is not None}
-        assert len(lines) <= 2 * len(consts)
-        if not consts:
-            with pytest.raises(ScenarioDataError) as former:
-                former_least_slot_value(laws, rat1(x))
-            with pytest.raises(ScenarioDataError) as reduced:
-                _least_line(lines, rat1(x))
-            assert str(reduced.value) == str(former.value)
-            return
+        assert len(lines) <= 2 * len({const for const, _ in laws})
         # Key values below, at and above 0.
         for key_value in map(rat1, (-abs(x), 0, abs(x))):
             assert _least_line(lines, key_value) == former_least_slot_value(laws, key_value)
@@ -767,25 +776,11 @@ class TestSlotLines:
     @given(slot_laws, _consts, _consts, st.sampled_from([2, 3, 5, 7]), st.integers(2, 64))
     def test_switch_of_any_lines_is_the_least(self, laws, c, d, p, budget):
         lines = slot_lines(laws)
-        assume(lines)
         key = ClosedForm(rat1(c), rat1(d), p)
         envelope = line_laws(lines, key, budget)
         for k in (0, budget - 1):
             assert min(law.term(k) for law in envelope[0]) == _least_line(lines, key.term(k))
         assert_least_switch(envelope, budget)
-
-    def test_a_closed_form_stage_without_lines_keeps_the_error(self):
-        stage = ScheduleStage(
-            key_values=ClosedForm(rat1(-1), rat1(0), 3),
-            g_coef_laws=(CoefValueLaw(None, 0),) * 3,
-            gprime_coef_laws=(CoefValueLaw(rat1(0), 0),),
-            nu_gprime=rat1(0),
-        )
-        with pytest.raises(ScenarioDataError) as lines:
-            _least_line((), rat1(0))
-        with pytest.raises(ScenarioDataError) as laws:
-            invariant_stream(KeySequence((stage,), None, 3), None)
-        assert str(laws.value) == str(lines.value)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import NormalizedSequence, from_ints
+from lemmas import NormalizedSequence, from_ints, key_indices, uniformizer_power
 from valkit.errors import HypothesisViolatedError, ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
 from valkit.groups import ClosedForm, FiniteList, rat1
 from valkit.keyseq import (
     FAMILY_BUDGET,
-    CoefValueLaw,
     KeyIndex,
     KeySequence,
     ScheduleStage,
@@ -31,7 +30,7 @@ from valkit.truncation import NuOracle
 
 def as_sequence(p):
     backend = Backend("hahn", p)
-    g = artin_schreier_poly(backend, backend.element_from_value(-1))
+    g = artin_schreier_poly(backend, uniformizer_power(backend, -1))
     family = artin_schreier_family(backend, g)
     ks = KeySequence((family,), g, p)
     nu = NuOracle.stabilization(g, family)
@@ -58,33 +57,31 @@ def hensel_sequence():
 class TestStructure:
     def test_indices_are_well_ordered(self):
         ks, _ = as_sequence(2)
-        idx = ks.indices(5)
-        assert idx == sorted(idx)
-        assert all(i < ks.final_index for i in idx)
+        idx = key_indices(ks, 5)
+        assert idx == sorted(idx) and len(set(idx)) == len(idx)
 
     def test_indices_stop_at_the_family_budget(self):
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 1, 1])
         family = hensel_family(backend, g, 0, budget=10)
         ks = KeySequence((family,), g, 2)
-        idx = ks.indices(12)
+        idx = key_indices(ks, 12)
         assert idx == [KeyIndex(0, n) for n in range(1, 11)]
         assert all(ks.key_poly(i).degree == 1 for i in idx)
 
     def test_stage_terms(self):
         backend = Backend("padic", 2)
         family = hensel_family(backend, from_ints(backend, [2, 1, 1]), 0, budget=10)
-        laws = (CoefValueLaw(rat1(0), 2), CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 2))
+        laws = ((rat1(0), 2), (rat1(0), 1), (rat1(0), 2))
         listed = ScheduleStage(FiniteList((rat1(0), rat1(1), rat1(2))), laws, laws[:2], rat1(0))
         closed = ScheduleStage(ClosedForm(rat1(-1), rat1(0), 2), laws, laws[:2], rat1(0))
-        assert stage_terms(Poly.x(backend), 12) == 1
         assert (stage_terms(family, 8), stage_terms(family, 12)) == (8, 10)
         assert (stage_terms(listed, 2), stage_terms(listed, 12)) == (3, 3)
         assert stage_terms(closed, 12) == 12
         assert KeySequence((closed,), None, 2).g_degree == 2
 
     def test_closed_form_schedule_stops_at_its_budget(self):
-        laws = (CoefValueLaw(rat1(0), 1), CoefValueLaw(rat1(0), 1))
+        laws = ((rat1(0), 1), (rat1(0), 1))
         law = ClosedForm(rat1(-1), rat1(0), 2)
         assert stage_terms(ScheduleStage(law, laws, laws[:1], rat1(0)), 100) == FAMILY_BUDGET
         capped = ScheduleStage(law, laws, laws[:1], rat1(0), budget=5)
@@ -118,11 +115,11 @@ class TestStructure:
 
     def test_g_monic_over_every_key(self):
         ks, nu = as_sequence(3)
-        for index in ks.indices(5):
+        for index in key_indices(ks, 5):
             assert q_expand(ks.g, ks.key_poly(index)).is_monic()
         # the stream's rows make the same check on the keys they build
         stream = invariant_stream(ks, nu, 5)
-        assert [r.index for r in stream.records] == ks.indices(5)
+        assert [r.index for r in stream.records] == key_indices(ks, 5)
 
 
 _AFTER_PLATEAU = "every key after a plateau, g included, must have larger degree"
@@ -130,7 +127,7 @@ _AFTER_PLATEAU = "every key after a plateau, g included, must have larger degree
 
 def _schedule(slots):
     """A closed-form value schedule for a g with `slots` expansion slots."""
-    laws = (CoefValueLaw(rat1(0), 1),) * slots
+    laws = ((rat1(0), 1),) * slots
     return ScheduleStage(ClosedForm(rat1(-1), rat1(0), 2), laws, laws[:-1], rat1(0))
 
 
@@ -170,7 +167,7 @@ class TestOnePlateau:
         g = from_ints(padic, [2, 1, 1])
         lifts = hensel_family(padic, g, 0)
         KeySequence((Poly.x(padic), lifts), g, 2)
-        g_as = artin_schreier_poly(hahn, hahn.element_from_value(-1))
+        g_as = artin_schreier_poly(hahn, uniformizer_power(hahn, -1))
         KeySequence((Poly.x(hahn), artin_schreier_family(hahn, g_as)), g_as, 2)
         cubic = from_ints(padic, [1, 1, 0, 1])
         KeySequence((lifts, from_ints(padic, [1, 1, 1])), cubic, 2)
@@ -179,7 +176,7 @@ class TestOnePlateau:
 
 def normalize(ks, nu, terms_per_plateau=8):
     view = NormalizedSequence(ks, nu)
-    return [view.at(i) for i in ks.indices(terms_per_plateau)]
+    return [view.at(i) for i in key_indices(ks, terms_per_plateau)]
 
 
 class TestNormalize:
@@ -214,7 +211,7 @@ class TestNormalize:
 
 
 def witness(ks, nu, f):
-    return find_witness(ks, nu, f, ks.indices(8) + [ks.final_index])
+    return find_witness(ks, nu, f, key_indices(ks, 8))
 
 
 class TestCompletenessProbe:
@@ -228,11 +225,6 @@ class TestCompletenessProbe:
         assert witness(ks, nu, x) == KeyIndex(0, 1)
         assert nu.nu(x) == rat1(Fraction(-1, 2))
 
-    def test_g_witnessed_by_itself(self):
-        ks, nu = as_sequence(2)
-        assert witness(ks, nu, ks.g) == ks.final_index
-        assert nu.nu(ks.g) is None
-
     def test_deep_linear_witnesses(self):
         ks, nu = as_sequence(2)
         fs = [ks.key_poly(KeyIndex(0, n)) for n in range(1, 5)]
@@ -241,7 +233,7 @@ class TestCompletenessProbe:
     def test_no_witness_above_the_degree(self):
         # only g itself attains nu(g); it is not a candidate here
         ks, nu = as_sequence(2)
-        assert find_witness(ks, nu, ks.g, ks.indices(8)) is None
+        assert find_witness(ks, nu, ks.g, key_indices(ks, 8)) is None
 
     def test_no_key_above_the_degree_of_a_linear_f(self):
         # Below g = x^2 - 2x + 3 over Q_2, f = x - 1 has nu_x(f) = 0 < nu(f)
@@ -253,7 +245,7 @@ class TestCompletenessProbe:
         nu = NuOracle.from_resultant(ks.g)
         f = from_ints(backend, [-1, 1])
         assert nu.nu_q(f, x) == rat1(0) and nu.nu(f) == nu.nu_q(f, q) == rat1(Fraction(1, 2))
-        assert find_witness(ks, nu, f, ks.indices(8)) is None
+        assert find_witness(ks, nu, f, key_indices(ks, 8)) is None
 
     def test_normalization_preserves_witnesses(self):
         # the truncation at the rescaled key a*Q~ = Q has expansion
@@ -267,7 +259,7 @@ class TestCompletenessProbe:
         for f in fs:
             w = witness(ks, nu, f)
             if w not in by_index:
-                continue  # the witness was g itself, excluded from rescaling
+                continue  # g has no witness below it
             nk = by_index[w]
             terms = []
             for i, c in enumerate(q_expand(f, nk.original).coeffs):
@@ -333,7 +325,7 @@ def hensel_inputs(draw):
 class TestFamilies:
     def test_artin_schreier_centers(self):
         backend = Backend("hahn", 2)
-        a = backend.element_from_value(-1)
+        a = uniformizer_power(backend, -1)
         family = artin_schreier_family(backend, artin_schreier_poly(backend, a))
         assert family.center(1).is_zero()
         assert valuation(family.center(2)) == rat1(Fraction(-1, 2))
@@ -341,7 +333,7 @@ class TestFamilies:
     def test_terms_are_numbered_from_one(self):
         backend = Backend("hahn", 2)
         family = artin_schreier_family(
-            backend, artin_schreier_poly(backend, backend.element_from_value(-1))
+            backend, artin_schreier_poly(backend, uniformizer_power(backend, -1))
         )
         for built in (0, 3):
             if built:
@@ -353,7 +345,7 @@ class TestFamilies:
     def test_family_degree_is_the_key_degree(self):
         hahn, padic = Backend("hahn", 3), Backend("padic", 2)
         families = (
-            artin_schreier_family(hahn, artin_schreier_poly(hahn, hahn.element_from_value(-1))),
+            artin_schreier_family(hahn, artin_schreier_poly(hahn, uniformizer_power(hahn, -1))),
             hensel_family(padic, from_ints(padic, [2, 1, 1]), 0),
         )
         for family in families:
@@ -414,7 +406,7 @@ class TestFamilies:
 
     def test_concurrent_materialization_is_idempotent(self):
         backend = Backend("hahn", 2)
-        a = backend.element_from_value(-1)
+        a = uniformizer_power(backend, -1)
         family = artin_schreier_family(backend, artin_schreier_poly(backend, a))
 
         def grab(n):
@@ -435,7 +427,7 @@ class TestFamilies:
         hahn = Backend("hahn", 3)
         builders = [
             lambda: artin_schreier_family(
-                hahn, artin_schreier_poly(hahn, hahn.element_from_value(Fraction(-2, 3)))
+                hahn, artin_schreier_poly(hahn, uniformizer_power(hahn, Fraction(-2, 3)))
             ),
             lambda: hensel_family(padic, g, 2),
         ]
@@ -460,7 +452,7 @@ class TestFamilies:
 
     def test_budget_enforced(self):
         backend = Backend("hahn", 2)
-        a = backend.element_from_value(-1)
+        a = uniformizer_power(backend, -1)
         family = artin_schreier_family(backend, artin_schreier_poly(backend, a), budget=4)
         with pytest.raises(Exception):
             family.center(5)

@@ -16,11 +16,14 @@ from lemmas import (
     context,
     derivative_drop,
     expansion_min_value,
+    indices_below,
+    key_indices,
     least,
     normalized_terms,
     random_schedule_config,
     reconstruct,
     rewrite_in_generators,
+    uniformizer_power,
 )
 from valkit.cli import build_stream
 from valkit.expansion import full_expansion, i0_set
@@ -89,7 +92,7 @@ def test_truncation_ultrametric_product(seed):
     contexts = [context("as2"), context("as3"), context("hensel")]
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
-        q = ks.key_poly(rng.choice(ks.indices(4)))
+        q = ks.key_poly(rng.choice(key_indices(ks, 4)))
         f = random_nonzero_poly(rng, ks.g.backend, 3)
         h = random_nonzero_poly(rng, ks.g.backend, 3)
         vf, vh = nu.nu_q(f, q), nu.nu_q(h, q)
@@ -106,7 +109,7 @@ def test_truncation_monotonicity(seed):
     contexts = [context("as2"), context("as3"), context("hensel")]
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
-        indices = ks.indices(5)
+        indices = key_indices(ks, 5)
         i, j = sorted(rng.sample(range(len(indices)), 2))
         f = random_nonzero_poly(rng, ks.g.backend, 3)
         vi = nu.nu_q(f, ks.key_poly(indices[i]))
@@ -121,10 +124,10 @@ def test_full_expansion_min_value(seed):
     contexts = [context("as2"), context("as3")]
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
-        indices = ks.indices(5)
+        indices = key_indices(ks, 5)
         i = indices[rng.randint(1, len(indices) - 1)]
         f = random_nonzero_poly(rng, ks.g.backend, 4)
-        exp = full_expansion(f, i, ks, nu)
+        exp = full_expansion(f, i, ks, nu, indices_below(ks, i))
         truncation = nu.nu_q(f, ks.key_poly(i))
         assert reconstruct(exp, ks) == f, f"#{k}: reconstruction failed"
         assert expansion_min_value(exp, ks, nu) == truncation, f"#{k}: min-value law failed"
@@ -144,12 +147,12 @@ def test_derivative_lower_bound(seed):
     contexts = [context("as2"), context("as3"), context("hensel")]
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
-        indices = ks.indices(5)
+        indices = key_indices(ks, 5)
         i = indices[rng.randint(1, len(indices) - 1)]
         f = random_nonzero_poly(rng, ks.g.backend, 4)
         if f.degree < 1:
             continue
-        support = i0_set(f, i, ks, nu)
+        support = i0_set(f, i, ks, nu, indices_below(ks, i))
         if not support:
             continue
         bound = min(nu.nu(derivative(q)) - nu.nu(q) for q in map(ks.key_poly, support))
@@ -167,7 +170,7 @@ def test_derivative_drop_iff_shift(seed):
     contexts = [context("as2"), context("as3")]
     for k in range(INSTANCES):
         ks, nu, _ = contexts[k % len(contexts)]
-        indices = ks.indices(4)
+        indices = key_indices(ks, 4)
         i = indices[rng.randint(0, len(indices) - 1)]
         f = random_nonzero_poly(rng, ks.g.backend, 4)
         if f.degree < 1:
@@ -184,7 +187,7 @@ def test_generator_rewriting(seed):
         ks, nu, _ = contexts[k % len(contexts)]
         f = random_nonzero_poly(rng, ks.g.backend, ks.g_degree - 1)
         v = nu.nu(f)
-        scalar = ks.g.backend.element_from_value(Fraction(-v.num, v.den))
+        scalar = uniformizer_power(ks.g.backend, Fraction(-v.num, v.den))
         f = f * Poly.make(ks.g.backend, [scalar])  # nu(f) = 0
         # rewrite_in_generators raises when the identity or the min law fails.
         assert rewrite_in_generators(f, NormalizedSequence(ks, nu), nu), (

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import from_ints
+from lemmas import from_ints, uniformizer_power
 from valkit import cli
 from valkit.errors import StabilizationBudgetExceededError, ValkitError
 from valkit.fields import Backend, PAdicRational, valuation
@@ -49,7 +49,7 @@ def windowed_oracle(g, family, window=3, budget=64):
 
 def as_setup(p):
     backend = Backend("hahn", p)
-    g = artin_schreier_poly(backend, backend.element_from_value(-1))
+    g = artin_schreier_poly(backend, uniformizer_power(backend, -1))
     family = artin_schreier_family(backend, g)
     nu = NuOracle.stabilization(g, family)
     return backend, g, family, nu
@@ -152,7 +152,7 @@ class TestNu:
 class TestNuQ:
     def test_low_degree_expansion_is_f(self):
         backend, g, family, nu = as_setup(2)
-        f = Poly.make(backend, [backend.element_from_value(Fraction(3, 4))])
+        f = Poly.make(backend, [uniformizer_power(backend, Fraction(3, 4))])
         q = family.poly(2)
         assert nu.nu_q(f, q) == nu.nu(f)
 
