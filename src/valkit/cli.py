@@ -7,7 +7,10 @@ JSON tree with version field "valkit-report/2" and canonical "num/den"
 rationals, byte-identical across runs and thread counts for identical
 inputs.  Its bytes are `json.dumps(report, sort_keys=True, indent=2)` plus
 a newline (ASCII escapes, no floats); a value of any type but dict (str
-keys), list, tuple, str, int, bool or None raises TypeError.
+keys), list, tuple, str, int, bool or None raises TypeError.  The writer
+sorts and escapes a dict's keys once per key tuple and indent, into a
+bounded cache of layouts (`_layout`): a value schedule's records share
+one, so they reach bytes without re-sorting.
 
 `budget` is the one work bound: a plateau family and a closed-form schedule
 stop at it, and the stabilization oracle, which certifies the n-th key at
@@ -19,6 +22,7 @@ Exit codes: 0 for a decisive, agreeing run; 2 for an inconclusive run;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -440,10 +444,7 @@ def _analyze(stream: InvariantStream, report: dict) -> dict:
     inclusion_checks = ideal_inclusion_check(stream)
 
     report["nu_gprime"] = str(stream.nu_gprime)
-    report["records"] = [
-        {"index": r.index.label(), "degree": r.degree, **{c: str(r.column(c)) for c in COLUMNS}}
-        for r in stream.records
-    ]
+    report["records"] = [r.describe() for r in stream.records]
     plateau = stream.plateau
     tails = sorted(plateau.tails.items()) if plateau is not None else ()
     report["laws"] = {
@@ -509,6 +510,24 @@ def render_structured(report: dict) -> str:
     return "".join(out) + "\n"
 
 
+# The four seed-1 benchmark pools hold 27 distinct (key tuple, indent)
+# shapes; the bound keeps an unusual caller from growing the cache for good.
+_LAYOUTS = 256
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(keys: tuple, inner: str) -> tuple[tuple[str, str], ...]:
+    """The keys of a dict in sorted order, each with the text written before
+    its value; a non-str key raises, and a failed build is not cached."""
+    for key in keys:
+        if type(key) is not str:
+            raise TypeError(f"a report key must be a str, not {type(key).__name__}")
+    return tuple(
+        (key, ("," if n else "{") + inner + _escape(key) + ": ")
+        for n, key in enumerate(sorted(keys))
+    )
+
+
 def _write(x, nl: str, out: list) -> None:
     t = type(x)
     if t is str:
@@ -517,19 +536,27 @@ def _write(x, nl: str, out: list) -> None:
         out.append(int.__repr__(x))
     elif x is None or t is bool:
         out.append("null" if x is None else "true" if x else "false")
-    elif t is dict or t is list or t is tuple:
-        inner, (left, right) = nl + "  ", "{}" if t is dict else "[]"
-        sep = left + inner
-        for item in sorted(x) if t is dict else x:
+    elif t is dict:
+        inner = nl + "  "
+        for key, prefix in _layout(tuple(x), inner):
+            out.append(prefix)
+            value = x[key]
+            # A dict's str value, the bulk of a report's records, is written
+            # without a call; a list's items all go through `_write`, so its
+            # str branch stays in use.
+            if type(value) is str:
+                out.append(_escape(value))
+            else:
+                _write(value, inner, out)
+        out.append(nl + "}" if x else "{}")
+    elif t is list or t is tuple:
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in x:
             out.append(sep)
             sep = "," + inner
-            if t is dict:
-                if type(item) is not str:
-                    raise TypeError(f"a report key must be a str, not {type(item).__name__}")
-                out.append(_escape(item) + ": ")
-                item = x[item]
             _write(item, inner, out)
-        out.append(nl + right if x else left + right)
+        out.append(nl + "]" if x else "[]")
     else:
         raise TypeError(f"a report holds no {t.__name__}")
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .errors import NoWitnessError
 from .fields import FieldElem
+from .groups import expect_finite
 from .keyseq import KeyIndex, KeySequence, find_witness
 from .poly import Poly
 from .truncation import NuOracle
@@ -60,6 +61,9 @@ def full_expansion(
             if cj.degree == 0:
                 subterms = [MonomialTerm(cj.coeff(0), ())]
             else:
+                # cj is nonzero and of lower degree than g: an infinite value
+                # means g is reducible, not that no key witnesses it.
+                expect_finite(nu.nu(cj))
                 w = find_witness(ks, nu, cj, earlier)
                 if w is None:
                     raise NoWitnessError(

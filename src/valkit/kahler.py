@@ -119,6 +119,19 @@ class InvariantRecord:
     def column(self, name: str) -> GroupElem:
         return getattr(self, name)
 
+    def describe(self) -> dict:
+        return {
+            "index": self.index.label(),
+            "degree": self.degree,
+            "nu_key": str(self.nu_key),
+            "nu_key_deriv": str(self.nu_key_deriv),
+            "alpha": str(self.alpha),
+            "beta": str(self.beta),
+            "beta_tilde": str(self.beta_tilde),
+            "nu_i_g": str(self.nu_i_g),
+            "nu_i_gprime": str(self.nu_i_gprime),
+        }
+
 
 @dataclass(frozen=True)
 class Block:

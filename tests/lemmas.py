@@ -63,6 +63,15 @@ WITNESS_CONFIG = {
     "stages": [{"poly": ["0", "1"]}, {"poly": ["1", "1", "1"]}], "oracle": "resultant",
 }
 
+# g = x^4 - 6x^3 - 6x^2 + x is divisible by x, so it is reducible: the
+# linear slot coefficient whose witness the full expansion searches for has
+# an infinite value, and the run is a violation that says so (exit 3).
+REDUCIBLE_WITNESS_CONFIG = {
+    "scenario": "custom", "backend": "padic", "p": 3, "g": ["0", "1", "-6", "-6", "1"],
+    "stages": [{"poly": ["5", "1"]}, {"poly": ["4", "4", "1"]}, {"poly": ["1", "1", "1"]}],
+    "oracle": "resultant",
+}
+
 
 @st.composite
 def artin_schreier_customs(draw) -> dict:

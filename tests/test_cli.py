@@ -13,13 +13,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lemmas import WITNESS_CONFIG, artin_schreier_customs, check_printed_laws, from_ints
+from lemmas import (
+    REDUCIBLE_WITNESS_CONFIG,
+    WITNESS_CONFIG,
+    artin_schreier_customs,
+    check_printed_laws,
+    from_ints,
+)
 import valkit
-from valkit import expansion
+from valkit import cli, expansion
 from valkit.cli import (
     SCENARIOS,
     ScenarioConfig,
     _ALLOWED_KEYS,
+    build_stream,
     emit_config,
     main,
     parse_config,
@@ -30,7 +37,7 @@ from valkit.cli import (
 )
 from valkit.errors import ConfigError
 from valkit.groups import rat1
-from valkit.kahler import VerdictKind
+from valkit.kahler import COLUMNS, VerdictKind
 from valkit.keyseq import FAMILY_BUDGET
 
 
@@ -152,6 +159,19 @@ _json_trees = st.recursive(
 )
 
 
+@st.composite
+def _repeated_shapes(draw):
+    """List items over one key set, some inserted in reverse order, with the
+    same list at two depths: the writer's layouts are shared and reused."""
+    keys = draw(st.lists(_any_text, min_size=1, max_size=6, unique=True))
+    leaves = st.none() | st.booleans() | st.integers() | _any_text
+    items = [
+        {key: draw(leaves) for key in (keys[::-1] if reverse else keys)}
+        for reverse in draw(st.lists(st.booleans(), min_size=2, max_size=6))
+    ]
+    return {"records": items, "nested": {"records": items}}
+
+
 class TestRenderStructured:
     """The report writer against `json.dumps(sort_keys=True, indent=2)`."""
 
@@ -178,6 +198,39 @@ class TestRenderStructured:
     def test_a_key_that_is_not_a_str_raises(self, key):
         with pytest.raises(TypeError):
             render_structured({"laws": {key: "0/1"}})
+
+    @settings(max_examples=200, deadline=None)
+    @given(_repeated_shapes())
+    def test_one_key_set_repeated_matches_json_dumps(self, tree):
+        assert render_structured(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    def test_a_failed_layout_leaves_later_dicts_correct(self):
+        # Int keys sort without error: only the layout's key check raises.
+        for _ in range(2):
+            with pytest.raises(TypeError, match="a report key must be a str"):
+                render_structured({"a": [{1: "x", 0: "y"}]})
+        tree = {"a": [{"c": "x", "b": "y"}]}
+        assert render_structured(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+    def test_the_layout_cache_stays_within_its_bound(self):
+        trees = [{f"k{i}": i, "v": [None]} for i in range(cli._LAYOUTS + 20)]
+        for tree in trees:
+            assert render_structured(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+        assert cli._layout.cache_info().currsize <= cli._LAYOUTS
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"scenario": s} for s in ("unramified", "hensel-immediate", "kummer-schedule")],
+        ids=["explicit", "plateau", "schedule"],
+    )
+    def test_a_record_describes_its_index_degree_and_columns(self, data):
+        record = build_stream(parse_config_dict(data)).records[0]
+        assert record.describe() == {
+            "index": record.index.label(),
+            "degree": record.degree,
+            **{c: str(record.column(c)) for c in COLUMNS},
+        }
+        assert set(record.describe()) == {"index", "degree", *COLUMNS}
 
 
 class TestReports:
@@ -934,6 +987,11 @@ class TestCustomScenario:
         # One search, for the slot coefficient 4x of g over x^2 + x + 1: the key x.
         ((f, index),) = found
         assert f == from_ints(f.backend, [0, 4]) and index.label() == "0.0"
+
+    def test_a_reducible_g_in_the_witness_search_is_named(self):
+        report = run(parse_config_dict(REDUCIBLE_WITNESS_CONFIG))
+        assert (report["status"], report["exit_code"]) == ("violation", 3)
+        assert report["error"] == "unexpected infinite value: g is reducible or has a repeated root"
 
 
 # Generated configs: small valid sizes, and mostly valid values with some
