@@ -13,7 +13,11 @@ polynomials of degree below deg(g), passed to the constructor as
   f_0(eta) = sum_i f_0[i](a_m) (eta - a_m)^i; with P_m the family's proven
   lower bound on v(eta - a_m), the constant term decides once its value is
   below every other term's lower bound (the ultrametric argument behind
-  Kaplansky's lemma on pseudo-Cauchy sequences).  Any first member is
+  Kaplansky's lemma on pseudo-Cauchy sequences).  A Taylor coefficient is
+  bounded by its terms' values first, and valued exactly at a_m only when
+  that bound refuses: a cancellation inside the coefficient (in
+  characteristic p, f_1 + 2 f_2 a can vanish to leading order) lifts its
+  value above every term's.  Any first member is
   sound, so the walk starts at the family's last built center: the key
   x - a_n costs at most two evaluations, at a_n (an exact zero, skipped)
   and a_(n+1).  The loop compares raw orders and builds one `GroupElem`.
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .errors import StabilizationBudgetExceededError, ValkitError
@@ -86,7 +91,7 @@ class NuOracle:
                 values.append(f0.eval(a))
                 k = values[-1].order()
                 # An exact zero is transient: f0(eta) != 0 as deg f0 < deg g.
-                if k is not None and _certified(k, orders, a.order(), family.precision(m)):
+                if k is not None and _certified(k, f0, orders, a, family.precision(m)):
                     return rat1(k)
             raise StabilizationBudgetExceededError(
                 f"no certified family member up to term {budget}",
@@ -153,17 +158,31 @@ class NuOracle:
 _MISS = object()  # the memo's miss; None is the cached infinite value
 
 
-def _certified(k, orders: list, va, precision) -> bool:
+def _certified(k, f0: Poly, orders: list, a, precision) -> bool:
     """Whether k = v(f0(a)) is v(f0(eta)), given v(eta - a) >= precision.
 
-    `orders` are the coefficient orders of f0 and `va` that of a (None for
-    zero).  The i-th Taylor coefficient sum_{j>=i} binom(j, i) f_j a^(j-i)
-    has value at least min_j v(f_j) + (j - i) v(a), as binomials have value
-    >= 0; at a = 0 only j = i is left.  The bound is exact for linear f0.
+    `orders` are the coefficient orders of f0.  The i-th Taylor coefficient
+    sum_{j>=i} binom(j, i) f_j a^(j-i) has value at least
+    min_j v(f_j) + (j - i) v(a), as binomials have value >= 0; at a = 0 only
+    j = i is left.  The bound is exact for linear f0.  Where it refuses, the
+    coefficient is valued exactly at a (an exact zero adds no term).
     """
+    va = a.order()
     for i in range(1, len(orders)):
         slots = enumerate(orders[i:]) if va is not None else [(0, orders[i])]
         bounds = [o + d * va if d else o for d, o in slots if o is not None]
         if bounds and not k < min(bounds) + i * precision:
-            return False
+            exact = _hasse(f0, i).eval(a).order()
+            if exact is not None and not k < exact + i * precision:
+                return False
     return True
+
+
+def _hasse(f0: Poly, i: int) -> Poly:
+    """The i-th Hasse derivative sum_{j>=i} binom(j, i) f_j x^(j-i): its
+    value at a is the i-th Taylor coefficient of f0 at a."""
+    backend = f0.backend
+    return Poly.make(
+        backend,
+        [c * backend.from_int(comb(j, i)) for j, c in enumerate(f0.coeffs[i:], start=i)],
+    )

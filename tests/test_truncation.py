@@ -126,7 +126,8 @@ class TestNu:
         # f = x^2 - 1 near eta = 33, over 2-adics: at a = 9, v(f(a)) = 4 lies
         # below 2 * v(eta - a) = 6, yet f(eta) = 32 * 34 has value 6.  The
         # first Taylor coefficient 2a has no x-slot of f, only the x^2 one
-        # (value v(a) = 0), and its bound 0 + 3 is what refuses a = 9.
+        # (value v(a) = 0): its bound 0 + 3 refuses a = 9, and so does its
+        # exact value v(18) + 3 = 4.
         backend = Backend("padic", 2)
         g = from_ints(backend, [-33, 1]) * from_ints(backend, [1, 1, 1])
         points = [backend.from_int(a) for a in (9, 17, 97, 289)]
@@ -140,6 +141,18 @@ class TestNu:
         f = from_ints(backend, [-1, 0, 1])
         assert [f.eval(a).order() for a in points] == [4, 5, 6, 6]
         assert NuOracle.stabilization(g, family).nu(f) == rat1(6)
+
+    def test_a_cancelling_taylor_coefficient_is_valued_exactly(self):
+        # x^3 - x - t^-1 over F_3((t^Q)), f = t^(1/3) + t^(2/3) x + t x^2:
+        # at a_m = t^(-1/3) + ..., f'(a) = t^(2/3) + 2t a loses its t^(2/3)
+        # term (1 + 2 = 0 mod 3), so its bound min(2/3, 1 - 1/3) never lies
+        # above nu(f) = 7/9, yet its value 8/9 does.
+        backend, g, family, nu = as_setup(3)
+        f = Poly.make(
+            backend, [uniformizer_power(backend, Fraction(e, 3)) for e in (1, 2, 3)]
+        )
+        assert derivative(f).eval(family.center(3)).order() == Fraction(8, 9)
+        assert nu.nu(f) == NuOracle.from_resultant(g).nu(f) == rat1(Fraction(7, 9))
 
     def test_family_without_certificate_refused(self):
         backend = Backend("padic", 2)
