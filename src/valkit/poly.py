@@ -2,11 +2,12 @@
 
 Coefficients are exact field elements in ascending order with no trailing
 zeros.  Provides base-q expansions (repeated Euclidean division by a monic
-base, remainder first; over Hahn series a linear base splits f by the
-binomials q^(p^k) = x^(p^k) + Frob^k(q(0)) instead), formal derivatives
-with characteristic-p cancellation, q-monicity of an expansion and the
+base, remainder first, one synthetic-division pass per slot at a linear
+base; over Hahn series a linear base splits f by the binomials
+q^(p^k) = x^(p^k) + Frob^k(q(0)) first), formal derivatives with
+characteristic-p cancellation, q-monicity of an expansion and the
 resultant res(g, f) of a monic g, as the determinant of multiplication by
-f modulo g.
+f modulo g, or (-1)^deg g g(a) by Horner's rule for f = x - a.
 """
 from __future__ import annotations
 
@@ -102,14 +103,27 @@ class Poly:
         return acc
 
     def divmod_monic(self, q: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division by a monic divisor; exact in any backend."""
+        """Euclidean division by a monic divisor; exact in any backend.
+
+        By a linear q = x - a it is one synthetic-division (Horner) pass:
+        b_(k-1) = f_k + a b_k from the top b_(n-1) = f_n, and the remainder
+        f_0 + a b_0 = f(a).  The quotient's top is f's: only f(a) may vanish.
+        """
         self._check(q)
         if not q.is_monic():
             raise NonMonicBaseError("division base must be monic")
-        rem = list(self.coeffs)
-        dq = q.degree
-        if len(rem) - 1 < dq:
+        cs, dq = self.coeffs, q.degree
+        if len(cs) - 1 < dq:
             return Poly(self.backend, ()), self
+        if dq == 1:
+            a, b = -q.coeffs[0], cs[-1]
+            quot = [b]
+            for c in cs[-2:0:-1]:
+                b = c + a * b
+                quot.append(b)
+            rem = Poly.make(self.backend, [cs[0] + a * b])
+            return Poly(self.backend, tuple(reversed(quot))), rem
+        rem = list(cs)
         quot = [self.backend.zero()] * (len(rem) - dq)
         # q is monic: rem[top] - 1*c is 0, and rem[:dq] drops it.  Zero
         # coefficients of q, all the middle ones of a binomial, are skipped.
@@ -194,8 +208,9 @@ def resultant(g: Poly, f: Poly) -> FieldElem:
     fraction-free elimination (Math. Comp. 22, 1968) evaluates it: every
     quotient is a minor of the matrix, so it is exact in the ring the
     entries generate -- for Hahn series the finite-support series, a
-    domain -- and no division leaves it.  A non-monic g raises
-    `NonMonicBaseError`.
+    domain -- and no division leaves it.  A monic linear f = x - a needs no
+    matrix: its norm is prod (eta_i - a) = (-1)^n g(a), one Horner pass.  A
+    non-monic g raises `NonMonicBaseError`.
     """
     n, zero = g.degree, g.backend.zero()
     # The oracle hands over f already reduced below deg g: no division then.
@@ -205,6 +220,9 @@ def resultant(g: Poly, f: Poly) -> FieldElem:
         f._check(g)
         if not g.is_monic():
             raise NonMonicBaseError("division base must be monic")
+    if f.degree == 1 and f.is_monic():
+        norm = g.eval(-f.coeffs[0])
+        return -norm if n % 2 else norm
     row = list(f.coeffs)
     row += [zero] * (n - len(row))
     rows = [row]

@@ -23,12 +23,14 @@ polynomials of degree below deg(g), passed to the constructor as
   and a_(n+1).  The loop compares raw orders and builds one `GroupElem`.
 
 A value is a `GroupElem`, or None for the infinite value of the
-multiples of g.  `term_values` is the one place that values the slots of
-a q-expansion, nu(f_j) + j * nu(q); `nu_q`, the truncation at a monic
-base q, is their least value.  The oracle owns the q-expansions of its
-run: `expand` computes each (f, q) pair once and every consumer holding
-the oracle reads it from there: truncations, the invariant stream's check
-that g is monic over each key, `b_set`'s slot values and full expansions.
+multiples of g.  `nu` values a constant f_0 as v(f_0) before its memo,
+which holds only non-constant f.  `term_values` is the one place that
+values the slots of a q-expansion, nu(f_j) + j * nu(q); `nu_q`, the
+truncation at a monic base q, is their least value.  The oracle owns the
+q-expansions of its run: `expand` computes each (f, q) pair once and
+every consumer holding the oracle reads it from there: truncations, the
+invariant stream's check that g is monic over each key, `b_set`'s slot
+values and full expansions.
 """
 from __future__ import annotations
 
@@ -103,17 +105,17 @@ class NuOracle:
     # -- the valuation ------------------------------------------------------
 
     def nu(self, f: Poly) -> GroupElem | None:
-        """nu(f) = v(f mod g at eta); None (infinite) exactly on multiples of g."""
+        """nu(f) = v(f mod g at eta); None (infinite) exactly on multiples of g.
+
+        A constant is v(f_0), valued before the memo: only non-constant f
+        are memoized."""
+        if f.degree < 1:
+            return valuation(f.coeff(0))
         cached = self._cache.get(f, _MISS)
         if cached is not _MISS:
             return cached
         f0 = f.divmod_monic(self.g)[1] if f.degree >= self.g.degree else f
-        if f0.is_zero():
-            result = None
-        elif f0.degree == 0:
-            result = valuation(f0.coeff(0))
-        else:
-            result = self._value_fn(f0)
+        result = self._value_fn(f0) if f0.degree >= 1 else valuation(f0.coeff(0))
         with self._lock:
             self._cache.setdefault(f, result)
         return result

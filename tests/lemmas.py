@@ -182,6 +182,19 @@ def to_poly(exp: QExpansion) -> Poly:
     return acc
 
 
+def schoolbook_divmod(f: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Long division by a monic q through the ring operations: while the rest
+    has degree >= deg q, its top term c x^(k + deg q) moves c x^k into the
+    quotient and takes c x^k q off the rest."""
+    backend = f.backend
+    quot, rest = Poly(backend, ()), f
+    while rest.degree >= q.degree:
+        shift = [backend.zero()] * (rest.degree - q.degree)
+        term = Poly.make(backend, shift + [rest.coeffs[-1]])
+        quot, rest = quot + term, rest - term * q
+    return quot, rest
+
+
 # ---------------------------------------------------------------------------
 # Expansions
 # ---------------------------------------------------------------------------

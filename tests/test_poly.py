@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import from_ints, to_poly
+from lemmas import from_ints, schoolbook_divmod, to_poly
 from valkit import kahler, poly, truncation
 from valkit.cli import parse_config_dict, render_structured, run
 from valkit.errors import NonMonicBaseError, ValueNotRepresentableError
@@ -286,13 +286,14 @@ class TestResultant:
     @pytest.mark.parametrize("degree,divisions", [(2, 0), (3, 1), (4, 5)])
     def test_bareiss_divides_from_its_second_step(self, degree, divisions, monkeypatch):
         # Step k divides (n - 1 - k)^2 entries by the previous pivot; step 0's
-        # divisor is the empty minor, 1.  For g = x^n - 3 and f = x + 1 the
-        # norm prod (eta + 1) = 1 - 3 (-1)^n is nonzero.
+        # divisor is the empty minor, 1.  For g = x^n - 3 and f = 2x + 1 the
+        # norm prod (2 eta + 1) = 1 - 3 (-2)^n is nonzero; a monic linear f
+        # would take the Horner norm instead.
         calls = []
         divide = type(B2.one()).__truediv__
         monkeypatch.setattr(type(B2.one()), "__truediv__", lambda a, b: calls.append(b) or divide(a, b))
         g = from_ints(B2, [-3] + [0] * (degree - 1) + [1])
-        f = from_ints(B2, [1, 1])
+        f = from_ints(B2, [1, 2])
         assert not resultant(g, f).is_zero()
         assert len(calls) == divisions
 
@@ -317,6 +318,89 @@ class TestResultant:
         with pytest.raises(ValueNotRepresentableError):
             former_resultant(g, f)
         assert resultant(g, f) == g.coeff(0)
+
+
+# ---------------------------------------------------------------------------
+# The linear kernels: synthetic division and the Horner norm
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def linear_elements(draw):
+    """A backend and a strategy for its elements: p-adic integers, p-adic
+    fractions with p in the denominator, or Hahn series with fractional
+    exponents."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["integral", "fractional", "hahn"]))
+    if kind == "hahn":
+        term = st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(1, p - 1))
+        elem = st.lists(term, max_size=3).map(lambda ts: HahnElem.make(dict(ts), p))
+        return Backend("hahn", p), elem
+    backend = Backend("padic", p)
+    denominator = p if kind == "fractional" else 1
+    return backend, st.integers(-12, 12).map(
+        lambda n: backend.parse(str(Fraction(n, denominator)))
+    )
+
+
+@st.composite
+def linear_divisions(draw):
+    """(f, x - a) with f of degree -1 to 7; half the time f is a multiple of
+    x - a, so that the remainder f(a) is exactly zero."""
+    backend, elem = draw(linear_elements())
+    a = draw(elem)
+    q = Poly.make(backend, [-a, backend.one()])
+    f = Poly.make(backend, draw(st.lists(elem, max_size=7)))
+    return (f * q if draw(st.booleans()) else f), q
+
+
+@st.composite
+def linear_norms(draw):
+    """(g, a, c): monic g of degree 1-4, a point a and a constant c != 0, 1.
+    Over Hahn series c is one term, so that c^n divides exactly."""
+    backend, elem = draw(linear_elements())
+    g = Poly.make(backend, draw(st.lists(elem, min_size=1, max_size=4)) + [backend.one()])
+    if backend.kind == "hahn":
+        p = backend.p
+        term = st.tuples(st.fractions(-2, 2, max_denominator=3), st.integers(1, p - 1))
+        c = draw(term.filter(lambda t: t != (0, 1)).map(lambda t: HahnElem.make({t[0]: t[1]}, p)))
+    else:
+        c = backend.parse(str(draw(st.sampled_from([-1, 2, 3, Fraction(1, 2), Fraction(-3, 5)]))))
+    return g, draw(elem), c
+
+
+class TestLinearKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(linear_divisions())
+    def test_synthetic_division_matches_the_schoolbook(self, case):
+        f, q = case
+        assert f.divmod_monic(q) == schoolbook_divmod(f, q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_divisions())
+    def test_slot_i_is_the_ith_taylor_coefficient(self, case):
+        # f = sum_i f[i](a) (x - a)^i, f[i] the i-th Hasse derivative; over
+        # Hahn series slots from deg f >= p on come from the radix split.
+        f, q = case
+        a = -q.coeff(0)
+        slots = q_expand(f, q).coeffs
+        assert len(slots) == max(f.degree + 1, 1)
+        for i, slot in enumerate(slots):
+            assert slot == Poly.make(f.backend, [truncation._hasse(f, i).eval(a)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(linear_norms())
+    def test_horner_norm_matches_bareiss(self, case):
+        # res(g, c (x - a)) = c^n res(g, x - a); the scaled f is not monic,
+        # so the right-hand side is Bareiss's determinant.
+        g, a, c = case
+        backend = g.backend
+        monic = Poly.make(backend, [-a, backend.one()])
+        scaled = Poly.make(backend, [-(c * a), c])
+        c_n = backend.one()
+        for _ in range(g.degree):
+            c_n = c_n * c
+        assert resultant(g, monic) == resultant(g, scaled) / c_n
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,6 @@ UNREACHED = {
 # into a segment (alpha, beta, beta_tilde, the negated nu_i(g)) and every
 # slot tail is a law moving with them, or the lift family's divergence.
 ALLOWLIST = {
-    "fields.PAdicRational.__add__": (
-        1,
-        "p-adic sums run only in Horner steps at the lift family's integral "
-        "centers, where the one fractional operand, a linear key's constant, "
-        "never meets another",
-    ),
     "fields.PAdicRational.__eq__": (
         1,
         "the protocol's answer to a non-element; the package compares elements "
@@ -98,7 +92,6 @@ ALLOWLIST = {
         "every slot tail increases with the key values (c < 0), or diverges "
         "upwards under the lift certificate, whose cut is whole",
     ),
-    "poly.Poly.coeff": (1, "only Poly.__add__, which no run enters, reads past the top"),
     "poly.Poly.eval": (
         1,
         "no run evaluates the zero polynomial: the oracle values a zero remainder "

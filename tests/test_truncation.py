@@ -74,6 +74,22 @@ class TestNu:
         assert nu.nu(x) is None and nu.nu(x) is None
         assert calls == [x]
 
+    def test_constants_are_valued_before_the_memo(self):
+        # A constant, zero included, never reaches the memo or the value
+        # function.  An f that reduces to a constant mod g is memoized under
+        # f, and its remainder is valued the same way.
+        backend, g, _, _ = as_setup(2)
+        calls = []
+        nu = NuOracle(g, lambda f0: calls.append(f0))
+        c = uniformizer_power(backend, Fraction(-3, 2))
+        constant, zero = Poly.make(backend, [c]), Poly(backend, ())
+        assert nu.nu(constant) == valuation(c) == rat1(Fraction(-3, 2))
+        assert nu.nu(zero) is None
+        assert nu._cache == {} and calls == []
+        shifted = g * Poly.x(backend) + constant
+        assert nu.nu(shifted) == valuation(c) and nu.nu(g) is None
+        assert nu._cache == {shifted: valuation(c), g: None} and calls == []
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_key_values_from_later_partial_sums(self, p):
         backend, g, family, nu = as_setup(p)
