@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .errors import (
     ScenarioDataError,
     ValkitError,
 )
-from .fields import Backend, HahnElem, parse_hahn
+from .fields import INTEGER, Backend, HahnElem, parse_hahn
 from .groups import ClosedForm, FiniteList, GroupElem, format_rational, largest_delta, rat1
 from .kahler import (
     COLUMNS,
@@ -140,9 +139,6 @@ def _is_prime(n: int) -> bool:
     )
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def _coefficients(raw, field: str, backend: str, p: int, what="the support polynomial"):
     """A monic polynomial of degree >= 1 once trailing zeros are dropped,
     constant first, every entry checked for its backend."""
@@ -151,7 +147,7 @@ def _coefficients(raw, field: str, backend: str, p: int, what="the support polyn
     for c in raw:
         if backend == "padic":
             # Plain integer strings, the common case, need no Fraction parse.
-            if not (isinstance(c, str) and _INTEGER.fullmatch(c)):
+            if not (isinstance(c, str) and INTEGER.fullmatch(c)):
                 _rational(c, field)
             continue
         try:

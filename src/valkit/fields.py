@@ -338,6 +338,8 @@ class HahnElem:
 FieldElem = Union[PAdicRational, HahnElem]
 
 _BACKEND_KINDS = ("padic", "hahn")
+# A plain integer coefficient, read by `int()` without a `Fraction` parse.
+INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -369,7 +371,10 @@ class Backend:
 
     def parse(self, text: str) -> FieldElem:
         if self.kind == "padic":
-            return _padic(Fraction(text.strip()), self.p)
+            text = text.strip()
+            if INTEGER.fullmatch(text):
+                return PAdicRational(int(text), self.p)
+            return _padic(Fraction(text), self.p)
         return parse_hahn(text, self.p)
 
 

@@ -102,9 +102,9 @@ COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InvariantRecord:
-    """Exact per-index invariant tuple; all entries finite below g."""
+    """Exact per-index invariant tuple, all entries finite below g; immutable by convention."""
 
     index: KeyIndex
     degree: int

@@ -1,9 +1,11 @@
 """Dense univariate polynomials over a valued-field backend.
 
 Coefficients are exact field elements in ascending order with no trailing
-zeros.  Provides base-q expansions (repeated Euclidean division by a monic
-base, remainder first, one synthetic-division pass per slot at a linear
-base; over Hahn series a linear base splits f by the binomials
+zeros.  A `Poly` is a slotted value that stores its degree and hashes its
+coefficients once, since the oracle's memos are keyed by polynomials.
+Provides base-q expansions (repeated Euclidean division by a monic base,
+remainder first, one synthetic-division pass per slot at a linear base, a
+shift at x; over Hahn series a linear base splits f by the binomials
 q^(p^k) = x^(p^k) + Frob^k(q(0)) first), formal derivatives with
 characteristic-p cancellation, q-monicity of an expansion and the
 resultant res(g, f) of a monic g, as the determinant of multiplication by
@@ -18,12 +20,34 @@ from .errors import NonMonicBaseError
 from .fields import Backend, FieldElem
 
 
-@dataclass(frozen=True)
 class Poly:
-    """A dense polynomial; `coeffs` is () for the zero polynomial."""
+    """A dense polynomial; `coeffs` is () for the zero polynomial, of degree -1.
 
-    backend: Backend
-    coeffs: tuple[FieldElem, ...]
+    Immutable by convention; the hash is taken from `coeffs` on first use.
+    """
+
+    __slots__ = ("backend", "coeffs", "degree", "_hash")
+
+    def __init__(self, backend: Backend, coeffs: tuple[FieldElem, ...]):
+        self.backend = backend
+        self.coeffs = coeffs
+        self.degree = len(coeffs) - 1
+        self._hash = None
+
+    def __eq__(self, other):
+        if type(other) is not Poly:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (
+            self.backend is other.backend or self.backend == other.backend
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.coeffs)
+        return self._hash
+
+    def __repr__(self):
+        return f"Poly(backend={self.backend!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def make(backend: Backend, coeffs: Iterable[FieldElem]) -> "Poly":
@@ -39,11 +63,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
     def coeff(self, i: int) -> FieldElem:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -53,7 +72,7 @@ class Poly:
         return not self.is_zero() and self.coeffs[-1] == self.backend.one()
 
     def _check(self, other: "Poly") -> None:
-        if other.backend != self.backend:
+        if other.backend is not self.backend and other.backend != self.backend:
             raise ValueError("polynomials over different backends")
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -108,6 +127,7 @@ class Poly:
         By a linear q = x - a it is one synthetic-division (Horner) pass:
         b_(k-1) = f_k + a b_k from the top b_(n-1) = f_n, and the remainder
         f_0 + a b_0 = f(a).  The quotient's top is f's: only f(a) may vanish.
+        At a = 0 the pass is a shift: the quotient is f_1..f_n, the rest f_0.
         """
         self._check(q)
         if not q.is_monic():
@@ -116,6 +136,8 @@ class Poly:
         if len(cs) - 1 < dq:
             return Poly(self.backend, ()), self
         if dq == 1:
+            if q.coeffs[0].is_zero():  # q = x: a shift, no multiplication
+                return Poly(self.backend, cs[1:]), Poly.make(self.backend, cs[:1])
             a, b = -q.coeffs[0], cs[-1]
             quot = [b]
             for c in cs[-2:0:-1]:

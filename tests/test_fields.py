@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from lemmas import least, uniformizer_power
+from valkit import cli
 from valkit.cli import parse_config_dict, run
 from valkit.errors import (
     BackendMismatchError,
@@ -16,6 +17,7 @@ from valkit.errors import (
 )
 from valkit.fields import (
     _SPAN,
+    INTEGER,
     Backend,
     HahnElem,
     PAdicRational,
@@ -651,6 +653,29 @@ class TestOrders:
 # ---------------------------------------------------------------------------
 # The p-adic element kernel: table-driven orders and the slotted element
 # ---------------------------------------------------------------------------
+
+
+class TestIntegerParse:
+    # Integer strings go through int(), every other one through Fraction.
+    text = st.one_of(
+        st.integers(-10**30, 10**30).map(str),
+        st.builds(lambda n, d: f"{n}/{d}", st.integers(-99, 99), st.integers(1, 30)),
+        st.integers(0, 999).map(lambda n: f"{n:04d}"),
+    )
+
+    @given(text, st.sampled_from(["", " ", "  ", "\t", "\n"]), st.sampled_from(["", " ", "\n"]),
+           st.sampled_from([2, 3, 5, 7]))
+    def test_parse_agrees_with_the_fraction_parse(self, text, before, after, p):
+        parsed = Backend("padic", p).parse(before + text + after)
+        expected = _padic(Fraction(text), p)
+        assert parsed == expected and hash(parsed) == hash(expected)
+        assert type(parsed.value) is type(expected.value)
+
+    def test_one_integer_pattern(self):
+        assert cli.INTEGER is INTEGER
+        assert [bool(INTEGER.fullmatch(t)) for t in ("-12", "007", "+1", "1/2", "1.0", " 1")] == [
+            True, True, False, False, False, False,
+        ]
 
 
 class TestSlottedElement:

@@ -60,6 +60,14 @@ class TestStructure:
         idx = key_indices(ks, 5)
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
 
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    def test_index_order_is_tuple_order(self, a, b):
+        i, j = KeyIndex(*a), KeyIndex(*b)
+        assert [i < j, i <= j, i == j, i != j, i > j, i >= j] == [a < b, a <= b, a == b, a != b, a > b, a >= b]
+        assert {i: 1}.get(KeyIndex(*b)) == (1 if a == b else None)
+        if a == b:
+            assert hash(i) == hash(j)
+
     def test_indices_stop_at_the_family_budget(self):
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 1, 1])

@@ -402,6 +402,74 @@ class TestLinearKernels:
             c_n = c_n * c
         assert resultant(g, monic) == resultant(g, scaled) / c_n
 
+    @settings(max_examples=200, deadline=None)
+    @given(linear_elements().flatmap(lambda be: st.tuples(st.just(be[0]), st.lists(be[1], max_size=7))))
+    def test_division_by_x_is_a_shift(self, case):
+        backend, cs = case
+        f = Poly.make(backend, cs)
+        assert f.divmod_monic(Poly.x(backend)) == schoolbook_divmod(f, Poly.x(backend))
+
+    @pytest.mark.parametrize("backend", [B2, H2])
+    def test_division_by_x_multiplies_nothing(self, backend, monkeypatch):
+        f = Poly.make(backend, [backend.from_int(n) for n in (3, 0, 1, 1)])
+        x = Poly.x(backend)
+        calls = []
+        mul = type(backend.one()).__mul__
+        monkeypatch.setattr(type(backend.one()), "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+        quot, rem = f.divmod_monic(x)
+        assert calls == []
+        assert quot.coeffs == f.coeffs[1:] and rem.coeffs == f.coeffs[:1]
+
+
+# ---------------------------------------------------------------------------
+# The slotted value: stored degree, hash taken once, backend-aware equality
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def element_lists(draw):
+    """A backend and a list of its elements, zeros included (possibly trailing)."""
+    backend, elem = draw(linear_elements())
+    return backend, draw(st.lists(st.one_of(st.just(backend.zero()), elem), max_size=6))
+
+
+class TestPolyValue:
+    @given(element_lists())
+    def test_separately_built_equal_polys_agree_as_keys(self, case):
+        backend, cs = case
+        f = Poly.make(backend, cs)
+        # An equal backend that is another object, and rebuilt coefficients.
+        g = Poly.make(Backend(backend.kind, backend.p), [c + backend.zero() for c in cs])
+        assert f is not g and f == g and not f != g
+        assert hash(f) == hash(g) == hash(f)
+        assert {f: 1}[g] == 1 and {g: 2}[f] == 2
+
+    @given(element_lists(), st.data())
+    def test_equal_coefficients_over_another_backend_differ(self, case, data):
+        backend, cs = case
+        others = [Backend(k, q) for k in ("padic", "hahn") for q in (2, 3, 5, 7)]
+        other = data.draw(st.sampled_from([b for b in others if b != backend]))
+        f = Poly.make(backend, cs)
+        g = Poly(other, f.coeffs)
+        assert f != g and not f == g
+        assert len({f, g}) == 2
+        with pytest.raises(ValueError):
+            f.divmod_monic(Poly.x(other))
+
+    @given(element_lists())
+    def test_degree_is_stored(self, case):
+        backend, cs = case
+        f = Poly.make(backend, cs)
+        assert f.degree == len(f.coeffs) - 1
+        assert Poly(backend, tuple(cs)).degree == len(cs) - 1
+        assert Poly(backend, ()).degree == -1 and Poly(backend, ()).is_zero()
+
+    def test_a_non_polynomial_is_not_equal(self):
+        f = Poly.x(B2)
+        assert f.__eq__(f.coeffs) is NotImplemented and f != f.coeffs
+        assert repr(Poly(B2, ())) == "Poly(backend=Backend(kind='padic', p=2), coeffs=())"
+        assert not hasattr(f, "__dict__")
+
 
 # ---------------------------------------------------------------------------
 # Radix conversion at linear Hahn bases, against the repeated division by q
