@@ -14,9 +14,9 @@ Built-in plateau families read their data off g and state their tails:
 * `artin_schreier_family` -- keys x - s_n over a Hahn backend, where s_n
   sums the first n - 1 iterated p-th roots of a = -g(0), each center built
   from the one before by adding one root;
-* `hensel_family` -- keys x - a_n over p-adic rationals, a_n the successive
-  lifts of a simple residue root of g, with a construction certificate that
-  the key values exceed the term index (hence diverge);
+* `hensel_family` -- keys x - a_n over p-adic rationals, a_n the integer
+  lifts of a simple residue root of g on D*g (D clears g's denominators),
+  certified to have key values above the term index (hence diverging);
 * `ScheduleStage` -- value data only (no field arithmetic): an explicit or
   closed-form law for the key values plus, per base-q expansion slot of g
   and of g', a pair (const, mult) giving the slot's term value
@@ -29,15 +29,16 @@ expansion hands it the stream's records below its anchor.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import HypothesisViolatedError, ScenarioDataError, ValkitError
-from .fields import Backend, FieldElem, HahnElem, _padic_order
+from .fields import Backend, FieldElem, HahnElem, _p_power, _padic_order
 from .groups import ClosedForm, Diverging, FiniteList, GroupElem, Tail, rat1
-from .poly import Poly, derivative
+from .poly import Poly
 from .truncation import NuOracle
 
 FAMILY_BUDGET = 64
@@ -323,6 +324,14 @@ def artin_schreier_family(backend: Backend, g: Poly, budget: int = FAMILY_BUDGET
     return PlateauFamily(backend, center, tails, lambda m: va / p**m, budget=budget)
 
 
+def _horner(coeffs: Sequence[int], a: int) -> int:
+    """The integer polynomial with `coeffs` (constant first) at the integer a."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * a + c
+    return value
+
+
 def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BUDGET) -> PlateauFamily:
     """Successive lifts of a simple residue root of g over p-adic rationals.
 
@@ -332,39 +341,42 @@ def hensel_family(backend: Backend, g: Poly, start: int, budget: int = FAMILY_BU
     coefficient value, which is what lets the truncated values of g
     inherit the divergence certificate.  Each lift appends the unique next
     digit, so the value of g at the n-th center is at least n and strictly
-    increasing.  A lift reads the previous center a from the family; with
-    v = v(g(a)), g(a + t*p^v) = g(a) + g'(start)*t*p^v mod p^(v+1) fixes the
+    increasing.  The lift runs on the integer polynomial D*g, D the lcm of
+    the coefficient denominators, a unit: it scales g and g' alike, so it
+    moves no order and no digit.  With v = v(g(a)) at the previous center
+    a, D*g(a + t*p^v) = D*g(a) + D*g'(start)*t*p^v mod p^(v+1) fixes the
     digit t.  Every center is start mod p, so g'(a) is a unit and that
-    digit always gains (Hensel's lemma); one Horner evaluation reads the
-    new value, kept for the next lift.  That value is the precision
-    certificate: g(a) = (a - eta) h(a) with h(a) = g'(start) mod p a unit,
-    so v(eta - a_m) = v(g(a_m)) exactly.  The stated tails follow: g'(a_n) is a unit and every
+    digit always gains (Hensel's lemma); one Horner pass reads the new
+    value, kept for the next lift.  Its order certifies the precision:
+    g(a) = (a - eta) h(a), h(a) = g'(start) mod p a unit, so v(eta - a_m)
+    = v(g(a_m)).  The stated tails follow: g'(a_n) is a unit and every
     other slot of g' has value at least nu(Q_n) >= 1, so nu_i_gprime = 0.
     """
     p = backend.p
-    for c in g.coeffs:
-        if not c.is_zero() and _padic_order(c.value, p) < 0:
-            raise ScenarioDataError("the lift family needs integral polynomial coefficients")
+    scale = math.lcm(*(c.value.denominator for c in g.coeffs))
+    if scale % p == 0:
+        raise ScenarioDataError("the lift family needs integral polynomial coefficients")
+    dg = [c.value.numerator * (scale // c.value.denominator) for c in g.coeffs]
 
-    def g_at(a: int) -> tuple[int | Fraction, int]:
-        value = g.eval(backend.from_int(a)).value
+    def g_at(a: int) -> tuple[int, int]:
+        value = _horner(dg, a)
         if value == 0:
             raise ScenarioDataError("the family hit an exact rational root of g")
-        return value, _padic_order(value, p)
+        return value, _p_power(value, p)
 
-    lifts = [g_at(start)]  # (g(a_m), v(g(a_m))), appended as each center is built
+    lifts = [g_at(start)]  # (D*g(a_m), v(g(a_m))), appended as each center is built
     if lifts[0][1] < 1:
         raise ScenarioDataError("start is not a residue root")
-    gp = derivative(g).eval(backend.from_int(start))
-    if gp.is_zero() or _padic_order(gp.value, p) != 0:
+    gp = _horner([i * c for i, c in enumerate(dg) if i], start)
+    if gp % p == 0:
         raise ScenarioDataError("residue root is not simple")
+    inverse = pow(gp, -1, p)
 
     def center(n: int, prev: FieldElem | None) -> FieldElem:
         if n == 1:
             return backend.from_int(start)
         value, va = lifts[n - 2]  # at prev, built just before
-        u = Fraction(value, p**va) / gp.value  # a p-adic unit; the digit is -u mod p
-        cand = prev.value + (-u.numerator * pow(u.denominator, -1, p) % p) * p**va
+        cand = prev.value + (-(value // p**va) * inverse) % p * p**va
         lifts.append(g_at(cand))
         return backend.from_int(cand)
 

@@ -92,3 +92,12 @@ def test_schedule_stream_without_fraction_arithmetic(fraction_ops):
     stream = build_stream(cfg)
     assert fraction_ops == Counter()
     assert all(tail is not None for tail in stream.plateau.tails.values())
+
+
+def test_hensel_run_without_fraction_arithmetic(fraction_ops):
+    # The lift family builds its centers on integers, and the values of the
+    # p-adic run are the value group's integer pairs.
+    cfg = parse_config_dict(CASES["hensel_immediate"])
+    fraction_ops.clear()
+    run(cfg)
+    assert fraction_ops == Counter()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lemmas import NormalizedSequence, from_ints, key_indices, uniformizer_power
+from valkit import keyseq
 from valkit.errors import HypothesisViolatedError, ScenarioDataError, ValueNotRepresentableError
 from valkit.fields import Backend, valuation
 from valkit.groups import ClosedForm, FiniteList, rat1
@@ -315,12 +316,12 @@ def trial_lifts(coeffs, p, start, count):
 
 @st.composite
 def hensel_inputs(draw):
-    """A monic g of degree 2-3 with p-integral rational coefficients and a
+    """A monic g of degree 2-4 with p-integral rational coefficients and a
     simple residue root: g(start) = 0 mod p, g'(start) a unit."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     unit_dens = [d for d in range(1, 12) if d % p]
     rational = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(unit_dens))
-    degree = draw(st.integers(2, 3))
+    degree = draw(st.integers(2, 4))
     coeffs = [Fraction(0)] + draw(st.lists(rational, min_size=degree - 1, max_size=degree - 1)) + [1]
     start = draw(st.integers(-2 * p, 2 * p))
     at_start = sum(c * start**i for i, c in enumerate(coeffs))
@@ -372,18 +373,25 @@ class TestFamilies:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_hensel_evaluates_g_once_per_center(self, monkeypatch):
-        # A lift reads g at the previous center from the step that built it.
+        # A lift reads g at the previous center from the step that built it,
+        # by one integer Horner pass over D*g (here D = 1) and no Poly.eval.
         backend = Backend("padic", 2)
         g = from_ints(backend, [2, 1, 1])
         points = Counter()
-        evaluate = Poly.eval
+        evaluate, horner = Poly.eval, keyseq._horner
 
-        def counted(f, a):
+        def counted_eval(f, a):
             if f == g:
                 points[a.value] += 1
             return evaluate(f, a)
 
-        monkeypatch.setattr(Poly, "eval", counted)
+        def counted_horner(coeffs, a):
+            if list(coeffs) == [2, 1, 1]:
+                points[a] += 1
+            return horner(coeffs, a)
+
+        monkeypatch.setattr(Poly, "eval", counted_eval)
+        monkeypatch.setattr(keyseq, "_horner", counted_horner)
         family = hensel_family(backend, g, 0)
         centers = [family.center(n).value for n in range(1, 13)]
         assert points == Counter(centers)
@@ -391,12 +399,26 @@ class TestFamilies:
     @settings(max_examples=60, deadline=None)
     @given(hensel_inputs())
     def test_hensel_digits_match_trial_lifts(self, case):
+        # The digits and the precision certificate v(g(a_m)) of the integer
+        # lift on D*g agree with a lift that tries every digit on g itself.
         p, coeffs, start = case
         backend = Backend("padic", p)
         g = Poly.make(backend, [backend.parse(str(c)) for c in coeffs])
         family = hensel_family(backend, g, start)
         want = trial_lifts(coeffs, p, start, 12)
         assert [family.center(n).value for n in range(1, len(want) + 1)] == want
+        for m, a in enumerate(want, 1):
+            assert family.precision(m) == p_order(sum(c * a**i for i, c in enumerate(coeffs)), p)
+
+    def test_hensel_lift_without_fraction_arithmetic(self, fraction_ops):
+        # g = x^2 + x + 2/3 over the 2-adics: the lift runs on 3g.
+        backend = Backend("padic", 2)
+        g = Poly.make(backend, [backend.parse(c) for c in ("2/3", "1", "1")])
+        family = hensel_family(backend, g, 0)
+        fraction_ops.clear()
+        centers = [family.center(n).value for n in range(1, 33)]
+        assert fraction_ops == Counter()
+        assert centers == trial_lifts([Fraction(2, 3), 1, 1], 2, 0, 32)
 
     def test_hensel_exact_root_raises_at_its_lift(self):
         # g = (x - 7)(x - 2) over the 3-adics: from start 1 the first lift is 7
