@@ -241,7 +241,8 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             schedule = values
         cfg = replace(cfg, vp=vp, gamma=gamma, scale=scale, schedule=schedule)
     elif scenario == "hensel-immediate":
-        g = _coefficients(data.get("g", ["2", "1", "1"]), "g", "padic", p)
+        # x^2 + x + p: the simple residue root 0 at every p, irreducible as 1 - 4p < 0.
+        g = _coefficients(data.get("g", [str(p), "1", "1"]), "g", "padic", p)
         cfg = replace(cfg, g=g, start=_start(data.get("start", 0), "start"))
     elif scenario == "unramified":
         cfg = replace(cfg, g=_coefficients(data.get("g", ["1", "1", "1"]), "g", "padic", p))

@@ -11,7 +11,7 @@ and `expect_finite` turns it into the error a run reports for it.
 On top of the element arithmetic this module decides, always exactly and
 never by floating point or truncation guesswork:
 
-* which final segment (upward-closed set) a column of values generates,
+* which final segment (upward-closed set) a decreasing column generates,
 * containment and equality of such segments,
 * the largest isolated subgroup a segment is invariant under (in rank 1
   the whole group or the trivial one),
@@ -23,8 +23,10 @@ family, a `Tail` telling how it continues: a `ClosedForm` law
 ``p``, or a `Diverging` certificate issued by the family's construction.
 `canonicalize` turns a column into its `CanonicalSegment`, the one normal
 form every comparison works on; an initial segment (a cut) is the final
-segment of the negated column.  A column without a tail description has
-no segment; callers report such questions inconclusive rather than guess.
+segment of the negated column.  Such a column decreases, and
+`canonicalize` raises on a tail that does not.  A column without a tail
+description has no segment; callers report such questions inconclusive
+rather than guess.
 """
 from __future__ import annotations
 
@@ -331,13 +333,6 @@ class CanonicalSegment:
     kind: str  # "whole" | "closed" | "open"
     point: GroupElem | None = None
 
-    def contains(self, x: GroupElem) -> bool:
-        if self.kind == "whole":
-            return True
-        if self.kind == "closed":
-            return x >= self.point
-        return x > self.point
-
     def describe(self) -> dict:
         # Reports keep the rank and an open segment's depth, both always 1.
         out = {"kind": self.kind, "rank": 1}
@@ -348,45 +343,36 @@ class CanonicalSegment:
         return out
 
 
-def _closed(m: GroupElem) -> CanonicalSegment:
-    return CanonicalSegment("closed", m)
-
-
 def canonicalize(
     values: Sequence[GroupElem], tail: Tail | None = None, drop_prefix: bool = False
 ) -> CanonicalSegment:
-    """Normal form of the final segment generated by a column.
+    """Normal form of the final segment generated by a decreasing column.
 
     Without a tail, `values` is the whole (finite) family.  With one,
     `values` are the materialized terms and the tail continues them; the
     terms before the law offset count unless `drop_prefix` asks for the
-    segment of the tail alone.  That segment is invariant under further
-    tail truncation for a law with c >= 0 or a decreasing divergence; an
-    increasing tail generates the closed segment at its first term, which
-    shrinks as the tail is truncated.
+    segment of the tail alone.  A law with c > 0 generates the open
+    segment at its limit, a downward divergence the whole group, both
+    invariant under tail truncation.  A stream's key values increase
+    strictly, so it has no other segment tail; any other raises.
     """
     if tail is None:
         if not values:
             raise EmptySequenceError("empty value sequence")
-        return _closed(min(values))
+        return CanonicalSegment("closed", min(values))
     law = tail.law
     if isinstance(law, Diverging):
-        if not law.increasing:
-            return CanonicalSegment("whole")
-        return _closed(min(values[-1:] if drop_prefix else values))
-    if law.c.is_zero():
-        seg = _closed(law.d)
-    elif law.c < _ZERO:
-        seg = _closed(law.term(0))
-    else:
-        seg = CanonicalSegment("open", law.d)
-    prefix = [] if drop_prefix else values[: tail.offset]
-    if not prefix:
-        return seg
-    m = min(prefix)
-    if seg.kind == "closed":
-        return _closed(min(m, seg.point))
-    return seg if seg.contains(m) else _closed(m)
+        if law.increasing:
+            raise ScenarioDataError("a segment column diverges upwards, not downwards")
+        return CanonicalSegment("whole")
+    if not law.c > _ZERO:
+        raise ScenarioDataError("a segment column's law is constant or increasing, not decreasing")
+    # A prefix minimum at or below the limit is the column's least value.
+    m = min(() if drop_prefix else values[: tail.offset], default=None)
+    return (
+        CanonicalSegment("closed", m) if m is not None and m <= law.d
+        else CanonicalSegment("open", law.d)
+    )
 
 
 def segment_compare(ca: CanonicalSegment, cb: CanonicalSegment) -> SegmentRelation:

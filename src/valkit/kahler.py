@@ -476,22 +476,17 @@ def classify(stream: InvariantStream) -> Verdict:
 
 def _classify_min_case(stream, base) -> Verdict:
     min_alpha = stream.alpha_segment.point
-    if not stream.ks.istar_has_max():
-        return Verdict(
-            VerdictKind.OMEGA_NONZERO,
-            case="i",
-            witness={**base, "failed": "no_maximal_index"},
+    beta_canon = stream.beta_segment
+    # A plateau's alpha segment is open or whole, so a closed one needs an
+    # explicit last key.  A plateau below it is a family, which states the
+    # tails that give beta a segment, and beta is whole only under the lift
+    # certificate, which makes alpha whole too.
+    if not stream.ks.istar_has_max() or beta_canon is None or beta_canon.kind == "whole":
+        raise ScenarioDataError(
+            "a closed alpha segment needs a last key and a beta segment with a point"
         )
     rec = stream.records[-1]
-
-    beta_canon = stream.beta_segment
-    if beta_canon is None:
-        return Verdict(VerdictKind.INCONCLUSIVE, reason="beta column undecidable")
-    if beta_canon.kind == "whole":
-        dominated = False
-    else:
-        dominated = rec.beta_tilde <= beta_canon.point
-    if not dominated:
+    if not rec.beta_tilde <= beta_canon.point:
         return Verdict(
             VerdictKind.OMEGA_NONZERO,
             case="i",
@@ -523,11 +518,8 @@ def _classify_min_case(stream, base) -> Verdict:
                     "beta_tilde_i": str(rec.beta_tilde),
                 },
             )
-    return Verdict(
-        VerdictKind.OMEGA_NONZERO,
-        case="i",
-        witness={**base, "failed": "no_support_witness"},
-    )
+    # beta_tilde_i is at least the least alpha over the support of g.
+    raise ScenarioDataError("beta_tilde_i is the least alpha, but no key in the support of g has it")
 
 
 def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
@@ -535,52 +527,37 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
     block = stream.plateau
 
     # (a): the beta-tilde values along the plateau tail regenerate alpha.
-    # Dropping the prefix makes the generated segment invariant under all
-    # further tail truncations for a law with c >= 0 or a decreasing
-    # divergence, so one comparison decides them all.  An increasing tail
-    # generates only closed segments, and an alpha segment without a
-    # minimum is never closed, so no truncation of it compares EQUAL either.
+    # Dropping the prefix leaves a segment that every further tail
+    # truncation generates too (`canonicalize`), so one comparison decides
+    # them all.
     tail_only = block.segment("beta_tilde", drop_prefix=True)
     if tail_only is None:
         return Verdict(VerdictKind.INCONCLUSIVE, reason="beta_tilde tail unrecognized")
     if segment_compare(tail_only, canon) is not SegmentRelation.EQUAL:
         # The plateau's tail exists (checked above) and explicit blocks
-        # always have a segment, so the full column has one.
+        # always have a segment, so the full column has one.  It differs
+        # from the tail's by at most a closed prefix minimum, and alpha's
+        # segment is not closed, so no index subset regenerates alpha.
         full_bt = column_segment(stream, "beta_tilde")
-        rel_full = segment_compare(full_bt, canon)
-        if rel_full is SegmentRelation.A_CONTAINS_B:
-            raise ScenarioDataError("beta_tilde values escape the alpha segment")
-        if rel_full is not SegmentRelation.EQUAL:
-            # No index subset can regenerate alpha: its beta-tilde values
-            # generate at most the full beta-tilde segment.
-            return Verdict(
-                VerdictKind.OMEGA_NONZERO,
-                case="ii",
-                witness={
-                    **base,
-                    "failed": "beta_tilde_cannot_regenerate_alpha",
-                    "alpha_segment": _canon_str(canon),
-                    "beta_tilde_segment": _canon_str(full_bt),
-                },
+        if segment_compare(full_bt, canon) is not SegmentRelation.B_CONTAINS_A:
+            raise ScenarioDataError(
+                "the beta_tilde segment contains the alpha segment, but its plateau tail's does not"
             )
         return Verdict(
-            VerdictKind.INCONCLUSIVE,
-            reason="plateau beta_tilde tail does not regenerate alpha; "
-            "another index subset might",
+            VerdictKind.OMEGA_NONZERO,
+            case="ii",
+            witness={
+                **base,
+                "failed": "beta_tilde_cannot_regenerate_alpha",
+                "alpha_segment": _canon_str(canon),
+                "beta_tilde_segment": _canon_str(full_bt),
+            },
         )
 
     # (b): nu(g') is a weak limit of the truncated values along the plateau,
     # tail truncations of the index set allowed.
     gp_tail = block.tails["nu_i_gprime"]
-    if gp_tail is None:
-        return Verdict(VerdictKind.INCONCLUSIVE, reason="nu_i(g') tail unrecognized")
-    branch = _wlim_branch(stream.nu_gprime, gp_tail.law, delta)
-    if branch is None:
-        return Verdict(
-            VerdictKind.INCONCLUSIVE,
-            reason="weak-limit condition fails along every plateau tail; "
-            "another index subset might satisfy it",
-        )
+    law = None if gp_tail is None else gp_tail.law
     return Verdict(
         VerdictKind.OMEGA_ZERO,
         case="ii",
@@ -590,22 +567,23 @@ def _classify_no_min_case(stream, canon, delta, base) -> Verdict:
             "plateau_degree": block.degree,
             # alpha_n = -nu(Q_n) decreases strictly from the first term.
             "certificate_index": 1,
-            "wlim_branch": branch,
+            "wlim_branch": _wlim_branch(stream.nu_gprime, law, delta),
         },
     )
 
 
-def _wlim_branch(gamma: GroupElem, law: ClosedForm | Diverging, delta: int) -> int | None:
+def _wlim_branch(gamma: GroupElem, law: ClosedForm | Diverging | None, delta: int) -> int:
     """The weak-limit branch that puts `gamma` on a tail truncation of `law`.
 
-    None when neither branch holds or the tail is a divergence.  The law
-    alone decides: a constant law's cosets stabilize at the coset of its
-    limit, which is minimal once the truncation drops the prefix before the
-    law offset (branch 2), and every tail truncation of any other law has
-    the law's weak limits.
+    The law alone decides: a constant law's cosets stabilize at the coset
+    of its limit, which is minimal once the truncation drops the prefix
+    before the law offset (branch 2), and every tail truncation of any
+    other law has the law's weak limits (branch 1).  A plateau whose
+    beta-tilde tail regenerates alpha has such a law with nu(g') as a weak
+    limit; a missing or divergent tail, or any other law, raises.
     """
     if not (isinstance(law, ClosedForm) and wlim(gamma, law, delta)):
-        return None
+        raise ScenarioDataError("nu(g') is not a weak limit of the plateau's nu_i(g') law")
     return 2 if law.c.is_zero() else 1
 
 
@@ -625,23 +603,17 @@ def cut_contains_eventually(cut: CanonicalSegment, tail: Tail) -> bool:
     """Whether a slot-value stream lies in the cut for all large terms.
 
     `cut` comes from `_instability_cut`, so a value v lies in the cut when
-    -v lies in `cut`.
+    -v lies in `cut`.  The negated terms -d - c p^-n of a slot law that
+    increases (c < 0) fall to -d from above, so -d may sit on a bounded
+    cut's point.  A stream's slot tails are such laws, or diverge under
+    the lift certificate, whose cut is whole; any other tail raises.
     """
     if cut.kind == "whole":
         return True
     law = tail.law
-    if isinstance(law, Diverging):
-        return not law.increasing
-    # The negated terms are -d - c p^-n.  A constant law sits at -d.  The
-    # terms move towards -d from below when the values decrease (c > 0), so
-    # -d must pass the point; from above when they increase, so it may sit
-    # on it.
-    limit = -law.d
-    if law.c.is_zero():
-        return cut.contains(limit)
-    if law.c > GroupElem.zero():
-        return limit > cut.point
-    return limit >= cut.point
+    if isinstance(law, Diverging) or not law.c < GroupElem.zero():
+        raise ScenarioDataError("a slot tail under a bounded cut must increase to a limit")
+    return -law.d >= cut.point
 
 
 @dataclass(frozen=True)

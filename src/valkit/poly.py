@@ -6,14 +6,16 @@ coefficients once, since the oracle's memos are keyed by polynomials.
 Provides base-q expansions (repeated Euclidean division by a monic base,
 remainder first, one synthetic-division pass per slot at a linear base, a
 shift at x; over Hahn series a linear base splits f by the binomials
-q^(p^k) = x^(p^k) + Frob^k(q(0)) first), formal derivatives with
-characteristic-p cancellation, q-monicity of an expansion and the
-resultant res(g, f) of a monic g, as the determinant of multiplication by
-f modulo g, or (-1)^deg g g(a) by Horner's rule for f = x - a.
+q^(p^k) = x^(p^k) + Frob^k(q(0)) first), Hasse derivatives (the first
+is the formal one) with characteristic-p cancellation, q-monicity of an
+expansion and the resultant res(g, f) of a monic g, as the determinant of
+multiplication by f modulo g, or (-1)^deg g g(a) by Horner's rule for
+f = x - a.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .errors import NonMonicBaseError
@@ -212,12 +214,20 @@ def _expand(f: Poly, q: Poly) -> list[Poly]:
     return coeffs or [Poly(f.backend, ())]
 
 
+def hasse(f: Poly, i: int) -> Poly:
+    """The i-th Hasse derivative sum_{j>=i} binom(j, i) f_j x^(j-i), the
+    binomials computed in the coefficient field: its value at a is the i-th
+    Taylor coefficient of f at a."""
+    backend = f.backend
+    return Poly.make(
+        backend,
+        [c * backend.from_int(comb(j, i)) for j, c in enumerate(f.coeffs[i:], start=i)],
+    )
+
+
 def derivative(f: Poly) -> Poly:
-    """Formal derivative; k * a_k is computed in the coefficient field."""
-    out = []
-    for k in range(1, len(f.coeffs)):
-        out.append(f.coeffs[k] * f.backend.from_int(k))
-    return Poly.make(f.backend, out)
+    """Formal derivative: the first Hasse derivative."""
+    return hasse(f, 1)
 
 
 def resultant(g: Poly, f: Poly) -> FieldElem:

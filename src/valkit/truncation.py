@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
 from typing import Callable
 
 from .errors import StabilizationBudgetExceededError, ValkitError
 from .fields import valuation
 from .groups import GroupElem, rat1
-from .poly import Poly, QExpansion, q_expand
+from .poly import Poly, QExpansion, hasse, q_expand
 
 
 class NuOracle:
@@ -174,17 +173,8 @@ def _certified(k, f0: Poly, orders: list, a, precision) -> bool:
         slots = enumerate(orders[i:]) if va is not None else [(0, orders[i])]
         bounds = [o + d * va if d else o for d, o in slots if o is not None]
         if bounds and not k < min(bounds) + i * precision:
-            exact = _hasse(f0, i).eval(a).order()
+            exact = hasse(f0, i).eval(a).order()
             if exact is not None and not k < exact + i * precision:
                 return False
     return True
 
-
-def _hasse(f0: Poly, i: int) -> Poly:
-    """The i-th Hasse derivative sum_{j>=i} binom(j, i) f_j x^(j-i): its
-    value at a is the i-th Taylor coefficient of f0 at a."""
-    backend = f0.backend
-    return Poly.make(
-        backend,
-        [c * backend.from_int(comb(j, i)) for j, c in enumerate(f0.coeffs[i:], start=i)],
-    )

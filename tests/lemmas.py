@@ -29,7 +29,7 @@ from valkit.errors import (
 )
 from valkit.expansion import FullExpansion, MonomialTerm, full_expansion
 from valkit.fields import Backend, FieldElem, HahnElem, valuation
-from valkit.groups import GroupElem, expect_finite
+from valkit.groups import CanonicalSegment, GroupElem, expect_finite
 from valkit.keyseq import KeyIndex, KeySequence, find_witness, stage_terms
 from valkit.poly import Poly, QExpansion, derivative
 from valkit.truncation import NuOracle
@@ -193,6 +193,17 @@ def schoolbook_divmod(f: Poly, q: Poly) -> tuple[Poly, Poly]:
         term = Poly.make(backend, shift + [rest.coeffs[-1]])
         quot, rest = quot + term, rest - term * q
     return quot, rest
+
+
+# ---------------------------------------------------------------------------
+# Segments
+# ---------------------------------------------------------------------------
+
+def segment_contains(seg: CanonicalSegment, x: GroupElem) -> bool:
+    """Whether `x` lies in the final segment `seg`: the membership oracle."""
+    if seg.kind == "whole":
+        return True
+    return x >= seg.point if seg.kind == "closed" else x > seg.point
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,14 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["status"] == "decisive"
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_hensel_immediate_default_g_decides_at_every_p(self, p, capsys):
+        # The default g = x^2 + x + p keeps the simple residue root 0 at every p.
+        assert main(["scenario", "hensel-immediate", "--p", str(p), "--format", "structured"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "decisive"
+        assert report["verdicts"]["segment"]["kind"] == "omega_zero"
+
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"scenario": "artin-schreier", "p": 2, "format": "text"}')

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from valkit.errors import EmptySequenceError
+from lemmas import segment_contains
+from valkit.errors import EmptySequenceError, ScenarioDataError
 from valkit.groups import (
     PROBE_BUDGET,
     CanonicalSegment,
@@ -145,27 +146,39 @@ class TestSegmentFrom:
     def test_halving_sequence_has_no_min(self):
         seg = law_segment(rat1(1), rat1(0), 2)  # 1, 1/2, 1/4, ...
         assert seg.kind == "open"
-        assert not seg.contains(rat1(0))
+        assert not segment_contains(seg, rat1(0))
         for k in range(6):
-            assert seg.contains(rat1(Fraction(1, 2**k)))
+            assert segment_contains(seg, rat1(Fraction(1, 2**k)))
         # membership of every positive gamma, and of nothing at 0 or below
-        assert seg.contains(rat1(Fraction(1, 10**6)))
-        assert not seg.contains(rat1(Fraction(-1, 10**6)))
+        assert segment_contains(seg, rat1(Fraction(1, 10**6)))
+        assert not segment_contains(seg, rat1(Fraction(-1, 10**6)))
 
-    def test_constant_closed_form_is_min_closed(self):
-        assert law_segment(rat1(0), rat1(5), 2) == closed(rat1(5))
+    def test_constant_law_raises(self):
+        # A stream's key values increase strictly, so no segment column is constant.
+        with pytest.raises(ScenarioDataError, match="not decreasing"):
+            law_segment(rat1(0), rat1(5), 2)
 
-    def test_increasing_closed_form_attains_first_term(self):
-        seg = law_segment(rat1(-1), rat1(0), 2)  # -1, -1/2, ...
-        assert seg == closed(rat1(-1))
+    def test_increasing_law_raises(self):
+        with pytest.raises(ScenarioDataError, match="not decreasing"):
+            law_segment(rat1(-1), rat1(0), 2)  # -1, -1/2, ...
 
     def test_stabilized(self):
         # 4, 2, then constantly 3: a constant law after a two-term prefix
         tail = Tail(ClosedForm(rat1(0), rat1(3), 2), offset=2)
-        assert canonicalize([rat1(4), rat1(2), rat1(3)], tail) == closed(rat1(2))
-        assert canonicalize([rat1(4), rat1(2), rat1(3)], tail, drop_prefix=True) == closed(
-            rat1(3)
-        )
+        for drop_prefix in (False, True):
+            with pytest.raises(ScenarioDataError, match="not decreasing"):
+                canonicalize([rat1(4), rat1(2), rat1(3)], tail, drop_prefix)
+
+    def test_prefix_minimum_at_or_below_the_limit(self):
+        # 4, 2, then 7/2, 13/4, ... down to 3; a prefix minimum of 3 sits on it
+        tail = Tail(ClosedForm(rat1(1), rat1(3), 2), offset=2)
+        values = [rat1(4), rat1(2), rat1(4), rat1(Fraction(7, 2))]
+        assert canonicalize(values, tail) == closed(rat1(2))
+        assert canonicalize(values, tail, drop_prefix=True) == law_segment(rat1(1), rat1(3), 2)
+        values[1] = rat1(3)
+        assert canonicalize(values, tail) == closed(rat1(3))
+        values[1] = rat1(Fraction(13, 4))
+        assert canonicalize(values, tail) == law_segment(rat1(1), rat1(3), 2)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
@@ -276,9 +289,10 @@ class TestFitClosedForm:
 class TestSegmentLawProperties:
     @given(elems(), elems(), st.integers(0, 8))
     def test_final_segment_law_closed(self, m, gamma, bump):
-        seg = closed(m)
-        if seg.contains(gamma):
-            assert seg.contains(gamma + rat1(bump))
+        seg = canonicalize([m, m + rat1(bump)])
+        assert seg == closed(m)
+        if segment_contains(seg, gamma):
+            assert segment_contains(seg, gamma + rat1(bump))
 
     @given(
         st.fractions(Fraction(1, 8), 4, max_denominator=8),
@@ -288,16 +302,19 @@ class TestSegmentLawProperties:
     )
     def test_final_segment_law_open(self, c, d, gamma, bump):
         seg = law_segment(rat1(c), rat1(d), 2)
-        if seg.contains(gamma):
-            assert seg.contains(gamma + rat1(bump))
+        if segment_contains(seg, gamma):
+            assert segment_contains(seg, gamma + rat1(bump))
 
     def test_diverging_segments(self):
         values = [rat1(0), rat1(1), rat1(2)]
         down = Tail(Diverging(increasing=False))
         up = Tail(Diverging(increasing=True))
-        assert canonicalize(values, down) == WHOLE
-        assert canonicalize(values, up) == closed(rat1(0))
-        assert canonicalize(values, up, drop_prefix=True) == closed(rat1(2))
+        assert canonicalize(values[::-1], down) == WHOLE
+        assert canonicalize(values[::-1], down, drop_prefix=True) == WHOLE
+        # A segment column never diverges upwards.
+        for drop_prefix in (False, True):
+            with pytest.raises(ScenarioDataError, match="diverges upwards"):
+                canonicalize(values, up, drop_prefix)
 
 
 # ---------------------------------------------------------------------------

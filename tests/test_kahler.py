@@ -8,7 +8,7 @@ from math import inf, isqrt
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import artin_schreier_customs, from_ints
+from lemmas import artin_schreier_customs, from_ints, segment_contains
 from valkit import kahler
 from valkit.cli import build_stream, parse_config_dict, run
 from valkit.errors import (
@@ -450,8 +450,9 @@ class TestClassify:
 
 
 # ---------------------------------------------------------------------------
-# The outcomes of the minimum case, on streams built by hand.  A record has
-# nu(Q) = nu(g') = 0, so its alpha, beta and beta-tilde fix the rest.
+# The outcomes of the minimum case, on streams built by hand, some of shapes
+# no stream has.  A record has nu(Q) = nu(g') = 0, so its alpha, beta and
+# beta-tilde fix the rest.
 # ---------------------------------------------------------------------------
 
 _PADIC2 = Backend("padic", 2)
@@ -468,7 +469,9 @@ _PLATEAU_KS = KeySequence(
     from_ints(_PADIC2, [1, 1, 0, 1]),
     2,
 )
-_CONSTANT = Tail(ClosedForm(rat1(0), rat1(0), 2))
+# 1, 1/2, 1/4, ... down to 0; after one prefix term of 0, the plateau's alpha.
+_FALLING = Tail(ClosedForm(rat1(1), rat1(0), 2))
+_ALPHA = Tail(_FALLING.law, offset=1)
 
 
 def hand_record(index, degree, alpha, beta, beta_tilde):
@@ -486,9 +489,10 @@ def explicit_stream(*rows):
 
 
 def plateau_stream(beta_tail, last_row=None):
-    """A plateau of constant alpha 0 and beta 1, then the quadratic key's row."""
-    records = tuple(hand_record(KeyIndex(0, n), 1, 0, 1, 0) for n in (1, 2))
-    tails = {**{name: _CONSTANT for name in COLUMNS}, "beta": beta_tail}
+    """A plateau whose alpha column 0, 1, 1/2, ... attains its minimum 0 at
+    its first record, which no plateau does; then the quadratic key's row."""
+    records = tuple(hand_record(KeyIndex(0, n), 1, a, 1, 0) for n, a in ((1, 0), (2, 1)))
+    tails = {**{name: _FALLING for name in COLUMNS}, "alpha": _ALPHA, "beta": beta_tail}
     blocks = [Block(0, 1, records, tails)]
     if last_row is not None:
         blocks.append(Block(1, 2, (hand_record(KeyIndex(1, 0), 2, *last_row),), None))
@@ -499,7 +503,7 @@ def plateau_stream(beta_tail, last_row=None):
 
 
 class TestClassifyMinCase:
-    """Each way the minimum case (i) can fail, and its undecided beta column."""
+    """Each way the minimum case (i) can fail; a shape no stream has raises."""
 
     def failed(self, stream):
         v = classify(stream)
@@ -508,12 +512,17 @@ class TestClassifyMinCase:
 
     def test_no_maximal_index(self):
         # alpha attains its minimum, but the plateau has no last key
-        assert self.failed(plateau_stream(_CONSTANT)) == "no_maximal_index"
+        stream = plateau_stream(_FALLING)
+        assert stream.alpha_segment.kind == "closed"
+        with pytest.raises(ScenarioDataError, match="needs a last key"):
+            classify(stream)
 
     def test_beta_tilde_above_a_whole_beta_segment(self):
         stream = plateau_stream(Tail(Diverging(increasing=False)), last_row=(1, 1, 1))
         assert column_segment(stream, "beta").kind == "whole"
-        assert self.failed(stream) == "beta_tilde_not_below_all_betas"
+        assert stream.alpha_segment.kind == "closed"
+        with pytest.raises(ScenarioDataError, match="beta segment with a point"):
+            classify(stream)
 
     def test_beta_tilde_above_a_closed_beta_segment(self):
         # the last beta-tilde, 1, exceeds the first beta, 0
@@ -528,11 +537,14 @@ class TestClassifyMinCase:
         # the minimal alpha sits at x, outside the support {1.0} of g's
         # expansion at the quadratic key
         stream = explicit_stream((-1, 0, -1), (0, 0, -1))
-        assert self.failed(stream) == "no_support_witness"
+        with pytest.raises(ScenarioDataError, match="no key in the support"):
+            classify(stream)
 
     def test_beta_column_undecidable(self):
-        v = classify(plateau_stream(None, last_row=(1, 1, 1)))
-        assert v.kind is VerdictKind.INCONCLUSIVE and v.reason == "beta column undecidable"
+        stream = plateau_stream(None, last_row=(1, 1, 1))
+        assert stream.beta_segment is None and stream.alpha_segment.kind == "closed"
+        with pytest.raises(ScenarioDataError, match="beta segment with a point"):
+            classify(stream)
 
 
 class TestBSet:
@@ -844,15 +856,21 @@ class TestWlimBranch:
         if isinstance(tail.law, ClosedForm) and data.draw(st.booleans()):
             # Land gamma in the limit's coset, where either branch can hold.
             gamma = tail.law.d + (gamma if delta else GroupElem.zero())
-        assert _wlim_branch(gamma, tail.law, delta) == _former_wlim_branch(
-            gamma, values, tail, delta
-        )
+        former = _former_wlim_branch(gamma, values, tail, delta)
+        if former is None:
+            # No stream reaches (b) with a tail that has no such weak limit.
+            with pytest.raises(ScenarioDataError, match="not a weak limit"):
+                _wlim_branch(gamma, tail.law, delta)
+        else:
+            assert _wlim_branch(gamma, tail.law, delta) == former
 
     def test_constant_law_is_branch_2_and_a_decreasing_one_branch_1(self):
         delta = 0
         assert _wlim_branch(rat1(3), ClosedForm(rat1(0), rat1(3), 2), delta) == 2
         assert _wlim_branch(rat1(3), ClosedForm(rat1(1), rat1(3), 2), delta) == 1
-        assert _wlim_branch(rat1(3), Diverging(increasing=False), delta) is None
+        for law in (Diverging(increasing=False), None):
+            with pytest.raises(ScenarioDataError, match="not a weak limit"):
+                _wlim_branch(rat1(3), law, delta)
 
 
 @st.composite
@@ -872,7 +890,7 @@ class TestSeparatingValue:
     def test_value_lies_in_the_larger_segment_only(self, pair):
         outer, inner = pair
         value = _separating_value(outer, inner)
-        assert outer.contains(value) and not inner.contains(value)
+        assert segment_contains(outer, value) and not segment_contains(inner, value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -938,6 +956,10 @@ class TestInstabilityCut:
                     st.lists(elems(), min_size=tail.offset, max_size=tail.offset)
                 )
             ]
+        if not _increases(tail):
+            with pytest.raises(ScenarioDataError, match="not decreasing|diverges upwards"):
+                _instability_cut(values, tail)
+            return
         cut = _instability_cut(values, tail)
         former = _former_cut_from_column(tail, values)
         assert BSetReport(cut, (), frozenset(), None).describe()["cut"] == former.describe()
@@ -952,6 +974,10 @@ class TestInstabilityCut:
             )
             c = data.draw(st.sampled_from((rat1(-1), rat1(0), rat1(1))))
             slot = Tail(ClosedForm(c, d, 2))
+        if not _stream_slot(cut, slot):
+            with pytest.raises(ScenarioDataError, match="must increase"):
+                cut_contains_eventually(cut, slot)
+            return
         assert cut_contains_eventually(cut, slot) == _former_cut_contains_eventually(
             former, slot
         )
@@ -962,12 +988,27 @@ class TestInstabilityCut:
         describe = BSetReport(cut, (), frozenset(), None).describe()["cut"]
         assert describe == {"kind": "open_below", "bound": "2/1"}
         assert cut_contains_eventually(cut, Tail(ClosedForm(rat1(-1), rat1(2), 3)))
-        assert not cut_contains_eventually(cut, Tail(ClosedForm(rat1(1), rat1(2), 3)))
+        assert not cut_contains_eventually(cut, Tail(ClosedForm(rat1(-1), rat1(3), 3)))
+        with pytest.raises(ScenarioDataError, match="must increase"):
+            cut_contains_eventually(cut, Tail(ClosedForm(rat1(1), rat1(2), 3)))
+
+
+def _increases(tail):
+    """Whether a nu_i(g) column with this tail is one a stream has."""
+    law = tail.law
+    return law.increasing if isinstance(law, Diverging) else law.c < GroupElem.zero()
+
+
+def _stream_slot(cut, tail):
+    """Whether a stream has this slot tail under this cut: a bounded cut
+    comes with slot laws that increase."""
+    law = tail.law
+    return cut.kind == "whole" or (isinstance(law, ClosedForm) and law.c < GroupElem.zero())
 
 
 def _late_term_in_cut(cut, law):
     """Membership of the value at n = 64, far past every gap these draws make."""
-    return cut.contains(-law.term(64))
+    return segment_contains(cut, -law.term(64))
 
 
 def _rank_r_cut_contains_eventually(cut, tail):
@@ -1004,6 +1045,10 @@ class TestCutContainsEventually:
     @given(st.data())
     def test_matches_membership_of_a_late_term(self, data):
         values, tail = data.draw(st.one_of(columns(), unit_columns()))
+        if not _increases(tail):
+            with pytest.raises(ScenarioDataError, match="not decreasing|diverges upwards"):
+                _instability_cut(values, tail)
+            return
         cut = _instability_cut(values, tail)
         p = data.draw(st.sampled_from((2, 3)))
         limits = [data.draw(elems())]
@@ -1014,6 +1059,10 @@ class TestCutContainsEventually:
         for c in UNITS + [data.draw(elems())]:
             for d in limits:
                 law = ClosedForm(c, d, p)
+                if not _stream_slot(cut, Tail(law)):
+                    with pytest.raises(ScenarioDataError, match="must increase"):
+                        cut_contains_eventually(cut, Tail(law))
+                    continue
                 got = cut_contains_eventually(cut, Tail(law))
                 assert got == _late_term_in_cut(cut, law), law
                 assert got == _rank_r_cut_contains_eventually(cut, Tail(law)), law

@@ -44,9 +44,8 @@ UNREACHED = {
 }
 
 # Unexecuted statements per entered function: (count, why no input reaches them).
-# A plateau's key values increase strictly, so every column a criterion turns
-# into a segment (alpha, beta, beta_tilde, the negated nu_i(g)) and every
-# slot tail is a law moving with them, or the lift family's divergence.
+# Only protocol answers and defensive answers are left: a criteria or segment
+# branch for a shape no stream has raises `ScenarioDataError` instead.
 ALLOWLIST = {
     "fields.PAdicRational.__eq__": (
         1,
@@ -58,40 +57,6 @@ ALLOWLIST = {
         "the protocol's answer to a non-element; `full_expansion` checks that a "
         "coefficient's value is finite before its witness search, and no run "
         "compares a value with an infinite one",
-    ),
-    "groups.CanonicalSegment.contains": (
-        2,
-        "`canonicalize` asks an open segment; a closed or whole cut is asked only "
-        "about a constant slot law, which no stage produces",
-    ),
-    "groups.canonicalize": (
-        4,
-        "a canonicalized column decreases (a law with c > 0) or diverges "
-        "downwards: never a constant or increasing law, never an upward divergence",
-    ),
-    "kahler._classify_min_case": (
-        4,
-        "a closed alpha segment needs an explicit last key: a plateau's alpha "
-        "segment is open or whole, and a key before it has no larger value; the "
-        "plateau before that key is then a family, which states its nu_i(g) "
-        "tail, and beta is whole only under the lift certificate, which makes "
-        "alpha whole too; and beta_tilde_i is at least the least alpha over the "
-        "support of g (the derivative lower bound), so beta_tilde_i = min alpha "
-        "puts min alpha in it",
-    ),
-    "kahler._classify_no_min_case": (
-        3,
-        "a family's beta_tilde tail regenerates alpha and its nu_i(g') law is the "
-        "constant nu(g'); a Kummer schedule's beta_tilde segments, with and "
-        "without the prefix, differ at most by a closed prefix minimum, its "
-        "nu_i(g') fits where beta_tilde and nu_i(g) do, and at the threshold "
-        "nu_i(g') ends at the constant vp = nu(g')",
-    ),
-    "kahler._wlim_branch": (1, "only for the inconclusive weak limit of _classify_no_min_case"),
-    "kahler.cut_contains_eventually": (
-        3,
-        "every slot tail increases with the key values (c < 0), or diverges "
-        "upwards under the lift certificate, whose cut is whole",
     ),
     "poly.Poly.__eq__": (
         1,
